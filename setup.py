@@ -2,29 +2,20 @@
 
 The package is fully functional without the extension (a pure-Python
 fallback is selected at import time); the extension exists because the
-tanh-sinh node loop dominates runtime for sweeps and inversions.
+tanh-sinh node loop dominates runtime for sweeps and inversions.  It is
+one hand-written C file against the CPython API, built when a C compiler
+is available and skipped (``optional=True``) when it is not.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-if cythonize is not None:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "pqtrig._dequad_c",
-                ["src/pqtrig/_dequad_c.pyx"],
-                extra_compile_args=["-O3"],
-                optional=True,
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-else:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "pqtrig._dequad_c",
+            ["src/pqtrig/_dequad_c.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
+        )
+    ]
+)

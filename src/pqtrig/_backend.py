@@ -1,7 +1,8 @@
 """Selects the quadrature kernel implementation at import time.
 
-The compiled extension is used when present; set ``PQTRIG_PURE_PYTHON=1``
-to force the pure-Python kernels (useful for debugging and benchmarking).
+The compiled extension ``_dequad_c`` (built from ``_dequad_c.c``) is used
+when present; set ``PQTRIG_PURE_PYTHON=1`` to force the pure-Python
+kernels of ``_dequad_py`` (useful for debugging and benchmarking).
 """
 
 import os

@@ -565,8 +565,9 @@ def run_sweep(
     argument axes expressed as domain fractions (see :class:`GridAxis`).
     Points are evaluated in row-major grid order; with ``threads > 1``
     they are computed concurrently but merged back deterministically by
-    index.  Per-point failures are recorded in the report rather than
-    raised.
+    index.  Per-point evaluation failures (:class:`PQTrigError`) are
+    recorded in the report rather than raised; any other exception
+    propagates.
     """
     axes = tuple(axes)
     if not axes:
@@ -651,7 +652,7 @@ def _run_points(report, points, eval_point, threads):
         idx, pt = indexed
         try:
             return idx, eval_point(pt), None
-        except Exception as exc:  # recorded, not fatal
+        except PQTrigError as exc:  # recorded, not fatal; anything else is a bug
             return idx, None, f"{type(exc).__name__}: {exc}"
 
     indexed = list(enumerate(points))

@@ -54,6 +54,37 @@ def _quad_cfg(inv: InversionConfig) -> QuadratureConfig:
     return QuadratureConfig(target_abs_tol=tol)
 
 
+def _bracketed_newton(F, y, lo, hi, s, increasing, newton_step, cfg, name):
+    """Solve F(s) = y for monotone F on the bracket [lo, hi], starting at s.
+
+    ``newton_step(s, resid)`` returns the Newton step (subtracted from s)
+    or None where the derivative is unusable; a step leaving the bracket,
+    and a None, bisect instead.  Returns s once the residual meets
+    ``cfg.tol``, or the bracket midpoint once the bracket has collapsed
+    to a few ulps (the nearest representable root).
+    """
+    for _ in range(cfg.max_iters):
+        resid = F(s) - y
+        if abs(resid) <= cfg.tol:
+            return s
+        if (resid < 0.0) if increasing else (resid > 0.0):
+            lo = s
+        else:
+            hi = s
+        if hi - lo <= 2.0 * math.ulp(hi):
+            return 0.5 * (lo + hi)
+        step = newton_step(s, resid)
+        s_new = 0.5 * (lo + hi) if step is None else s - step
+        if not (lo < s_new < hi):
+            s_new = 0.5 * (lo + hi)
+        s = s_new
+    raise ComputationError(
+        f"{name} did not converge within {cfg.max_iters} iterations "
+        f"(bracket [{lo!r}, {hi!r}])",
+        partial=0.5 * (lo + hi),
+    )
+
+
 def sin_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> float:
     """Solve arcsin_pq(s) = y for s in [0, 1].
 
@@ -72,34 +103,18 @@ def sin_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> 
         return 1.0
     p, q = pq.p, pq.q
     qt = qcfg.target_abs_tol
-    lo, hi = 0.0, 1.0
-    s = min(1.0, y / hp)
-    for _ in range(cfg.max_iters):
-        fval = kernels.arcsin_quad(p, q, s, qt, qcfg.max_levels, qcfg.max_evals)[0]
-        resid = fval - y
-        if abs(resid) <= cfg.tol:
-            return s
-        if resid < 0.0:
-            lo = s
-        else:
-            hi = s
-        if hi - lo <= 2.0 * math.ulp(hi):
-            return 0.5 * (lo + hi)
+
+    def arcsin_at(s: float) -> float:
+        return kernels.arcsin_quad(p, q, s, qt, qcfg.max_levels, qcfg.max_evals)[0]
+
+    def newton_step(s: float, resid: float):
         sq = math.pow(s, q)
         if 1.0 - sq < 1e-8:
-            # derivative (1 - s**q)**(-1/p) blows up; bisect instead
-            s = 0.5 * (lo + hi)
-            continue
-        step = resid * math.pow(1.0 - sq, 1.0 / p)
-        s_new = s - step
-        if not (lo < s_new < hi):
-            s_new = 0.5 * (lo + hi)
-        s = s_new
-    raise ComputationError(
-        f"sin_pq did not converge within {cfg.max_iters} iterations "
-        f"(bracket [{lo!r}, {hi!r}])",
-        partial=0.5 * (lo + hi),
-    )
+            return None  # derivative (1 - s**q)**(-1/p) blows up
+        return resid * math.pow(1.0 - sq, 1.0 / p)
+
+    return _bracketed_newton(arcsin_at, y, 0.0, 1.0, min(1.0, y / hp), True,
+                             newton_step, cfg, "sin_pq")
 
 
 def cos_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> float:
@@ -130,33 +145,16 @@ def cos_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> 
         w = math.pow(-math.expm1(p * math.log(v)), 1.0 / q)
         return kernels.arcsin_quad(p, q, w, qt, qcfg.max_levels, qcfg.max_evals)[0]
 
-    lo, hi = 0.0, 1.0  # arccos decreases from half_pi at 0 to 0 at 1
-    v = 0.5
-    for _ in range(cfg.max_iters):
-        resid = arccos_at(v) - y
-        if abs(resid) <= cfg.tol:
-            return v
-        if resid > 0.0:
-            lo = v
-        else:
-            hi = v
-        if hi - lo <= 2.0 * math.ulp(hi):
-            return 0.5 * (lo + hi)
+    def newton_step(v: float, resid: float):
         vp = math.pow(v, p)
         if vp < 1e-8 or 1.0 - vp < 1e-8:
-            v = 0.5 * (lo + hi)
-            continue
+            return None
         # d/dv arccos_pq(v) = -(p/q) v**(p-2) (1 - v**p)**(1/q - 1)
         deriv = -(p / q) * math.pow(v, p - 2.0) * math.pow(1.0 - vp, 1.0 / q - 1.0)
-        v_new = v - resid / deriv
-        if not (lo < v_new < hi):
-            v_new = 0.5 * (lo + hi)
-        v = v_new
-    raise ComputationError(
-        f"cos_pq did not converge within {cfg.max_iters} iterations "
-        f"(bracket [{lo!r}, {hi!r}])",
-        partial=0.5 * (lo + hi),
-    )
+        return resid / deriv
+
+    # arccos decreases from half_pi at 0 to 0 at 1
+    return _bracketed_newton(arccos_at, y, 0.0, 1.0, 0.5, False, newton_step, cfg, "cos_pq")
 
 
 def sinh_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> float:
@@ -168,7 +166,7 @@ def sinh_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) ->
     bounds y, so the doubling always terminates for in-domain y.
     """
     qcfg = _quad_cfg(cfg)
-    if y < 0.0:
+    if not (y >= 0.0):
         raise DomainError(f"sinh_pq needs y >= 0, got {y!r}")
     ms = m_star_pq(pq, qcfg)
     if ms.is_finite and y >= ms.value:
@@ -183,34 +181,16 @@ def sinh_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) ->
     def forward(s: float) -> float:
         return kernels.arcsinh_quad(p, q, s, qt, qcfg.max_levels, qcfg.max_evals)[0]
 
+    def newton_step(s: float, resid: float):
+        # d/ds arcsinh_pq(s) = (1 + s**q)**(-1/p), in log space to dodge overflow
+        lns = math.log(s) if s > 0.0 else -745.0
+        A = q * lns
+        softplus = A + math.log1p(math.exp(-A)) if A > 0.0 else math.log1p(math.exp(A))
+        return resid * math.exp(softplus / p)
+
     hi = 1.0
     while forward(hi) <= y:
         hi *= 2.0
         if math.isinf(hi):
             raise ComputationError(f"sinh_pq bracket overflow for y={y!r}", partial=hi)
-    lo = 0.0
-    s = min(hi, y)
-    for _ in range(cfg.max_iters):
-        resid = forward(s) - y
-        if abs(resid) <= cfg.tol:
-            return s
-        if resid < 0.0:
-            lo = s
-        else:
-            hi = s
-        if hi - lo <= 2.0 * math.ulp(hi):
-            return 0.5 * (lo + hi)
-        # d/ds arcsinh_pq(s) = (1 + s**q)**(-1/p), in log space to dodge overflow
-        lns = math.log(s) if s > 0.0 else -745.0
-        A = q * lns
-        softplus = A + math.log1p(math.exp(-A)) if A > 0.0 else math.log1p(math.exp(A))
-        step = resid * math.exp(softplus / p)
-        s_new = s - step
-        if not (lo < s_new < hi):
-            s_new = 0.5 * (lo + hi)
-        s = s_new
-    raise ComputationError(
-        f"sinh_pq did not converge within {cfg.max_iters} iterations "
-        f"(bracket [{lo!r}, {hi!r}])",
-        partial=0.5 * (lo + hi),
-    )
+    return _bracketed_newton(forward, y, 0.0, hi, min(hi, y), True, newton_step, cfg, "sinh_pq")

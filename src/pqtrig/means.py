@@ -39,14 +39,16 @@ def holder_mean(order: Union[HolderOrder, float], a: float, b: float) -> float:
     if a == b:
         return a
     if abs(r) < _ZERO_BAND:
-        return math.exp(0.5 * (math.log(a) + math.log(b)))
-    # factor out the dominant argument so the remaining ratio power is <= 1:
-    # the larger one for positive orders, the smaller one for negative
-    if r > 0.0:
-        m, other = (a, b) if a > b else (b, a)
+        mean = math.exp(0.5 * (math.log(a) + math.log(b)))
     else:
-        m, other = (a, b) if a < b else (b, a)
-    t = math.exp(r * (math.log(other) - math.log(m)))  # in (0, 1]
-    mean = m * math.exp((math.log1p(t) - math.log(2.0)) / r)
+        # factor out the dominant argument so the remaining ratio power is
+        # <= 1: the larger one for positive orders, the smaller for negative
+        if r > 0.0:
+            m, other = (a, b) if a > b else (b, a)
+        else:
+            m, other = (a, b) if a < b else (b, a)
+        t = math.exp(r * (math.log(other) - math.log(m)))  # in (0, 1]
+        mean = m * math.exp((math.log1p(t) - math.log(2.0)) / r)
+    # rounding can step past an argument that is a few ulps from the other
     lo, hi = (a, b) if a < b else (b, a)
     return min(max(mean, lo), hi)

@@ -23,16 +23,20 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from ._nodes import level_nodes
+from ._nodes import run_levels
 from .errors import ComputationError, DomainError
 
 _PI_HALF = math.pi / 2.0
-_EPS = 2.220446049250313e-16
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Accuracy and budget knobs for the integrators."""
+    """Accuracy and budget knobs for the integrators.
+
+    Refinement never goes past level 16: a larger ``max_levels`` is
+    clamped, alike by both kernel backends and by :func:`integrate_singular`,
+    so the backends walk the same levels for any ``max_levels``.
+    """
 
     target_abs_tol: float = 1e-12
     max_levels: int = 12
@@ -86,7 +90,6 @@ def integrate_singular(
         raise DomainError("interval endpoints must be finite")
     half = 0.5 * (b - a)
     nudge = math.ulp(b - a)
-    raw_tol = cfg.target_abs_tol / half
 
     def feval(x: float) -> float:
         if x <= a:
@@ -102,42 +105,15 @@ def integrate_singular(
             raise ComputationError(f"integrand returned non-finite value {fx!r} at x={x!r}")
         return fx
 
-    raw = _PI_HALF * feval(a + half)
-    evals = 1
-    for omu, w, _ln_lo, _ln_hi, tau in level_nodes(0):
+    def pair(rec) -> float:
+        omu, w, _ln_lo, _ln_hi, _tau = rec
         r = half * omu
-        c = w * (feval(b - r) + feval(a + r))
-        raw += c
-        evals += 2
-        if abs(c) <= 1e-17 * abs(raw) and tau >= 1.0:
-            break
-    h = 1.0
-    value = raw * h
-    err = math.inf
-    converged = False
-    for level in range(1, cfg.max_levels + 1):
-        h *= 0.5
-        small = 0
-        for omu, w, _ln_lo, _ln_hi, tau in level_nodes(level):
-            r = half * omu
-            c = w * (feval(b - r) + feval(a + r))
-            raw += c
-            evals += 2
-            if abs(c) <= 1e-17 * abs(raw) and tau >= 1.0:
-                small += 1
-                if small >= 2:
-                    break
-            else:
-                small = 0
-        new = raw * h
-        err = abs(new - value)
-        value = new
-        if err <= raw_tol:
-            converged = True
-            break
-        if err <= 8.0 * _EPS * abs(value) or evals >= cfg.max_evals:
-            break
-    return QuadratureResult(value * half, err * half, evals, converged)
+        return w * (feval(b - r) + feval(a + r))
+
+    return QuadratureResult(*run_levels(
+        pair, _PI_HALF * feval(a + half), half,
+        cfg.target_abs_tol, cfg.max_levels, cfg.max_evals,
+    ))
 
 
 def integrate_improper(

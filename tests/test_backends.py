@@ -1,7 +1,15 @@
 """Agreement between the compiled and pure-Python quadrature kernels."""
 
-import pytest
+import math
+import os
+import subprocess
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pqtrig
 from pqtrig import backend_name
 from pqtrig import _dequad_py as pure
 
@@ -53,7 +61,7 @@ def test_missing_extension_falls_back(monkeypatch):
 
 
 @pytest.mark.parametrize("p,q", PAIRS)
-@pytest.mark.parametrize("x", [0.0, 1e-6, 0.25, 0.9, 0.999999, 1.0])
+@pytest.mark.parametrize("x", [0.0, 5e-324, 1e-6, 0.25, 0.9, 0.999999, 1.0])
 def test_arcsin_kernels_agree(p, q, x):
     vc = compiled.arcsin_quad(p, q, x)
     vp = pure.arcsin_quad(p, q, x)
@@ -62,7 +70,7 @@ def test_arcsin_kernels_agree(p, q, x):
 
 
 @pytest.mark.parametrize("p,q", PAIRS)
-@pytest.mark.parametrize("x", [0.0, 0.5, 1.0, 10.0, 1e4])
+@pytest.mark.parametrize("x", [0.0, 5e-324, 0.5, 1.0, 10.0, 1e4])
 def test_arcsinh_kernels_agree(p, q, x):
     vc = compiled.arcsinh_quad(p, q, x)
     vp = pure.arcsinh_quad(p, q, x)
@@ -84,3 +92,54 @@ def test_evaluation_counts_match():
         vc = compiled.arcsin_quad(p, q, 1.0)
         vp = pure.arcsin_quad(p, q, 1.0)
         assert vc[2] == vp[2]
+
+
+# Exponents this close to 1 overflow a node term: C's pow/exp return inf,
+# and the pure kernel must report the same unconverged result, not raise.
+@pytest.mark.parametrize("kernel,args", [
+    ("arcsin_quad", (1.03, 2.0, 1.0)),
+    ("mstar_quad", (1.03, 1.05)),
+    ("arcsin_quad", (1.03, 2.0, 1.0, 1e-12, 20, 10**7)),  # levels past the shared clamp
+])
+def test_overflowing_nodes_agree(kernel, args):
+    vc = getattr(compiled, kernel)(*args)
+    vp = getattr(pure, kernel)(*args)
+    assert math.isinf(vc[0]) and math.isinf(vp[0])
+    assert vc[2] == vp[2]
+    assert vc[3] is vp[3] is False
+
+
+def _same(a, b, tol):
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return repr(a) == repr(b)
+    return a == pytest.approx(b, abs=tol)
+
+
+EXPONENT = st.floats(1.0, 10.0, exclude_min=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=EXPONENT, q=EXPONENT, data=st.data())
+def test_kernels_agree_everywhere(p, q, data):
+    x = data.draw(st.floats(0.0, 1.0), label="arcsin x")
+    y = data.draw(st.floats(0.0, 1e4), label="arcsinh x")
+    calls = [("arcsin_quad", (p, q, x), 1e-13), ("arcsinh_quad", (p, q, y), 1e-12)]
+    if p < q:
+        calls.append(("mstar_quad", (p, q), 1e-12))
+    for kernel, args, tol in calls:
+        vc = getattr(compiled, kernel)(*args)
+        vp = getattr(pure, kernel)(*args)
+        assert vc[2] == vp[2] and vc[3] == vp[3], (kernel, args, vc, vp)
+        assert _same(vc[0], vp[0], tol), (kernel, args, vc, vp)
+
+
+def test_pure_cli_reports_unconverged_constant():
+    src = os.path.dirname(os.path.dirname(pqtrig.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PQTRIG_PURE_PYTHON": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pqtrig.cli", "constants", "--p", "1.03", "--q", "2"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: half_pi_pq(p=1.03, q=2.0) did not reach")
+    assert "Traceback" not in proc.stderr

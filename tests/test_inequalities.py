@@ -384,6 +384,20 @@ class TestRunSweep:
         assert len(report.verdicts) == 2
         assert not report.all_satisfied or report.errors  # exit-1 signal for the CLI
 
+    @pytest.mark.parametrize("threads", [0, 2])
+    def test_bug_in_a_point_check_is_raised_not_recorded(self, monkeypatch, threads):
+        from pqtrig import inequalities
+
+        names, scale, _evaluate = inequalities._POINT_CHECKS["lemma21"]
+
+        def broken(pq, args, order, tol):
+            raise ZeroDivisionError("bug in a point check")
+
+        monkeypatch.setitem(inequalities._POINT_CHECKS, "lemma21", (names, scale, broken))
+        axes = [GridAxis("p", 2.0, 2.0, 1), GridAxis("q", 2.0, 2.0, 1), GridAxis("x", 0.1, 0.9, 3)]
+        with pytest.raises(ZeroDivisionError):
+            run_sweep("lemma21", axes, threads=threads)
+
     def test_gm_sin_positive_order_finds_violations(self, classic):
         report = run_sweep(
             "gm-sin",

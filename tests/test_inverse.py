@@ -173,3 +173,9 @@ class TestConfig:
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             InversionConfig(**kwargs)
+
+
+@pytest.mark.parametrize("solve", [sin_pq, cos_pq, sinh_pq])
+def test_nan_is_a_domain_error(solve):
+    with pytest.raises(DomainError):
+        solve(PQParams(2.0, 3.0), math.nan)

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pqtrig import DomainError, HolderOrder, holder_mean
@@ -50,6 +50,7 @@ def test_idempotence(r, a):
 
 
 @given(orders, positive, positive)
+@example(0.0, 1.0000000000000002e-06, 1e-06)  # the geometric mean rounded past max(a, b)
 @settings(deadline=None)
 def test_bounds(r, a, b):
     m = holder_mean(r, a, b)
