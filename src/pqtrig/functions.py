@@ -101,14 +101,37 @@ def _m_star_cached(p: float, q: float, tol: float, max_levels: int, max_evals: i
 def arcsin_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """The defining integral on [0, x]; strictly increasing, arcsin_pq(1) = half_pi_pq.
 
-    Raises :class:`DomainError` for x outside [0, 1].
+    Where x**q >= 1/2 it is computed from the top of the branch, as
+    half_pi_pq minus the integral over [x, 1] with its nodes placed from
+    the singular end t = 1.  Raises :class:`DomainError` for x outside
+    [0, 1].
     """
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"arcsin_pq needs x in [0, 1], got {x!r}")
+    what = f"arcsin_pq(p={pq.p}, q={pq.q}, x={x})"
+    if math.pow(x, pq.q) >= 0.5:
+        value = _from_top(pq, 1.0 - x, cfg, what)
+        if value is not None:
+            return value
     return _run_kernel(
         kernels.arcsin_quad, pq.p, pq.q, x,
-        cfg.target_abs_tol, cfg.max_levels, cfg.max_evals,
-        what=f"arcsin_pq(p={pq.p}, q={pq.q}, x={x})",
+        cfg.target_abs_tol, cfg.max_levels, cfg.max_evals, what=what,
+    )
+
+
+def _from_top(pq: PQParams, d: float, cfg: QuadratureConfig, what: str) -> Optional[float]:
+    """arcsin_pq at 1 - d, as half_pi_pq minus the integral over [1 - d, 1].
+
+    Returns None where half_pi_pq itself cannot be computed (p within
+    about 0.04 of 1), so the caller falls back to integrating from 0.
+    """
+    try:
+        hp = half_pi_pq(pq, cfg)
+    except ComputationError:
+        return None
+    return hp - _run_kernel(
+        kernels.arcsin_top_quad, pq.p, pq.q, d,
+        cfg.target_abs_tol, cfg.max_levels, cfg.max_evals, what=what,
     )
 
 
@@ -120,17 +143,25 @@ def half_pi_pq(pq: PQParams, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
 def arccos_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """arcsin_pq((1 - x**p)**(1/q)); decreasing from half_pi_pq to 0 on [0, 1].
 
-    Implemented by composition exactly as defined, so it inherits the
-    accuracy of arcsin_pq.
+    Where x**p <= 1/2 the argument of arcsin_pq is in the top half of the
+    branch, and its distance from 1 is formed directly, as
+    -expm1(log1p(-x**p) / q), rather than from (1 - x**p)**(1/q), which
+    rounds to 1 for small x.
     """
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"arccos_pq needs x in [0, 1], got {x!r}")
-    if x == 0.0:
-        w = 1.0
-    else:
-        # (1 - x**p)**(1/q) without cancellation for x near 1
-        w = math.pow(-math.expm1(pq.p * math.log(x)), 1.0 / pq.q)
-    return arcsin_pq(pq, w, cfg)
+    what = f"arccos_pq(p={pq.p}, q={pq.q}, x={x})"
+    xp = math.pow(x, pq.p)
+    if xp <= 0.5:
+        value = _from_top(pq, -math.expm1(math.log1p(-xp) / pq.q), cfg, what)
+        if value is not None:
+            return value
+    # (1 - x**p)**(1/q) without cancellation for x near 1
+    w = 1.0 if x == 0.0 else math.pow(-math.expm1(pq.p * math.log(x)), 1.0 / pq.q)
+    return _run_kernel(
+        kernels.arcsin_quad, pq.p, pq.q, w,
+        cfg.target_abs_tol, cfg.max_levels, cfg.max_evals, what=what,
+    )
 
 
 def arcsinh_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:

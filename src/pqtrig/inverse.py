@@ -2,20 +2,22 @@
 
 Each inverse solves its monotone defining equation with Newton steps (the
 derivative of the defining integral is the integrand itself, so it comes
-for free) inside a maintained bracket; any step leaving the bracket, and
-any region where the derivative blows up, falls back to bisection.  The
-convergence criterion is the residual in function space, |F(s) - y| <=
-tol, which is what the quadrature can actually certify.
+for free) inside a maintained bracket; a step leaving the bracket falls
+back to bisection.  The convergence criterion is the residual in function
+space, |F(s) - y| <= tol, which is what the quadrature can actually
+certify.  The solve itself is ``kernels.solve`` (see ``_dequad_py.solve``
+for the step variables); it runs in C with the GIL released when the
+compiled backend is active.  This module checks domains and maps the
+solver's failures to :class:`ComputationError`.
 
 Near the singular top of the trigonometric branch the derivative of
 arcsin_pq is unbounded, so in double precision neighbouring representable
 arguments can straddle residuals larger than any reasonable tolerance.
 When the bracket collapses to a few ulps the nearest representable root
-is returned; ComputationError is raised only on genuine iteration budget
-exhaustion.
+is returned; ComputationError is raised on iteration budget exhaustion
+and when a forward quadrature inside the solve does not converge.
 """
 
-import math
 from dataclasses import dataclass
 
 from ._backend import kernels
@@ -54,35 +56,27 @@ def _quad_cfg(inv: InversionConfig) -> QuadratureConfig:
     return QuadratureConfig(target_abs_tol=tol)
 
 
-def _bracketed_newton(F, y, lo, hi, s, increasing, newton_step, cfg, name):
-    """Solve F(s) = y for monotone F on the bracket [lo, hi], starting at s.
+# what each failed status of kernels.solve means
+_FAILURES = {
+    kernels.BUDGET: "did not converge within {iters} iterations",
+    kernels.UNCONVERGED: "stopped on an unconverged forward quadrature after {iters} iterations",
+    kernels.OVERFLOW: "bracket passed the largest float after {iters} iterations",
+}
 
-    ``newton_step(s, resid)`` returns the Newton step (subtracted from s)
-    or None where the derivative is unusable; a step leaving the bracket,
-    and a None, bisect instead.  Returns s once the residual meets
-    ``cfg.tol``, or the bracket midpoint once the bracket has collapsed
-    to a few ulps (the nearest representable root).
-    """
-    for _ in range(cfg.max_iters):
-        resid = F(s) - y
-        if abs(resid) <= cfg.tol:
-            return s
-        if (resid < 0.0) if increasing else (resid > 0.0):
-            lo = s
-        else:
-            hi = s
-        if hi - lo <= 2.0 * math.ulp(hi):
-            return 0.5 * (lo + hi)
-        step = newton_step(s, resid)
-        s_new = 0.5 * (lo + hi) if step is None else s - step
-        if not (lo < s_new < hi):
-            s_new = 0.5 * (lo + hi)
-        s = s_new
-    raise ComputationError(
-        f"{name} did not converge within {cfg.max_iters} iterations "
-        f"(bracket [{lo!r}, {hi!r}])",
-        partial=0.5 * (lo + hi),
+
+def _solve(mode, pq, y, top, cfg, qcfg):
+    root, iters, _evals, status = kernels.solve(
+        mode, pq.p, pq.q, y, top, cfg.tol, cfg.max_iters,
+        qcfg.target_abs_tol, qcfg.max_levels, qcfg.max_evals,
     )
+    if status:
+        raise ComputationError(
+            f"{mode}_pq(p={pq.p}, q={pq.q}, y={y!r}) "
+            + _FAILURES[status].format(iters=iters)
+            + f" (last estimate {root!r})",
+            partial=root,
+        )
+    return root
 
 
 def sin_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> float:
@@ -101,20 +95,7 @@ def sin_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> 
         return 0.0
     if y >= hp - _TOP_PAD:
         return 1.0
-    p, q = pq.p, pq.q
-    qt = qcfg.target_abs_tol
-
-    def arcsin_at(s: float) -> float:
-        return kernels.arcsin_quad(p, q, s, qt, qcfg.max_levels, qcfg.max_evals)[0]
-
-    def newton_step(s: float, resid: float):
-        sq = math.pow(s, q)
-        if 1.0 - sq < 1e-8:
-            return None  # derivative (1 - s**q)**(-1/p) blows up
-        return resid * math.pow(1.0 - sq, 1.0 / p)
-
-    return _bracketed_newton(arcsin_at, y, 0.0, 1.0, min(1.0, y / hp), True,
-                             newton_step, cfg, "sin_pq")
+    return _solve("sin", pq, y, hp, cfg, qcfg)
 
 
 def cos_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> float:
@@ -138,32 +119,20 @@ def cos_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> 
         return 1.0
     if y >= hp - _TOP_PAD:
         return 0.0
-    p, q = pq.p, pq.q
-    qt = qcfg.target_abs_tol
-
-    def arccos_at(v: float) -> float:
-        w = math.pow(-math.expm1(p * math.log(v)), 1.0 / q)
-        return kernels.arcsin_quad(p, q, w, qt, qcfg.max_levels, qcfg.max_evals)[0]
-
-    def newton_step(v: float, resid: float):
-        vp = math.pow(v, p)
-        if vp < 1e-8 or 1.0 - vp < 1e-8:
-            return None
-        # d/dv arccos_pq(v) = -(p/q) v**(p-2) (1 - v**p)**(1/q - 1)
-        deriv = -(p / q) * math.pow(v, p - 2.0) * math.pow(1.0 - vp, 1.0 / q - 1.0)
-        return resid / deriv
-
-    # arccos decreases from half_pi at 0 to 0 at 1
-    return _bracketed_newton(arccos_at, y, 0.0, 1.0, 0.5, False, newton_step, cfg, "cos_pq")
+    return _solve("cos", pq, y, hp, cfg, qcfg)
 
 
 def sinh_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> float:
     """Solve arcsinh_pq(s) = y for s >= 0.
 
     ``y`` must be nonnegative and, when m_star_pq is finite, strictly
-    below it.  The initial bracket doubles upward from 1 until it
-    encloses the root; arcsinh_pq is unbounded in s even when its limit
-    bounds y, so the doubling always terminates for in-domain y.
+    below it.  The solve starts at s = y, a lower bound because the
+    integrand is at most 1, and needs no upper bound to begin with;
+    arcsinh_pq is unbounded in s even when its limit bounds y, so an
+    in-domain y has a finite root.  A root beyond the largest float, or
+    one so large that the forward quadrature cannot converge there (as
+    when q/p is near 1 and y lies within about 1e-8 of m_star), raises
+    :class:`ComputationError`.
     """
     qcfg = _quad_cfg(cfg)
     if not (y >= 0.0):
@@ -175,22 +144,4 @@ def sinh_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) ->
         )
     if y == 0.0:
         return 0.0
-    p, q = pq.p, pq.q
-    qt = qcfg.target_abs_tol
-
-    def forward(s: float) -> float:
-        return kernels.arcsinh_quad(p, q, s, qt, qcfg.max_levels, qcfg.max_evals)[0]
-
-    def newton_step(s: float, resid: float):
-        # d/ds arcsinh_pq(s) = (1 + s**q)**(-1/p), in log space to dodge overflow
-        lns = math.log(s) if s > 0.0 else -745.0
-        A = q * lns
-        softplus = A + math.log1p(math.exp(-A)) if A > 0.0 else math.log1p(math.exp(A))
-        return resid * math.exp(softplus / p)
-
-    hi = 1.0
-    while forward(hi) <= y:
-        hi *= 2.0
-        if math.isinf(hi):
-            raise ComputationError(f"sinh_pq bracket overflow for y={y!r}", partial=hi)
-    return _bracketed_newton(forward, y, 0.0, hi, min(hi, y), True, newton_step, cfg, "sinh_pq")
+    return _solve("sinh", pq, y, ms.as_float(), cfg, qcfg)

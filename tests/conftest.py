@@ -41,7 +41,8 @@ def _compiler():
 def pytest_configure(config):
     """Compile the committed ``_dequad_c.c`` into the session's temp dir and
     make ``import pqtrig._dequad_c`` load it, so the tests run the backend
-    that users build.  Without a compiler the pure backend is tested."""
+    that users build; warnings count as errors.  Without a compiler the
+    pure backend is tested."""
     global _kernel_note
     cc = _compiler()
     if cc is None:
@@ -51,8 +52,9 @@ def pytest_configure(config):
     target = os.path.join(
         config._tmp_path_factory.mktemp("dequad_c"), "_dequad_c" + cfg("EXT_SUFFIX")
     )
+    # -Werror: a compiler warning in the kernel fails the session
     cmd = (cc + (cfg("CFLAGS") or "").split() + (cfg("CCSHARED") or "").split()
-           + ["-I", sysconfig.get_paths()["include"], os.path.normpath(C_SOURCE),
+           + ["-Werror", "-I", sysconfig.get_paths()["include"], os.path.normpath(C_SOURCE),
               "-shared", "-o", target, "-lm"])
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     if proc.returncode != 0:

@@ -1,8 +1,9 @@
 """Independent reference implementations used only to check the package.
 
 None of this reuses package code: the Beta values come from a Lanczos
-log-gamma written here, and the smooth-integrand reference is a Romberg
-integrator.  Keeping these separate from the tanh-sinh path is the whole
+log-gamma written here, the distance of arcsin_pq from the top of its
+branch from an incomplete-Beta power series, and the smooth-integrand
+reference is a Romberg integrator.  Keeping these separate from the tanh-sinh path is the whole
 point; do not import pqtrig here.
 """
 
@@ -51,6 +52,29 @@ def beta_m_star(p: float, q: float) -> float:
     if not p < q:
         raise ValueError("finite only for p < q")
     return beta(1.0 / q, 1.0 / p - 1.0 / q) / q
+
+
+def beta_top_gap(p: float, q: float, z: float) -> float:
+    """half_pi_pq - arcsin_pq(x) = B(z; 1 - 1/p, 1/q) / q, where z = 1 - x**q.
+
+    Substituting u = 1 - t**q in the integral over [x, 1] gives the
+    incomplete Beta function, summed here by its power series
+    B(z; a, b) = z**a * sum_n ((1 - b)_n / n!) z**n / (a + n), which
+    converges geometrically for 0 <= z <= 1/2.  The same gap at
+    arccos_pq(v) has z = v**p.
+    """
+    if not 0.0 <= z <= 0.5:
+        raise ValueError("the series is used for 0 <= z <= 1/2 only")
+    a, c = 1.0 - 1.0 / p, 1.0 - 1.0 / q
+    coeff, zn, total = 1.0, 1.0, 0.0  # (c)_n / n!, z**n
+    for n in range(200):
+        term = coeff * zn / (a + n)
+        total += term
+        if term <= 1e-17 * total:
+            break
+        coeff *= (c + n) / (n + 1.0)
+        zn *= z
+    return math.pow(z, a) * total / q
 
 
 def romberg(f, a: float, b: float, max_k: int = 18, tol: float = 1e-13) -> float:

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pqtrig
-from pqtrig import backend_name
+from pqtrig import backend_name, inverse
 from pqtrig import _dequad_py as pure
+from pqtrig.errors import PQTrigError
 
 compiled = pytest.importorskip(
     "pqtrig._dequad_c", reason="compiled kernel extension not built"
@@ -24,6 +25,8 @@ def test_backend_identifiers():
     assert pure.BACKEND == "python"
     assert compiled.BACKEND == "c"
     assert backend_name() in ("c", "python")
+    for status in ("SOLVED", "BUDGET", "UNCONVERGED", "OVERFLOW"):
+        assert getattr(compiled, status) == getattr(pure, status)
 
 
 def test_env_var_forces_pure(monkeypatch):
@@ -123,7 +126,9 @@ EXPONENT = st.floats(1.0, 10.0, exclude_min=True)
 def test_kernels_agree_everywhere(p, q, data):
     x = data.draw(st.floats(0.0, 1.0), label="arcsin x")
     y = data.draw(st.floats(0.0, 1e4), label="arcsinh x")
-    calls = [("arcsin_quad", (p, q, x), 1e-13), ("arcsinh_quad", (p, q, y), 1e-12)]
+    d = data.draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-10)), label="top d")
+    calls = [("arcsin_quad", (p, q, x), 1e-13), ("arcsinh_quad", (p, q, y), 1e-12),
+             ("arcsin_top_quad", (p, q, d), 1e-13)]
     if p < q:
         calls.append(("mstar_quad", (p, q), 1e-12))
     for kernel, args, tol in calls:
@@ -131,6 +136,57 @@ def test_kernels_agree_everywhere(p, q, data):
         vp = getattr(pure, kernel)(*args)
         assert vc[2] == vp[2] and vc[3] == vp[3], (kernel, args, vc, vp)
         assert _same(vc[0], vp[0], tol), (kernel, args, vc, vp)
+    # the top-of-branch mode forms its terms in log space, so it converges
+    # wherever the integral over the whole branch does
+    if compiled.arcsin_quad(p, q, 1.0)[3]:
+        assert compiled.arcsin_top_quad(p, q, d)[3], (p, q, d)
+
+
+def _solve_outcome(backend, fn, pq, y):
+    """The root that ``fn`` returns with ``backend``'s solver, or the error class it raises."""
+    saved = inverse.kernels
+    inverse.kernels = backend
+    try:
+        return fn(pq, y)
+    except PQTrigError as err:
+        return type(err)
+    finally:
+        inverse.kernels = saved
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=EXPONENT, q=EXPONENT, mode=st.sampled_from(["sin", "cos", "sinh"]), data=st.data())
+def test_solvers_agree_everywhere(p, q, mode, data):
+    pq = pqtrig.PQParams(p, q)
+    try:
+        # the top of the branch, and the span that y is drawn from
+        if mode == "sinh":
+            top = pqtrig.m_star_pq(pq).as_float()
+            span = min(top, 50.0)
+        else:
+            top = span = pqtrig.half_pi_pq(pq)
+    except pqtrig.ComputationError:
+        return  # the constant itself is out of reach (p or q/p near 1)
+    y = data.draw(st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 1.0).map(lambda f: f * span),
+        st.floats(0.0, 1e-10).map(lambda e: max(span - e, 0.0)),
+    ), label="y")
+    if mode == "sinh" and y >= top:
+        return  # m_star itself is outside the domain
+    fn = getattr(pqtrig, f"{mode}_pq")
+    rc = _solve_outcome(compiled, fn, pq, y)
+    rp = _solve_outcome(pure, fn, pq, y)
+    if isinstance(rc, type) or isinstance(rp, type):
+        assert rc is rp, (rc, rp)
+    else:
+        assert rc == pytest.approx(rp, abs=1e-13)
+    if 0.0 < y < top - 1e-12:
+        # the same steps: iteration and evaluation counts and status
+        args = (mode, p, q, y, top, 1e-12, 100)
+        sc, sp = compiled.solve(*args), pure.solve(*args)
+        assert sc[1:] == sp[1:], (sc, sp)
+        assert sc[0] == pytest.approx(sp[0], abs=1e-13)
 
 
 def test_pure_cli_reports_unconverged_constant():

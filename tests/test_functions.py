@@ -20,7 +20,7 @@ from pqtrig import (
 )
 
 from conftest import pq_grid
-from oracles import beta, beta_half_pi, beta_m_star, romberg
+from oracles import beta, beta_half_pi, beta_m_star, beta_top_gap, romberg
 
 
 class TestParams:
@@ -87,6 +87,39 @@ class TestArcsin:
                 fd = (arcsin_pq(pq, x + h) - arcsin_pq(pq, x - h)) / (2.0 * h)
                 exact = math.pow(1.0 - math.pow(x, pq.q), -1.0 / pq.p)
                 assert abs(fd - exact) / exact <= 1e-6
+
+    def test_no_early_stop_below_the_top(self):
+        # integrated from 0, the level-difference estimate can stop here
+        # after 37 evaluations, claiming convergence while off by 1.25e-8;
+        # the integrand is smooth on [0, x], so Romberg is a sound reference
+        pq = PQParams(2.4507948009209013, 3.224400290890534)
+        x = 0.9593184085406066
+        ref = romberg(lambda t: math.pow(1.0 - math.pow(t, pq.q), -1.0 / pq.p), 0.0, x)
+        assert arcsin_pq(pq, x) == pytest.approx(ref, abs=1e-13)
+
+
+class TestTopOfBranch:
+    """Next to the singular top, against the incomplete-Beta series."""
+
+    @pytest.mark.parametrize("pq", pq_grid(), ids=lambda pq: f"p{pq.p}-q{pq.q}")
+    def test_arcsin_near_one(self, pq):
+        hp = half_pi_pq(pq)
+        for k in range(1, 15):
+            x = 1.0 - 10.0 ** -k
+            z = -math.expm1(pq.q * math.log1p(x - 1.0))  # 1 - x**q
+            assert hp - arcsin_pq(pq, x) == pytest.approx(
+                beta_top_gap(pq.p, pq.q, z), abs=1e-13
+            ), x
+
+    @pytest.mark.parametrize("pq", pq_grid(), ids=lambda pq: f"p{pq.p}-q{pq.q}")
+    def test_arccos_near_zero(self, pq):
+        # (1 - v**p)**(1/q) rounds for small v, by about 1e-16 / v
+        hp = half_pi_pq(pq)
+        for k in range(1, 13):
+            v = 10.0 ** -k
+            assert hp - arccos_pq(pq, v) == pytest.approx(
+                beta_top_gap(pq.p, pq.q, math.pow(v, pq.p)), abs=1e-13
+            ), v
 
 
 class TestHalfPi:

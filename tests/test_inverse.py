@@ -19,7 +19,10 @@ from pqtrig import (
     sinh_pq,
 )
 
+from pqtrig._backend import kernels
+
 from conftest import frac_grid, pq_grid
+from oracles import beta_top_gap
 
 
 class TestSin:
@@ -84,6 +87,17 @@ class TestCos:
         values = [cos_pq(pq, f * hp) for f in frac_grid(30)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
+    def test_root_next_to_zero(self):
+        # the root is near 1.9e-22, far too deep for bisection in v to
+        # reach within the iteration budget; hp - arccos_pq(v) is the
+        # incomplete-Beta gap at z = v**p
+        pq = PQParams(1.069151055122807, 1.8533323187443222)
+        hp = half_pi_pq(pq)
+        y = 0.9707777342598066 * hp
+        v = cos_pq(pq, y)
+        assert 0.0 < v < 1e-20
+        assert beta_top_gap(pq.p, pq.q, math.pow(v, pq.p)) == pytest.approx(hp - y, abs=5e-12)
+
     def test_consistent_with_sin_composition(self):
         # cos_pq solves arccos_pq(v) = y, whose defining composition
         # inverts algebraically to v = (1 - sin_pq(y)**q)**(1/p); both
@@ -128,6 +142,16 @@ class TestSinh:
         ms = m_star_pq(pq).value
         values = [sinh_pq(pq, f * min(ms, 5.0)) for f in frac_grid(30)]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+
+    def test_unconverged_forward_raises(self):
+        # the root is near 1e90, where the arcsinh quadrature cannot reach
+        # its tolerance; the solve must not use that forward value
+        pq = PQParams(9.0, 9.9)
+        y = m_star_pq(pq).value - 1e-8
+        with pytest.raises(ComputationError, match="unconverged forward") as err:
+            sinh_pq(pq, y)
+        assert kernels.arcsinh_quad(pq.p, pq.q, err.value.partial)[3] is False
 
 
 class TestRoundTrips:
