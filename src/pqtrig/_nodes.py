@@ -6,13 +6,12 @@ refinement level and reused by every integral.
 
 Each node record is a tuple
 
-    (omu, w, ln_half_omu, ln_one_minus_half_omu, tau, ln_w)
+    (omu, w, ln_half_omu, ln_one_minus_half_omu, tau)
 
 where ``omu = 1 - u`` is computed without cancellation (this is what makes
 abscissae meaningful exponentially close to an endpoint), ``w`` is the
-du/dtau weight, the next two logarithms are ln(omu/2) and ln(1 - omu/2),
-both evaluated stably, and ``ln_w`` is ln(w) from its closed form, exact
-where ``w`` itself is subnormal.  Level 0 holds tau = 1, 2, 3, ...; level m >= 1
+du/dtau weight, and the two logarithms are ln(omu/2) and ln(1 - omu/2),
+both evaluated stably.  Level 0 holds tau = 1, 2, 3, ...; level m >= 1
 holds the new points tau = k * 2**-m for odd k.  The tau = 0 centre node
 is handled explicitly by the integrators (omu = 1, w = pi/2).
 
@@ -26,7 +25,6 @@ import math
 import threading
 
 _PI_HALF = math.pi / 2.0
-_LN_2PI = 1.8378770664093453  # ln(2 pi), the constant of ln(w)
 
 # Past this point the weight underflows to zero in double precision.
 TAU_MAX = 6.9
@@ -35,7 +33,7 @@ TAU_MAX = 6.9
 MAX_LEVEL = 16
 _EPS = 2.220446049250313e-16
 
-_tables: dict[int, list[tuple[float, float, float, float, float, float]]] = {}
+_tables: dict[int, list[tuple[float, float, float, float, float]]] = {}
 _lock = threading.Lock()
 
 
@@ -50,8 +48,7 @@ def _node(tau: float):
         return None
     ln_half_omu = -2.0 * s - math.log1p(e2)
     ln_1m_half_omu = math.log1p(-0.5 * omu)
-    ln_w = _LN_2PI + math.log(math.cosh(tau)) - 2.0 * s - 2.0 * math.log1p(e2)
-    return (omu, w, ln_half_omu, ln_1m_half_omu, tau, ln_w)
+    return (omu, w, ln_half_omu, ln_1m_half_omu, tau)
 
 
 def _build(level: int):

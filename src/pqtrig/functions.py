@@ -13,8 +13,23 @@ together with an independent power-series evaluation of arcsin_pq used
 as a cross-check.  At p = q = 2 these all reduce to the classical
 functions and constants.
 
-The constants are cached per (p, q); the cache is written once and then
-only read, so concurrent callers are safe.
+The constants are complete Beta integrals and come in closed form.  The
+integrals are taken where their integrands are smooth: with
+p* = p/(p - 1) and q* = q/(q - 1), the substitution 1 - t**q = V**p*
+maps the top half of the (p, q) branch onto the bottom half of the
+(q*, p*) branch (the conjugate-exponent relation),
+
+    half_pi_pq - arcsin_pq(x) = c arcsin_{q*,p*}(V),  c = p* / q,
+    V = (1 - x**q)**(1/p*),
+
+and for p < q, with g = q/p - 1, s = t**-g maps the tail of the
+hyperbolic integral onto [0, x**-g]:
+
+    m_star_pq - arcsinh_pq(x) = arcsinh_{p,q/g}(x**-g) / g.
+
+The tail form is used where x**-g <= 1/2, where the tail is small enough
+beside m_star_pq that the subtraction costs no accuracy; nearer x = 1
+the integral over [0, x] is the accurate one.
 """
 
 import math
@@ -71,112 +86,45 @@ class ExtendedValue:
         return self.as_float()
 
 
-def _run_kernel(kernel, *args, what: str):
-    value, err, _evals, converged = kernel(*args)
+def _run_kernel(kernel, p, q, x, tol, cfg, what, base=0.0, scale=1.0):
+    """base + scale * kernel(p, q, x); raises with that estimate if unconverged."""
+    value, err, _evals, converged = kernel(p, q, x, tol, cfg.max_levels, cfg.max_evals)
+    value = base + scale * value
     if not converged:
         raise ComputationError(
             f"{what} did not reach the requested tolerance "
-            f"(estimate {value!r}, error estimate {err:.3e})",
+            f"(estimate {value!r}, error estimate {abs(scale) * err:.3e})",
             partial=value,
         )
     return value
 
 
-@lru_cache(maxsize=4096)
-def _half_pi_cached(p: float, q: float, tol: float, max_levels: int, max_evals: int) -> float:
-    return _run_kernel(
-        kernels.arcsin_quad, p, q, 1.0, tol, max_levels, max_evals,
-        what=f"half_pi_pq(p={p}, q={q})",
-    )
+def _a_beta(a: float, b: float) -> float:
+    # a B(a, b) = Gamma(1 + a) Gamma(b) / Gamma(a + b), so that B(1/q, b) / q
+    # needs neither the large lgamma(1/q) nor B itself, which overflows
+    # where 1/q or 1/b nears the largest float
+    return math.exp(math.lgamma(1.0 + a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 @lru_cache(maxsize=4096)
-def _m_star_cached(p: float, q: float, tol: float, max_levels: int, max_evals: int) -> float:
-    return _run_kernel(
-        kernels.mstar_quad, p, q, tol, max_levels, max_evals,
-        what=f"m_star_pq(p={p}, q={q})",
-    )
+def _half_pi(p: float, q: float) -> float:
+    # 1 - 1/p as (p - 1)/p: p - 1 is exact
+    return _a_beta(1.0 / q, (p - 1.0) / p)
 
 
-def arcsin_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """The defining integral on [0, x]; strictly increasing, arcsin_pq(1) = half_pi_pq.
-
-    Where x**q >= 1/2 it is computed from the top of the branch, as
-    half_pi_pq minus the integral over [x, 1] with its nodes placed from
-    the singular end t = 1.  Raises :class:`DomainError` for x outside
-    [0, 1].
-    """
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"arcsin_pq needs x in [0, 1], got {x!r}")
-    what = f"arcsin_pq(p={pq.p}, q={pq.q}, x={x})"
-    if math.pow(x, pq.q) >= 0.5:
-        value = _from_top(pq, 1.0 - x, cfg, what)
-        if value is not None:
-            return value
-    return _run_kernel(
-        kernels.arcsin_quad, pq.p, pq.q, x,
-        cfg.target_abs_tol, cfg.max_levels, cfg.max_evals, what=what,
-    )
+@lru_cache(maxsize=4096)
+def _m_star(p: float, q: float) -> float:
+    # 1/p - 1/q as (q - p)/p/q: q - p is exact when q < 2 p
+    return _a_beta(1.0 / q, (q - p) / p / q)
 
 
-def _from_top(pq: PQParams, d: float, cfg: QuadratureConfig, what: str) -> Optional[float]:
-    """arcsin_pq at 1 - d, as half_pi_pq minus the integral over [1 - d, 1].
-
-    Returns None where half_pi_pq itself cannot be computed (p within
-    about 0.04 of 1), so the caller falls back to integrating from 0.
-    """
-    try:
-        hp = half_pi_pq(pq, cfg)
-    except ComputationError:
-        return None
-    return hp - _run_kernel(
-        kernels.arcsin_top_quad, pq.p, pq.q, d,
-        cfg.target_abs_tol, cfg.max_levels, cfg.max_evals, what=what,
-    )
+def half_pi_pq(pq: PQParams) -> float:
+    """The constant arcsin_pq(1) = B(1/q, 1 - 1/p) / q; always greater than 1."""
+    return _half_pi(pq.p, pq.q)
 
 
-def half_pi_pq(pq: PQParams, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """The constant arcsin_pq(1); always greater than 1."""
-    return _half_pi_cached(pq.p, pq.q, cfg.target_abs_tol, cfg.max_levels, cfg.max_evals)
-
-
-def arccos_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """arcsin_pq((1 - x**p)**(1/q)); decreasing from half_pi_pq to 0 on [0, 1].
-
-    Where x**p <= 1/2 the argument of arcsin_pq is in the top half of the
-    branch, and its distance from 1 is formed directly, as
-    -expm1(log1p(-x**p) / q), rather than from (1 - x**p)**(1/q), which
-    rounds to 1 for small x.
-    """
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"arccos_pq needs x in [0, 1], got {x!r}")
-    what = f"arccos_pq(p={pq.p}, q={pq.q}, x={x})"
-    xp = math.pow(x, pq.p)
-    if xp <= 0.5:
-        value = _from_top(pq, -math.expm1(math.log1p(-xp) / pq.q), cfg, what)
-        if value is not None:
-            return value
-    # (1 - x**p)**(1/q) without cancellation for x near 1
-    w = 1.0 if x == 0.0 else math.pow(-math.expm1(pq.p * math.log(x)), 1.0 / pq.q)
-    return _run_kernel(
-        kernels.arcsin_quad, pq.p, pq.q, w,
-        cfg.target_abs_tol, cfg.max_levels, cfg.max_evals, what=what,
-    )
-
-
-def arcsinh_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """The hyperbolic defining integral on [0, x]; strictly increasing in x."""
-    if not (x >= 0.0 and math.isfinite(x)):
-        raise DomainError(f"arcsinh_pq needs finite x >= 0, got {x!r}")
-    return _run_kernel(
-        kernels.arcsinh_quad, pq.p, pq.q, x,
-        cfg.target_abs_tol, cfg.max_levels, cfg.max_evals,
-        what=f"arcsinh_pq(p={pq.p}, q={pq.q}, x={x})",
-    )
-
-
-def m_star_pq(pq: PQParams, cfg: QuadratureConfig = DEFAULT_CONFIG) -> ExtendedValue:
-    """Total mass of the hyperbolic integrand on [0, inf).
+def m_star_pq(pq: PQParams) -> ExtendedValue:
+    """Total mass of the hyperbolic integrand on [0, inf), B(1/q, 1/p - 1/q) / q.
 
     Infinite exactly when p >= q; the dichotomy is decided by comparing
     the parameters, never by probing the integral numerically.  A finite
@@ -184,9 +132,70 @@ def m_star_pq(pq: PQParams, cfg: QuadratureConfig = DEFAULT_CONFIG) -> ExtendedV
     """
     if pq.p >= pq.q:
         return ExtendedValue.infinite()
-    return ExtendedValue.finite(
-        _m_star_cached(pq.p, pq.q, cfg.target_abs_tol, cfg.max_levels, cfg.max_evals)
+    return ExtendedValue.finite(_m_star(pq.p, pq.q))
+
+
+def _reflected(pq: PQParams, v: float, cfg: QuadratureConfig, what: str) -> float:
+    """half_pi_pq - c arcsin_{q*,p*}(v): arcsin_pq at x with 1 - x**q = v**(p/(p - 1))."""
+    p, q = pq.p, pq.q
+    return _run_kernel(
+        kernels.arcsin_quad, q / (q - 1.0), p / (p - 1.0), v, cfg.target_abs_tol, cfg, what,
+        base=half_pi_pq(pq), scale=-p / ((p - 1.0) * q),
     )
+
+
+def arcsin_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """The defining integral on [0, x]; strictly increasing, arcsin_pq(1) = half_pi_pq.
+
+    Where x**q >= 1/2 it is half_pi_pq minus the reflected integral at the
+    conjugate exponents (see the module docstring), so no quadrature
+    node comes near the singular end t = 1.  Raises :class:`DomainError`
+    for x outside [0, 1].
+    """
+    if not (0.0 <= x <= 1.0):
+        raise DomainError(f"arcsin_pq needs x in [0, 1], got {x!r}")
+    what = f"arcsin_pq(p={pq.p}, q={pq.q}, x={x})"
+    if math.pow(x, pq.q) >= 0.5:
+        # V = (1 - x**q)**(1 - 1/p), with 1 - x**q formed without cancellation
+        v = math.pow(-math.expm1(pq.q * math.log(x)), (pq.p - 1.0) / pq.p)
+        return _reflected(pq, v, cfg, what)
+    return _run_kernel(kernels.arcsin_quad, pq.p, pq.q, x, cfg.target_abs_tol, cfg, what)
+
+
+def arccos_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """arcsin_pq((1 - x**p)**(1/q)); decreasing from half_pi_pq to 0 on [0, 1].
+
+    Where x**p <= 1/2 the argument of arcsin_pq is in the top half of the
+    branch, and the reflected integral takes V = x**(p - 1) directly.
+    """
+    if not (0.0 <= x <= 1.0):
+        raise DomainError(f"arccos_pq needs x in [0, 1], got {x!r}")
+    what = f"arccos_pq(p={pq.p}, q={pq.q}, x={x})"
+    if math.pow(x, pq.p) <= 0.5:
+        return _reflected(pq, math.pow(x, pq.p - 1.0), cfg, what)
+    # (1 - x**p)**(1/q) without cancellation for x near 1
+    w = math.pow(-math.expm1(pq.p * math.log(x)), 1.0 / pq.q)
+    return _run_kernel(kernels.arcsin_quad, pq.p, pq.q, w, cfg.target_abs_tol, cfg, what)
+
+
+def arcsinh_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """The hyperbolic defining integral on [0, x]; strictly increasing in x.
+
+    Where m_star_pq is finite and x**(1 - q/p) <= 1/2 it is m_star_pq
+    minus the tail integral over [x, inf), taken at other exponents (see
+    the module docstring), so a huge x costs no accuracy.
+    """
+    if not (x >= 0.0 and math.isfinite(x)):
+        raise DomainError(f"arcsinh_pq needs finite x >= 0, got {x!r}")
+    p, q, tol = pq.p, pq.q, cfg.target_abs_tol
+    what = f"arcsinh_pq(p={p}, q={q}, x={x})"
+    g = (q - p) / p  # q/p - 1, with q - p exact near p = q
+    if g > 0.0 and x > 1.0 and math.pow(x, -g) <= 0.5:
+        return _run_kernel(
+            kernels.arcsinh_quad, p, q / g, math.pow(x, -g), tol * min(g, 1.0), cfg, what,
+            base=_m_star(p, q), scale=-1.0 / g,
+        )
+    return _run_kernel(kernels.arcsinh_quad, p, q, x, tol, cfg, what)
 
 
 def arcsin_series_oracle(pq: PQParams, x: float, n_terms: int) -> float:

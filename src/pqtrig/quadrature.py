@@ -106,7 +106,7 @@ def integrate_singular(
         return fx
 
     def pair(rec) -> float:
-        omu, w, _ln_lo, _ln_hi, _tau, _ln_w = rec
+        omu, w, _ln_lo, _ln_hi, _tau = rec
         r = half * omu
         return w * (feval(b - r) + feval(a + r))
 

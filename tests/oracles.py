@@ -2,8 +2,8 @@
 
 None of this reuses package code: the Beta values come from a Lanczos
 log-gamma written here, the distance of arcsin_pq from the top of its
-branch from an incomplete-Beta power series, and the smooth-integrand
-reference is a Romberg integrator.  Keeping these separate from the tanh-sinh path is the whole
+branch and the tail of arcsinh_pq from an incomplete-Beta power series,
+and the smooth-integrand reference is a Romberg integrator.  Keeping these separate from the tanh-sinh path is the whole
 point; do not import pqtrig here.
 """
 
@@ -54,18 +54,14 @@ def beta_m_star(p: float, q: float) -> float:
     return beta(1.0 / q, 1.0 / p - 1.0 / q) / q
 
 
-def beta_top_gap(p: float, q: float, z: float) -> float:
-    """half_pi_pq - arcsin_pq(x) = B(z; 1 - 1/p, 1/q) / q, where z = 1 - x**q.
+def _incomplete_beta(a: float, b: float, z: float, za: float) -> float:
+    """B(z; a, b) = z**a * sum_n ((1 - b)_n / n!) z**n / (a + n), given za = z**a.
 
-    Substituting u = 1 - t**q in the integral over [x, 1] gives the
-    incomplete Beta function, summed here by its power series
-    B(z; a, b) = z**a * sum_n ((1 - b)_n / n!) z**n / (a + n), which
-    converges geometrically for 0 <= z <= 1/2.  The same gap at
-    arccos_pq(v) has z = v**p.
+    The power series converges geometrically for 0 <= z <= 1/2.
     """
     if not 0.0 <= z <= 0.5:
         raise ValueError("the series is used for 0 <= z <= 1/2 only")
-    a, c = 1.0 - 1.0 / p, 1.0 - 1.0 / q
+    c = 1.0 - b
     coeff, zn, total = 1.0, 1.0, 0.0  # (c)_n / n!, z**n
     for n in range(200):
         term = coeff * zn / (a + n)
@@ -74,7 +70,31 @@ def beta_top_gap(p: float, q: float, z: float) -> float:
             break
         coeff *= (c + n) / (n + 1.0)
         zn *= z
-    return math.pow(z, a) * total / q
+    return za * total
+
+
+def beta_top_gap(p: float, q: float, z: float) -> float:
+    """half_pi_pq - arcsin_pq(x) = B(z; 1 - 1/p, 1/q) / q, where z = 1 - x**q.
+
+    Substituting u = 1 - t**q in the integral over [x, 1] gives the
+    incomplete Beta function.  The same gap at arccos_pq(v) has z = v**p.
+    """
+    a = 1.0 - 1.0 / p
+    return _incomplete_beta(a, 1.0 / q, z, math.pow(z, a)) / q
+
+
+def beta_tail(p: float, q: float, x: float) -> float:
+    """m_star_pq - arcsinh_pq(x) = B(u; 1/p - 1/q, 1/q) / q for p < q and x >= 1.
+
+    Substituting u = 1 / (1 + t**q) in the integral over [x, inf) gives
+    the incomplete Beta function at u <= 1/2; ln u is formed first, so
+    x**q may overflow.
+    """
+    if not (p < q and x >= 1.0):
+        raise ValueError("the tail is finite for p < q and taken for x >= 1")
+    a = (q - p) / (p * q)
+    lnu = -q * math.log(x) - math.log1p(math.exp(-q * math.log(x)))
+    return _incomplete_beta(a, 1.0 / q, math.exp(lnu), math.exp(a * lnu)) / q
 
 
 def romberg(f, a: float, b: float, max_k: int = 18, tol: float = 1e-13) -> float:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ import pqtrig
 from pqtrig import backend_name, inverse
 from pqtrig import _dequad_py as pure
 from pqtrig.errors import PQTrigError
+
+from oracles import beta_half_pi
 
 compiled = pytest.importorskip(
     "pqtrig._dequad_c", reason="compiled kernel extension not built"
@@ -27,6 +30,23 @@ def test_backend_identifiers():
     assert backend_name() in ("c", "python")
     for status in ("SOLVED", "BUDGET", "UNCONVERGED", "OVERFLOW"):
         assert getattr(compiled, status) == getattr(pure, status)
+
+
+def _public(module):
+    """The names a kernel module defines for its callers."""
+    return {
+        name for name, value in vars(module).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        and getattr(value, "__module__", module.__name__) == module.__name__
+    }
+
+
+def test_backends_export_the_same_names():
+    # a mode added to or deleted from one twin only fails here
+    assert _public(compiled) == _public(pure) == {
+        "BACKEND", "arcsin_quad", "arcsinh_quad", "solve",
+        "SOLVED", "BUDGET", "UNCONVERGED", "OVERFLOW",
+    }
 
 
 def test_env_var_forces_pure(monkeypatch):
@@ -83,10 +103,25 @@ def test_arcsinh_kernels_agree(p, q, x):
 
 @pytest.mark.parametrize("p,q", [(1.25, 1.5), (2.0, 4.0), (1.1, 1.2), (3.0, 5.0)])
 def test_mstar_kernels_agree(p, q):
-    vc = compiled.mstar_quad(p, q)
-    vp = pure.mstar_quad(p, q)
-    assert vc[0] == pytest.approx(vp[0], abs=1e-12)
-    assert vc[3] == vp[3]
+    # where m_star is finite, arcsinh_pq far out is m_star minus the tail
+    # integral, taken by arcsinh_quad at (p, q/g) over [0, x**-g]
+    g = (q - p) / p
+    for x in (2.0, 1e3, 1e90, 1e300):
+        args = (p, q / g, x ** -g, 1e-12 * min(g, 1.0))
+        vc, vp = compiled.arcsinh_quad(*args), pure.arcsinh_quad(*args)
+        assert vc[0] == pytest.approx(vp[0], abs=1e-15)
+        assert vc[2:] == vp[2:]
+
+
+@pytest.mark.parametrize("p,q", PAIRS + [(1.1, 3.0), (10.0, 1.01)])
+def test_arcsin_kernels_reach_the_singular_end(p, q):
+    # the integral up to t = 1, where the integrand diverges, against the
+    # Lanczos Beta oracle; for p near 1 it does not converge, which is why
+    # the constants are closed forms
+    for kernel in (compiled, pure):
+        value, _err, _evals, converged = kernel.arcsin_quad(p, q, 1.0)
+        assert converged
+        assert value == pytest.approx(beta_half_pi(p, q), rel=1e-12)
 
 
 def test_evaluation_counts_match():
@@ -101,9 +136,8 @@ def test_evaluation_counts_match():
 # and the pure kernel must report the same unconverged result, not raise.
 @pytest.mark.parametrize("kernel,args", [
     ("arcsin_quad", (1.03, 2.0, 1.0)),
-    ("mstar_quad", (1.03, 1.05)),
     ("arcsin_quad", (1.03, 2.0, 1.0, 1e-12, 20, 10**7)),  # levels past the shared clamp
-])
+], ids=["arcsin_quad-args0", "arcsin_quad-args2"])
 def test_overflowing_nodes_agree(kernel, args):
     vc = getattr(compiled, kernel)(*args)
     vp = getattr(pure, kernel)(*args)
@@ -126,20 +160,17 @@ EXPONENT = st.floats(1.0, 10.0, exclude_min=True)
 def test_kernels_agree_everywhere(p, q, data):
     x = data.draw(st.floats(0.0, 1.0), label="arcsin x")
     y = data.draw(st.floats(0.0, 1e4), label="arcsinh x")
-    d = data.draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-10)), label="top d")
+    # the top half of the branch is arcsin_quad at the conjugate exponents
     calls = [("arcsin_quad", (p, q, x), 1e-13), ("arcsinh_quad", (p, q, y), 1e-12),
-             ("arcsin_top_quad", (p, q, d), 1e-13)]
-    if p < q:
-        calls.append(("mstar_quad", (p, q), 1e-12))
+             ("arcsin_quad", (q / (q - 1.0), p / (p - 1.0), x), 1e-13)]
+    if p < q:  # the tail integral of arcsinh_pq
+        g = (q - p) / p
+        calls.append(("arcsinh_quad", (p, q / g, x, 1e-12 * min(g, 1.0)), 1e-13))
     for kernel, args, tol in calls:
         vc = getattr(compiled, kernel)(*args)
         vp = getattr(pure, kernel)(*args)
         assert vc[2] == vp[2] and vc[3] == vp[3], (kernel, args, vc, vp)
         assert _same(vc[0], vp[0], tol), (kernel, args, vc, vp)
-    # the top-of-branch mode forms its terms in log space, so it converges
-    # wherever the integral over the whole branch does
-    if compiled.arcsin_quad(p, q, 1.0)[3]:
-        assert compiled.arcsin_top_quad(p, q, d)[3], (p, q, d)
 
 
 def _solve_outcome(backend, fn, pq, y):
@@ -158,15 +189,12 @@ def _solve_outcome(backend, fn, pq, y):
 @given(p=EXPONENT, q=EXPONENT, mode=st.sampled_from(["sin", "cos", "sinh"]), data=st.data())
 def test_solvers_agree_everywhere(p, q, mode, data):
     pq = pqtrig.PQParams(p, q)
-    try:
-        # the top of the branch, and the span that y is drawn from
-        if mode == "sinh":
-            top = pqtrig.m_star_pq(pq).as_float()
-            span = min(top, 50.0)
-        else:
-            top = span = pqtrig.half_pi_pq(pq)
-    except pqtrig.ComputationError:
-        return  # the constant itself is out of reach (p or q/p near 1)
+    # the top of the branch, and the span that y is drawn from
+    if mode == "sinh":
+        top = pqtrig.m_star_pq(pq).as_float()
+        span = min(top, 50.0)
+    else:
+        top = span = pqtrig.half_pi_pq(pq)
     y = data.draw(st.one_of(
         st.just(0.0),
         st.floats(0.0, 1.0).map(lambda f: f * span),
@@ -183,19 +211,23 @@ def test_solvers_agree_everywhere(p, q, mode, data):
         assert rc == pytest.approx(rp, abs=1e-13)
     if 0.0 < y < top - 1e-12:
         # the same steps: iteration and evaluation counts and status
-        args = (mode, p, q, y, top, 1e-12, 100)
+        args = ("sin" if mode == "cos" else mode, p, q, y, top, 1e-12, 100)
         sc, sp = compiled.solve(*args), pure.solve(*args)
         assert sc[1:] == sp[1:], (sc, sp)
         assert sc[0] == pytest.approx(sp[0], abs=1e-13)
 
 
 def test_pure_cli_reports_unconverged_constant():
+    # the constants are closed forms and always converge; an unconverged
+    # forward (arcsinh for p > q at huge x) takes the same path to the
+    # CLI's error line
     src = os.path.dirname(os.path.dirname(pqtrig.__file__))
     env = {**os.environ, "PYTHONPATH": src, "PQTRIG_PURE_PYTHON": "1"}
     proc = subprocess.run(
-        [sys.executable, "-m", "pqtrig.cli", "constants", "--p", "1.03", "--q", "2"],
+        [sys.executable, "-m", "pqtrig.cli", "eval", "--fn", "arcsinh",
+         "--p", "3", "--q", "2", "--x", "1e200"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error: half_pi_pq(p=1.03, q=2.0) did not reach")
+    assert proc.stderr.startswith("error: arcsinh_pq(p=3.0, q=2.0, x=1e+200) did not reach")
     assert "Traceback" not in proc.stderr

@@ -4,6 +4,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqtrig import (
     ComputationError,
@@ -20,7 +22,7 @@ from pqtrig import (
 )
 
 from conftest import pq_grid
-from oracles import beta, beta_half_pi, beta_m_star, beta_top_gap, romberg
+from oracles import beta, beta_half_pi, beta_m_star, beta_tail, beta_top_gap, romberg
 
 
 class TestParams:
@@ -146,16 +148,52 @@ class TestHalfPi:
             assert half_pi_pq(pq) > 1.0
 
     def test_unreachable_tolerance_raises_with_partial(self):
+        # half_pi_pq is a closed form; the arcsin_pq quadratures below and
+        # above the middle of its branch raise, with the estimate in
+        # arcsin terms (half_pi minus the reflected integral above it)
         cfg = QuadratureConfig(target_abs_tol=1e-30, max_levels=1)
-        with pytest.raises(ComputationError) as err:
-            half_pi_pq(PQParams(2.0, 2.0), cfg)
-        assert err.value.partial == pytest.approx(math.pi / 2.0, abs=1e-3)
+        for x in (0.5, 0.9):
+            with pytest.raises(ComputationError) as err:
+                arcsin_pq(PQParams(2.0, 2.0), x, cfg)
+            assert err.value.partial == pytest.approx(math.asin(x), abs=1e-3)
 
     def test_thread_safe_cache(self):
         pq = PQParams(3.0, 2.0)
         with ThreadPoolExecutor(max_workers=8) as pool:
             values = list(pool.map(lambda _: half_pi_pq(pq), range(32)))
         assert len(set(values)) == 1
+
+
+class TestClosedFormConstants:
+    """Against mpmath's Beta function at 30 digits, p or q/p next to 1 included."""
+
+    @pytest.mark.parametrize("p,q,value", [
+        (1.01, 2.0, 51.189788478599281732),
+        (1.001, 10.0, 101.08451247420707232),
+        (1.04, 1.5, 17.816548393829539263),
+        (1.001, 1.001, 1000.0016416511235894),
+        (5.0, 1.002, 1.2496560232903812203),
+    ])
+    def test_half_pi(self, p, q, value):
+        assert half_pi_pq(PQParams(p, q)) == pytest.approx(value, rel=1e-14)
+
+    @pytest.mark.parametrize("p,q,value", [
+        (2.0, 2.05, 40.702080664724942381),
+        (1.01, 1.02, 101.03185907466910854),
+        (5.0, 5.2, 25.944662269444568406),
+        (1.5, 1.55, 30.515377485083915252),
+        (2.0, 3.0, 2.8043642106509085224),
+    ])
+    def test_m_star(self, p, q, value):
+        assert m_star_pq(PQParams(p, q)).value == pytest.approx(value, rel=1e-14)
+
+    def test_no_overflow_at_extreme_exponents(self):
+        # B(1/q, b) is about q + 1/b here, at or beyond the largest float
+        for pq in (PQParams(1.0 + 1e-15, 1e300), PQParams(1.0000000000000002, 1.7976931348623157e308)):
+            assert half_pi_pq(pq) == pytest.approx(1.0, rel=1e-12)
+        assert m_star_pq(PQParams(1e200, 1.0000000000000001e200)).value == pytest.approx(
+            1e200 / (1.0000000000000001e200 - 1e200), rel=1e-12)
+        assert m_star_pq(PQParams(1.6999999999999991e308, 1.7e308)).value > 1.0
 
 
 class TestArccos:
@@ -199,6 +237,35 @@ class TestArcsinh:
         ms = m_star_pq(pq).value
         for x in (0.5, 2.0, 50.0, 1e4):
             assert arcsinh_pq(pq, x) < ms
+
+    def test_far_out_is_m_star(self):
+        # integrated over [0, x], this is 6.5e-13 with converged=True
+        assert arcsinh_pq(PQParams(2.0, 3.0), 1e90) == pytest.approx(2.8043642106509085, rel=1e-14)
+
+    @pytest.mark.parametrize("pq", [PQParams(2.0, 3.0), PQParams(1.3, 4.0), PQParams(9.0, 9.9),
+                                    PQParams(5.0, 5.1), PQParams(1.01, 1.1)],
+                             ids=lambda pq: f"p{pq.p}-q{pq.q}")
+    def test_tail_against_incomplete_beta(self, pq):
+        ms = beta_m_star(pq.p, pq.q)
+        for k in range(0, 301, 10):
+            x = 10.0 ** k
+            assert arcsinh_pq(pq, x) == pytest.approx(ms - beta_tail(pq.p, pq.q, x), abs=2e-12), x
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.floats(1.001, 10.0), r=st.floats(1.0001, 10.0), lx=st.floats(-3.0, 300.0),
+           step=st.floats(1e-3, 10.0))
+    def test_monotone_and_bounded_far_out(self, p, r, lx, step):
+        pq = PQParams(p, p * r)
+        ms = m_star_pq(pq).value
+        try:
+            lo, hi = arcsinh_pq(pq, 10.0 ** lx), arcsinh_pq(pq, 10.0 ** min(lx + step, 300.0))
+        except ComputationError:
+            # the tail form is used where x**(1 - q/p) <= 1/2; with q/p this
+            # close to 1 the integral over [0, x] is taken further out and
+            # may not converge there
+            assert r < 1.01
+            return
+        assert 0.0 <= lo <= hi <= ms
 
     def test_derivative_matches_integrand(self):
         for pq in (PQParams(2, 2), PQParams(1.25, 5), PQParams(5, 1.25)):

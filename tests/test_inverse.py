@@ -3,12 +3,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqtrig import (
     ComputationError,
     DomainError,
     InversionConfig,
     PQParams,
+    PQTrigError,
     arccos_pq,
     arcsin_pq,
     arcsinh_pq,
@@ -56,14 +59,23 @@ class TestSin:
         s = sin_pq(classic, hp * (1.0 - 1e-9))
         assert s == pytest.approx(math.sin(hp * (1.0 - 1e-9)), abs=1e-12)
 
-    def test_budget_exhaustion(self, classic):
-        # near the singular top the solver is bisection-bound, so ten
-        # iterations cannot reach the residual tolerance
+    def test_root_next_to_one(self, classic):
+        # reflected, this is a bottom-half solve for 1 - s**2 = V**2 of
+        # about 2.5e-18, whose nearest float is s = 1; a solve stepping in s
+        # next to 1 cannot step below the bracket's top and bisects
         hp = half_pi_pq(classic)
+        assert sin_pq(classic, hp * (1.0 - 1e-9)) == 1.0
+
+    def test_budget_exhaustion(self):
+        # trigonometric solves stay in the bottom half of a branch, where
+        # Newton converges in a few steps; this sinh solve, with its root
+        # near 2.9e47, needs 12 iterations
+        pq = PQParams(3.83234318056226, 3.7723666286310134)
+        y = 290.3663707747423
         cfg = InversionConfig(tol=1e-12, max_iters=10)
-        with pytest.raises(ComputationError) as err:
-            sin_pq(classic, hp * (1.0 - 1e-9), cfg)
-        assert err.value.partial == pytest.approx(1.0, abs=0.1)
+        with pytest.raises(ComputationError, match="within 10 iterations") as err:
+            sinh_pq(pq, y, cfg)
+        assert err.value.partial == pytest.approx(sinh_pq(pq, y), rel=1e-6)
 
 
 class TestCos:
@@ -145,13 +157,21 @@ class TestSinh:
 
 
     def test_unconverged_forward_raises(self):
-        # the root is near 1e90, where the arcsinh quadrature cannot reach
-        # its tolerance; the solve must not use that forward value
+        # for p > q m_star is infinite and the root of this y is near 4e16,
+        # where the arcsinh quadrature over [0, s] cannot reach its
+        # tolerance; the solve must not use that forward value
+        pq = PQParams(3.0, 2.0)
+        with pytest.raises(ComputationError, match="unconverged forward") as err:
+            sinh_pq(pq, 1e6)
+        assert kernels.arcsinh_quad(pq.p, pq.q, err.value.partial)[3] is False
+
+    def test_root_next_to_finite_top(self):
+        # the root is near 1e90; m_star minus the tail integral resolves it
         pq = PQParams(9.0, 9.9)
         y = m_star_pq(pq).value - 1e-8
-        with pytest.raises(ComputationError, match="unconverged forward") as err:
-            sinh_pq(pq, y)
-        assert kernels.arcsinh_quad(pq.p, pq.q, err.value.partial)[3] is False
+        s = sinh_pq(pq, y)
+        assert 1e89 < s < 1e91
+        assert arcsinh_pq(pq, s) == pytest.approx(y, abs=1e-12)
 
 
 class TestRoundTrips:
@@ -203,3 +223,39 @@ class TestConfig:
 def test_nan_is_a_domain_error(solve):
     with pytest.raises(DomainError):
         solve(PQParams(2.0, 3.0), math.nan)
+
+
+def _straddles(forward, s, y, slack, sign):
+    """Whether floats a few ulps either side of s put forward(.) - y on both sides."""
+    below, above = s, s
+    for _ in range(4):
+        below, above = max(math.nextafter(below, 0.0), 0.0), min(math.nextafter(above, 1.0), 1.0)
+    fb, fa = sign * forward(below), sign * forward(above)
+    return fb <= sign * y + slack and fa >= sign * y - slack
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=st.floats(1.001, 10.0), q=st.floats(1.001, 10.0), fn=st.sampled_from(["sin", "cos"]),
+       data=st.data())
+def test_trig_roots_everywhere(p, q, fn, data):
+    # each solve returns a root that meets the forward within tolerance, or
+    # the nearest representable one (next to the singular end, neighbouring
+    # floats straddle the target), or a cos root below the normal range
+    pq = PQParams(p, q)
+    hp = half_pi_pq(pq)
+    y = data.draw(st.one_of(
+        st.floats(0.0, 1.0).map(lambda f: f * hp),
+        st.floats(0.0, 1e-10).map(lambda e: max(hp - e, 0.0)),
+        st.floats(0.0, 1e-10),
+    ), label="y")
+    solve, forward, sign = (sin_pq, arcsin_pq, 1.0) if fn == "sin" else (cos_pq, arccos_pq, -1.0)
+    try:
+        root = solve(pq, y)
+    except PQTrigError:
+        return
+    assert 0.0 <= root <= 1.0
+    if fn == "cos" and root < 2.2250738585072014e-308:
+        return
+    slack = 1e-12 + 1e-15 * hp
+    assert (abs(forward(pq, root) - y) <= 2e-12 + 1e-15 * hp
+            or _straddles(lambda s: forward(pq, s), root, y, slack, sign)), (root, y)
