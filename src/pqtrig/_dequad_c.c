@@ -10,10 +10,10 @@
  *
  * Each kernel returns the tuple (value, error_estimate, evaluations,
  * converged).  There are two, one per defining integral over [0, x].
- * ``solve`` runs a whole inverse solve, every forward quadrature
- * included, with the GIL released; it follows ``_dequad_py.solve``
- * operation for operation, so both backends take the same steps.  Build
- * it as a plain extension (``setup.py``) or by hand:
+ * ``solve`` runs the inverse solves of a whole list of targets, every
+ * forward quadrature included, with the GIL released; it follows
+ * ``_dequad_py.solve`` operation for operation, so both backends take the
+ * same steps.  Build it as a plain extension (``setup.py``) or by hand:
  *
  *     cc -O3 -fPIC -shared -I<python include dir> _dequad_c.c -o _dequad_c<EXT_SUFFIX> -lm
  */
@@ -27,6 +27,9 @@
 #define EPS 2.220446049250313e-16
 #define TAU_MAX 6.9
 #define MAX_LEVEL 16 /* deeper levels are clamped, as in _nodes.run_levels */
+/* solve_list extrapolates the cubic through two roots no farther than this
+ * many times their spacing, as _dequad_py.solve does */
+#define HERMITE_REACH 16.0
 
 enum mode { ARCSIN, ARCSINH };
 
@@ -255,10 +258,11 @@ ulp(double x)
     return isinf(up) ? x - nextafter(x, -INFINITY) : up - x;
 }
 
-/* runs without the GIL; the tables up to `levels` are built */
+/* runs without the GIL; the tables up to `levels` are built.  A finite
+ * `start` replaces the cold start (see solve_list). */
 static solution
 solve_run(enum solve_mode mode, double p, double q, double y, double top, double tol,
-          long max_iters, double qtol, int levels, long max_evals)
+          long max_iters, double qtol, int levels, long max_evals, double start)
 {
     solution out = {0.0, 0, 0, SOLVED};
     double rest = top - y, g = (q - p) / p, lo = 0.0, hi = 1.0, s, mid;
@@ -277,6 +281,8 @@ solve_run(enum solve_mode mode, double p, double q, double y, double top, double
         if (!(0.0 < s && s < mid))
             s = mid;
     }
+    if (!isnan(start))
+        s = start;
     for (it = 1; it <= max_iters; it++) {
         /* the residual F(s) - y */
         if (mode == SIN) {
@@ -331,8 +337,17 @@ solve_run(enum solve_mode mode, double p, double q, double y, double top, double
                     s_new = s * exp(log1p(-g_step) / a);
             }
         }
-        if (!(lo < s_new && s_new < hi))
-            s_new = hi < INFINITY ? 0.5 * (lo + hi) : 2.0 * lo;
+        if (!(lo < s_new && s_new < hi)) {
+            /* no upper bound: square s above 2, double it below; with a
+             * bracket, bisect geometrically where sinh's s >= 1 */
+            if (hi == INFINITY)
+                s_new = lo > 2.0 ? lo * lo : 2.0 * lo;
+            else {
+                s_new = mode == SINH && s >= 1.0 ? sqrt(lo) * sqrt(hi) : NAN;
+                if (!(lo < s_new && s_new < hi))
+                    s_new = 0.5 * (lo + hi);
+            }
+        }
         if (s_new == INFINITY) {
             out.root = lo;
             out.status = OVERFLOW;
@@ -346,15 +361,71 @@ solve_run(enum solve_mode mode, double p, double q, double y, double top, double
     return out;
 }
 
+/* ds/dy at a root s: (1 - s**q)**(1/p) for sin, (1 + s**q)**(1/p) for sinh */
+static double
+slope(enum solve_mode mode, double p, double q, double s)
+{
+    if (mode == SIN)
+        return pow(1.0 - pow(s, q), 1.0 / p);
+    return exp(softplus(q * log(s)) / p);
+}
+
+/* Solve every target of the ascending list ys[0..n), warm-starting each
+ * from the targets solved before it, as _dequad_py.solve does; runs
+ * without the GIL. */
+static void
+solve_list(enum solve_mode mode, double p, double q, const double *ys, Py_ssize_t n,
+           double top, double tol, long max_iters, double qtol, int levels, long max_evals,
+           solution *out)
+{
+    double ya = 0.0, sa = 0.0, da = 0.0, yb = 0.0, sb = 0.0, db = 0.0;
+    double start, u, h, m, c2, c3;
+    int known = 0; /* SOLVED targets so far, up to two: (ya, sa, da) and (yb, sb, db) */
+    Py_ssize_t i;
+
+    for (i = 0; i < n; i++) {
+        start = NAN;
+        if (known > 0) {
+            u = ys[i] - yb;
+            h = yb - ya;
+            if (known == 1 || u > HERMITE_REACH * h)
+                start = sb + u * db;
+            else {
+                /* the cubic Hermite extrapolation through the last two roots */
+                m = (sb - sa) / h;
+                c2 = (da + 2.0 * db - 3.0 * m) / h;
+                c3 = (da + db - 2.0 * m) / h / h;
+                start = sb + u * (db + u * (c2 + u * c3));
+            }
+            if (!(sb < start && start < INFINITY) || (mode == SIN && start >= 1.0))
+                start = NAN;
+        }
+        out[i] = solve_run(mode, p, q, ys[i], top, tol, max_iters, qtol, levels, max_evals,
+                           start);
+        if (out[i].status == SOLVED) {
+            ya = yb;
+            sa = sb;
+            da = db;
+            yb = ys[i];
+            sb = out[i].root;
+            db = slope(mode, p, q, sb);
+            if (known < 2)
+                known++;
+        }
+    }
+}
+
 static PyObject *
 solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     static const char *names[] = {"sin", "sinh"};
-    double d[6] = {0.0, 0.0, 0.0, 0.0, 0.0, 1e-12}; /* p, q, y, top, tol, qtol */
-    long n[3] = {0, 12, 1000000};                  /* max_iters, max_levels, max_evals */
+    double d[5] = {0.0, 0.0, 0.0, 0.0, 1e-12}; /* p, q, top, tol, qtol */
+    long n[3] = {0, 12, 1000000};              /* max_iters, max_levels, max_evals */
     int mode = -1, levels;
-    Py_ssize_t i;
-    solution r;
+    Py_ssize_t i, count;
+    PyObject *seq, *list = NULL, *item;
+    double *ys = NULL;
+    solution *sols = NULL;
 
     if (nargs < 7 || nargs > 10) {
         PyErr_Format(PyExc_TypeError, "solve() takes from 7 to 10 positional arguments (%zd given)",
@@ -368,25 +439,61 @@ solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         PyErr_Format(PyExc_ValueError, "unknown solve mode %R", args[0]);
         return NULL;
     }
-    /* positions 1-5 and 7 are floats, 6, 8 and 9 integers */
+    /* positions 1, 2, 4, 5 and 7 are floats, 3 the targets, 6, 8 and 9 integers */
     for (i = 1; i < nargs; i++) {
-        if (i <= 5)
+        if (i == 1 || i == 2)
             d[i - 1] = PyFloat_AsDouble(args[i]);
+        else if (i == 4 || i == 5)
+            d[i - 2] = PyFloat_AsDouble(args[i]);
         else if (i == 7)
-            d[5] = PyFloat_AsDouble(args[i]);
-        else
+            d[4] = PyFloat_AsDouble(args[i]);
+        else if (i != 3)
             n[i == 6 ? 0 : i - 7] = PyLong_AsLong(args[i]);
         if (PyErr_Occurred())
             return NULL;
     }
     if ((levels = prepare_levels(n[1])) < 0)
         return NULL;
+    if ((seq = PySequence_Fast(args[3], "solve() targets must be a sequence")) == NULL)
+        return NULL;
+    count = PySequence_Fast_GET_SIZE(seq);
+    ys = PyMem_RawMalloc((count ? count : 1) * sizeof(double));
+    sols = PyMem_RawMalloc((count ? count : 1) * sizeof(solution));
+    if (ys == NULL || sols == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = 0; i < count; i++) {
+        ys[i] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(seq, i));
+        if (PyErr_Occurred())
+            goto done;
+        if (i > 0 && !(ys[i] > ys[i - 1])) {
+            PyErr_SetString(PyExc_ValueError, "solve() targets must be strictly ascending");
+            goto done;
+        }
+    }
 
     Py_BEGIN_ALLOW_THREADS
-    r = solve_run((enum solve_mode)mode, d[0], d[1], d[2], d[3], d[4], n[0], d[5], levels, n[2]);
+    solve_list((enum solve_mode)mode, d[0], d[1], ys, count, d[2], d[3], n[0], d[4], levels,
+               n[2], sols);
     Py_END_ALLOW_THREADS
 
-    return Py_BuildValue("(dlli)", r.root, r.iterations, r.evals, (int)r.status);
+    if ((list = PyList_New(count)) == NULL)
+        goto done;
+    for (i = 0; i < count; i++) {
+        item = Py_BuildValue("(dlli)", sols[i].root, sols[i].iterations, sols[i].evals,
+                             (int)sols[i].status);
+        if (item == NULL) {
+            Py_CLEAR(list);
+            goto done;
+        }
+        PyList_SET_ITEM(list, i, item);
+    }
+done:
+    PyMem_RawFree(ys);
+    PyMem_RawFree(sols);
+    Py_DECREF(seq);
+    return list;
 }
 
 static PyMethodDef methods[] = {
@@ -397,10 +504,12 @@ static PyMethodDef methods[] = {
      "arcsinh_quad(p, q, x, tol=1e-12, max_levels=12, max_evals=1000000, /)\n--\n\n"
      "Integral of (1 + t**q)**(-1/p) over [0, x], x >= 0."},
     {"solve", (PyCFunction)(void (*)(void))solve, METH_FASTCALL,
-     "solve(mode, p, q, y, top, tol, max_iters, qtol=1e-12, max_levels=12, max_evals=1000000, /)\n"
+     "solve(mode, p, q, ys, top, tol, max_iters, qtol=1e-12, max_levels=12, max_evals=1000000, /)\n"
      "--\n\n"
-     "Bracketed Newton solve of one inverse; returns (root, iterations,\n"
-     "evaluations, status).  See pqtrig._dequad_py.solve."},
+     "Bracketed Newton solves of one inverse at the strictly ascending\n"
+     "targets ys, each warm-started from the roots before it; returns one\n"
+     "(root, iterations, evaluations, status) per target.  See\n"
+     "pqtrig._dequad_py.solve."},
     {NULL, NULL, 0, NULL},
 };
 

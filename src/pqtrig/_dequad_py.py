@@ -81,6 +81,11 @@ def arcsinh_quad(p, q, x, tol=1e-12, max_levels=12, max_evals=1000000):
 # failure to ComputationError
 SOLVED, BUDGET, UNCONVERGED, OVERFLOW = 0, 1, 2, 3
 
+# solve() extrapolates the cubic through two roots no farther than this many
+# times their spacing: each root carries an error of up to ``tol`` in y,
+# which the cubic amplifies by about (distance / spacing)**3
+_HERMITE_REACH = 16.0
+
 
 def _exp(a):
     # C's exp: inf on overflow
@@ -90,26 +95,82 @@ def _exp(a):
         return math.inf
 
 
-def solve(mode, p, q, y, top, tol, max_iters, qtol=1e-12, max_levels=12, max_evals=1000000):
-    """Solve F(s) = y for one inverse by Newton steps inside a bracket.
+def solve(mode, p, q, ys, top, tol, max_iters, qtol=1e-12, max_levels=12, max_evals=1000000):
+    """Solve F(s) = y for every target y of one inverse, by Newton steps inside a bracket.
 
     ``mode`` names the forward: ``"sin"`` (F = arcsin_quad on [0, 1],
     meant for roots in the bottom, smooth half of the branch, where
     s**q <= 1/2; ``inverse`` reflects the top half onto the bottom half
     of the conjugate exponents) or ``"sinh"`` (F = arcsinh_pq on
-    [0, inf)).  ``top`` is m_star_pq for ``"sinh"`` (inf where it
-    diverges) and unused by ``"sin"``; ``tol`` bounds the residual, and
-    the last three arguments go to every forward quadrature.
+    [0, inf)).  ``ys`` is a strictly ascending sequence of targets
+    (ValueError otherwise).  ``top`` is m_star_pq for ``"sinh"`` (inf
+    where it diverges) and unused by ``"sin"``; ``tol`` bounds the
+    residual, and the last three arguments go to every forward
+    quadrature.  Returns one ``(root, iterations, evaluations, status)``
+    per target, as :func:`_solve_one` describes.
 
-    sin starts from the inverse of the two-term series
-    F = s + s**(q + 1) / (p (q + 1)) + ..., at most 2**(-1/q), and steps
-    in s.  sinh starts at s = y, a lower bound since its integrand is at
-    most 1, and steps in s up to s = 1 and in s**(1 - q/p) (ln s where
-    p = q) above, where F approaches its power-law tail; with no upper
-    bound yet, a failed step doubles s instead of bisecting.  Where
+    Each target starts from the roots solved before it.  With none, the
+    start is the cold one of :func:`_solve_one`.  With one, (y1, s1), it
+    is the Newton predictor s1 + (y - y1) ds/dy(s1), where ds/dy =
+    (1 - s**q)**(1/p) for sin and (1 + s**q)**(1/p) for sinh.  With two
+    or more, it is the cubic Hermite extrapolation through the last two
+    SOLVED (y, s, ds/dy), or the Newton predictor from the last one where
+    y lies more than 16 of their spacings beyond it (two targets an ulp
+    apart would make the cubic meaningless).  A start that is not
+    finite, not above the last root, or at least 1 for sin falls back to
+    the cold start.  The bracket still opens at [0, 1] or [0, inf), so
+    every root is certified by its own residual, and a one-target list
+    is exactly one cold solve.  The compiled twin is ``_dequad_c.solve``.
+    """
+    if mode not in ("sin", "sinh"):
+        raise ValueError(f"unknown solve mode {mode!r}")
+    for a, b in zip(ys, ys[1:]):
+        if not (b > a):
+            raise ValueError("solve() targets must be strictly ascending")
+    out = []
+    known = []  # the last two SOLVED (y, s, ds/dy)
+    for y in ys:
+        start = math.nan
+        if known:
+            ya, sa, da = known[0]
+            yb, sb, db = known[-1]
+            u, h = y - yb, yb - ya
+            if len(known) == 1 or u > _HERMITE_REACH * h:
+                start = sb + u * db
+            else:
+                # the cubic Hermite extrapolation through the last two roots
+                m = (sb - sa) / h
+                c2 = (da + 2.0 * db - 3.0 * m) / h
+                c3 = (da + db - 2.0 * m) / h / h
+                start = sb + u * (db + u * (c2 + u * c3))
+            if not (sb < start < math.inf) or (mode == "sin" and start >= 1.0):
+                start = math.nan
+        res = _solve_one(mode, p, q, y, top, tol, max_iters, qtol, max_levels, max_evals, start)
+        out.append(res)
+        if res[3] == SOLVED:
+            s = res[0]
+            if mode == "sin":
+                d = math.pow(1.0 - math.pow(s, q), 1.0 / p)
+            else:  # C's log(0.0) is -inf
+                d = _exp(_softplus(q * math.log(s) if s > 0.0 else -math.inf) / p)
+            known = [known[-1], (y, s, d)] if known else [(y, s, d)]
+    return out
+
+
+def _solve_one(mode, p, q, y, top, tol, max_iters, qtol, max_levels, max_evals, start):
+    """One target of :func:`solve`, from ``start`` unless it is nan.
+
+    The cold start of sin is the inverse of the two-term series
+    F = s + s**(q + 1) / (p (q + 1)) + ..., at most 2**(-1/q), and it
+    steps in s.  sinh starts at s = y, a lower bound since its integrand
+    is at most 1, and steps in s up to s = 1 and in s**(1 - q/p) (ln s
+    where p = q) above, where F approaches its power-law tail.  Where
     m_star is finite and s**-g <= 1/2, with g = q/p - 1, F(s) is m_star
     minus the tail integral, arcsinh_quad(p, q/g, s**-g) / g, as in
-    ``functions.arcsinh_pq``.
+    ``functions.arcsinh_pq``.  A step that leaves the bracket is
+    replaced: with no upper bound yet, s is squared above 2 and doubled
+    below; with one, the bracket is bisected geometrically where sinh's
+    s >= 1, and arithmetically otherwise.
 
     The solve stops on a residual |F(s) - y| <= ``tol``, or returns the
     bracket midpoint once the bracket has collapsed to a few ulps (the
@@ -118,10 +179,7 @@ def solve(mode, p, q, y, top, tol, max_iters, qtol=1e-12, max_levels=12, max_eva
     forward calls did not suffice; ``root`` is the bracket midpoint),
     UNCONVERGED (a forward quadrature missed ``qtol``; ``root`` is its
     argument) or OVERFLOW (sinh's bracket passed the largest float).
-    The compiled twin is ``_dequad_c.solve``.
     """
-    if mode not in ("sin", "sinh"):
-        raise ValueError(f"unknown solve mode {mode!r}")
     rest = top - y  # the target's distance from the limit of F
     g = (q - p) / p  # the tail exponent, q/p - 1 (q - p is exact near p = q)
     if mode == "sinh":
@@ -131,6 +189,8 @@ def solve(mode, p, q, y, top, tol, max_iters, qtol=1e-12, max_levels=12, max_eva
         s, mid = y - math.pow(y, q + 1.0) / (p * (q + 1.0)), math.pow(0.5, 1.0 / q)
         if not (0.0 < s < mid):
             s = mid
+    if start == start:
+        s = start
     evals = 0
     for it in range(1, max_iters + 1):
         # the residual F(s) - y
@@ -175,7 +235,12 @@ def solve(mode, p, q, y, top, tol, max_iters, qtol=1e-12, max_levels=12, max_eva
                 if g_step < 1.0:
                     s_new = s * _exp(log1p(-g_step) / a)
         if not (lo < s_new < hi):
-            s_new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
+            if hi == math.inf:
+                s_new = lo * lo if lo > 2.0 else 2.0 * lo
+            else:
+                s_new = math.sqrt(lo) * math.sqrt(hi) if mode == "sinh" and s >= 1.0 else math.nan
+                if not (lo < s_new < hi):
+                    s_new = 0.5 * (lo + hi)
         if s_new == math.inf:
             return lo, it, evals, OVERFLOW
         s = s_new

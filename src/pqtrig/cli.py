@@ -402,6 +402,8 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
         cfg.grid = ns.grid
         if cfg.grid < 2:
             raise UsageError("--grid must be at least 2")
+        if cfg.check in ("f-monotone", "fstar-monotone") and cfg.grid < 10:
+            raise UsageError(f"check {cfg.check!r} needs --grid of at least 10")
     if hasattr(ns, "order") and ns.order is not None:
         cfg.order = ns.order
     if hasattr(ns, "budget"):

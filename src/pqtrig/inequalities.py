@@ -28,17 +28,23 @@ The geometric-mean inequalities are sharp at order 0: gm-sin holds for
 every argument pair exactly when ord <= 0, gm-sinh exactly when
 ord >= 0.  ``counterexample_search`` exhibits the failure (and a
 satisfying instance) for gm-sin at a positive order.
+
+A sweep's unit of work is one (p, q) cell.  Its inverse values come from
+one ``inverse._roots`` block per function, over the unique targets of
+all the cell's points, and its verdicts are built from those roots; no
+value is cached between calls.  Each check's formula is written once, in
+its cell evaluator, and the scalar checks are one-point cells.
 """
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import partial
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, PQTrigError
 from .functions import PQParams, arcsin_pq, arcsinh_pq, half_pi_pq, m_star_pq
-from .inverse import cos_pq, sin_pq, sinh_pq
+from .inverse import _roots
 from .means import HolderOrder, holder_mean
 
 DEFAULT_TOL_ABS = 1e-9
@@ -53,6 +59,10 @@ def default_tolerance(rhs: float) -> float:
     if math.isinf(rhs):
         return DEFAULT_TOL_ABS
     return DEFAULT_TOL_ABS + DEFAULT_TOL_REL * abs(rhs)
+
+
+def _order(order: Union[HolderOrder, float]) -> float:
+    return order.order if isinstance(order, HolderOrder) else float(order)
 
 
 @dataclass(frozen=True)
@@ -138,21 +148,141 @@ class SweepReport:
 
 
 # ---------------------------------------------------------------------------
-# cached forward/inverse evaluations (performance only; all functions pure)
+# cell evaluators: one check on one (p, q) cell at a list of argument tuples
+#
+# Each returns, per argument tuple, its InequalityVerdict or the PQTrigError
+# its evaluation raised.  The inverse values of a cell come from one
+# ``_roots`` call per function; the scalar checks are one-point cells.
 
-@lru_cache(maxsize=65536)
-def _sin(p: float, q: float, y: float) -> float:
-    return sin_pq(PQParams(p, q), y)
+def _each(pts, verdict) -> list:
+    out = []
+    for pt in pts:
+        try:
+            out.append(verdict(*pt))
+        except PQTrigError as exc:  # recorded, not fatal; anything else is a bug
+            out.append(exc)
+    return out
 
 
-@lru_cache(maxsize=65536)
-def _sinh(p: float, q: float, y: float) -> float:
-    return sinh_pq(PQParams(p, q), y)
+def _single(results):
+    value = results[0]
+    if isinstance(value, PQTrigError):
+        raise value
+    return value
 
 
-@lru_cache(maxsize=65536)
-def _arcsin(p: float, q: float, x: float) -> float:
-    return arcsin_pq(PQParams(p, q), x)
+def _lookup(fn: str, pq: PQParams, ys) -> Callable[[float], float]:
+    """y -> fn_pq(pq, y) at each target in ``ys``, solved in one block."""
+    ys = list(set(ys))
+    table = dict(zip(ys, _roots(fn, pq, ys)))
+
+    def value(y):
+        v = table[y]
+        if isinstance(v, PQTrigError):
+            raise v.with_traceback(None)
+        return v
+
+    return value
+
+
+def _lemma21_cell(pq, pts, ordv, tolerance) -> list:
+    p, q = pq.p, pq.q
+
+    def verdict(x):
+        if not (0.0 < x < 1.0):
+            raise DomainError(f"lemma21 needs x in (0, 1), got {x!r}")
+        lhs = arcsin_pq(pq, x)
+        xq = math.pow(x, q)
+        rhs = p * x * math.pow(1.0 - xq, 1.0 - 1.0 / p) / ((q - p) * xq + p)
+        return InequalityVerdict.make(lhs, rhs, lhs - rhs, {"p": p, "q": q, "x": x}, tolerance)
+
+    return _each(pts, verdict)
+
+
+def _lemma22_cell(pq, pts, ordv, tolerance) -> list:
+    p, q = pq.p, pq.q
+    x0 = math.pow(p / (q - p), 1.0 / q) if p < q else None
+
+    def verdict(x):
+        if not (x > 0.0 and math.isfinite(x)):
+            raise DomainError(f"lemma22 needs finite x > 0, got {x!r}")
+        lhs = x / arcsinh_pq(pq, x)
+        xq = math.pow(x, q)
+        rhs = ((p - q) * xq + p) / (p * math.pow(1.0 + xq, 1.0 - 1.0 / p))
+        at = {"p": p, "q": q, "x": x}
+        if x0 is not None:
+            at["x0"] = x0
+            at["region"] = "below_x0" if x < x0 else ("above_x0" if x > x0 else "at_x0")
+        return InequalityVerdict.make(lhs, rhs, lhs - rhs, at, tolerance)
+
+    return _each(pts, verdict)
+
+
+def _lemma23_cell(pq, pts, ordv, tolerance) -> list:
+    def verdict():
+        ms = m_star_pq(pq)
+        at = {"p": pq.p, "q": pq.q, "m_star": ms.as_float()}
+        if not ms.is_finite:
+            return InequalityVerdict.make(math.inf, 1.0, math.inf, at, tolerance)
+        return InequalityVerdict.make(ms.value, 1.0, ms.value - 1.0, at, tolerance)
+
+    return _each(pts, verdict)
+
+
+def _mean_cell(check, pq, pts, ordv, tolerance) -> list:
+    """thm11-sin, thm11-sinh, gm-sin or gm-sinh: the function at the
+    geometric mean of (r, s) against the mean of its values at r and s."""
+    p, q = pq.p, pq.q
+    if check.endswith("-sinh"):
+        fn, ms = "sinh", m_star_pq(pq)
+        top = f"{ms.value:.12g}" if ms.is_finite else "inf"
+
+        def inside(r, s):
+            return r > 0.0 and s > 0.0 and (not ms.is_finite or (r < ms.value and s < ms.value))
+    else:
+        fn, hp = "sin", half_pi_pq(pq)
+        top = f"{hp:.12g}"
+
+        def inside(r, s):
+            return 0.0 < r < hp and 0.0 < s < hp
+
+    value = _lookup(fn, pq, [y for r, s in pts if inside(r, s) for y in (math.sqrt(r * s), r, s)])
+    gm = check.startswith("gm-")  # thm11 is the geometric mean, written as sqrt(a b)
+    base = {"p": p, "q": q, "order": ordv} if gm else {"p": p, "q": q}
+
+    def verdict(r, s):
+        if not inside(r, s):
+            raise DomainError(f"{check} needs r, s in (0, {top}), got {r!r}, {s!r}")
+        lhs = value(math.sqrt(r * s))
+        if gm:
+            rhs = holder_mean(ordv, value(r), value(s))
+        else:
+            rhs = math.sqrt(value(r) * value(s))
+        margin = rhs - lhs if fn == "sinh" else lhs - rhs
+        return InequalityVerdict.make(lhs, rhs, margin, {**base, "r": r, "s": s}, tolerance)
+
+    return _each(pts, verdict)
+
+
+def _double_angle_cell(pq, pts, ordv, tolerance) -> list:
+    hp = half_pi_pq(pq)
+    tol = 1e-8 if tolerance is None else tolerance
+    # sin_pq at x and 2x and cos_pq at x, from one block of shared roots
+    value = _lookup("sincos", pq, [y for (x,) in pts if 0.0 < x < 0.5 * hp for y in (2.0 * x, x)])
+
+    def verdict(x):
+        if not (0.0 < x < 0.5 * hp):
+            raise DomainError(f"double-angle needs x in (0, {0.5 * hp:.12g}), got {x!r}")
+        lhs = value(2.0 * x)[0]
+        sx, cx = value(x)
+        rhs = 2.0 * sx * math.pow(cx, 1.0 / 3.0) / math.sqrt(
+            1.0 + 4.0 * sx**4 * math.pow(cx, 4.0 / 3.0)
+        )
+        return InequalityVerdict.make(
+            lhs, rhs, -abs(lhs - rhs), {"p": pq.p, "q": pq.q, "x": x}, tol
+        )
+
+    return _each(pts, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +290,7 @@ def _arcsin(p: float, q: float, x: float) -> float:
 
 def lemma21_margin(pq: PQParams, x: float, tolerance: Optional[float] = None) -> InequalityVerdict:
     """Lower rational bound for arcsin_pq on (0, 1); margin expected > 0."""
-    if not (0.0 < x < 1.0):
-        raise DomainError(f"lemma21 needs x in (0, 1), got {x!r}")
-    lhs = arcsin_pq(pq, x)
-    xq = math.pow(x, pq.q)
-    rhs = pq.p * x * math.pow(1.0 - xq, 1.0 - 1.0 / pq.p) / ((pq.q - pq.p) * xq + pq.p)
-    return InequalityVerdict.make(lhs, rhs, lhs - rhs, {"p": pq.p, "q": pq.q, "x": x}, tolerance)
+    return _single(_lemma21_cell(pq, [(x,)], None, tolerance))
 
 
 def lemma22_margin(pq: PQParams, x: float, tolerance: Optional[float] = None) -> InequalityVerdict:
@@ -174,26 +299,12 @@ def lemma22_margin(pq: PQParams, x: float, tolerance: Optional[float] = None) ->
     For p < q the bound's numerator changes sign at
     x0 = (p/(q-p))**(1/q); the verdict records which side x falls on.
     """
-    if not (x > 0.0 and math.isfinite(x)):
-        raise DomainError(f"lemma22 needs finite x > 0, got {x!r}")
-    lhs = x / arcsinh_pq(pq, x)
-    xq = math.pow(x, pq.q)
-    rhs = ((pq.p - pq.q) * xq + pq.p) / (pq.p * math.pow(1.0 + xq, 1.0 - 1.0 / pq.p))
-    at = {"p": pq.p, "q": pq.q, "x": x}
-    if pq.p < pq.q:
-        x0 = math.pow(pq.p / (pq.q - pq.p), 1.0 / pq.q)
-        at["x0"] = x0
-        at["region"] = "below_x0" if x < x0 else ("above_x0" if x > x0 else "at_x0")
-    return InequalityVerdict.make(lhs, rhs, lhs - rhs, at, tolerance)
+    return _single(_lemma22_cell(pq, [(x,)], None, tolerance))
 
 
 def lemma23_check(pq: PQParams, tolerance: Optional[float] = None) -> InequalityVerdict:
     """m_star_pq > 1, with the p >= q cells infinite and trivially satisfied."""
-    ms = m_star_pq(pq)
-    at = {"p": pq.p, "q": pq.q, "m_star": ms.as_float()}
-    if not ms.is_finite:
-        return InequalityVerdict.make(math.inf, 1.0, math.inf, at, tolerance)
-    return InequalityVerdict.make(ms.value, 1.0, ms.value - 1.0, at, tolerance)
+    return _single(_lemma23_cell(pq, [()], None, tolerance))
 
 
 def thm11_sin_margin(
@@ -204,29 +315,14 @@ def thm11_sin_margin(
     Arguments must lie in the open interval (0, half_pi_pq); equality
     holds exactly on the diagonal r = s.
     """
-    hp = half_pi_pq(pq)
-    if not (0.0 < r < hp and 0.0 < s < hp):
-        raise DomainError(f"thm11-sin needs r, s in (0, {hp:.12g}), got {r!r}, {s!r}")
-    lhs = _sin(pq.p, pq.q, math.sqrt(r * s))
-    rhs = math.sqrt(_sin(pq.p, pq.q, r) * _sin(pq.p, pq.q, s))
-    return InequalityVerdict.make(
-        lhs, rhs, lhs - rhs, {"p": pq.p, "q": pq.q, "r": r, "s": s}, tolerance
-    )
+    return _single(_mean_cell("thm11-sin", pq, [(r, s)], None, tolerance))
 
 
 def thm11_sinh_margin(
     pq: PQParams, r: float, s: float, tolerance: Optional[float] = None
 ) -> InequalityVerdict:
     """sinh_pq at the geometric mean is dominated; margin is rhs - lhs."""
-    ms = m_star_pq(pq)
-    if not (r > 0.0 and s > 0.0) or (ms.is_finite and not (r < ms.value and s < ms.value)):
-        top = f"{ms.value:.12g}" if ms.is_finite else "inf"
-        raise DomainError(f"thm11-sinh needs r, s in (0, {top}), got {r!r}, {s!r}")
-    lhs = _sinh(pq.p, pq.q, math.sqrt(r * s))
-    rhs = math.sqrt(_sinh(pq.p, pq.q, r) * _sinh(pq.p, pq.q, s))
-    return InequalityVerdict.make(
-        lhs, rhs, rhs - lhs, {"p": pq.p, "q": pq.q, "r": r, "s": s}, tolerance
-    )
+    return _single(_mean_cell("thm11-sinh", pq, [(r, s)], None, tolerance))
 
 
 def gm_general_sin_margin(
@@ -241,16 +337,7 @@ def gm_general_sin_margin(
     Holds for every (r, s) exactly when order <= 0; at order 0 this is
     thm11-sin.  For order > 0 some argument pairs violate it.
     """
-    hp = half_pi_pq(pq)
-    if not (0.0 < r < hp and 0.0 < s < hp):
-        raise DomainError(f"gm-sin needs r, s in (0, {hp:.12g}), got {r!r}, {s!r}")
-    ordv = order.order if isinstance(order, HolderOrder) else float(order)
-    lhs = _sin(pq.p, pq.q, math.sqrt(r * s))
-    rhs = holder_mean(ordv, _sin(pq.p, pq.q, r), _sin(pq.p, pq.q, s))
-    return InequalityVerdict.make(
-        lhs, rhs, lhs - rhs,
-        {"p": pq.p, "q": pq.q, "order": ordv, "r": r, "s": s}, tolerance,
-    )
+    return _single(_mean_cell("gm-sin", pq, [(r, s)], _order(order), tolerance))
 
 
 def gm_general_sinh_margin(
@@ -261,17 +348,7 @@ def gm_general_sinh_margin(
     tolerance: Optional[float] = None,
 ) -> InequalityVerdict:
     """sinh_pq(sqrt(r s)) <= H_order(sinh_pq(r), sinh_pq(s)); holds for order >= 0."""
-    ms = m_star_pq(pq)
-    if not (r > 0.0 and s > 0.0) or (ms.is_finite and not (r < ms.value and s < ms.value)):
-        top = f"{ms.value:.12g}" if ms.is_finite else "inf"
-        raise DomainError(f"gm-sinh needs r, s in (0, {top}), got {r!r}, {s!r}")
-    ordv = order.order if isinstance(order, HolderOrder) else float(order)
-    lhs = _sinh(pq.p, pq.q, math.sqrt(r * s))
-    rhs = holder_mean(ordv, _sinh(pq.p, pq.q, r), _sinh(pq.p, pq.q, s))
-    return InequalityVerdict.make(
-        lhs, rhs, rhs - lhs,
-        {"p": pq.p, "q": pq.q, "order": ordv, "r": r, "s": s}, tolerance,
-    )
+    return _single(_mean_cell("gm-sinh", pq, [(r, s)], _order(order), tolerance))
 
 
 def double_angle_margin(
@@ -285,19 +362,7 @@ def double_angle_margin(
     (0, half_pi/2).  As an identity check its margin is -|lhs - rhs| and
     the default tolerance is 1e-8.
     """
-    hp = half_pi_pq(pq)
-    if not (0.0 < x < 0.5 * hp):
-        raise DomainError(f"double-angle needs x in (0, {0.5 * hp:.12g}), got {x!r}")
-    lhs = _sin(pq.p, pq.q, 2.0 * x)
-    sx = _sin(pq.p, pq.q, x)
-    cx = cos_pq(pq, x)
-    rhs = 2.0 * sx * math.pow(cx, 1.0 / 3.0) / math.sqrt(
-        1.0 + 4.0 * sx**4 * math.pow(cx, 4.0 / 3.0)
-    )
-    tol = 1e-8 if tolerance is None else tolerance
-    return InequalityVerdict.make(
-        lhs, rhs, -abs(lhs - rhs), {"p": pq.p, "q": pq.q, "x": x}, tol
-    )
+    return _single(_double_angle_cell(pq, [(x,)], None, tolerance))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +397,7 @@ def F_fn(pq: PQParams, order: Union[HolderOrder, float], x: float) -> float:
     """F(x) = x**(1-order) / (arcsin_pq(x) (1-x**q)**(1/p)) on (0, 1)."""
     if not (0.0 < x < 1.0):
         raise DomainError(f"F_fn needs x in (0, 1), got {x!r}")
-    ordv = order.order if isinstance(order, HolderOrder) else float(order)
+    ordv = _order(order)
     omxq = -math.expm1(pq.q * math.log(x))
     return math.pow(x, 1.0 - ordv) / (arcsin_pq(pq, x) * math.pow(omxq, 1.0 / pq.p))
 
@@ -341,7 +406,7 @@ def Fstar_fn(pq: PQParams, order: Union[HolderOrder, float], x: float) -> float:
     """F*(x) = x**(1-order) / (arcsinh_pq(x) (1+x**q)**(1/p)) on (0, inf)."""
     if not (x > 0.0 and math.isfinite(x)):
         raise DomainError(f"Fstar_fn needs finite x > 0, got {x!r}")
-    ordv = order.order if isinstance(order, HolderOrder) else float(order)
+    ordv = _order(order)
     opxq = 1.0 + math.pow(x, pq.q)
     return math.pow(x, 1.0 - ordv) / (arcsinh_pq(pq, x) * math.pow(opxq, 1.0 / pq.p))
 
@@ -370,7 +435,7 @@ def F_monotonicity_probe(
     """
     if grid_n < 10:
         raise DomainError("grid_n must be at least 10")
-    ordv = order.order if isinstance(order, HolderOrder) else float(order)
+    ordv = _order(order)
     xs = GridAxis("x", 0.01, 0.99, grid_n).values()
     fvals = [F_fn(pq, ordv, x) for x in xs]
     return _probe_report("f-monotone", pq, ordv, xs, fvals, increasing=True)
@@ -384,7 +449,7 @@ def Fstar_monotonicity_probe(
         raise DomainError("grid_n must be at least 10")
     if not (x_max > 0.0):
         raise DomainError("x_max must be positive")
-    ordv = order.order if isinstance(order, HolderOrder) else float(order)
+    ordv = _order(order)
     xs = [f * x_max for f in GridAxis("x", 0.01, 0.99, grid_n).values()]
     fvals = [Fstar_fn(pq, ordv, x) for x in xs]
     return _probe_report("fstar-monotone", pq, ordv, xs, fvals, increasing=False)
@@ -433,20 +498,26 @@ def counterexample_search(
     10x zoom.  Margins within 1e-11 of zero (the diagonal's equality
     case) never qualify as witnesses.
     """
-    ordv = order.order if isinstance(order, HolderOrder) else float(order)
+    ordv = _order(order)
     if not (ordv > 0.0):
         raise DomainError("counterexample_search needs a positive order")
     if budget < 100:
         raise DomainError("budget must be at least 100")
-    p, q = pq.p, pq.q
     evals = 0
+    known: dict[float, float] = {}  # arcsin_pq values, for this search only
+
+    def arcsin(x: float) -> float:
+        value = known.get(x)
+        if value is None:
+            value = known[x] = arcsin_pq(pq, x)
+        return value
 
     def margin_at(x: float, y: float) -> tuple[float, float, float]:
         # claim: arcsin_pq(H_ord(x, y)) <= sqrt(arcsin_pq(x) arcsin_pq(y))
         nonlocal evals
         evals += 1
-        lhs = _arcsin(p, q, holder_mean(ordv, x, y))
-        rhs = math.sqrt(_arcsin(p, q, x) * _arcsin(p, q, y))
+        lhs = arcsin(holder_mean(ordv, x, y))
+        rhs = math.sqrt(arcsin(x) * arcsin(y))
         return lhs, rhs, rhs - lhs
 
     n = max(10, math.isqrt(budget))
@@ -501,48 +572,17 @@ def _cap_sinh_args(pq: PQParams) -> float:
     return SINH_ARG_CAP
 
 
-# name -> (inner argument names, scale resolver, point evaluator)
+# name -> (inner argument names, scale resolver, cell evaluator); the
+# evaluator takes (pq, argument tuples, order, tolerance)
 _POINT_CHECKS: dict[str, tuple[tuple[str, ...], Callable, Callable]] = {
-    "lemma21": (
-        ("x",),
-        lambda pq: 1.0,
-        lambda pq, args, order, tol: lemma21_margin(pq, args[0], tol),
-    ),
-    "lemma22": (
-        ("x",),
-        lambda pq: 10.0,
-        lambda pq, args, order, tol: lemma22_margin(pq, args[0], tol),
-    ),
-    "lemma23": (
-        (),
-        lambda pq: 1.0,
-        lambda pq, args, order, tol: lemma23_check(pq, tol),
-    ),
-    "thm11-sin": (
-        ("r", "s"),
-        half_pi_pq,
-        lambda pq, args, order, tol: thm11_sin_margin(pq, args[0], args[1], tol),
-    ),
-    "thm11-sinh": (
-        ("r", "s"),
-        _cap_sinh_args,
-        lambda pq, args, order, tol: thm11_sinh_margin(pq, args[0], args[1], tol),
-    ),
-    "gm-sin": (
-        ("r", "s"),
-        half_pi_pq,
-        lambda pq, args, order, tol: gm_general_sin_margin(pq, order, args[0], args[1], tol),
-    ),
-    "gm-sinh": (
-        ("r", "s"),
-        _cap_sinh_args,
-        lambda pq, args, order, tol: gm_general_sinh_margin(pq, order, args[0], args[1], tol),
-    ),
-    "double-angle": (
-        ("x",),
-        lambda pq: 0.5 * half_pi_pq(pq),
-        lambda pq, args, order, tol: double_angle_margin(pq, args[0], tol),
-    ),
+    "lemma21": (("x",), lambda pq: 1.0, _lemma21_cell),
+    "lemma22": (("x",), lambda pq: 10.0, _lemma22_cell),
+    "lemma23": ((), lambda pq: 1.0, _lemma23_cell),
+    "thm11-sin": (("r", "s"), half_pi_pq, partial(_mean_cell, "thm11-sin")),
+    "thm11-sinh": (("r", "s"), _cap_sinh_args, partial(_mean_cell, "thm11-sinh")),
+    "gm-sin": (("r", "s"), half_pi_pq, partial(_mean_cell, "gm-sin")),
+    "gm-sinh": (("r", "s"), _cap_sinh_args, partial(_mean_cell, "gm-sinh")),
+    "double-angle": (("x",), lambda pq: 0.5 * half_pi_pq(pq), _double_angle_cell),
 }
 
 _PROBE_CHECKS = {"f-monotone", "fstar-monotone"}
@@ -563,106 +603,88 @@ def run_sweep(
 
     ``axes`` starts with the p and q axes followed by the check's inner
     argument axes expressed as domain fractions (see :class:`GridAxis`).
-    Points are evaluated in row-major grid order; with ``threads > 1``
-    they are computed concurrently but merged back deterministically by
-    index.  Per-point evaluation failures (:class:`PQTrigError`) are
-    recorded in the report rather than raised; any other exception
-    propagates.
+    The unit of work is one (p, q) cell: its inverse values come from one
+    batched solve per function over the cell's unique targets, and its
+    verdicts are built from those roots.  Verdicts are reported in
+    row-major grid order; with ``threads > 1`` the cells are computed
+    concurrently, one task each, and merged back in order.  Per-point
+    evaluation failures (:class:`PQTrigError`) are recorded in the report
+    rather than raised; any other exception propagates.
     """
     axes = tuple(axes)
     if not axes:
         raise DomainError("axes must be nonempty")
-    ordv: Optional[float]
-    if order is None:
-        ordv = None
-    else:
-        ordv = order.order if isinstance(order, HolderOrder) else float(order)
+    ordv = None if order is None else _order(order)
 
     if check in _PROBE_CHECKS:
-        return _run_probe_sweep(check, axes, ordv, threads, x_max)
-    if check not in _POINT_CHECKS:
-        raise DomainError(f"unknown check {check!r}; expected one of {', '.join(CHECK_NAMES)}")
-    arg_names, scale_of, evaluate = _POINT_CHECKS[check]
-    if len(axes) != 2 + len(arg_names):
-        raise DomainError(
-            f"{check} expects axes (p, q{''.join(', ' + a for a in arg_names)}), "
-            f"got {len(axes)}"
-        )
-    if axes[0].name != "p" or axes[1].name != "q":
-        raise DomainError("the first two axes must be named p and q")
-    for ax in axes[2:]:
-        if not (0.0 < ax.lo and ax.hi <= 1.0):
-            raise DomainError(f"inner axis {ax.name!r} must use fractions in (0, 1]")
-    if check in ("gm-sin", "gm-sinh") and ordv is None:
-        raise DomainError(f"{check} requires a Hölder order")
+        if ordv is None:
+            raise DomainError(f"{check} requires a Hölder order")
+        if axes[0].name != "p" or axes[1].name != "q":
+            raise DomainError("the first two axes must be named p and q")
+        if len(axes) != 3:
+            raise DomainError(f"{check} expects axes (p, q, x)")
+        grid_n = axes[2].n
+        if grid_n < 10:
+            raise DomainError("grid_n must be at least 10")
 
-    frac_grids = [ax.values() for ax in axes[2:]]
-    points: list[dict[str, float]] = []
-    for p in axes[0].values():
-        for q in axes[1].values():
-            pq = PQParams(p, q)
-            scale = scale_of(pq)
-            combos: list[tuple[float, ...]] = [()]
-            for fg in frac_grids:
-                combos = [c + (f * scale,) for c in combos for f in fg]
-            for combo in combos:
-                pt = {"p": p, "q": q}
-                pt.update(zip(arg_names, combo))
-                points.append(pt)
-
-    report = SweepReport(check=check, order=ordv, grid=axes)
-
-    def eval_point(pt: dict[str, float]):
-        pq = PQParams(pt["p"], pt["q"])
-        args = tuple(pt[a] for a in arg_names)
-        return evaluate(pq, args, ordv, tolerance)
-
-    _run_points(report, points, eval_point, threads)
-    return report
-
-
-def _run_probe_sweep(check, axes, ordv, threads, x_max) -> SweepReport:
-    if ordv is None:
-        raise DomainError(f"{check} requires a Hölder order")
-    if axes[0].name != "p" or axes[1].name != "q":
-        raise DomainError("the first two axes must be named p and q")
-    if len(axes) != 3:
-        raise DomainError(f"{check} expects axes (p, q, x)")
-    grid_n = axes[2].n
-    report = SweepReport(check=check, order=ordv, grid=axes)
-    for p in axes[0].values():
-        for q in axes[1].values():
-            pq = PQParams(p, q)
+        def cell(pq):
             try:
                 if check == "f-monotone":
-                    sub = F_monotonicity_probe(pq, ordv, grid_n)
-                else:
-                    sub = Fstar_monotonicity_probe(pq, ordv, grid_n, x_max)
+                    return F_monotonicity_probe(pq, ordv, grid_n).verdicts
+                return Fstar_monotonicity_probe(pq, ordv, grid_n, x_max).verdicts
             except PQTrigError as exc:
-                report.errors.append(
-                    SweepError(len(report.verdicts), {"p": p, "q": q}, str(exc))
-                )
-                continue
-            report.verdicts.extend(sub.verdicts)
-    return report
+                return exc
+    else:
+        if check not in _POINT_CHECKS:
+            raise DomainError(
+                f"unknown check {check!r}; expected one of {', '.join(CHECK_NAMES)}"
+            )
+        arg_names, scale_of, evaluate = _POINT_CHECKS[check]
+        if len(axes) != 2 + len(arg_names):
+            raise DomainError(
+                f"{check} expects axes (p, q{''.join(', ' + a for a in arg_names)}), "
+                f"got {len(axes)}"
+            )
+        if axes[0].name != "p" or axes[1].name != "q":
+            raise DomainError("the first two axes must be named p and q")
+        for ax in axes[2:]:
+            if not (0.0 < ax.lo and ax.hi <= 1.0):
+                raise DomainError(f"inner axis {ax.name!r} must use fractions in (0, 1]")
+        if check in ("gm-sin", "gm-sinh") and ordv is None:
+            raise DomainError(f"{check} requires a Hölder order")
+        frac_grids = [ax.values() for ax in axes[2:]]
 
+        def cell(pq):
+            scale = scale_of(pq)
+            pts: list[tuple[float, ...]] = [()]
+            for fg in frac_grids:
+                pts = [c + (f * scale,) for c in pts for f in fg]
+            return pts, evaluate(pq, pts, ordv, tolerance)
 
-def _run_points(report, points, eval_point, threads):
-    def safe(indexed):
-        idx, pt = indexed
-        try:
-            return idx, eval_point(pt), None
-        except PQTrigError as exc:  # recorded, not fatal; anything else is a bug
-            return idx, None, f"{type(exc).__name__}: {exc}"
-
-    indexed = list(enumerate(points))
+    cells = [PQParams(p, q) for p in axes[0].values() for q in axes[1].values()]
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(safe, indexed))
+            results = list(pool.map(cell, cells))
     else:
-        results = [safe(ip) for ip in indexed]
-    for idx, verdict, err in results:
-        if err is not None:
-            report.errors.append(SweepError(idx, points[idx], err))
-        else:
-            report.verdicts.append(verdict)
+        results = [cell(pq) for pq in cells]
+
+    report = SweepReport(check=check, order=ordv, grid=axes)
+    verdicts, errors = report.verdicts, report.errors
+    if check in _PROBE_CHECKS:
+        for pq, result in zip(cells, results):
+            if isinstance(result, PQTrigError):
+                errors.append(SweepError(len(verdicts), {"p": pq.p, "q": pq.q}, str(result)))
+            else:
+                verdicts.extend(result)
+        return report
+    index = 0
+    for pq, (pts, outcomes) in zip(cells, results):
+        for pt, outcome in zip(pts, outcomes):
+            if isinstance(outcome, PQTrigError):
+                at = {"p": pq.p, "q": pq.q}
+                at.update(zip(arg_names, pt))
+                errors.append(SweepError(index, at, f"{type(outcome).__name__}: {outcome}"))
+            else:
+                verdicts.append(outcome)
+            index += 1
+    return report

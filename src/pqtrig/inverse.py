@@ -6,9 +6,13 @@ for free) inside a maintained bracket; a step leaving the bracket falls
 back to bisection.  The convergence criterion is the residual in function
 space, |F(s) - y| <= tol, which is what the quadrature can actually
 certify.  The solve itself is ``kernels.solve`` (see ``_dequad_py.solve``
-for the step variables); it runs in C with the GIL released when the
-compiled backend is active.  This module checks domains, chooses the
-formulation and maps the solver's failures to :class:`ComputationError`.
+for the step variables and warm starts); it takes an ascending list of
+targets and runs in C with the GIL released when the compiled backend is
+active.  :func:`_roots` checks domains, chooses the formulation of each
+target, makes one ``kernels.solve`` call per formulation and maps the
+solver's failures to :class:`ComputationError`; sin_pq, cos_pq and
+sinh_pq are its one-target calls, and the lab's sweeps call it once per
+function for all the targets of a (p, q) cell.
 
 sin_pq and cos_pq are one solve each in the bottom, smooth half of a
 trigonometric branch.  A target in the top half of the (p, q) branch is
@@ -24,8 +28,8 @@ import math
 from dataclasses import dataclass
 
 from ._backend import kernels
-from .errors import ComputationError, DomainError
-from .functions import PQParams, half_pi_pq, m_star_pq
+from .errors import ComputationError, DomainError, PQTrigError
+from .functions import PQParams, _half_pi, _m_star
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 _TOP_PAD = 1e-12
@@ -49,6 +53,8 @@ DEFAULT_INVERSION = InversionConfig()
 
 
 def _quad_cfg(inv: InversionConfig) -> QuadratureConfig:
+    if inv is DEFAULT_INVERSION:  # the common case, ahead of every single call
+        return DEFAULT_CONFIG
     # the forward evaluations must out-resolve the requested residual, but
     # below ~1e-13 the level-difference estimate cannot certify anything
     # more anyway (a sub-floor residual tolerance just makes the solver
@@ -67,52 +73,113 @@ _FAILURES = {
 }
 
 
-def _solve(mode, p, q, y, top, tol, cfg, qcfg):
-    root, iters, _evals, status = kernels.solve(
-        mode, p, q, y, top, tol, cfg.max_iters,
-        qcfg.target_abs_tol, qcfg.max_levels, qcfg.max_evals,
+def _mapped(fn, pq, root, conj):
+    """fn_pq from the root of a sin solve: s itself, or V at the conjugate
+    exponents if ``conj``, where 1 - s**q = v**p = V**(p/(p - 1))."""
+    p, q = pq.p, pq.q
+    if conj:
+        sin = math.exp(math.log1p(-math.pow(root, p / (p - 1.0))) / q) if fn != "cos" else None
+        cos = math.pow(root, 1.0 / (p - 1.0)) if fn != "sin" else None
+    else:
+        sin = root
+        cos = math.exp(math.log1p(-math.pow(root, q)) / p) if fn != "sin" else None
+    return sin if fn == "sin" else cos if fn == "cos" else (sin, cos)
+
+
+def _failure(fn, pq, y, value, iters, status) -> ComputationError:
+    partial = value[0] if fn == "sincos" else value
+    return ComputationError(
+        f"{'sin' if fn == 'sincos' else fn}_pq(p={pq.p}, q={pq.q}, y={y!r}) "
+        + _FAILURES[status].format(iters=iters)
+        + f" (last estimate {partial!r})",
+        partial=partial,
     )
-    return root, iters, status
 
 
-def _checked(fn, pq, y, root, iters, status):
-    """The root of fn_pq(pq, y), or ComputationError for a failed status."""
-    if status:
-        raise ComputationError(
-            f"{fn}_pq(p={pq.p}, q={pq.q}, y={y!r}) "
-            + _FAILURES[status].format(iters=iters)
-            + f" (last estimate {root!r})",
-            partial=root,
-        )
-    return root
+def _roots(fn, pq: PQParams, ys, cfg: InversionConfig = DEFAULT_INVERSION) -> list:
+    """fn_pq(pq, y) for every y in ``ys``: a root, or the PQTrigError it raises.
 
-
-def _trig(fn, pq, y, hp, cfg, qcfg):
-    """sin_pq (``fn`` "sin") or cos_pq ("cos") at 0 < y < half_pi_pq.
-
-    Both are s = sin_pq(y), the root of arcsin_pq(s) = y, mapped back:
-    cos_pq(y) = (1 - s**q)**(1/p).  The two-term series
-    m + m**(q + 1) / (p (q + 1)) underestimates arcsin_pq at the midpoint
-    m = 2**(-1/q), so a target at or below it has its root in the bottom
-    half of the branch and is solved at (p, q).  Above it, arcsin_pq(s)
-    = hp - c arcsin_{q*,p*}(V), so V is solved at the conjugate
-    exponents for the target (hp - y) / c, with the residual tolerance
-    divided by c to keep it in y-space; 1 - s**q = v**p = V**(p/(p - 1)).
+    ``fn`` is "sin", "cos" or "sinh", or "sincos" for (sin_pq, cos_pq)
+    pairs that share one root (a failure then carries the sin_pq
+    message).  ``ys`` may hold repeats, in any order.  Each formulation
+    is one ``kernels.solve`` call over its unique targets in ascending
+    order, so each warm-starts from its neighbours' roots; the domain
+    checks, endpoint values, routing, root mappings and messages are
+    those of a single call.
     """
     p, q = pq.p, pq.q
-    if y <= (1.0 + 0.5 / (p * (q + 1.0))) * math.pow(0.5, 1.0 / q):
-        s, iters, status = _solve("sin", p, q, y, hp, cfg.tol, cfg, qcfg)
-        root = s if fn == "sin" else math.exp(math.log1p(-math.pow(s, q)) / p)
-    else:
-        ps = p / (p - 1.0)
-        c = ps / q
-        v, iters, status = _solve("sin", q / (q - 1.0), ps, (hp - y) / c, hp / c, cfg.tol / c,
-                                  cfg, qcfg)
-        if fn == "sin":
-            root = math.exp(math.log1p(-math.pow(v, ps)) / q)
+    out: list = [None] * len(ys)
+    # target -> indices into ys, at (p, q) and at the conjugate exponents
+    direct: dict = {}
+    conj: dict = {}
+    if fn == "sinh":
+        top = _m_star(p, q) if p < q else math.inf  # m_star_pq
+        for i, y in enumerate(ys):
+            if not (y >= 0.0):
+                out[i] = DomainError(f"sinh_pq needs y >= 0, got {y!r}")
+            elif p < q and y >= top:
+                out[i] = DomainError(
+                    f"sinh_pq needs y below m_star = {top:.12g} for p={p}, q={q}, got {y!r}"
+                )
+            elif y == 0.0:
+                out[i] = 0.0
+            else:
+                direct.setdefault(y, []).append(i)
+        if direct:
+            _solve(out, fn, pq, ys, direct, False, "sinh", p, q, top, cfg.tol, cfg)
+        return out
+
+    # The two-term series m + m**(q + 1) / (p (q + 1)) underestimates
+    # arcsin_pq at the midpoint m = 2**(-1/q), so a target at or below
+    # `split` has its root in the bottom half of the branch and is solved
+    # at (p, q).  Above it, arcsin_pq(s) = hp - c arcsin_{q*,p*}(V), so V
+    # is solved at the conjugate exponents for the target (hp - y) / c,
+    # with the residual tolerance divided by c to keep it in y-space.
+    hp = _half_pi(p, q)  # half_pi_pq
+    split = (1.0 + 0.5 / (p * (q + 1.0))) * math.pow(0.5, 1.0 / q)
+    c = p / (p - 1.0) / q
+    for i, y in enumerate(ys):
+        if not (0.0 <= y <= hp + _TOP_PAD):
+            out[i] = DomainError(
+                f"{'sin' if fn == 'sincos' else fn}_pq needs y in [0, {hp:.12g}] "
+                f"(half_pi for p={p}, q={q}), got {y!r}"
+            )
+        elif y == 0.0 or y >= hp - _TOP_PAD:
+            sin = 0.0 if y == 0.0 else 1.0
+            out[i] = sin if fn == "sin" else 1.0 - sin if fn == "cos" else (sin, 1.0 - sin)
+        elif y <= split:
+            direct.setdefault(y, []).append(i)
         else:
-            root = math.pow(v, 1.0 / (p - 1.0))
-    return _checked(fn, pq, y, root, iters, status)
+            conj.setdefault((hp - y) / c, []).append(i)
+    if direct:
+        _solve(out, fn, pq, ys, direct, False, "sin", p, q, hp, cfg.tol, cfg)
+    if conj:
+        _solve(out, fn, pq, ys, conj, True, "sin", q / (q - 1.0), p / (p - 1.0), hp / c,
+               cfg.tol / c, cfg)
+    return out
+
+
+def _solve(out, fn, pq, ys, targets, conj, mode, p, q, top, tol, cfg):
+    """One kernels.solve call over the unique ``targets`` (each mapped to
+    its indices in ``ys``); stores each target's value or error in ``out``."""
+    if not targets:
+        return
+    ts = sorted(targets)
+    qcfg = _quad_cfg(cfg)
+    results = kernels.solve(mode, p, q, ts, top, tol, cfg.max_iters,
+                            qcfg.target_abs_tol, qcfg.max_levels, qcfg.max_evals)
+    plain = fn == "sinh" or (fn == "sin" and not conj)  # the root is the value
+    for t, (root, iters, _evals, status) in zip(ts, results):
+        value = root if plain else _mapped(fn, pq, root, conj)
+        for i in targets[t]:
+            out[i] = _failure(fn, pq, ys[i], value, iters, status) if status else value
+
+
+def _one(fn, pq, y, cfg):
+    (value,) = _roots(fn, pq, (y,), cfg)
+    if isinstance(value, PQTrigError):
+        raise value
+    return value
 
 
 def sin_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> float:
@@ -121,17 +188,7 @@ def sin_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> 
     ``y`` must lie in [0, half_pi_pq] (the top end is tolerance-padded by
     1e-12); sin_pq(0) = 0 and sin_pq(half_pi_pq) = 1 exactly.
     """
-    qcfg = _quad_cfg(cfg)
-    hp = half_pi_pq(pq)
-    if not (0.0 <= y <= hp + _TOP_PAD):
-        raise DomainError(
-            f"sin_pq needs y in [0, {hp:.12g}] (half_pi for p={pq.p}, q={pq.q}), got {y!r}"
-        )
-    if y == 0.0:
-        return 0.0
-    if y >= hp - _TOP_PAD:
-        return 1.0
-    return _trig("sin", pq, y, hp, cfg, qcfg)
+    return _one("sin", pq, y, cfg)
 
 
 def cos_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> float:
@@ -147,17 +204,7 @@ def cos_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> 
     tolerance below the quadrature noise floor (about 1e-15) makes the
     solver polish down to the nearest representable root instead.
     """
-    qcfg = _quad_cfg(cfg)
-    hp = half_pi_pq(pq)
-    if not (0.0 <= y <= hp + _TOP_PAD):
-        raise DomainError(
-            f"cos_pq needs y in [0, {hp:.12g}] (half_pi for p={pq.p}, q={pq.q}), got {y!r}"
-        )
-    if y == 0.0:
-        return 1.0
-    if y >= hp - _TOP_PAD:
-        return 0.0
-    return _trig("cos", pq, y, hp, cfg, qcfg)
+    return _one("cos", pq, y, cfg)
 
 
 def sinh_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> float:
@@ -170,18 +217,6 @@ def sinh_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) ->
     in-domain y has a finite root.  A root beyond the largest float, one
     so large that the forward quadrature cannot converge there (p >= q,
     or q/p within about 1.005 of 1), or one the iteration budget does not
-    reach (q/p within about 1.04 of 1 and y next to m_star), raises
-    :class:`ComputationError`.
+    reach raises :class:`ComputationError`.
     """
-    qcfg = _quad_cfg(cfg)
-    if not (y >= 0.0):
-        raise DomainError(f"sinh_pq needs y >= 0, got {y!r}")
-    ms = m_star_pq(pq)
-    if ms.is_finite and y >= ms.value:
-        raise DomainError(
-            f"sinh_pq needs y below m_star = {ms.value:.12g} for p={pq.p}, q={pq.q}, got {y!r}"
-        )
-    if y == 0.0:
-        return 0.0
-    root, iters, status = _solve("sinh", pq.p, pq.q, y, ms.as_float(), cfg.tol, cfg, qcfg)
-    return _checked("sinh", pq, y, root, iters, status)
+    return _one("sinh", pq, y, cfg)

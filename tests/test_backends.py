@@ -211,10 +211,61 @@ def test_solvers_agree_everywhere(p, q, mode, data):
         assert rc == pytest.approx(rp, abs=1e-13)
     if 0.0 < y < top - 1e-12:
         # the same steps: iteration and evaluation counts and status
-        args = ("sin" if mode == "cos" else mode, p, q, y, top, 1e-12, 100)
-        sc, sp = compiled.solve(*args), pure.solve(*args)
+        args = ("sin" if mode == "cos" else mode, p, q, [y], top, 1e-12, 100)
+        (sc,), (sp,) = compiled.solve(*args), pure.solve(*args)
         assert sc[1:] == sp[1:], (sc, sp)
         assert sc[0] == pytest.approx(sp[0], abs=1e-13)
+
+
+def _certified(mode, p, q, root, y):
+    """Whether root meets the forward's residual tolerance, or floats a few
+    ulps either side of it straddle y (the nearest representable root)."""
+    pq = pqtrig.PQParams(p, q)
+    forward = ((lambda s: compiled.arcsin_quad(p, q, s)[0]) if mode == "sin"
+               else (lambda s: pqtrig.arcsinh_pq(pq, s)))
+    if abs(forward(root) - y) <= 1e-12:
+        return True
+    below, above = root, root
+    for _ in range(4):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+    return forward(below) <= y <= forward(above)
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=st.floats(1.001, 10.0), q=st.floats(1.001, 10.0), mode=st.sampled_from(["sin", "sinh"]),
+       fracs=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=40))
+def test_batched_solves_agree_and_certify_every_root(p, q, mode, fracs):
+    # the targets of one kernels.solve call, warm-started from each other;
+    # sin targets stay in the bottom half of the branch, as inverse routes them
+    if mode == "sin":
+        top = span = (1.0 + 0.5 / (p * (q + 1.0))) * math.pow(0.5, 1.0 / q)
+    else:
+        top = pqtrig.m_star_pq(pqtrig.PQParams(p, q)).as_float()
+        span = min(top, 20.0)
+    ys = sorted({f * span for f in fracs} - {0.0, top})
+    if not ys:
+        return
+    args = (mode, p, q, ys, top, 1e-12, 100)
+    batch = compiled.solve(*args)
+    assert batch == pure.solve(*args)
+    assert len(batch) == len(ys)
+    for y, (root, _iters, _evals, status) in zip(ys, batch):
+        if status == compiled.SOLVED:
+            assert _certified(mode, p, q, root, y), (y, root)
+    # the first target is a cold solve, exactly as on its own
+    assert batch[0] == compiled.solve(mode, p, q, ys[:1], top, 1e-12, 100)[0]
+
+
+@pytest.mark.parametrize("backend", [compiled, pure], ids=["c", "python"])
+@pytest.mark.parametrize("ys", [[0.5, 0.25], [0.25, 0.25], [0.1, 0.3, 0.2], [math.nan, 0.1]])
+def test_unsorted_targets_raise(backend, ys):
+    with pytest.raises(ValueError, match="strictly ascending"):
+        backend.solve("sin", 2.0, 3.0, ys, 0.0, 1e-12, 100)
+
+
+@pytest.mark.parametrize("backend", [compiled, pure], ids=["c", "python"])
+def test_empty_target_list(backend):
+    assert backend.solve("sinh", 2.0, 3.0, [], math.inf, 1e-12, 100) == []
 
 
 def test_pure_cli_reports_unconverged_constant():

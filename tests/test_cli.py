@@ -117,6 +117,19 @@ class TestVerify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    @pytest.mark.parametrize("check", ["f-monotone", "fstar-monotone"])
+    def test_probe_grid_below_ten_is_usage_error(self, capsys, command, check):
+        # a probe scans at least 10 points; a smaller grid evaluates nothing
+        where = (["--p", "2", "--q", "2"] if command == "verify"
+                 else ["--p-range", "1.25:5:3", "--q-range", "1.25:5:4"])
+        code, out, err = run(
+            capsys, command, "--check", check, "--order", "0", *where, "--grid", "4",
+        )
+        assert code == 2
+        assert "--grid of at least 10" in err
+        assert out == ""
+
 
 class TestSweep:
     def test_csv_block_count(self, capsys):

@@ -438,6 +438,13 @@ class TestRunSweep:
         assert report.all_satisfied
         assert len(report.verdicts) == 49
 
+    def test_probe_grid_below_ten_raises_before_any_cell(self):
+        axes = [GridAxis("p", 1.25, 5.0, 3), GridAxis("q", 1.25, 5.0, 4),
+                GridAxis("x", 0.01, 0.99, 4)]
+        for check in ("f-monotone", "fstar-monotone"):
+            with pytest.raises(DomainError, match="grid_n must be at least 10"):
+                run_sweep(check, axes, order=0.0)
+
     def test_lemma23_needs_no_inner_axis(self):
         report = run_sweep(
             "lemma23", [GridAxis("p", 1.25, 5.0, 3), GridAxis("q", 1.25, 5.0, 3)]
@@ -455,3 +462,78 @@ class TestRunSweep:
             ],
         )
         assert report.all_satisfied
+
+
+# every check, with axes that give each cell a few points (the inner
+# fraction 1.0 lands on an open domain's endpoint, so some points fail)
+SWEEPS = [
+    ("lemma21", None, (("x", 0.05, 1.0, 5),)),
+    ("lemma22", None, (("x", 0.05, 1.0, 5),)),
+    ("lemma23", None, ()),
+    ("thm11-sin", None, (("r", 0.05, 1.0, 4), ("s", 0.05, 1.0, 4))),
+    ("thm11-sinh", None, (("r", 0.05, 0.95, 4), ("s", 0.05, 0.95, 4))),
+    ("gm-sin", 1.0, (("r", 0.05, 0.95, 4), ("s", 0.05, 0.95, 4))),
+    ("gm-sinh", 1.0, (("r", 0.05, 0.95, 4), ("s", 0.05, 0.95, 4))),
+    ("double-angle", None, (("x", 0.05, 1.0, 6),)),
+    ("f-monotone", -0.5, (("x", 0.01, 0.99, 12),)),
+    ("fstar-monotone", 0.5, (("x", 0.01, 0.99, 12),)),
+]
+
+SCALAR = {
+    "lemma21": lambda pq, at, order: lemma21_margin(pq, at["x"]),
+    "lemma22": lambda pq, at, order: lemma22_margin(pq, at["x"]),
+    "lemma23": lambda pq, at, order: lemma23_check(pq),
+    "thm11-sin": lambda pq, at, order: thm11_sin_margin(pq, at["r"], at["s"]),
+    "thm11-sinh": lambda pq, at, order: thm11_sinh_margin(pq, at["r"], at["s"]),
+    "gm-sin": lambda pq, at, order: gm_general_sin_margin(pq, order, at["r"], at["s"]),
+    "gm-sinh": lambda pq, at, order: gm_general_sinh_margin(pq, order, at["r"], at["s"]),
+    "double-angle": lambda pq, at, order: double_angle_margin(pq, at["x"]),
+}
+
+
+def _sweep_axes(check, inner):
+    if check == "double-angle":
+        pq_axes = [GridAxis("p", 4.0 / 3.0, 4.0 / 3.0, 1), GridAxis("q", 4.0, 4.0, 1)]
+    else:
+        pq_axes = [GridAxis("p", 1.5, 3.0, 2), GridAxis("q", 1.25, 4.0, 2)]
+    return pq_axes + [GridAxis(*a) for a in inner]
+
+
+@pytest.mark.parametrize("check,order,inner", [s for s in SWEEPS if s[0] in SCALAR],
+                         ids=[s[0] for s in SWEEPS if s[0] in SCALAR])
+def test_block_verdicts_match_scalar_checks(check, order, inner):
+    # a cell is solved as one block, warm-started from neighbouring
+    # targets; each verdict must stay within its tolerance of the scalar
+    # check, and each recorded error must be the one the scalar raises
+    report = run_sweep(check, _sweep_axes(check, inner), order=order)
+    assert report.verdicts
+    for v in report.verdicts:
+        scalar = SCALAR[check](PQParams(v.at["p"], v.at["q"]), v.at, order)
+        assert scalar.at == v.at
+        assert v.margin == scalar.margin or abs(v.margin - scalar.margin) <= v.tolerance, (
+            v, scalar)
+        assert v.satisfied == scalar.satisfied
+    for e in report.errors:
+        with pytest.raises(DomainError) as err:
+            SCALAR[check](PQParams(e.at["p"], e.at["q"]), e.at, order)
+        assert e.message == f"DomainError: {err.value}"
+
+
+@pytest.mark.parametrize("check,order,inner", SWEEPS, ids=[s[0] for s in SWEEPS])
+def test_threads_map_cells_to_the_same_report(check, order, inner):
+    axes = _sweep_axes(check, inner)
+    serial = run_sweep(check, axes, order=order, x_max=20.0)
+    threaded = run_sweep(check, axes, order=order, x_max=20.0, threads=2)
+    assert threaded.verdicts == serial.verdicts
+    assert threaded.errors == serial.errors
+    assert serial.verdicts
+
+
+def test_sweep_errors_keep_their_row_major_index():
+    # 2 x 2 cells of 3 points; the last point of each cell is the open
+    # domain's endpoint x = 1
+    report = run_sweep("lemma21", [GridAxis("p", 1.5, 3.0, 2), GridAxis("q", 1.25, 4.0, 2),
+                                   GridAxis("x", 0.5, 1.0, 3)])
+    assert [e.index for e in report.errors] == [2, 5, 8, 11]
+    assert report.errors[1].at == {"p": 1.5, "q": 4.0, "x": 1.0}
+    assert report.errors[1].message == "DomainError: lemma21 needs x in (0, 1), got 1.0"

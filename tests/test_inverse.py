@@ -1,6 +1,7 @@
 """Tests for the inverse functions."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from pqtrig import (
 )
 
 from pqtrig._backend import kernels
+from pqtrig.inverse import _roots
 
 from conftest import frac_grid, pq_grid
 from oracles import beta_top_gap
@@ -165,6 +167,24 @@ class TestSinh:
             sinh_pq(pq, 1e6)
         assert kernels.arcsinh_quad(pq.p, pq.q, err.value.partial)[3] is False
 
+    def test_root_beyond_the_largest_float_fails_fast(self):
+        # q/p near 1 and y next to m_star put the root near e**21000; the
+        # unbounded search doubled s for 100 iterations (265,594 node
+        # evaluations) and reported an exhausted budget.  Squaring s ends it
+        # within a few forward quadratures: here at s ~ 3.5e182, where the
+        # integral over [0, s] no longer converges
+        pq = PQParams(2.0198897016765383, 2.0227308151081775)
+        y = 711.6489984813728  # m_star - 6.4e-11
+        with pytest.raises(ComputationError, match=r"after (\d+) iterations") as err:
+            sinh_pq(pq, y)
+        assert int(re.search(r"after (\d+) iterations", str(err.value)).group(1)) <= 20
+        # and where the tail form covers the far end, as the bracket passing
+        # the largest float
+        pq = PQParams(2.0, 2.004)
+        with pytest.raises(ComputationError, match="passed the largest float") as err:
+            sinh_pq(pq, m_star_pq(pq).value - 6.4e-11)
+        assert int(re.search(r"after (\d+) iterations", str(err.value)).group(1)) <= 20
+
     def test_root_next_to_finite_top(self):
         # the root is near 1e90; m_star minus the tail integral resolves it
         pq = PQParams(9.0, 9.9)
@@ -259,3 +279,47 @@ def test_trig_roots_everywhere(p, q, fn, data):
     slack = 1e-12 + 1e-15 * hp
     assert (abs(forward(pq, root) - y) <= 2e-12 + 1e-15 * hp
             or _straddles(lambda s: forward(pq, s), root, y, slack, sign)), (root, y)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PQTrigError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.floats(1.001, 10.0), q=st.floats(1.001, 10.0),
+       fn=st.sampled_from(["sin", "cos", "sinh"]), data=st.data())
+def test_one_target_roots_is_the_scalar_call(p, q, fn, data):
+    pq = PQParams(p, q)
+    top = m_star_pq(pq).as_float() if fn == "sinh" else half_pi_pq(pq)
+    y = data.draw(st.one_of(
+        st.floats(-1.0, 1.1).map(lambda f: f * min(top, 20.0)),
+        st.floats(0.0, 1e-10).map(lambda e: top - e),
+        st.just(math.nan),
+    ), label="y")
+    scalar = {"sin": sin_pq, "cos": cos_pq, "sinh": sinh_pq}[fn]
+    (got,) = _roots(fn, pq, [y])
+    got = (type(got), str(got)) if isinstance(got, PQTrigError) else got
+    assert repr(got) == repr(_outcome(scalar, pq, y))
+
+
+@pytest.mark.parametrize("pq", [PQParams(2, 2), PQParams(1.5, 4), PQParams(4, 1.5)],
+                         ids=lambda pq: f"p{pq.p}-q{pq.q}")
+def test_block_roots_share_and_certify(pq):
+    # one block over both halves of the branch, with repeats, endpoints and
+    # out-of-domain targets: each entry is what the scalar call gives or
+    # raises, to within the solve tolerance; sin and cos share one root
+    hp = half_pi_pq(pq)
+    ys = [f * hp for f in frac_grid(25)] + [0.0, hp, 0.3 * hp, -1.0, 2.0 * hp]
+    both = _roots("sincos", pq, ys)
+    sin_block, cos_block = _roots("sin", pq, ys), _roots("cos", pq, ys)
+    for y, pair, s, c in zip(ys, both, sin_block, cos_block):
+        if isinstance(pair, PQTrigError):
+            assert (type(pair), str(pair)) == _outcome(sin_pq, pq, y)
+            assert (type(c), str(c)) == _outcome(cos_pq, pq, y)
+            continue
+        assert pair == (s, c)
+        assert abs(arcsin_pq(pq, s) - y) <= 2e-12 or s == sin_pq(pq, y)
+        assert c == pytest.approx(cos_pq(pq, y), abs=1e-9)
