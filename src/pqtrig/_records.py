@@ -1,0 +1,26 @@
+"""The construction path shared by the package's validated records."""
+
+
+class Validated:
+    """Mixin that checks a NamedTuple record's fields on every construction.
+
+    A record is ``class R(Validated, _RFields)``: the NamedTuple
+    ``_RFields`` holds the fields and their defaults, and ``R._check``
+    raises on a bad value.  ``_make`` (and so ``_replace``), pickling and
+    ``copy`` all construct through ``R(...)``, so none of them yields an
+    unchecked record.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return self.__class__, tuple(self)

@@ -6,10 +6,8 @@ Exit codes: 0 all satisfied, 1 violations or evaluation failures,
 """
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from ._backend import backend_name
@@ -40,18 +38,19 @@ _EVAL_FNS = {
 CSV_HEADER = "p,q,check,arg1,arg2,lhs,rhs,margin,satisfied"
 
 
-@dataclass
 class RunConfig:
-    """Validated invocation parameters for one subcommand."""
+    """Validated invocation parameters for one subcommand.
 
-    command: str
+    The class attributes are the defaults; ``_config_from`` sets the
+    parameters the subcommand takes.
+    """
+
     p: float = 2.0
     q: float = 2.0
     p_axis: Optional[GridAxis] = None
     q_axis: Optional[GridAxis] = None
     fn: Optional[str] = None
     check: Optional[str] = None
-    xs: list[float] = field(default_factory=list)
     grid: int = 12
     order: Optional[float] = None
     budget: int = 40000
@@ -60,6 +59,10 @@ class RunConfig:
     output: Optional[str] = None
     tol: Optional[float] = None
     threads: int = 0
+
+    def __init__(self, command: str):
+        self.command = command
+        self.xs: list[float] = []
 
 
 class UsageError(Exception):
@@ -76,6 +79,12 @@ def _jsonable(v):
     if isinstance(v, float) and math.isinf(v):
         return "inf" if v > 0 else "-inf"
     return v
+
+
+def _json(obj, sort_keys: bool = True) -> str:
+    import json  # only JSON output loads the module
+
+    return json.dumps(obj, indent=2, sort_keys=sort_keys)
 
 
 def _parse_range(text: str, name: str) -> GridAxis:
@@ -167,7 +176,7 @@ def _report_json(report: SweepReport) -> str:
             {k: _jsonable(val) for k, val in at.items()} for at in report.counterexamples
         ],
     }
-    return json.dumps(obj, indent=2, sort_keys=True)
+    return _json(obj)
 
 
 def _report_text(report: SweepReport) -> str:
@@ -212,7 +221,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     if cfg.fmt == "csv":
         _emit("\n".join(["x,value"] + [f"{_fmt12(x)},{_fmt12(v)}" for x, v in rows]), cfg)
     elif cfg.fmt == "json":
-        _emit(json.dumps([{"x": x, "value": v} for x, v in rows], indent=2), cfg)
+        _emit(_json([{"x": x, "value": v} for x, v in rows], sort_keys=False), cfg)
     else:
         _emit("\n".join(f"{_fmt12(x)} {_fmt12(v)}" for x, v in rows), cfg)
     return EXIT_OK
@@ -230,11 +239,8 @@ def cmd_constants(cfg: RunConfig) -> int:
         )
     elif cfg.fmt == "json":
         _emit(
-            json.dumps(
-                {"p": cfg.p, "q": cfg.q, "half_pi": hp,
-                 "m_star": ms.value if ms.is_finite else "inf"},
-                indent=2, sort_keys=True,
-            ),
+            _json({"p": cfg.p, "q": cfg.q, "half_pi": hp,
+                   "m_star": ms.value if ms.is_finite else "inf"}),
             cfg,
         )
     else:
@@ -304,7 +310,7 @@ def cmd_counterexample(cfg: RunConfig) -> int:
             obj[label] = None if w is None else {
                 "x": w.x, "y": w.y, "lhs": w.lhs, "rhs": w.rhs, "margin": w.margin,
             }
-        _emit(json.dumps(obj, indent=2, sort_keys=True), cfg)
+        _emit(_json(obj), cfg)
     else:
         lines = [f"order = {_fmt12(cfg.order)}  (p={_fmt12(cfg.p)}, q={_fmt12(cfg.q)})"]
         for label, w in rows:

@@ -33,36 +33,42 @@ the integral over [0, x] is the accurate one.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._backend import kernels
+from ._records import Validated
 from .errors import ComputationError, DomainError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 
-@dataclass(frozen=True)
-class PQParams:
-    """The exponent pair governing every function; both must exceed 1."""
-
+class _PQFields(NamedTuple):
     p: float
     q: float
 
-    def __post_init__(self):
+
+class PQParams(Validated, _PQFields):
+    """The exponent pair governing every function; both must exceed 1."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not (math.isfinite(self.p) and self.p > 1.0):
             raise DomainError(f"p must be a finite real exceeding 1, got {self.p!r}")
         if not (math.isfinite(self.q) and self.q > 1.0):
             raise DomainError(f"q must be a finite real exceeding 1, got {self.q!r}")
 
 
-@dataclass(frozen=True)
-class ExtendedValue:
-    """A nonnegative real or positive infinity (the range of m_star_pq)."""
-
+class _ExtendedFields(NamedTuple):
     value: Optional[float]  # None encodes positive infinity
 
-    def __post_init__(self):
+
+class ExtendedValue(Validated, _ExtendedFields):
+    """A nonnegative real or positive infinity (the range of m_star_pq)."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.value is not None and not (math.isfinite(self.value) and self.value >= 0.0):
             raise DomainError("finite ExtendedValue must be a nonnegative real")
 

@@ -37,11 +37,10 @@ its cell evaluator, and the scalar checks are one-point cells.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
+from ._records import Validated
 from .errors import DomainError, PQTrigError
 from .functions import PQParams, arcsin_pq, arcsinh_pq, half_pi_pq, m_star_pq
 from .inverse import _roots
@@ -65,8 +64,7 @@ def _order(order: Union[HolderOrder, float]) -> float:
     return order.order if isinstance(order, HolderOrder) else float(order)
 
 
-@dataclass(frozen=True)
-class InequalityVerdict:
+class InequalityVerdict(NamedTuple):
     """One verified inequality instance.
 
     ``at`` records the parameter point (p, q and the check's arguments);
@@ -86,8 +84,14 @@ class InequalityVerdict:
         return cls(lhs, rhs, margin, tol, margin >= -tol, dict(at))
 
 
-@dataclass(frozen=True)
-class GridAxis:
+class _AxisFields(NamedTuple):
+    name: str
+    lo: float
+    hi: float
+    n: int
+
+
+class GridAxis(Validated, _AxisFields):
     """One axis of a sweep grid: ``n`` evenly spaced values on [lo, hi].
 
     Axes named p and q are absolute parameter values; the remaining axes
@@ -95,12 +99,9 @@ class GridAxis:
     the domain shrunk 1 percent away from each open endpoint).
     """
 
-    name: str
-    lo: float
-    hi: float
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.n < 1:
             raise DomainError(f"axis {self.name!r} needs n >= 1")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo <= self.hi):
@@ -115,8 +116,7 @@ class GridAxis:
         return [self.lo + span * i / (self.n - 1) for i in range(self.n)]
 
 
-@dataclass(frozen=True)
-class SweepError:
+class SweepError(NamedTuple):
     """A per-point evaluation failure recorded by the sweep runner."""
 
     index: int
@@ -124,15 +124,22 @@ class SweepError:
     message: str
 
 
-@dataclass
 class SweepReport:
     """Aggregated verdicts for one check over a grid, in row-major order."""
 
-    check: str
-    order: Optional[float]
-    grid: tuple[GridAxis, ...]
-    verdicts: list[InequalityVerdict] = field(default_factory=list)
-    errors: list[SweepError] = field(default_factory=list)
+    def __init__(
+        self,
+        check: str,
+        order: Optional[float],
+        grid: tuple[GridAxis, ...],
+        verdicts: Optional[list[InequalityVerdict]] = None,
+        errors: Optional[list[SweepError]] = None,
+    ):
+        self.check = check
+        self.order = order
+        self.grid = grid
+        self.verdicts: list[InequalityVerdict] = [] if verdicts is None else verdicts
+        self.errors: list[SweepError] = [] if errors is None else errors
 
     @property
     def worst_margin(self) -> float:
@@ -458,8 +465,7 @@ def Fstar_monotonicity_probe(
 # ---------------------------------------------------------------------------
 # counterexample search for the sharpness threshold
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """One argument pair with the margin of the mean inequality there."""
 
     x: float
@@ -469,8 +475,7 @@ class Witness:
     margin: float
 
 
-@dataclass(frozen=True)
-class CounterexampleResult:
+class CounterexampleResult(NamedTuple):
     """Outcome of a sharpness search at a positive Hölder order.
 
     The underlying claim is
@@ -663,6 +668,9 @@ def run_sweep(
 
     cells = [PQParams(p, q) for p in axes[0].values() for q in axes[1].values()]
     if threads and threads > 1:
+        # imported here, so only a threaded sweep pays for loading the pool
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(cell, cells))
     else:

@@ -25,9 +25,10 @@ forward quadrature inside the solve does not converge.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._backend import kernels
+from ._records import Validated
 from .errors import ComputationError, DomainError, PQTrigError
 from .functions import PQParams, _half_pi, _m_star
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
@@ -35,14 +36,17 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 _TOP_PAD = 1e-12
 
 
-@dataclass(frozen=True)
-class InversionConfig:
-    """Residual tolerance and iteration budget for the root finders."""
-
+class _InversionFields(NamedTuple):
     tol: float = 1e-12
     max_iters: int = 100
 
-    def __post_init__(self):
+
+class InversionConfig(Validated, _InversionFields):
+    """Residual tolerance and iteration budget for the root finders."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not (self.tol > 0.0):
             raise DomainError("tol must be positive")
         if self.max_iters < 10:

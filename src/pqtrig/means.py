@@ -8,9 +8,9 @@ min(a, b) and max(a, b), and strictly increasing in r for a != b.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
+from ._records import Validated
 from .errors import DomainError
 
 # the r != 0 formula is numerically unstable near zero; route to the
@@ -18,13 +18,16 @@ from .errors import DomainError
 _ZERO_BAND = 1e-12
 
 
-@dataclass(frozen=True)
-class HolderOrder:
-    """The mean's exponent; 0 encodes the geometric mean."""
-
+class _HolderFields(NamedTuple):
     order: float
 
-    def __post_init__(self):
+
+class HolderOrder(Validated, _HolderFields):
+    """The mean's exponent; 0 encodes the geometric mean."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not math.isfinite(self.order):
             raise DomainError(f"Hölder order must be a finite real, got {self.order!r}")
 

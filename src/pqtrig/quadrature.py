@@ -20,17 +20,22 @@ interval width before the integrand is called.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ._nodes import run_levels
+from ._records import Validated
 from .errors import ComputationError, DomainError
 
 _PI_HALF = math.pi / 2.0
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class _QuadratureFields(NamedTuple):
+    target_abs_tol: float = 1e-12
+    max_levels: int = 12
+    max_evals: int = 1_000_000
+
+
+class QuadratureConfig(Validated, _QuadratureFields):
     """Accuracy and budget knobs for the integrators.
 
     Refinement never goes past level 16: a larger ``max_levels`` is
@@ -38,11 +43,9 @@ class QuadratureConfig:
     so the backends walk the same levels for any ``max_levels``.
     """
 
-    target_abs_tol: float = 1e-12
-    max_levels: int = 12
-    max_evals: int = 1_000_000
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not (self.target_abs_tol > 0.0):
             raise DomainError("target_abs_tol must be positive")
         if self.max_levels < 1:
@@ -54,8 +57,7 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """Integral estimate with its level-difference error estimate.
 
     ``converged`` is True only when ``error_estimate`` met the configured
