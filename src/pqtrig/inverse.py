@@ -69,11 +69,16 @@ def _quad_cfg(inv: InversionConfig) -> QuadratureConfig:
     return QuadratureConfig(target_abs_tol=tol)
 
 
-# what each failed status of kernels.solve means
+# a conjugate root that rounds to 1 (see _solve), beside the statuses of kernels.solve
+_UNRESOLVED = -1
+
+# what each failed status means
 _FAILURES = {
     kernels.BUDGET: "did not converge within {iters} iterations",
     kernels.UNCONVERGED: "stopped on an unconverged forward quadrature after {iters} iterations",
     kernels.OVERFLOW: "bracket passed the largest float after {iters} iterations",
+    _UNRESOLVED: "found a conjugate root that rounds to 1 after {iters} iterations, "
+                 "so p is too close to 1 to map it back",
 }
 
 
@@ -91,11 +96,11 @@ def _mapped(fn, pq, root, conj):
 
 
 def _failure(fn, pq, y, value, iters, status) -> ComputationError:
-    partial = value[0] if fn == "sincos" else value
+    partial = value[0] if isinstance(value, tuple) else value
     return ComputationError(
         f"{'sin' if fn == 'sincos' else fn}_pq(p={pq.p}, q={pq.q}, y={y!r}) "
         + _FAILURES[status].format(iters=iters)
-        + f" (last estimate {partial!r})",
+        + ("" if partial is None else f" (last estimate {partial!r})"),
         partial=partial,
     )
 
@@ -174,7 +179,12 @@ def _solve(out, fn, pq, ys, targets, conj, mode, p, q, top, tol, cfg):
                             qcfg.target_abs_tol, qcfg.max_levels, qcfg.max_evals)
     plain = fn == "sinh" or (fn == "sin" and not conj)  # the root is the value
     for t, (root, iters, _evals, status) in zip(ts, results):
-        value = root if plain else _mapped(fn, pq, root, conj)
+        if conj and root >= 1.0:
+            # a target above `split` has V < 1; V rounds to 1 only where p is
+            # so close to 1 that v**p = V**(p/(p - 1)) keeps no digits
+            value, status = None, status or _UNRESOLVED
+        else:
+            value = root if plain else _mapped(fn, pq, root, conj)
         for i in targets[t]:
             out[i] = _failure(fn, pq, ys[i], value, iters, status) if status else value
 

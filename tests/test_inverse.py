@@ -79,6 +79,17 @@ class TestSin:
             sinh_pq(pq, y, cfg)
         assert err.value.partial == pytest.approx(sinh_pq(pq, y), rel=1e-6)
 
+    @pytest.mark.parametrize("fn", [sin_pq, cos_pq])
+    def test_conjugate_root_rounding_to_one_raises(self, fn):
+        # at p one ulp above 1 the conjugate exponent p/(p - 1) is 4.5e15, so
+        # V = (1 - s**q)**(1/4.5e15) rounds to 1 for this top-half target,
+        # and 1 - s**q = V**4.5e15 cannot be recovered from it (sin_pq used
+        # to raise ValueError from log1p(-1) here, and cos_pq to return 1.0)
+        pq = PQParams(1.0000000000000002, 3.4365388968378525)
+        with pytest.raises(ComputationError, match="rounds to 1") as err:
+            fn(pq, 3.5)
+        assert err.value.partial is None
+
 
 class TestCos:
     def test_classical(self, classic):
