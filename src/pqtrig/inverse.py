@@ -20,8 +20,10 @@ reflected onto the bottom half of the conjugate (q*, p*) branch, whose
 root V gives 1 - s**q = v**p = V**(p/(p - 1)) (see ``functions``), so
 no solve steps next to the singular end t = 1.  When the bracket
 collapses to a few ulps the nearest representable root is returned;
-ComputationError is raised on iteration budget exhaustion and when a
-forward quadrature inside the solve does not converge.
+ComputationError is raised on iteration budget exhaustion, when a
+forward quadrature inside the solve does not converge, and where p is so
+close to 1 that the conjugate root V rounds to 1 and cannot be mapped
+back.
 """
 
 import math

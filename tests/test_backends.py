@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pqtrig
-from pqtrig import backend_name, inverse
+from pqtrig import backend_name, functions, inverse
 from pqtrig import _dequad_py as pure
 from pqtrig.errors import PQTrigError
 
@@ -173,16 +173,16 @@ def test_kernels_agree_everywhere(p, q, data):
         assert _same(vc[0], vp[0], tol), (kernel, args, vc, vp)
 
 
-def _solve_outcome(backend, fn, pq, y):
-    """The root that ``fn`` returns with ``backend``'s solver, or the error class it raises."""
-    saved = inverse.kernels
-    inverse.kernels = backend
+def _outcome(backend, fn, pq, x):
+    """What ``fn`` returns with ``backend``'s kernels, or the error class it raises."""
+    saved = functions.kernels, inverse.kernels
+    functions.kernels = inverse.kernels = backend
     try:
-        return fn(pq, y)
+        return fn(pq, x)
     except PQTrigError as err:
         return type(err)
     finally:
-        inverse.kernels = saved
+        functions.kernels, inverse.kernels = saved
 
 
 @settings(max_examples=300, deadline=None)
@@ -203,8 +203,8 @@ def test_solvers_agree_everywhere(p, q, mode, data):
     if mode == "sinh" and y >= top:
         return  # m_star itself is outside the domain
     fn = getattr(pqtrig, f"{mode}_pq")
-    rc = _solve_outcome(compiled, fn, pq, y)
-    rp = _solve_outcome(pure, fn, pq, y)
+    rc = _outcome(compiled, fn, pq, y)
+    rp = _outcome(pure, fn, pq, y)
     if isinstance(rc, type) or isinstance(rp, type):
         assert rc is rp, (rc, rp)
     else:
@@ -215,6 +215,50 @@ def test_solvers_agree_everywhere(p, q, mode, data):
         (sc,), (sp,) = compiled.solve(*args), pure.solve(*args)
         assert sc[1:] == sp[1:], (sc, sp)
         assert sc[0] == pytest.approx(sp[0], abs=1e-13)
+
+
+# the top of each public function's argument domain; its bottom is 0
+DOMAIN_TOP = {
+    "arcsin_pq": lambda pq: 1.0,
+    "arccos_pq": lambda pq: 1.0,
+    "arcsinh_pq": lambda pq: math.inf,
+    "sin_pq": pqtrig.half_pi_pq,
+    "cos_pq": pqtrig.half_pi_pq,
+    "sinh_pq": lambda pq: pqtrig.m_star_pq(pq).as_float(),
+}
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0, -1.0,
+           1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+def _ulps_around(x, n=3):
+    """x and the n floats either side of it."""
+    out, lo, hi = [x], x, x
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+@settings(max_examples=240, deadline=None)
+@given(p=EXPONENT, q=EXPONENT, name=st.sampled_from(sorted(DOMAIN_TOP)), data=st.data())
+def test_public_functions_keep_the_error_contract(p, q, name, data):
+    # across each function's whole domain, its ends and beyond: both
+    # backends return the same value or raise the same PQTrigError
+    # subclass, and no other exception escapes
+    pq = pqtrig.PQParams(p, q)
+    top = DOMAIN_TOP[name](pq)
+    x = data.draw(st.one_of(
+        st.sampled_from(SPECIAL + _ulps_around(top) + _ulps_around(top + 1e-12)),
+        st.floats(0.0, top),
+        st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e),
+    ), label="x")
+    fn = getattr(pqtrig, name)
+    rc = _outcome(compiled, fn, pq, x)
+    rp = _outcome(pure, fn, pq, x)
+    if isinstance(rc, type) or isinstance(rp, type):
+        assert rc is rp, (rc, rp)
+    else:
+        assert _same(rc, rp, 1e-13) or rc == pytest.approx(rp, rel=1e-13), (rc, rp)
 
 
 def _certified(mode, p, q, root, y):
