@@ -30,6 +30,12 @@
 /* solve_list extrapolates the cubic through two roots no farther than this
  * many times their spacing, as _dequad_py.solve does */
 #define HERMITE_REACH 16.0
+/* solve_run replaces a full forward quadrature by a K15 step from the anchor
+ * that spans at most STEP_REACH of its distance from t = 0 (and, for sin,
+ * from t = 1) and whose error estimate is at most qtol / STEP_TOL, as
+ * _dequad_py._solve_one does */
+#define STEP_REACH 0.5
+#define STEP_TOL 100.0
 
 enum mode { ARCSIN, ARCSINH };
 
@@ -240,6 +246,49 @@ arcsinh_quad(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 
 /* ---- inverse solves: the twin of _dequad_py.solve ---- */
 
+/* The Gauss-Kronrod G7/K15 rule of QUADPACK's qk15 on [-1, 1], as in
+ * _dequad_py: the Kronrod abscissae from the outermost in (the odd ones are
+ * the Gauss abscissae, the last is the centre), the K15 weights, and the G7
+ * weights of the odd abscissae and the centre. */
+static const double XK[8] = {
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+};
+static const double WK[8] = {
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+};
+static const double WG[4] = {
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+};
+
+/* K15 of the integrand of `mode` over [a, b], 0 < a <= b, with its error
+ * estimate |K15 - G7| in *err, summed as _dequad_py._k15 sums them */
+static double
+k15(enum mode mode, double p, double q, double a, double b, double *err)
+{
+    double alpha = -1.0 / p, h = 0.5 * (b - a), c = a + h, fc, k, g, dx, f;
+    int i;
+
+    fc = integrand(mode, alpha, q, log(c));
+    k = WK[7] * fc;
+    g = WG[3] * fc;
+    for (i = 0; i < 7; i++) {
+        dx = h * XK[i];
+        f = integrand(mode, alpha, q, log(c - dx)) + integrand(mode, alpha, q, log(c + dx));
+        k += WK[i] * f;
+        if (i & 1)
+            g += WG[i >> 1] * f;
+    }
+    *err = fabs(k - g) * h;
+    return k * h;
+}
+
 enum solve_mode { SIN, SINH };
 enum status { SOLVED, BUDGET, UNCONVERGED, OVERFLOW };
 
@@ -258,15 +307,24 @@ ulp(double x)
     return isinf(up) ? x - nextafter(x, -INFINITY) : up - x;
 }
 
+/* The forward value last computed in a solve_list call, at s: F(s) = v, or
+ * top + v in the tail form, with the error estimates of its chain added up
+ * in err; `set` is 0 before the first full quadrature. */
+typedef struct {
+    double s, v, err;
+    int tail, set;
+} anchor;
+
 /* runs without the GIL; the tables up to `levels` are built.  A finite
  * `start` replaces the cold start (see solve_list). */
 static solution
 solve_run(enum solve_mode mode, double p, double q, double y, double top, double tol,
-          long max_iters, double qtol, int levels, long max_evals, double start)
+          long max_iters, double qtol, int levels, long max_evals, double start, anchor *an)
 {
     solution out = {0.0, 0, 0, SOLVED};
     double rest = top - y, g = (q - p) / p, lo = 0.0, hi = 1.0, s, mid;
-    double resid, s_new, a, lns, g_step;
+    double resid, s_new, a, b, lns, g_step, inc, e;
+    int stepped, tail;
     long it;
     result r;
 
@@ -284,27 +342,50 @@ solve_run(enum solve_mode mode, double p, double q, double y, double top, double
     if (!isnan(start))
         s = start;
     for (it = 1; it <= max_iters; it++) {
-        /* the residual F(s) - y */
-        if (mode == SIN) {
-            r = pq_quad(ARCSIN, p, q, s, qtol, levels, max_evals);
-            resid = r.value - y;
-        }
-        else if (top < INFINITY && s > 1.0 && pow(s, -g) <= 0.5) {
-            r = pq_quad(ARCSINH, p, q / g, pow(s, -g), qtol * (g < 1.0 ? g : 1.0), levels,
-                        max_evals);
-            resid = rest - r.value / g;
-        }
-        else {
-            r = pq_quad(ARCSINH, p, q, s, qtol, levels, max_evals);
-            resid = r.value - y;
-        }
-        out.evals += r.evals;
+        /* the residual F(s) - y: the anchor's v plus a K15 step where the
+         * guard allows one, else a full quadrature, which becomes the anchor */
         out.iterations = it;
         out.root = s;
-        if (!r.converged) {
-            out.status = UNCONVERGED;
-            return out;
+        stepped = 0;
+        if (an->set) {
+            a = s < an->s ? s : an->s;
+            b = s < an->s ? an->s : s;
+            if (0.0 < a && b - a <= STEP_REACH * a
+                && (mode == SINH || b - a <= STEP_REACH * (1.0 - b))) {
+                inc = k15(mode == SIN ? ARCSIN : ARCSINH, p, q, a, b, &e);
+                out.evals += 15;
+                stepped = e <= qtol / STEP_TOL && an->err + e <= qtol;
+                if (stepped) {
+                    an->v = s > an->s ? an->v + inc : an->v - inc;
+                    an->s = s;
+                    an->err += e;
+                }
+            }
         }
+        if (!stepped) {
+            tail = mode == SINH && top < INFINITY && s > 1.0 && pow(s, -g) <= 0.5;
+            if (mode == SIN)
+                r = pq_quad(ARCSIN, p, q, s, qtol, levels, max_evals);
+            else if (tail) {
+                r = pq_quad(ARCSINH, p, q / g, pow(s, -g), qtol * (g < 1.0 ? g : 1.0), levels,
+                            max_evals);
+                r.value = -(r.value / g);
+                r.err /= g;
+            }
+            else
+                r = pq_quad(ARCSINH, p, q, s, qtol, levels, max_evals);
+            out.evals += r.evals;
+            if (!r.converged) {
+                out.status = UNCONVERGED;
+                return out;
+            }
+            an->s = s;
+            an->v = r.value;
+            an->err = r.err;
+            an->tail = tail;
+            an->set = 1;
+        }
+        resid = an->tail ? rest + an->v : an->v - y;
         if (fabs(resid) <= tol)
             return out;
         if (resid < 0.0)
@@ -381,6 +462,7 @@ solve_list(enum solve_mode mode, double p, double q, const double *ys, Py_ssize_
     double ya = 0.0, sa = 0.0, da = 0.0, yb = 0.0, sb = 0.0, db = 0.0;
     double start, u, h, m, c2, c3;
     int known = 0; /* SOLVED targets so far, up to two: (ya, sa, da) and (yb, sb, db) */
+    anchor an = {0.0, 0.0, 0.0, 0, 0};
     Py_ssize_t i;
 
     for (i = 0; i < n; i++) {
@@ -401,7 +483,7 @@ solve_list(enum solve_mode mode, double p, double q, const double *ys, Py_ssize_
                 start = NAN;
         }
         out[i] = solve_run(mode, p, q, ys[i], top, tol, max_iters, qtol, levels, max_evals,
-                           start);
+                           start, &an);
         if (out[i].status == SOLVED) {
             ya = yb;
             sa = sb;
@@ -481,13 +563,20 @@ solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if ((list = PyList_New(count)) == NULL)
         goto done;
     for (i = 0; i < count; i++) {
-        item = Py_BuildValue("(dlli)", sols[i].root, sols[i].iterations, sols[i].evals,
-                             (int)sols[i].status);
-        if (item == NULL) {
+        if ((item = PyTuple_New(4)) == NULL) {
             Py_CLEAR(list);
             goto done;
         }
         PyList_SET_ITEM(list, i, item);
+        PyTuple_SET_ITEM(item, 0, PyFloat_FromDouble(sols[i].root));
+        PyTuple_SET_ITEM(item, 1, PyLong_FromLong(sols[i].iterations));
+        PyTuple_SET_ITEM(item, 2, PyLong_FromLong(sols[i].evals));
+        PyTuple_SET_ITEM(item, 3, PyLong_FromLong((long)sols[i].status));
+        if (!PyTuple_GET_ITEM(item, 0) || !PyTuple_GET_ITEM(item, 1) || !PyTuple_GET_ITEM(item, 2)
+            || !PyTuple_GET_ITEM(item, 3)) {
+            Py_CLEAR(list);
+            goto done;
+        }
     }
 done:
     PyMem_RawFree(ys);

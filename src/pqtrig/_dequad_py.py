@@ -86,6 +86,51 @@ SOLVED, BUDGET, UNCONVERGED, OVERFLOW = 0, 1, 2, 3
 # which the cubic amplifies by about (distance / spacing)**3
 _HERMITE_REACH = 16.0
 
+# The Gauss-Kronrod G7/K15 rule of QUADPACK's qk15 on [-1, 1]: the Kronrod
+# abscissae from the outermost in (the odd ones are the Gauss abscissae, the
+# last is the centre), the K15 weights, and the G7 weights of the odd
+# abscissae and the centre.
+_XK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+       0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+       0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+       0.207784955007898467600689403773245, 0.0)
+_WK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+       0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+       0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+       0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+
+# a K15 step of the forward replaces its full quadrature only if it spans at
+# most this share of its distance from t = 0 (and, for sin, from t = 1), the
+# singular points of the integrand, and its error estimate is at most this
+# share of the forward's tolerance
+_STEP_REACH = 0.5
+_STEP_TOL = 100.0
+
+
+def _k15(mode, p, q, a, b):
+    """K15 of the forward's integrand over [a, b], 0 < a <= b, and its error
+    estimate |K15 - G7|; (inf, inf) where a node term overflows."""
+    alpha = -1.0 / p
+    h = 0.5 * (b - a)
+    c = a + h  # (a + b) / 2 would overflow near the largest float
+    ts = [c] + [c + sign * h * x for x in _XK[:7] for sign in (-1.0, 1.0)]
+    try:
+        if mode == "sin":
+            fs = [math.pow(-expm1(q * math.log(t)), alpha) for t in ts]
+        else:
+            fs = [exp(alpha * _softplus(q * math.log(t))) for t in ts]
+    except OverflowError:
+        return math.inf, math.inf
+    k, g = _WK[7] * fs[0], _WG[3] * fs[0]
+    for i in range(7):
+        f = fs[2 * i + 1] + fs[2 * i + 2]
+        k += _WK[i] * f
+        if i & 1:
+            g += _WG[i >> 1] * f
+    return k * h, abs(k - g) * h
+
 
 def _exp(a):
     # C's exp: inf on overflow
@@ -129,6 +174,7 @@ def solve(mode, p, q, ys, top, tol, max_iters, qtol=1e-12, max_levels=12, max_ev
             raise ValueError("solve() targets must be strictly ascending")
     out = []
     known = []  # the last two SOLVED (y, s, ds/dy)
+    anchor = []  # see _solve_one
     for y in ys:
         start = math.nan
         if known:
@@ -145,7 +191,8 @@ def solve(mode, p, q, ys, top, tol, max_iters, qtol=1e-12, max_levels=12, max_ev
                 start = sb + u * (db + u * (c2 + u * c3))
             if not (sb < start < math.inf) or (mode == "sin" and start >= 1.0):
                 start = math.nan
-        res = _solve_one(mode, p, q, y, top, tol, max_iters, qtol, max_levels, max_evals, start)
+        res = _solve_one(mode, p, q, y, top, tol, max_iters, qtol, max_levels, max_evals, start,
+                         anchor)
         out.append(res)
         if res[3] == SOLVED:
             s = res[0]
@@ -157,7 +204,7 @@ def solve(mode, p, q, ys, top, tol, max_iters, qtol=1e-12, max_levels=12, max_ev
     return out
 
 
-def _solve_one(mode, p, q, y, top, tol, max_iters, qtol, max_levels, max_evals, start):
+def _solve_one(mode, p, q, y, top, tol, max_iters, qtol, max_levels, max_evals, start, anchor):
     """One target of :func:`solve`, from ``start`` unless it is nan.
 
     The cold start of sin is the inverse of the two-term series
@@ -193,20 +240,36 @@ def _solve_one(mode, p, q, y, top, tol, max_iters, qtol, max_levels, max_evals, 
         s = start
     evals = 0
     for it in range(1, max_iters + 1):
-        # the residual F(s) - y
-        if mode == "sin":
-            value, _err, n, ok = arcsin_quad(p, q, s, qtol, max_levels, max_evals)
-            resid = value - y
-        elif top < math.inf and s > 1.0 and math.pow(s, -g) <= 0.5:
-            value, _err, n, ok = arcsinh_quad(p, q / g, math.pow(s, -g), qtol * min(g, 1.0),
-                                              max_levels, max_evals)
-            resid = rest - value / g
-        else:
-            value, _err, n, ok = arcsinh_quad(p, q, s, qtol, max_levels, max_evals)
-            resid = value - y
-        evals += n
-        if not ok:
-            return s, it, evals, UNCONVERGED
+        # the residual F(s) - y, where F(s) = v, or top + v in the tail form:
+        # the anchor's v plus a K15 step where the guard allows one, else a
+        # full quadrature, which becomes the anchor
+        stepped = False
+        if anchor:
+            sa, va, tail, ea = anchor
+            a, b = (s, sa) if s < sa else (sa, s)
+            if 0.0 < a and b - a <= _STEP_REACH * a and (
+                    mode == "sinh" or b - a <= _STEP_REACH * (1.0 - b)):
+                inc, e = _k15(mode, p, q, a, b)
+                evals += 15
+                stepped = e <= qtol / _STEP_TOL and ea + e <= qtol
+                if stepped:
+                    v = va + inc if s > sa else va - inc
+                    anchor[:] = s, v, tail, ea + e
+        if not stepped:
+            tail = mode == "sinh" and top < math.inf and s > 1.0 and math.pow(s, -g) <= 0.5
+            if mode == "sin":
+                v, err, n, ok = arcsin_quad(p, q, s, qtol, max_levels, max_evals)
+            elif tail:
+                value, err, n, ok = arcsinh_quad(p, q / g, math.pow(s, -g), qtol * min(g, 1.0),
+                                                 max_levels, max_evals)
+                v, err = -(value / g), err / g
+            else:
+                v, err, n, ok = arcsinh_quad(p, q, s, qtol, max_levels, max_evals)
+            evals += n
+            if not ok:
+                return s, it, evals, UNCONVERGED
+            anchor[:] = s, v, tail, err
+        resid = rest + v if tail else v - y
         if abs(resid) <= tol:
             return s, it, evals, SOLVED
         if resid < 0.0:

@@ -80,8 +80,14 @@ class InequalityVerdict(NamedTuple):
 
     @classmethod
     def make(cls, lhs, rhs, margin, at, tolerance=None) -> "InequalityVerdict":
-        tol = default_tolerance(rhs) if tolerance is None else tolerance
-        return cls(lhs, rhs, margin, tol, margin >= -tol, dict(at))
+        return _verdict(lhs, rhs, margin, dict(at), tolerance)
+
+
+def _verdict(lhs, rhs, margin, at, tolerance) -> InequalityVerdict:
+    """:meth:`InequalityVerdict.make` without its copy of ``at``, for the
+    callers here, which build a fresh dict for each verdict."""
+    tol = default_tolerance(rhs) if tolerance is None else tolerance
+    return InequalityVerdict(lhs, rhs, margin, tol, margin >= -tol, at)
 
 
 class _AxisFields(NamedTuple):
@@ -201,7 +207,7 @@ def _lemma21_cell(pq, pts, ordv, tolerance) -> list:
         lhs = arcsin_pq(pq, x)
         xq = math.pow(x, q)
         rhs = p * x * math.pow(1.0 - xq, 1.0 - 1.0 / p) / ((q - p) * xq + p)
-        return InequalityVerdict.make(lhs, rhs, lhs - rhs, {"p": p, "q": q, "x": x}, tolerance)
+        return _verdict(lhs, rhs, lhs - rhs, {"p": p, "q": q, "x": x}, tolerance)
 
     return _each(pts, verdict)
 
@@ -220,7 +226,7 @@ def _lemma22_cell(pq, pts, ordv, tolerance) -> list:
         if x0 is not None:
             at["x0"] = x0
             at["region"] = "below_x0" if x < x0 else ("above_x0" if x > x0 else "at_x0")
-        return InequalityVerdict.make(lhs, rhs, lhs - rhs, at, tolerance)
+        return _verdict(lhs, rhs, lhs - rhs, at, tolerance)
 
     return _each(pts, verdict)
 
@@ -230,8 +236,8 @@ def _lemma23_cell(pq, pts, ordv, tolerance) -> list:
         ms = m_star_pq(pq)
         at = {"p": pq.p, "q": pq.q, "m_star": ms.as_float()}
         if not ms.is_finite:
-            return InequalityVerdict.make(math.inf, 1.0, math.inf, at, tolerance)
-        return InequalityVerdict.make(ms.value, 1.0, ms.value - 1.0, at, tolerance)
+            return _verdict(math.inf, 1.0, math.inf, at, tolerance)
+        return _verdict(ms.value, 1.0, ms.value - 1.0, at, tolerance)
 
     return _each(pts, verdict)
 
@@ -266,7 +272,7 @@ def _mean_cell(check, pq, pts, ordv, tolerance) -> list:
         else:
             rhs = math.sqrt(value(r) * value(s))
         margin = rhs - lhs if fn == "sinh" else lhs - rhs
-        return InequalityVerdict.make(lhs, rhs, margin, {**base, "r": r, "s": s}, tolerance)
+        return _verdict(lhs, rhs, margin, {**base, "r": r, "s": s}, tolerance)
 
     return _each(pts, verdict)
 
@@ -285,7 +291,7 @@ def _double_angle_cell(pq, pts, ordv, tolerance) -> list:
         rhs = 2.0 * sx * math.pow(cx, 1.0 / 3.0) / math.sqrt(
             1.0 + 4.0 * sx**4 * math.pow(cx, 4.0 / 3.0)
         )
-        return InequalityVerdict.make(
+        return _verdict(
             lhs, rhs, -abs(lhs - rhs), {"p": pq.p, "q": pq.q, "x": x}, tol
         )
 
@@ -427,7 +433,7 @@ def _probe_report(check, pq, ordv, xs, fvals, increasing) -> SweepReport:
         else:
             lhs, rhs = fvals[i], fvals[i + 1]
         at = {"p": pq.p, "q": pq.q, "x_lo": xs[i], "x_hi": xs[i + 1], "order": ordv}
-        report.verdicts.append(InequalityVerdict.make(lhs, rhs, lhs - rhs, at))
+        report.verdicts.append(_verdict(lhs, rhs, lhs - rhs, at, None))
     return report
 
 

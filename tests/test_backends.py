@@ -300,6 +300,113 @@ def test_batched_solves_agree_and_certify_every_root(p, q, mode, fracs):
     assert batch[0] == compiled.solve(mode, p, q, ys[:1], top, 1e-12, 100)[0]
 
 
+def _split(p, q):
+    """The top of the bottom half of the branch, as ``inverse`` routes it."""
+    return (1.0 + 0.5 / (p * (q + 1.0))) * math.pow(0.5, 1.0 / q)
+
+
+def _dense_blocks():
+    # sin at (p, q); sin at the conjugate exponents of p = 1.001, where the
+    # integrand steepens next to t = 1; and sinh at p < q from below the
+    # tail switch (s**-g = 1/2, at y = 1.81) to 1/65 of m_star below it
+    p, q = 2.5, 3.5
+    yield "sin", p, q, 0.0, _split(p, q)
+    p, q = 1.5, 1.001 / 0.001001  # (q/(q - 1), p/(p - 1)) at p = 1.001, q = 3
+    yield "sin", p, q, 0.0, _split(p, q)
+    p, q = 2.0, 3.0
+    top = pqtrig.m_star_pq(pqtrig.PQParams(p, q)).as_float()
+    yield "sinh", p, q, top, top
+
+
+@pytest.mark.parametrize("mode,p,q,top,span", list(_dense_blocks()),
+                         ids=["sin", "sin-conjugate", "sinh-tail"])
+def test_dense_blocks_continue_the_forward(mode, p, q, top, span):
+    # 64 ascending targets in one call: after the first full quadrature
+    # most forward values are short K15 steps from the last one, so the
+    # block costs at most half the evaluations of its targets solved one at
+    # a time (without the steps it costs 62-103% of them)
+    ys = [span * (i + 1) / 65.0 for i in range(64)]
+    args = (mode, p, q, ys, top, 1e-12, 100)
+    block = compiled.solve(*args)
+    assert block == pure.solve(*args)
+    for y, (root, _iters, _evals, status) in zip(ys, block):
+        assert status == compiled.SOLVED
+        assert _certified(mode, p, q, root, y), (y, root)
+    alone = [compiled.solve(mode, p, q, [y], top, 1e-12, 100)[0] for y in ys]
+    assert 2 * sum(r[2] for r in block) <= sum(r[2] for r in alone)
+
+
+@pytest.mark.parametrize("backend", [compiled, pure], ids=["c", "python"])
+@pytest.mark.parametrize("mode,s1,s2,full", [
+    ("sin", 0.05, 0.4, True),   # |s2 - s1| > s1 / 2
+    ("sin", 0.7, 0.82, True),   # |s2 - s1| > (1 - s2) / 2
+    ("sin", 0.7, 0.78, False),  # inside both
+    ("sinh", 1.0, 3.0, True),   # |s2 - s1| > s1 / 2
+])
+def test_a_step_beyond_the_guard_takes_a_full_quadrature(backend, mode, s1, s2, full):
+    # the second target's root lies s2 - s1 from the first root, where its
+    # solve starts; the evaluations it takes show whether its first forward
+    # value was a full quadrature or a K15 step from the first root
+    p, q = 2.5, 3.5
+    quad = backend.arcsin_quad if mode == "sin" else backend.arcsinh_quad
+    top = pqtrig.m_star_pq(pqtrig.PQParams(p, q)).as_float()
+    ys = [quad(p, q, s1)[0], quad(p, q, s2)[0]]
+    (*_, first), (root, _iters, evals, status) = backend.solve(mode, p, q, ys, top, 1e-12, 100)
+    assert first == status == compiled.SOLVED
+    assert root == pytest.approx(s2, rel=1e-12)
+    assert (evals >= quad(p, q, root)[2]) is full
+
+
+def test_a_failed_step_estimate_falls_back(monkeypatch):
+    # sinh at q = 6.66: the integrand's complex singularities next to t = 1
+    # make the K15 step from the first root, 0.9, to the second's start,
+    # 1.19, miss its estimate, though the guard allows it; that forward
+    # value must come from a full quadrature at the same s, and the root
+    # must certify
+    p, q = 1.9009024395940486, 6.66454679030104
+    top = pqtrig.m_star_pq(pqtrig.PQParams(p, q)).as_float()
+    ys = [pure.arcsinh_quad(p, q, s)[0] for s in (0.9, 1.3)]
+    calls = []  # ("k15", (a, b), estimate) and ("full", x), in order
+    k15, full = pure._k15, pure.arcsinh_quad
+
+    def spy_k15(mode, p, q, a, b):
+        value, estimate = k15(mode, p, q, a, b)
+        calls.append(("k15", (a, b), estimate))
+        return value, estimate
+
+    def spy_full(p, q, x, *rest):
+        calls.append(("full", x))
+        return full(p, q, x, *rest)
+
+    monkeypatch.setattr(pure, "_k15", spy_k15)
+    monkeypatch.setattr(pure, "arcsinh_quad", spy_full)
+    block = pure.solve("sinh", p, q, ys, top, 1e-12, 100)
+    monkeypatch.undo()
+    assert block == compiled.solve("sinh", p, q, ys, top, 1e-12, 100)
+    failed = [i for i, c in enumerate(calls) if c[0] == "k15" and c[2] > 1e-12 / 100]
+    assert failed
+    for i in failed:
+        assert calls[i + 1][0] == "full" and calls[i + 1][1] in calls[i][1]
+    for y, (root, _iters, _evals, status) in zip(ys, block):
+        assert status == pure.SOLVED and _certified("sinh", p, q, root, y)
+
+
+def test_steps_forced_to_fail_fall_back_to_certified_roots(monkeypatch):
+    # with wrong G7 weights every step estimate fails, so every forward
+    # value is a full quadrature: the roots still certify, and each target
+    # costs at least one full quadrature at its root
+    p, q = 2.5, 3.5
+    ys = [_split(p, q) * (i + 1) / 17.0 for i in range(16)]
+    monkeypatch.setattr(pure, "_WG", (0.0, 0.0, 0.0, 0.0))
+    block = pure.solve("sin", p, q, ys, 0.0, 1e-12, 100)
+    monkeypatch.undo()
+    for y, (root, _iters, evals, status) in zip(ys, block):
+        assert status == pure.SOLVED and _certified("sin", p, q, root, y)
+        assert evals >= pure.arcsin_quad(p, q, root)[2]
+    steps = pure.solve("sin", p, q, ys, 0.0, 1e-12, 100)
+    assert sum(r[2] for r in block) > 2 * sum(r[2] for r in steps)
+
+
 @pytest.mark.parametrize("backend", [compiled, pure], ids=["c", "python"])
 @pytest.mark.parametrize("ys", [[0.5, 0.25], [0.25, 0.25], [0.1, 0.3, 0.2], [math.nan, 0.1]])
 def test_unsorted_targets_raise(backend, ys):
