@@ -11,9 +11,17 @@
  * Each kernel returns the tuple (value, error_estimate, evaluations,
  * converged).  There are two, one per defining integral over [0, x].
  * ``solve`` runs the inverse solves of a whole list of targets, every
- * forward quadrature included, with the GIL released; it follows
+ * forward value included, with the GIL released; it follows
  * ``_dequad_py.solve`` operation for operation, so both backends take the
- * same steps.  Build it as a plain extension (``setup.py``) or by hand:
+ * same steps.  Within one call each forward value after the first full
+ * tanh-sinh quadrature continues from the last one (the anchor) by a
+ * G7/K15 Gauss-Kronrod step over [min(s, s_a), max(s, s_a)], 15
+ * evaluations, where |s - s_a| <= min(s, s_a)/2 (and, for sin,
+ * <= (1 - max(s, s_a))/2), |K15 - G7| <= qtol/100 and the chain's summed
+ * estimates stay within qtol; otherwise a full quadrature becomes the new
+ * anchor.  On the lab's sweep-c rounds this takes a round's solves from
+ * 210,960 integrand evaluations to 35,078 (see _dequad_py.solve).  Build
+ * it as a plain extension (``setup.py``) or by hand:
  *
  *     cc -O3 -fPIC -shared -I<python include dir> _dequad_c.c -o _dequad_c<EXT_SUFFIX> -lm
  */
@@ -36,6 +44,9 @@
  * _dequad_py._solve_one does */
 #define STEP_REACH 0.5
 #define STEP_TOL 100.0
+/* a full sinh quadrature over [0, s] anchors steps only up to s =
+ * DIRECT_REACH, where it stays within its tolerance (see _dequad_py) */
+#define DIRECT_REACH 1e4
 
 enum mode { ARCSIN, ARCSINH };
 
@@ -383,7 +394,7 @@ solve_run(enum solve_mode mode, double p, double q, double y, double top, double
             an->v = r.value;
             an->err = r.err;
             an->tail = tail;
-            an->set = 1;
+            an->set = mode == SIN || tail || s <= DIRECT_REACH;
         }
         resid = an->tail ? rest + an->v : an->v - y;
         if (fabs(resid) <= tol)

@@ -4,7 +4,7 @@ These are the hot loops of the whole package; a compiled twin with the
 same interface lives in ``_dequad_c.c`` and is preferred at import time.
 Both walk the level loop of :func:`._nodes.run_levels` with the same
 arithmetic, so they return the same evaluation counts, and both run
-:func:`solve` with the same steps.
+:func:`solve` with the same steps, its Gauss-Kronrod steps included.
 
 Each kernel returns ``(value, error_estimate, evaluations, converged)``.
 The error estimate is the absolute difference between the last two
@@ -107,6 +107,12 @@ _WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
 # share of the forward's tolerance
 _STEP_REACH = 0.5
 _STEP_TOL = 100.0
+# A full quadrature of sinh over [0, s] anchors steps only up to this s:
+# beyond it that quadrature can report convergence while off by more than
+# its tolerance (at p >= q, 7 of 590 seeded pairs at s in [1e5, 1e6] and
+# 52 of 474 in [1e7, 1e8]), and a chain of steps would carry that error
+# to every root after it.
+_DIRECT_REACH = 1e4
 
 
 def _k15(mode, p, q, a, b):
@@ -165,7 +171,25 @@ def solve(mode, p, q, ys, top, tol, max_iters, qtol=1e-12, max_levels=12, max_ev
     finite, not above the last root, or at least 1 for sin falls back to
     the cold start.  The bracket still opens at [0, 1] or [0, inf), so
     every root is certified by its own residual, and a one-target list
-    is exactly one cold solve.  The compiled twin is ``_dequad_c.solve``.
+    is exactly one cold solve.
+
+    The forward values continue from one another across the whole list.
+    The call keeps an anchor, the last forward value it computed.  A full
+    tanh-sinh quadrature sets it; after that, a forward value is the
+    anchor's plus the integral of the integrand from the anchor to the
+    new s by the 15-point Gauss-Kronrod rule (K15, 15 evaluations), and
+    becomes the anchor in turn.  A step is taken only where it is short
+    against the integrand's singular points, |s - s_a| <= min(s, s_a) / 2
+    and, for sin, also <= (1 - max(s, s_a)) / 2, and kept only where its
+    error estimate |K15 - G7| is at most ``qtol`` / 100 and the
+    estimates added up along the chain, from the anchor's quadrature on,
+    stay within ``qtol``; otherwise a full quadrature (sinh's tail form
+    included) replaces it and becomes the new anchor.  The returned evaluation
+    counts include 15 per step tried.  Over the lab's ``sweep-c`` rounds
+    of seeds 301-303 a round takes 1,992 forward values, 1,892 of them
+    steps, none rejected, and 35,078 integrand evaluations where full
+    quadratures alone took 210,960.  The compiled twin is
+    ``_dequad_c.solve``.
     """
     if mode not in ("sin", "sinh"):
         raise ValueError(f"unknown solve mode {mode!r}")
@@ -214,7 +238,11 @@ def _solve_one(mode, p, q, y, top, tol, max_iters, qtol, max_levels, max_evals, 
     where p = q) above, where F approaches its power-law tail.  Where
     m_star is finite and s**-g <= 1/2, with g = q/p - 1, F(s) is m_star
     minus the tail integral, arcsinh_quad(p, q/g, s**-g) / g, as in
-    ``functions.arcsinh_pq``.  A step that leaves the bracket is
+    ``functions.arcsinh_pq``.  Each forward value is a step from
+    ``anchor`` or a full quadrature, as :func:`solve` describes;
+    ``anchor`` is ``[s, v, tail, err]``, F(s) = v (``tail`` false) or
+    m_star + v (true), or empty before the call's first quadrature, and
+    this updates it in place.  A step that leaves the bracket is
     replaced: with no upper bound yet, s is squared above 2 and doubled
     below; with one, the bracket is bisected geometrically where sinh's
     s >= 1, and arithmetically otherwise.
@@ -268,7 +296,8 @@ def _solve_one(mode, p, q, y, top, tol, max_iters, qtol, max_levels, max_evals, 
             evals += n
             if not ok:
                 return s, it, evals, UNCONVERGED
-            anchor[:] = s, v, tail, err
+            trusted = mode == "sin" or tail or s <= _DIRECT_REACH
+            anchor[:] = (s, v, tail, err) if trusted else ()
         resid = rest + v if tail else v - y
         if abs(resid) <= tol:
             return s, it, evals, SOLVED

@@ -337,17 +337,19 @@ def test_dense_blocks_continue_the_forward(mode, p, q, top, span):
 
 
 @pytest.mark.parametrize("backend", [compiled, pure], ids=["c", "python"])
-@pytest.mark.parametrize("mode,s1,s2,full", [
-    ("sin", 0.05, 0.4, True),   # |s2 - s1| > s1 / 2
-    ("sin", 0.7, 0.82, True),   # |s2 - s1| > (1 - s2) / 2
-    ("sin", 0.7, 0.78, False),  # inside both
-    ("sinh", 1.0, 3.0, True),   # |s2 - s1| > s1 / 2
+@pytest.mark.parametrize("mode,p,q,s1,s2,full", [
+    ("sin", 2.5, 3.5, 0.05, 0.4, True),   # |s2 - s1| > s1 / 2
+    ("sin", 2.5, 3.5, 0.7, 0.82, True),   # |s2 - s1| > (1 - s2) / 2
+    ("sin", 2.5, 3.5, 0.7, 0.78, False),  # inside both
+    ("sinh", 2.5, 3.5, 1.0, 3.0, True),   # |s2 - s1| > s1 / 2
+    # p > q: the quadrature over [0, s] anchors no step beyond s = 1e4
+    ("sinh", 3.0, 2.0, 2e4, 2.5e4, True),
+    ("sinh", 3.0, 2.0, 2e3, 2.5e3, False),
 ])
-def test_a_step_beyond_the_guard_takes_a_full_quadrature(backend, mode, s1, s2, full):
+def test_a_step_beyond_the_guard_takes_a_full_quadrature(backend, mode, p, q, s1, s2, full):
     # the second target's root lies s2 - s1 from the first root, where its
     # solve starts; the evaluations it takes show whether its first forward
     # value was a full quadrature or a K15 step from the first root
-    p, q = 2.5, 3.5
     quad = backend.arcsin_quad if mode == "sin" else backend.arcsinh_quad
     top = pqtrig.m_star_pq(pqtrig.PQParams(p, q)).as_float()
     ys = [quad(p, q, s1)[0], quad(p, q, s2)[0]]
