@@ -17,11 +17,13 @@
  * tanh-sinh quadrature continues from the last one (the anchor) by a
  * G7/K15 Gauss-Kronrod step over [min(s, s_a), max(s, s_a)], 15
  * evaluations, where |s - s_a| <= min(s, s_a)/2 (and, for sin,
- * <= (1 - max(s, s_a))/2), |K15 - G7| <= qtol/100 and the chain's summed
- * estimates stay within qtol; otherwise a full quadrature becomes the new
- * anchor.  On the lab's sweep-c rounds this takes a round's solves from
- * 210,960 integrand evaluations to 35,078 (see _dequad_py.solve).  Build
- * it as a plain extension (``setup.py``) or by hand:
+ * |s - s_a| <= (1 - max(s, s_a))/2), |K15 - G7| <= qtol/100 and the
+ * chain's summed estimates stay within qtol; otherwise a full quadrature
+ * becomes the new anchor, unless it is a sinh quadrature over [0, s] with
+ * s > 1e4, which anchors nothing.  On the lab's sweep-c rounds this takes
+ * a round's solves from 210,960 integrand evaluations to 35,078 (see
+ * _dequad_py.solve).  Build it as a plain extension (``setup.py``) or by
+ * hand:
  *
  *     cc -O3 -fPIC -shared -I<python include dir> _dequad_c.c -o _dequad_c<EXT_SUFFIX> -lm
  */

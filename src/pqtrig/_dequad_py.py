@@ -109,9 +109,10 @@ _STEP_REACH = 0.5
 _STEP_TOL = 100.0
 # A full quadrature of sinh over [0, s] anchors steps only up to this s:
 # beyond it that quadrature can report convergence while off by more than
-# its tolerance (at p >= q, 7 of 590 seeded pairs at s in [1e5, 1e6] and
-# 52 of 474 in [1e7, 1e8]), and a chain of steps would carry that error
-# to every root after it.
+# its tolerance (against mpmath, over 600 seeded pairs with q/p in
+# [0.5, 1.02]: 7 of 590 converged values at s in [1e5, 1e6] and 52 of 474
+# in [1e7, 1e8], none below 1e5), and a chain of steps would carry that
+# error to every root after it.
 _DIRECT_REACH = 1e4
 
 
@@ -180,16 +181,19 @@ def solve(mode, p, q, ys, top, tol, max_iters, qtol=1e-12, max_levels=12, max_ev
     new s by the 15-point Gauss-Kronrod rule (K15, 15 evaluations), and
     becomes the anchor in turn.  A step is taken only where it is short
     against the integrand's singular points, |s - s_a| <= min(s, s_a) / 2
-    and, for sin, also <= (1 - max(s, s_a)) / 2, and kept only where its
-    error estimate |K15 - G7| is at most ``qtol`` / 100 and the
+    and, for sin, also |s - s_a| <= (1 - max(s, s_a)) / 2, and kept only
+    where its error estimate |K15 - G7| is at most ``qtol`` / 100 and the
     estimates added up along the chain, from the anchor's quadrature on,
     stay within ``qtol``; otherwise a full quadrature (sinh's tail form
-    included) replaces it and becomes the new anchor.  The returned evaluation
-    counts include 15 per step tried.  Over the lab's ``sweep-c`` rounds
-    of seeds 301-303 a round takes 1,992 forward values, 1,892 of them
-    steps, none rejected, and 35,078 integrand evaluations where full
-    quadratures alone took 210,960.  The compiled twin is
-    ``_dequad_c.solve``.
+    included) replaces it and becomes the new anchor.  A sinh quadrature
+    over [0, s] with s above 1e4 anchors no step, because it can report
+    convergence while off by more than its tolerance there; the call then
+    has no anchor until its next trusted quadrature.  The returned
+    evaluation counts include 15 per step tried.  Over the lab's
+    ``sweep-c`` rounds of seeds 301-303 a round takes 1,992 forward
+    values, 1,892 of them steps, none rejected, and 35,078 integrand
+    evaluations where full quadratures alone took 210,960.  The compiled
+    twin is ``_dequad_c.solve``.
     """
     if mode not in ("sin", "sinh"):
         raise ValueError(f"unknown solve mode {mode!r}")

@@ -8,18 +8,21 @@ space, |F(s) - y| <= tol, which is what the quadrature can actually
 certify.  The solve itself is ``kernels.solve`` (see ``_dequad_py.solve``
 for the step variables, warm starts and forward values); it takes an
 ascending list of targets and runs in C with the GIL released when the
-compiled backend is active.  Within one call only the first forward value
-is a full tanh-sinh quadrature wherever the steps stay short: each later
-one is the last value plus a 15-point Gauss-Kronrod integral over the
-step from it, taken where the step spans at most half its distance from
-the integrand's singular points and its error estimate is at most 1/100
-of the quadrature tolerance, with a full quadrature otherwise.  On the
-lab's ``sweep-c`` rounds that cuts the integrand evaluations of the
-solves by 83% for the same 2.35 forward values per solve.  :func:`_roots` checks domains, chooses the formulation of each
-target, makes one ``kernels.solve`` call per formulation and maps the
-solver's failures to :class:`ComputationError`; sin_pq, cos_pq and
-sinh_pq are its one-target calls, and the lab's sweeps call it once per
-function for all the targets of a (p, q) cell.
+compiled backend is active.  :func:`_roots` checks domains, chooses the
+formulation of each target, makes one ``kernels.solve`` call per
+formulation and maps the solver's failures to :class:`ComputationError`;
+sin_pq, cos_pq and sinh_pq are its one-target calls, and the lab's sweeps
+call it once per function for all the targets of a (p, q) cell.
+
+Within one ``kernels.solve`` call the first forward value is a full
+tanh-sinh quadrature, and each later one is the last value plus a
+15-point Gauss-Kronrod integral over the step from it, where the step
+spans at most half its distance from the integrand's singular points and
+its error estimate is at most 1/100 of the quadrature tolerance; a full
+quadrature is taken otherwise, and always after a sinh quadrature over
+[0, s] beyond s = 1e4, which can be off by more than its tolerance.  On
+the lab's ``sweep-c`` rounds that cuts the integrand evaluations of the
+solves by 83% for the same 2.35 forward values per solve.
 
 sin_pq and cos_pq are one solve each in the bottom, smooth half of a
 trigonometric branch.  A target in the top half of the (p, q) branch is
