@@ -356,7 +356,8 @@ solve_run(enum solve_mode mode, double p, double q, double y, double top, double
         s = start;
     for (it = 1; it <= max_iters; it++) {
         /* the residual F(s) - y: the anchor's v plus a K15 step where the
-         * guard allows one, else a full quadrature, which becomes the anchor */
+         * guard allows one, else a full quadrature, which becomes the anchor
+         * where it is trusted */
         out.iterations = it;
         out.root = s;
         stepped = 0;

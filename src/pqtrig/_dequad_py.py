@@ -245,7 +245,7 @@ def _solve_one(mode, p, q, y, top, tol, max_iters, qtol, max_levels, max_evals, 
     ``functions.arcsinh_pq``.  Each forward value is a step from
     ``anchor`` or a full quadrature, as :func:`solve` describes;
     ``anchor`` is ``[s, v, tail, err]``, F(s) = v (``tail`` false) or
-    m_star + v (true), or empty before the call's first quadrature, and
+    m_star + v (true), or empty where there is none to step from, and
     this updates it in place.  A step that leaves the bracket is
     replaced: with no upper bound yet, s is squared above 2 and doubled
     below; with one, the bracket is bisected geometrically where sinh's
@@ -274,7 +274,7 @@ def _solve_one(mode, p, q, y, top, tol, max_iters, qtol, max_levels, max_evals, 
     for it in range(1, max_iters + 1):
         # the residual F(s) - y, where F(s) = v, or top + v in the tail form:
         # the anchor's v plus a K15 step where the guard allows one, else a
-        # full quadrature, which becomes the anchor
+        # full quadrature, which becomes the anchor where it is trusted
         stepped = False
         if anchor:
             sa, va, tail, ea = anchor

@@ -69,14 +69,12 @@ class TestSin:
         assert sin_pq(classic, hp * (1.0 - 1e-9)) == 1.0
 
     def test_budget_exhaustion(self):
-        # Newton converges in a few steps on a forward that is continued by
-        # short K15 steps, so it takes a residual tolerance below the
-        # quadrature floor: this solve polishes to the nearest representable
-        # root, a Newton step rounds onto the bracket's end 5e-10 from it,
-        # and the bisections that follow need 14 iterations in all
-        pq = PQParams(1.9570362129288126, 8.52255684192038)
-        y = 1.1300993252640341
-        cfg = InversionConfig(tol=1e-17, max_iters=10)
+        # trigonometric solves stay in the bottom half of a branch, where
+        # Newton converges in a few steps; this sinh solve, with its root
+        # near 2.9e47, needs 12 iterations
+        pq = PQParams(3.83234318056226, 3.7723666286310134)
+        y = 290.3663707747423
+        cfg = InversionConfig(tol=1e-12, max_iters=10)
         with pytest.raises(ComputationError, match="within 10 iterations") as err:
             sinh_pq(pq, y, cfg)
         assert err.value.partial == pytest.approx(sinh_pq(pq, y), rel=1e-6)
