@@ -432,6 +432,8 @@ solve_run(enum solve_mode mode, double p, double q, double y, double top, double
                     s_new = s * exp(log1p(-g_step) / a);
             }
         }
+        if (s_new == s) /* a step below one ulp: the neighbouring float toward the root */
+            s_new = nextafter(s, resid < 0.0 ? hi : lo);
         if (!(lo < s_new && s_new < hi)) {
             /* no upper bound: square s above 2, double it below; with a
              * bracket, bisect geometrically where sinh's s >= 1 */

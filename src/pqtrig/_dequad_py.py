@@ -330,6 +330,8 @@ def _solve_one(mode, p, q, y, top, tol, max_iters, qtol, max_levels, max_evals, 
                 g_step *= a * _exp(-a * lns)  # the relative step in x
                 if g_step < 1.0:
                     s_new = s * _exp(log1p(-g_step) / a)
+        if s_new == s:  # a step below one ulp: the neighbouring float toward the root
+            s_new = math.nextafter(s, hi if resid < 0.0 else lo)
         if not (lo < s_new < hi):
             if hi == math.inf:
                 s_new = lo * lo if lo > 2.0 else 2.0 * lo

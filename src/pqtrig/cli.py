@@ -15,6 +15,7 @@ from .errors import DomainError, PQTrigError
 from .functions import PQParams, arccos_pq, arcsin_pq, arcsinh_pq, half_pi_pq, m_star_pq
 from .inequalities import (
     CHECK_NAMES,
+    CHECKS,
     GridAxis,
     SweepReport,
     counterexample_search,
@@ -36,33 +37,6 @@ _EVAL_FNS = {
 }
 
 CSV_HEADER = "p,q,check,arg1,arg2,lhs,rhs,margin,satisfied"
-
-
-class RunConfig:
-    """Validated invocation parameters for one subcommand.
-
-    The class attributes are the defaults; ``_config_from`` sets the
-    parameters the subcommand takes.
-    """
-
-    p: float = 2.0
-    q: float = 2.0
-    p_axis: Optional[GridAxis] = None
-    q_axis: Optional[GridAxis] = None
-    fn: Optional[str] = None
-    check: Optional[str] = None
-    grid: int = 12
-    order: Optional[float] = None
-    budget: int = 40000
-    x_max: float = 50.0
-    fmt: str = "text"
-    output: Optional[str] = None
-    tol: Optional[float] = None
-    threads: int = 0
-
-    def __init__(self, command: str):
-        self.command = command
-        self.xs: list[float] = []
 
 
 class UsageError(Exception):
@@ -105,14 +79,16 @@ def _parse_range(text: str, name: str) -> GridAxis:
         raise UsageError(str(exc)) from None
 
 
-def _require_params(axis: GridAxis) -> None:
-    if axis.lo <= 1.0:
-        raise UsageError(f"{axis.name} must exceed 1")
+def _require_params(p: float, q: float) -> None:
+    if p <= 1.0:
+        raise UsageError("p must exceed 1")
+    if q <= 1.0:
+        raise UsageError("q must exceed 1")
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+def _emit(text: str, ns: argparse.Namespace) -> None:
+    if ns.output:
+        with open(ns.output, "w") as fh:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
@@ -202,117 +178,107 @@ def _report_text(report: SweepReport) -> str:
     return "\n".join(lines)
 
 
-def _emit_report(report: SweepReport, cfg: RunConfig) -> int:
-    if cfg.fmt == "csv":
-        _emit(_report_csv(report), cfg)
-    elif cfg.fmt == "json":
-        _emit(_report_json(report), cfg)
+def _emit_report(report: SweepReport, ns: argparse.Namespace) -> int:
+    if ns.format == "csv":
+        _emit(_report_csv(report), ns)
+    elif ns.format == "json":
+        _emit(_report_json(report), ns)
     else:
-        _emit(_report_text(report), cfg)
+        _emit(_report_text(report), ns)
     return EXIT_OK if (report.all_satisfied and not report.errors) else EXIT_VIOLATION
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    pq = PQParams(cfg.p, cfg.q)
-    fn = _EVAL_FNS[cfg.fn]
-    rows = []
-    for x in cfg.xs:
-        rows.append((x, fn(pq, x)))
-    if cfg.fmt == "csv":
-        _emit("\n".join(["x,value"] + [f"{_fmt12(x)},{_fmt12(v)}" for x, v in rows]), cfg)
-    elif cfg.fmt == "json":
-        _emit(_json([{"x": x, "value": v} for x, v in rows], sort_keys=False), cfg)
+def cmd_eval(ns: argparse.Namespace) -> int:
+    _require_params(ns.p, ns.q)
+    pq, fn = PQParams(ns.p, ns.q), _EVAL_FNS[ns.fn]
+    rows = [(x, fn(pq, x)) for x in ns.x]
+    if ns.format == "csv":
+        _emit("\n".join(["x,value"] + [f"{_fmt12(x)},{_fmt12(v)}" for x, v in rows]), ns)
+    elif ns.format == "json":
+        _emit(_json([{"x": x, "value": v} for x, v in rows], sort_keys=False), ns)
     else:
-        _emit("\n".join(f"{_fmt12(x)} {_fmt12(v)}" for x, v in rows), cfg)
+        _emit("\n".join(f"{_fmt12(x)} {_fmt12(v)}" for x, v in rows), ns)
     return EXIT_OK
 
 
-def cmd_constants(cfg: RunConfig) -> int:
-    pq = PQParams(cfg.p, cfg.q)
+def cmd_constants(ns: argparse.Namespace) -> int:
+    _require_params(ns.p, ns.q)
+    pq = PQParams(ns.p, ns.q)
     hp = half_pi_pq(pq)
     ms = m_star_pq(pq)
     ms_text = _fmt12(ms.value) if ms.is_finite else "inf"
-    if cfg.fmt == "csv":
+    if ns.format == "csv":
+        _emit(f"p,q,half_pi,m_star\n{_fmt12(ns.p)},{_fmt12(ns.q)},{_fmt12(hp)},{ms_text}", ns)
+    elif ns.format == "json":
         _emit(
-            f"p,q,half_pi,m_star\n{_fmt12(cfg.p)},{_fmt12(cfg.q)},{_fmt12(hp)},{ms_text}",
-            cfg,
-        )
-    elif cfg.fmt == "json":
-        _emit(
-            _json({"p": cfg.p, "q": cfg.q, "half_pi": hp,
+            _json({"p": ns.p, "q": ns.q, "half_pi": hp,
                    "m_star": ms.value if ms.is_finite else "inf"}),
-            cfg,
+            ns,
         )
     else:
-        _emit(f"half_pi = {_fmt12(hp)}\nm_star = {ms_text}", cfg)
+        _emit(f"half_pi = {_fmt12(hp)}\nm_star = {ms_text}", ns)
     return EXIT_OK
 
 
-def _axes_for(cfg: RunConfig, p_axis: GridAxis, q_axis: GridAxis) -> list[GridAxis]:
-    from .inequalities import _POINT_CHECKS  # registry owns the arity
-
-    axes = [p_axis, q_axis]
-    if cfg.check in _POINT_CHECKS:
-        arg_names = _POINT_CHECKS[cfg.check][0]
+def cmd_check(ns: argparse.Namespace) -> int:
+    """``verify`` (one (p, q) point) and ``sweep`` (p and q ranges)."""
+    if ns.command == "verify":
+        _require_params(ns.p, ns.q)
+        pq_axes = [GridAxis("p", ns.p, ns.p, 1), GridAxis("q", ns.q, ns.q, 1)]
     else:
-        arg_names = ("x",)
-    for name in arg_names:
-        axes.append(GridAxis(name, 0.01, 0.99, cfg.grid))
-    return axes
-
-
-def cmd_verify(cfg: RunConfig) -> int:
-    axes = _axes_for(cfg, GridAxis("p", cfg.p, cfg.p, 1), GridAxis("q", cfg.q, cfg.q, 1))
+        pq_axes = [_parse_range(ns.p_range, "p"), _parse_range(ns.q_range, "q")]
+        _require_params(pq_axes[0].lo, pq_axes[1].lo)
+    check = CHECKS.get(ns.check)
+    if check is None:
+        raise UsageError(
+            f"unknown check {ns.check!r}; expected one of {', '.join(CHECK_NAMES)}"
+        )
+    if check.needs_order and ns.order is None:
+        raise UsageError(f"check {ns.check!r} requires --order")
+    if ns.grid < 2:
+        raise UsageError("--grid must be at least 2")
+    if ns.grid < check.min_grid:
+        raise UsageError(f"check {ns.check!r} needs --grid of at least {check.min_grid}")
+    axes = pq_axes + [GridAxis(name, 0.01, 0.99, ns.grid) for name in check.axes]
     report = run_sweep(
-        cfg.check, axes, order=cfg.order, tolerance=cfg.tol,
-        threads=cfg.threads, x_max=cfg.x_max,
+        ns.check, axes, order=ns.order, tolerance=ns.tol, threads=ns.threads, x_max=ns.x_max,
     )
-    return _emit_report(report, cfg)
+    return _emit_report(report, ns)
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    axes = _axes_for(cfg, cfg.p_axis, cfg.q_axis)
-    report = run_sweep(
-        cfg.check, axes, order=cfg.order, tolerance=cfg.tol,
-        threads=cfg.threads, x_max=cfg.x_max,
-    )
-    return _emit_report(report, cfg)
-
-
-def cmd_counterexample(cfg: RunConfig) -> int:
-    pq = PQParams(cfg.p, cfg.q)
-    result = counterexample_search(pq, cfg.order, cfg.budget)
-    rows = []
-    for label, w in (("violating", result.violating), ("satisfying", result.satisfying)):
-        if w is None:
-            rows.append((label, None))
-        else:
-            rows.append((label, w))
-    if cfg.fmt == "csv":
+def cmd_counterexample(ns: argparse.Namespace) -> int:
+    _require_params(ns.p, ns.q)
+    if ns.order <= 0.0:
+        raise UsageError("counterexample search needs --order > 0")
+    if ns.budget < 100:
+        raise UsageError("--budget must be at least 100")
+    result = counterexample_search(PQParams(ns.p, ns.q), ns.order, ns.budget)
+    rows = [("violating", result.violating), ("satisfying", result.satisfying)]
+    if ns.format == "csv":
         lines = [CSV_HEADER]
         for label, w in rows:
             if w is None:
                 continue
             lines.append(
                 ",".join(
-                    [_fmt12(cfg.p), _fmt12(cfg.q), f"counterexample-{label}",
+                    [_fmt12(ns.p), _fmt12(ns.q), f"counterexample-{label}",
                      _fmt12(w.x), _fmt12(w.y), _fmt12(w.lhs), _fmt12(w.rhs),
                      _fmt12(w.margin), "true" if w.margin >= 0 else "false"]
                 )
             )
-        _emit("\n".join(lines), cfg)
-    elif cfg.fmt == "json":
+        _emit("\n".join(lines), ns)
+    elif ns.format == "json":
         obj = {
-            "p": cfg.p, "q": cfg.q, "order": cfg.order,
+            "p": ns.p, "q": ns.q, "order": ns.order,
             "evaluations": result.evaluations,
         }
         for label, w in rows:
             obj[label] = None if w is None else {
                 "x": w.x, "y": w.y, "lhs": w.lhs, "rhs": w.rhs, "margin": w.margin,
             }
-        _emit(_json(obj), cfg)
+        _emit(_json(obj), ns)
     else:
-        lines = [f"order = {_fmt12(cfg.order)}  (p={_fmt12(cfg.p)}, q={_fmt12(cfg.q)})"]
+        lines = [f"order = {_fmt12(ns.order)}  (p={_fmt12(ns.p)}, q={_fmt12(ns.q)})"]
         for label, w in rows:
             if w is None:
                 lines.append(f"{label}: not found within budget")
@@ -321,7 +287,7 @@ def cmd_counterexample(cfg: RunConfig) -> int:
                     f"{label}: x={_fmt12(w.x)} y={_fmt12(w.y)} "
                     f"lhs={_fmt12(w.lhs)} rhs={_fmt12(w.rhs)} margin={_fmt12(w.margin)}"
                 )
-        _emit("\n".join(lines), cfg)
+        _emit("\n".join(lines), ns)
     both = result.violating is not None and result.satisfying is not None
     return EXIT_OK if both else EXIT_VIOLATION
 
@@ -334,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, pq_point=True):
+    def add_common(sp, run, pq_point=True):
+        sp.set_defaults(run=run)
         if pq_point:
             sp.add_argument("--p", type=float, required=True)
             sp.add_argument("--q", type=float, required=True)
@@ -342,15 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", default=None, help="write to this path instead of stdout")
 
     sp = sub.add_parser("eval", help="evaluate one function at given points")
-    add_common(sp)
+    add_common(sp, cmd_eval)
     sp.add_argument("--fn", choices=sorted(_EVAL_FNS), required=True)
     sp.add_argument("--x", type=float, nargs="+", required=True)
 
     sp = sub.add_parser("constants", help="print half_pi and m_star")
-    add_common(sp)
+    add_common(sp, cmd_constants)
 
     sp = sub.add_parser("verify", help="verify one check at a single (p, q)")
-    add_common(sp)
+    add_common(sp, cmd_check)
     sp.add_argument("--check", required=True)
     sp.add_argument("--grid", type=int, default=12)
     sp.add_argument("--order", type=float, default=None, help="Hölder order where applicable")
@@ -359,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=int, default=0, help="sweep parallelism (0 = default)")
 
     sp = sub.add_parser("sweep", help="verify one check over (p, q) ranges")
-    add_common(sp, pq_point=False)
+    add_common(sp, cmd_check, pq_point=False)
     sp.add_argument("--check", required=True)
     sp.add_argument("--p-range", required=True, help="lo:hi:n inclusive")
     sp.add_argument("--q-range", required=True, help="lo:hi:n inclusive")
@@ -370,85 +337,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=int, default=0)
 
     sp = sub.add_parser("counterexample", help="search for sharpness witnesses")
-    add_common(sp)
+    add_common(sp, cmd_counterexample)
     sp.add_argument("--order", type=float, required=True)
     sp.add_argument("--budget", type=int, default=40000)
 
     return parser
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    cfg.fmt = getattr(ns, "format", "text")
-    cfg.output = getattr(ns, "output", None)
-    if hasattr(ns, "p"):
-        cfg.p, cfg.q = ns.p, ns.q
-        if cfg.p <= 1.0:
-            raise UsageError("p must exceed 1")
-        if cfg.q <= 1.0:
-            raise UsageError("q must exceed 1")
-    if hasattr(ns, "p_range"):
-        cfg.p_axis = _parse_range(ns.p_range, "p")
-        cfg.q_axis = _parse_range(ns.q_range, "q")
-        _require_params(cfg.p_axis)
-        _require_params(cfg.q_axis)
-    if hasattr(ns, "fn"):
-        cfg.fn = ns.fn
-        cfg.xs = list(ns.x)
-    if hasattr(ns, "check"):
-        cfg.check = ns.check
-        if cfg.check not in CHECK_NAMES:
-            raise UsageError(
-                f"unknown check {cfg.check!r}; expected one of {', '.join(CHECK_NAMES)}"
-            )
-        needs_order = ("gm-sin", "gm-sinh", "f-monotone", "fstar-monotone")
-        if cfg.check in needs_order and getattr(ns, "order", None) is None:
-            raise UsageError(f"check {cfg.check!r} requires --order")
-    if hasattr(ns, "grid"):
-        cfg.grid = ns.grid
-        if cfg.grid < 2:
-            raise UsageError("--grid must be at least 2")
-        if cfg.check in ("f-monotone", "fstar-monotone") and cfg.grid < 10:
-            raise UsageError(f"check {cfg.check!r} needs --grid of at least 10")
-    if hasattr(ns, "order") and ns.order is not None:
-        cfg.order = ns.order
-    if hasattr(ns, "budget"):
-        cfg.budget = ns.budget
-        if cfg.order is None or cfg.order <= 0.0:
-            raise UsageError("counterexample search needs --order > 0")
-        if cfg.budget < 100:
-            raise UsageError("--budget must be at least 100")
-    if hasattr(ns, "x_max"):
-        cfg.x_max = ns.x_max
-    if hasattr(ns, "tol") and ns.tol is not None:
-        cfg.tol = ns.tol
-    if hasattr(ns, "threads"):
-        cfg.threads = ns.threads
-    return cfg
-
-
-_COMMANDS = {
-    "eval": cmd_eval,
-    "constants": cmd_constants,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
-    "counterexample": cmd_counterexample,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        cfg = _config_from(ns)
-    except UsageError as exc:
+        return ns.run(ns)
+    except UsageError as exc:  # raised before a command computes anything
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return _COMMANDS[cfg.command](cfg)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
     except PQTrigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -93,12 +93,17 @@ class ExtendedValue(Validated, _ExtendedFields):
 
 
 def _run_kernel(kernel, p, q, x, tol, cfg, what, base=0.0, scale=1.0):
-    """base + scale * kernel(p, q, x); raises with that estimate if unconverged."""
+    """base + scale * kernel(p, q, x); raises with that estimate if unconverged.
+
+    ``what`` is (function name, pq, argument), which name the call in the
+    error message.
+    """
     value, err, _evals, converged = kernel(p, q, x, tol, cfg.max_levels, cfg.max_evals)
     value = base + scale * value
     if not converged:
+        name, pq, arg = what
         raise ComputationError(
-            f"{what} did not reach the requested tolerance "
+            f"{name}(p={pq.p}, q={pq.q}, x={arg}) did not reach the requested tolerance "
             f"(estimate {value!r}, error estimate {abs(scale) * err:.3e})",
             partial=value,
         )
@@ -141,7 +146,7 @@ def m_star_pq(pq: PQParams) -> ExtendedValue:
     return ExtendedValue.finite(_m_star(pq.p, pq.q))
 
 
-def _reflected(pq: PQParams, v: float, cfg: QuadratureConfig, what: str) -> float:
+def _reflected(pq: PQParams, v: float, cfg: QuadratureConfig, what: tuple) -> float:
     """half_pi_pq - c arcsin_{q*,p*}(v): arcsin_pq at x with 1 - x**q = v**(p/(p - 1))."""
     p, q = pq.p, pq.q
     return _run_kernel(
@@ -160,7 +165,7 @@ def arcsin_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
     """
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"arcsin_pq needs x in [0, 1], got {x!r}")
-    what = f"arcsin_pq(p={pq.p}, q={pq.q}, x={x})"
+    what = ("arcsin_pq", pq, x)
     if math.pow(x, pq.q) >= 0.5:
         # V = (1 - x**q)**(1 - 1/p), with 1 - x**q formed without cancellation
         v = math.pow(-math.expm1(pq.q * math.log(x)), (pq.p - 1.0) / pq.p)
@@ -176,7 +181,7 @@ def arccos_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
     """
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"arccos_pq needs x in [0, 1], got {x!r}")
-    what = f"arccos_pq(p={pq.p}, q={pq.q}, x={x})"
+    what = ("arccos_pq", pq, x)
     if math.pow(x, pq.p) <= 0.5:
         return _reflected(pq, math.pow(x, pq.p - 1.0), cfg, what)
     # (1 - x**p)**(1/q) without cancellation for x near 1
@@ -194,7 +199,7 @@ def arcsinh_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -
     if not (x >= 0.0 and math.isfinite(x)):
         raise DomainError(f"arcsinh_pq needs finite x >= 0, got {x!r}")
     p, q, tol = pq.p, pq.q, cfg.target_abs_tol
-    what = f"arcsinh_pq(p={p}, q={q}, x={x})"
+    what = ("arcsinh_pq", pq, x)
     g = (q - p) / p  # q/p - 1, with q - p exact near p = q
     if g > 0.0 and x > 1.0 and math.pow(x, -g) <= 0.5:
         return _run_kernel(

@@ -29,11 +29,18 @@ every argument pair exactly when ord <= 0, gm-sinh exactly when
 ord >= 0.  ``counterexample_search`` exhibits the failure (and a
 satisfying instance) for gm-sin at a positive order.
 
+Every check is one entry of the ``CHECKS`` registry: its inner axis
+names, how their values become argument tuples (every combination, or
+for the probes each pair (x_lo, x_hi) of neighbouring values), the scale
+of the axes' fractions, whether it needs a Hölder order, and its fewest
+grid values.  ``run_sweep`` and the CLI read all of these from it.
+
 A sweep's unit of work is one (p, q) cell.  Its inverse values come from
 one ``inverse._roots`` block per function, over the unique targets of
 all the cell's points, and its verdicts are built from those roots; no
 value is cached between calls.  Each check's formula is written once, in
-its cell evaluator, and the scalar checks are one-point cells.
+its cell evaluator: the scalar checks are one-point cells, and the
+monotonicity probes are one-cell sweeps.
 """
 
 import math
@@ -184,10 +191,11 @@ def _single(results):
     return value
 
 
-def _lookup(fn: str, pq: PQParams, ys) -> Callable[[float], float]:
-    """y -> fn_pq(pq, y) at each target in ``ys``, solved in one block."""
+def _lookup(outcomes: Callable[[list], list], ys) -> Callable[[float], float]:
+    """y -> its value among ``outcomes`` of the unique targets in ``ys``,
+    raising the error recorded for it."""
     ys = list(set(ys))
-    table = dict(zip(ys, _roots(fn, pq, ys)))
+    table = dict(zip(ys, outcomes(ys)))
 
     def value(y):
         v = table[y]
@@ -259,7 +267,8 @@ def _mean_cell(check, pq, pts, ordv, tolerance) -> list:
         def inside(r, s):
             return 0.0 < r < hp and 0.0 < s < hp
 
-    value = _lookup(fn, pq, [y for r, s in pts if inside(r, s) for y in (math.sqrt(r * s), r, s)])
+    value = _lookup(partial(_roots, fn, pq),
+                    [y for r, s in pts if inside(r, s) for y in (math.sqrt(r * s), r, s)])
     gm = check.startswith("gm-")  # thm11 is the geometric mean, written as sqrt(a b)
     base = {"p": p, "q": q, "order": ordv} if gm else {"p": p, "q": q}
 
@@ -281,7 +290,8 @@ def _double_angle_cell(pq, pts, ordv, tolerance) -> list:
     hp = half_pi_pq(pq)
     tol = 1e-8 if tolerance is None else tolerance
     # sin_pq at x and 2x and cos_pq at x, from one block of shared roots
-    value = _lookup("sincos", pq, [y for (x,) in pts if 0.0 < x < 0.5 * hp for y in (2.0 * x, x)])
+    value = _lookup(partial(_roots, "sincos", pq),
+                    [y for (x,) in pts if 0.0 < x < 0.5 * hp for y in (2.0 * x, x)])
 
     def verdict(x):
         if not (0.0 < x < 0.5 * hp):
@@ -424,16 +434,29 @@ def Fstar_fn(pq: PQParams, order: Union[HolderOrder, float], x: float) -> float:
     return math.pow(x, 1.0 - ordv) / (arcsinh_pq(pq, x) * math.pow(opxq, 1.0 / pq.p))
 
 
-def _probe_report(check, pq, ordv, xs, fvals, increasing) -> SweepReport:
-    axis = GridAxis("x", xs[0], xs[-1], len(xs))
-    report = SweepReport(check=check, order=ordv, grid=(axis,))
-    for i in range(len(xs) - 1):
-        if increasing:
-            lhs, rhs = fvals[i + 1], fvals[i]
-        else:
-            lhs, rhs = fvals[i], fvals[i + 1]
-        at = {"p": pq.p, "q": pq.q, "x_lo": xs[i], "x_hi": xs[i + 1], "order": ordv}
-        report.verdicts.append(_verdict(lhs, rhs, lhs - rhs, at, None))
+def _probe_cell(fn, increasing, pq, pts, ordv, tolerance) -> list:
+    """f-monotone (``fn`` F, increasing) or fstar-monotone (F*, decreasing)
+    at consecutive grid values (x_lo, x_hi); each x is evaluated once, and
+    a failure there is recorded for the pairs that use it."""
+    value = _lookup(lambda xs: _each([(x,) for x in xs], partial(fn, pq, ordv)),
+                    [x for pt in pts for x in pt])
+
+    def verdict(x_lo, x_hi):
+        lhs, rhs = (value(x_hi), value(x_lo)) if increasing else (value(x_lo), value(x_hi))
+        at = {"p": pq.p, "q": pq.q, "x_lo": x_lo, "x_hi": x_hi, "order": ordv}
+        return _verdict(lhs, rhs, lhs - rhs, at, tolerance)
+
+    return _each(pts, verdict)
+
+
+def _probe(check, pq, order, grid_n, x_max) -> SweepReport:
+    """One cell of a probe sweep over fractions 0.01..0.99 of the check's
+    scale, with the grid reported in absolute x."""
+    x = GridAxis("x", 0.01, 0.99, grid_n)
+    report = run_sweep(check, [GridAxis("p", pq.p, pq.p, 1), GridAxis("q", pq.q, pq.q, 1), x],
+                       order=order, x_max=x_max)
+    xs, scale = x.values(), CHECKS[check].scale(pq, x_max)
+    report.grid = (GridAxis("x", xs[0] * scale, xs[-1] * scale, grid_n),)
     return report
 
 
@@ -446,26 +469,14 @@ def F_monotonicity_probe(
     means every difference was positive.  For order > 0 the scan is
     expected to record a violation.
     """
-    if grid_n < 10:
-        raise DomainError("grid_n must be at least 10")
-    ordv = _order(order)
-    xs = GridAxis("x", 0.01, 0.99, grid_n).values()
-    fvals = [F_fn(pq, ordv, x) for x in xs]
-    return _probe_report("f-monotone", pq, ordv, xs, fvals, increasing=True)
+    return _probe("f-monotone", pq, order, grid_n, 1.0)
 
 
 def Fstar_monotonicity_probe(
     pq: PQParams, order: Union[HolderOrder, float], grid_n: int, x_max: float = 50.0
 ) -> SweepReport:
     """Scan F* on (0, x_max]: strictly decreasing exactly when order >= 0."""
-    if grid_n < 10:
-        raise DomainError("grid_n must be at least 10")
-    if not (x_max > 0.0):
-        raise DomainError("x_max must be positive")
-    ordv = _order(order)
-    xs = [f * x_max for f in GridAxis("x", 0.01, 0.99, grid_n).values()]
-    fvals = [Fstar_fn(pq, ordv, x) for x in xs]
-    return _probe_report("fstar-monotone", pq, ordv, xs, fvals, increasing=False)
+    return _probe("fstar-monotone", pq, order, grid_n, x_max)
 
 
 # ---------------------------------------------------------------------------
@@ -576,29 +587,65 @@ def counterexample_search(
 # ---------------------------------------------------------------------------
 # sweep runner
 
-def _cap_sinh_args(pq: PQParams) -> float:
+def _sinh_scale(pq: PQParams, x_max: float) -> float:
     ms = m_star_pq(pq)
     if ms.is_finite:
         return min(ms.value, SINH_ARG_CAP)
     return SINH_ARG_CAP
 
 
-# name -> (inner argument names, scale resolver, cell evaluator); the
-# evaluator takes (pq, argument tuples, order, tolerance)
-_POINT_CHECKS: dict[str, tuple[tuple[str, ...], Callable, Callable]] = {
-    "lemma21": (("x",), lambda pq: 1.0, _lemma21_cell),
-    "lemma22": (("x",), lambda pq: 10.0, _lemma22_cell),
-    "lemma23": ((), lambda pq: 1.0, _lemma23_cell),
-    "thm11-sin": (("r", "s"), half_pi_pq, partial(_mean_cell, "thm11-sin")),
-    "thm11-sinh": (("r", "s"), _cap_sinh_args, partial(_mean_cell, "thm11-sinh")),
-    "gm-sin": (("r", "s"), half_pi_pq, partial(_mean_cell, "gm-sin")),
-    "gm-sinh": (("r", "s"), _cap_sinh_args, partial(_mean_cell, "gm-sinh")),
-    "double-angle": (("x",), lambda pq: 0.5 * half_pi_pq(pq), _double_angle_cell),
+def _x_max_scale(pq: PQParams, x_max: float) -> float:
+    if not (x_max > 0.0):
+        raise DomainError("x_max must be positive")
+    return x_max
+
+
+def _product(values: list[list[float]]) -> list[tuple[float, ...]]:
+    """Every combination of the inner axes' values, the last axis fastest."""
+    pts: list[tuple[float, ...]] = [()]
+    for vals in values:
+        pts = [c + (v,) for c in pts for v in vals]
+    return pts
+
+
+def _consecutive(values: list[list[float]]) -> list[tuple[float, ...]]:
+    """Each pair (lo, hi) of neighbouring values of the one inner axis."""
+    (xs,) = values
+    return list(zip(xs, xs[1:]))
+
+
+class _Check(NamedTuple):
+    """A registry entry: how one check turns its grid into verdicts."""
+
+    axes: tuple[str, ...]  # the inner axis names, after p and q
+    cell: Callable  # (pq, argument tuples, order, tolerance) -> verdicts or errors
+    # (pq, x_max) -> the factor of the inner axes' fractions
+    scale: Callable[[PQParams, float], float] = lambda pq, x_max: 1.0
+    points: Callable = _product  # inner axes' values -> argument tuples
+    args: tuple[str, ...] = ()  # the argument names, where they are not the axis names
+    needs_order: bool = False
+    min_grid: int = 1  # the fewest values on each inner axis
+
+
+_PAIRS = {"points": _consecutive, "args": ("x_lo", "x_hi"), "needs_order": True, "min_grid": 10}
+
+CHECKS: dict[str, _Check] = {
+    "double-angle": _Check(("x",), _double_angle_cell, lambda pq, x_max: 0.5 * half_pi_pq(pq)),
+    "gm-sin": _Check(("r", "s"), partial(_mean_cell, "gm-sin"), lambda pq, x_max: half_pi_pq(pq),
+                     needs_order=True),
+    "gm-sinh": _Check(("r", "s"), partial(_mean_cell, "gm-sinh"), _sinh_scale, needs_order=True),
+    "lemma21": _Check(("x",), _lemma21_cell),
+    "lemma22": _Check(("x",), _lemma22_cell, lambda pq, x_max: 10.0),
+    "lemma23": _Check((), _lemma23_cell),
+    "thm11-sin": _Check(("r", "s"), partial(_mean_cell, "thm11-sin"),
+                        lambda pq, x_max: half_pi_pq(pq)),
+    "thm11-sinh": _Check(("r", "s"), partial(_mean_cell, "thm11-sinh"), _sinh_scale),
+    "f-monotone": _Check(("x",), partial(_probe_cell, F_fn, True), **_PAIRS),
+    "fstar-monotone": _Check(("x",), partial(_probe_cell, Fstar_fn, False), _x_max_scale,
+                             **_PAIRS),
 }
 
-_PROBE_CHECKS = {"f-monotone", "fstar-monotone"}
-
-CHECK_NAMES = tuple(sorted(_POINT_CHECKS)) + tuple(sorted(_PROBE_CHECKS))
+CHECK_NAMES = tuple(CHECKS)
 
 
 def run_sweep(
@@ -613,64 +660,43 @@ def run_sweep(
     """Evaluate a named check over the grid spanned by ``axes``.
 
     ``axes`` starts with the p and q axes followed by the check's inner
-    argument axes expressed as domain fractions (see :class:`GridAxis`).
-    The unit of work is one (p, q) cell: its inverse values come from one
-    batched solve per function over the cell's unique targets, and its
-    verdicts are built from those roots.  Verdicts are reported in
-    row-major grid order; with ``threads > 1`` the cells are computed
-    concurrently, one task each, and merged back in order.  Per-point
-    evaluation failures (:class:`PQTrigError`) are recorded in the report
-    rather than raised; any other exception propagates.
+    argument axes expressed as domain fractions (see :class:`GridAxis`);
+    ``x_max`` is the domain of fstar-monotone.  The unit of work is one
+    (p, q) cell: its inverse values come from one batched solve per
+    function over the cell's unique targets, and its verdicts are built
+    from those roots.  Verdicts are reported in row-major grid order;
+    with ``threads > 1`` the cells are computed concurrently, one task
+    each, and merged back in order.  Per-point evaluation failures
+    (:class:`PQTrigError`) are recorded in the report rather than raised;
+    any other exception propagates.
     """
     axes = tuple(axes)
     if not axes:
         raise DomainError("axes must be nonempty")
+    entry = CHECKS.get(check)
+    if entry is None:
+        raise DomainError(f"unknown check {check!r}; expected one of {', '.join(CHECK_NAMES)}")
+    if len(axes) != 2 + len(entry.axes):
+        raise DomainError(
+            f"{check} expects axes (p, q{''.join(', ' + a for a in entry.axes)}), "
+            f"got {len(axes)}"
+        )
+    if axes[0].name != "p" or axes[1].name != "q":
+        raise DomainError("the first two axes must be named p and q")
+    for ax in axes[2:]:
+        if not (0.0 < ax.lo and ax.hi <= 1.0):
+            raise DomainError(f"inner axis {ax.name!r} must use fractions in (0, 1]")
+        if ax.n < entry.min_grid:
+            raise DomainError(f"grid_n must be at least {entry.min_grid}")
     ordv = None if order is None else _order(order)
+    if entry.needs_order and ordv is None:
+        raise DomainError(f"{check} requires a Hölder order")
+    frac_grids = [ax.values() for ax in axes[2:]]
 
-    if check in _PROBE_CHECKS:
-        if ordv is None:
-            raise DomainError(f"{check} requires a Hölder order")
-        if axes[0].name != "p" or axes[1].name != "q":
-            raise DomainError("the first two axes must be named p and q")
-        if len(axes) != 3:
-            raise DomainError(f"{check} expects axes (p, q, x)")
-        grid_n = axes[2].n
-        if grid_n < 10:
-            raise DomainError("grid_n must be at least 10")
-
-        def cell(pq):
-            try:
-                if check == "f-monotone":
-                    return F_monotonicity_probe(pq, ordv, grid_n).verdicts
-                return Fstar_monotonicity_probe(pq, ordv, grid_n, x_max).verdicts
-            except PQTrigError as exc:
-                return exc
-    else:
-        if check not in _POINT_CHECKS:
-            raise DomainError(
-                f"unknown check {check!r}; expected one of {', '.join(CHECK_NAMES)}"
-            )
-        arg_names, scale_of, evaluate = _POINT_CHECKS[check]
-        if len(axes) != 2 + len(arg_names):
-            raise DomainError(
-                f"{check} expects axes (p, q{''.join(', ' + a for a in arg_names)}), "
-                f"got {len(axes)}"
-            )
-        if axes[0].name != "p" or axes[1].name != "q":
-            raise DomainError("the first two axes must be named p and q")
-        for ax in axes[2:]:
-            if not (0.0 < ax.lo and ax.hi <= 1.0):
-                raise DomainError(f"inner axis {ax.name!r} must use fractions in (0, 1]")
-        if check in ("gm-sin", "gm-sinh") and ordv is None:
-            raise DomainError(f"{check} requires a Hölder order")
-        frac_grids = [ax.values() for ax in axes[2:]]
-
-        def cell(pq):
-            scale = scale_of(pq)
-            pts: list[tuple[float, ...]] = [()]
-            for fg in frac_grids:
-                pts = [c + (f * scale,) for c in pts for f in fg]
-            return pts, evaluate(pq, pts, ordv, tolerance)
+    def cell(pq):
+        scale = entry.scale(pq, x_max)
+        pts = entry.points([[f * scale for f in fg] for fg in frac_grids])
+        return pts, entry.cell(pq, pts, ordv, tolerance)
 
     cells = [PQParams(p, q) for p in axes[0].values() for q in axes[1].values()]
     if threads and threads > 1:
@@ -684,19 +710,13 @@ def run_sweep(
 
     report = SweepReport(check=check, order=ordv, grid=axes)
     verdicts, errors = report.verdicts, report.errors
-    if check in _PROBE_CHECKS:
-        for pq, result in zip(cells, results):
-            if isinstance(result, PQTrigError):
-                errors.append(SweepError(len(verdicts), {"p": pq.p, "q": pq.q}, str(result)))
-            else:
-                verdicts.extend(result)
-        return report
+    names = entry.args or entry.axes
     index = 0
     for pq, (pts, outcomes) in zip(cells, results):
         for pt, outcome in zip(pts, outcomes):
             if isinstance(outcome, PQTrigError):
                 at = {"p": pq.p, "q": pq.q}
-                at.update(zip(arg_names, pt))
+                at.update(zip(names, pt))
                 errors.append(SweepError(index, at, f"{type(outcome).__name__}: {outcome}"))
             else:
                 verdicts.append(outcome)

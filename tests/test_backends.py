@@ -409,6 +409,21 @@ def test_steps_forced_to_fail_fall_back_to_certified_roots(monkeypatch):
     assert sum(r[2] for r in block) > 2 * sum(r[2] for r in steps)
 
 
+def test_a_sub_ulp_newton_step_moves_one_float_toward_the_root():
+    # a residual tolerance of 1e-17 makes the solve polish to the
+    # representable root: Newton's last step rounds onto s, and the solve
+    # steps to the neighbouring float instead of bisecting the bracket,
+    # which took 14 iterations to reach the same root
+    p, q, y = 1.9570362129288126, 8.52255684192038, 1.1300993252640341
+    pq = pqtrig.PQParams(p, q)
+    top = pqtrig.m_star_pq(pq).as_float()
+    (result,) = compiled.solve("sinh", p, q, [y], top, 1e-17, 100, 1e-13)
+    assert [result] == pure.solve("sinh", p, q, [y], top, 1e-17, 100, 1e-13)
+    root, iters, _evals, status = result
+    assert status == pure.SOLVED and root == 1.392087849130788 and iters < 14
+    assert pqtrig.sinh_pq(pq, y, pqtrig.InversionConfig(tol=1e-17)) == root
+
+
 @pytest.mark.parametrize("backend", [compiled, pure], ids=["c", "python"])
 @pytest.mark.parametrize("ys", [[0.5, 0.25], [0.25, 0.25], [0.1, 0.3, 0.2], [math.nan, 0.1]])
 def test_unsorted_targets_raise(backend, ys):

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from pqtrig.cli import CSV_HEADER, main
+from pqtrig.inequalities import CHECKS
 
 
 def run(capsys, *argv):
@@ -129,6 +130,46 @@ class TestVerify:
         assert code == 2
         assert "--grid of at least 10" in err
         assert out == ""
+
+
+# where verify and sweep take their (p, q)
+WHERE = {"verify": ("--p", "2", "--q", "3"),
+         "sweep": ("--p-range", "1.25:5:3", "--q-range", "1.25:5:4")}
+NEEDS_ORDER = [name for name, check in CHECKS.items() if check.needs_order]
+PROBES = [name for name, check in CHECKS.items() if check.min_grid == 10]
+
+
+def test_registry_marks_the_order_and_grid_checks():
+    assert NEEDS_ORDER == ["gm-sin", "gm-sinh", "f-monotone", "fstar-monotone"]
+    assert PROBES == ["f-monotone", "fstar-monotone"]
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("check", NEEDS_ORDER)
+def test_check_needing_an_order_is_a_usage_error_without_one(capsys, command, check):
+    code, out, err = run(capsys, command, "--check", check, *WHERE[command], "--grid", "10")
+    assert code == 2
+    assert err == f"error: check {check!r} requires --order\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("check", [name for name in CHECKS if name not in NEEDS_ORDER])
+def test_check_needing_no_order_runs_without_one(capsys, check):
+    code, out, err = run(capsys, "verify", "--check", check, "--p", "4", "--q", "3",
+                         "--grid", "3", "--format", "csv")
+    assert code in (0, 1)  # double-angle is an identity at (4/3, 4) only
+    assert out.startswith(CSV_HEADER)
+    assert err == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("check", PROBES)
+def test_probe_at_grid_nine_is_a_usage_error(capsys, command, check):
+    code, out, err = run(capsys, command, "--check", check, "--order", "0",
+                         *WHERE[command], "--grid", "9")
+    assert code == 2
+    assert err == f"error: check {check!r} needs --grid of at least 10\n"
+    assert out == ""
 
 
 class TestSweep:

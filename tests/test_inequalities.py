@@ -388,12 +388,11 @@ class TestRunSweep:
     def test_bug_in_a_point_check_is_raised_not_recorded(self, monkeypatch, threads):
         from pqtrig import inequalities
 
-        names, scale, _evaluate = inequalities._POINT_CHECKS["lemma21"]
-
         def broken(pq, args, order, tol):
             raise ZeroDivisionError("bug in a point check")
 
-        monkeypatch.setitem(inequalities._POINT_CHECKS, "lemma21", (names, scale, broken))
+        monkeypatch.setitem(inequalities.CHECKS, "lemma21",
+                            inequalities.CHECKS["lemma21"]._replace(cell=broken))
         axes = [GridAxis("p", 2.0, 2.0, 1), GridAxis("q", 2.0, 2.0, 1), GridAxis("x", 0.1, 0.9, 3)]
         with pytest.raises(ZeroDivisionError):
             run_sweep("lemma21", axes, threads=threads)
@@ -444,6 +443,44 @@ class TestRunSweep:
         for check in ("f-monotone", "fstar-monotone"):
             with pytest.raises(DomainError, match="grid_n must be at least 10"):
                 run_sweep(check, axes, order=0.0)
+
+    @pytest.mark.parametrize("check,order,x_max", [("f-monotone", -0.5, 1.0),
+                                                   ("fstar-monotone", 0.5, 20.0)])
+    def test_probe_sweep_honours_its_inner_axis(self, check, order, x_max):
+        x = GridAxis("x", 0.4, 0.6, 10)
+        report = run_sweep(check, [GridAxis("p", 2.0, 3.0, 2), GridAxis("q", 3.0, 3.0, 1), x],
+                           order=order, x_max=x_max)
+        xs = [f * x_max for f in x.values()]
+        pairs = list(zip(xs, xs[1:]))
+        assert [(v.at["x_lo"], v.at["x_hi"]) for v in report.verdicts] == pairs * 2
+        assert report.grid[2] == x
+        assert report.all_satisfied and not report.errors
+
+    def test_probe_records_a_failure_at_one_x_for_the_pairs_that_use_it(self, monkeypatch):
+        from pqtrig import ComputationError, inequalities
+
+        def arcsin_failing_at_half(pq, x):
+            if x == 0.5:
+                raise ComputationError("no convergence at 0.5")
+            return arcsin_pq(pq, x)
+
+        arcsin_pq = inequalities.arcsin_pq
+        monkeypatch.setattr(inequalities, "arcsin_pq", arcsin_failing_at_half)
+        # x on 0.25..0.75 in 11 values: pairs 4 and 5 of each cell use 0.5
+        x = GridAxis("x", 0.25, 0.75, 11)
+        xs = x.values()
+        assert xs[5] == 0.5
+        report = run_sweep("f-monotone", [GridAxis("p", 2.0, 3.0, 2), GridAxis("q", 3.0, 3.0, 1),
+                                          x], order=-0.5)
+        assert [e.index for e in report.errors] == [4, 5, 14, 15]
+        assert [e.at for e in report.errors[:2]] == [
+            {"p": 2.0, "q": 3.0, "x_lo": xs[4], "x_hi": 0.5},
+            {"p": 2.0, "q": 3.0, "x_lo": 0.5, "x_hi": xs[6]},
+        ]
+        assert {e.message for e in report.errors} == {"ComputationError: no convergence at 0.5"}
+        kept = [(lo, hi) for lo, hi in zip(xs, xs[1:]) if 0.5 not in (lo, hi)]
+        assert [(v.at["x_lo"], v.at["x_hi"]) for v in report.verdicts] == kept * 2
+        assert report.all_satisfied
 
     def test_lemma23_needs_no_inner_axis(self):
         report = run_sweep(
