@@ -391,8 +391,7 @@ class TestRunSweep:
         def broken(pq, args, order, tol):
             raise ZeroDivisionError("bug in a point check")
 
-        monkeypatch.setitem(inequalities.CHECKS, "lemma21",
-                            inequalities.CHECKS["lemma21"]._replace(cell=broken))
+        monkeypatch.setattr(inequalities.CHECKS["lemma21"], "cell", broken)
         axes = [GridAxis("p", 2.0, 2.0, 1), GridAxis("q", 2.0, 2.0, 1), GridAxis("x", 0.1, 0.9, 3)]
         with pytest.raises(ZeroDivisionError):
             run_sweep("lemma21", axes, threads=threads)
