@@ -39,7 +39,8 @@ CASES = {
     "gm-sinh": ("sweep", "--check", "gm-sinh", "--order", "1", *_GRID),
     "f-monotone": ("sweep", "--check", "f-monotone", "--order", "-0.5", *_PROBE_GRID),
     "fstar-monotone": ("sweep", "--check", "fstar-monotone", "--order", "0.5", *_PROBE_GRID),
-    "double-angle": ("sweep", "--check", "double-angle", "--p-range", "1.3333333333333333:1.3333333333333333:1",
+    "double-angle": ("sweep", "--check", "double-angle",
+                     "--p-range", "1.3333333333333333:1.3333333333333333:1",
                      "--q-range", "4:4:1", "--grid", "4"),
 }
 for _name, _argv in list(CASES.items()):
