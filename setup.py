@@ -1,10 +1,11 @@
-"""Build script for the optional compiled quadrature core.
+"""Build script for the optional compiled series kernels.
 
 The package is fully functional without the extension (a pure-Python
 fallback is selected at import time); the extension exists because the
-tanh-sinh node loop dominates runtime for sweeps and inversions.  It is
-one hand-written C file against the CPython API, built when a C compiler
-is available and skipped (``optional=True``) when it is not.
+series loops and the inverse solves dominate runtime for sweeps and
+inversions.  It is one hand-written C file against the CPython API,
+built when a C compiler is available and skipped (``optional=True``)
+when it is not.
 """
 
 from setuptools import Extension, setup

@@ -6,10 +6,13 @@ inverses sin_pq, cos_pq and sinh_pq, the constants half_pi_pq and
 m_star_pq, Hölder means, and a lab that mechanically verifies the
 inequality, limit and monotonicity claims these functions satisfy.
 
-The quadrature kernels exist twice: a hand-written C extension
-(``_dequad_c.c``) for speed and a pure-Python twin (``_dequad_py``)
-selected automatically when the extension is missing (or when
-``PQTRIG_PURE_PYTHON=1``); see :func:`backend_name`.
+Every forward value is a hypergeometric series with a rigorous
+truncation bound.  The series kernels exist twice: a hand-written C
+extension (``_dequad_c.c``) for speed and a pure-Python twin
+(``_dequad_py``) selected automatically when the extension is missing
+(or when ``PQTRIG_PURE_PYTHON=1``); see :func:`backend_name`.  The
+tanh-sinh integrators ``integrate_singular`` and ``integrate_improper``
+are offered for integrands given as callables.
 """
 
 from ._backend import backend_name

@@ -1,4 +1,4 @@
-"""Selects the quadrature kernel implementation at import time.
+"""Selects the series kernel implementation at import time.
 
 The compiled extension ``_dequad_c`` (built from ``_dequad_c.c``) is used
 when present; set ``PQTRIG_PURE_PYTHON=1`` to force the pure-Python

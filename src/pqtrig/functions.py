@@ -9,27 +9,23 @@ For an exponent pair p, q > 1 the package computes
     m_star_pq     = the same integral over [0, inf), finite exactly when
                     p < q and +inf otherwise
 
-together with an independent power-series evaluation of arcsin_pq used
-as a cross-check.  At p = q = 2 these all reduce to the classical
-functions and constants.
+together with the power series of arcsin_pq as a public partial-sum
+function.  At p = q = 2 these all reduce to the classical functions and
+constants.
 
 The constants are complete Beta integrals and come in closed form.  The
-integrals are taken where their integrands are smooth: with
-p* = p/(p - 1) and q* = q/(q - 1), the substitution 1 - t**q = V**p*
-maps the top half of the (p, q) branch onto the bottom half of the
-(q*, p*) branch (the conjugate-exponent relation),
+integrals are Gauss hypergeometric functions, and each value is one
+call of a series kernel with a rigorous truncation bound (see
+``_dequad_py``).  The arcsin series is taken where x**q <= 1/2 only:
+with p* = p/(p - 1) and q* = q/(q - 1), the substitution
+1 - t**q = V**p* maps the top half of the (p, q) branch onto the bottom
+half of the (q*, p*) branch (the conjugate-exponent relation),
 
     half_pi_pq - arcsin_pq(x) = c arcsin_{q*,p*}(V),  c = p* / q,
     V = (1 - x**q)**(1/p*),
 
-and for p < q, with g = q/p - 1, s = t**-g maps the tail of the
-hyperbolic integral onto [0, x**-g]:
-
-    m_star_pq - arcsinh_pq(x) = arcsinh_{p,q/g}(x**-g) / g.
-
-The tail form is used where x**-g <= 1/2, where the tail is small enough
-beside m_star_pq that the subtraction costs no accuracy; nearer x = 1
-the integral over [0, x] is the accurate one.
+where V**p* = 1 - x**q <= 1/2.  The arcsinh kernel covers every x up to
+the largest float on its own.
 """
 
 import math
@@ -92,29 +88,34 @@ class ExtendedValue(Validated, _ExtendedFields):
         return self.as_float()
 
 
-def _run_kernel(kernel, p, q, x, tol, cfg, what, base=0.0, scale=1.0):
+def _run_kernel(kernel, p, q, x, tol, what, base=0.0, scale=1.0):
     """base + scale * kernel(p, q, x); raises with that estimate if unconverged.
 
     ``what`` is (function name, pq, argument), which name the call in the
     error message.
     """
-    value, err, _evals, converged = kernel(p, q, x, tol, cfg.max_levels, cfg.max_evals)
+    value, bound, _terms, converged = kernel(p, q, x, tol)
     value = base + scale * value
     if not converged:
         name, pq, arg = what
         raise ComputationError(
             f"{name}(p={pq.p}, q={pq.q}, x={arg}) did not reach the requested tolerance "
-            f"(estimate {value!r}, error estimate {abs(scale) * err:.3e})",
+            f"(estimate {value!r}, error bound {abs(scale) * bound:.3e})",
             partial=value,
         )
     return value
 
 
 def _a_beta(a: float, b: float) -> float:
-    # a B(a, b) = Gamma(1 + a) Gamma(b) / Gamma(a + b), so that B(1/q, b) / q
-    # needs neither the large lgamma(1/q) nor B itself, which overflows
-    # where 1/q or 1/b nears the largest float
-    return math.exp(math.lgamma(1.0 + a) + math.lgamma(b) - math.lgamma(a + b))
+    # a B(a, b) = Gamma(1 + a) Gamma(1 + b) / (b Gamma(a + b)), so that
+    # B(1/q, b) / q needs neither the large lgamma(1/q) nor B itself, which
+    # overflows where 1/q or 1/b nears the largest float, nor lgamma(b),
+    # whose size ln(1/b) cost up to 55 ulps near p = 1 and q/p = 1 (9 ulps
+    # this way, against mpmath over 3,000 seeded pairs)
+    ln = math.lgamma(1.0 + a) + math.lgamma(1.0 + b) - math.lgamma(a + b)
+    if ln < -700.0:  # e**ln would lose digits below the normal range
+        return math.exp(ln - math.log(b))
+    return math.exp(ln) / b
 
 
 @lru_cache(maxsize=4096)
@@ -147,21 +148,39 @@ def m_star_pq(pq: PQParams) -> ExtendedValue:
 
 
 def _reflected(pq: PQParams, v: float, cfg: QuadratureConfig, what: tuple) -> float:
-    """half_pi_pq - c arcsin_{q*,p*}(v): arcsin_pq at x with 1 - x**q = v**(p/(p - 1))."""
+    """half_pi_pq - c arcsin_{q*,p*}(v): arcsin_pq at x with 1 - x**q = v**(p/(p - 1)).
+
+    half_pi_pq grows like 1/(p - 1), so the subtraction loses that many
+    more digits as p nears 1; where it leaves a value outside
+    [x, half_pi_pq], which the integral of a function at least 1 never
+    takes, ComputationError is raised.
+    """
     p, q = pq.p, pq.q
-    return _run_kernel(
-        kernels.arcsin_quad, q / (q - 1.0), p / (p - 1.0), v, cfg.target_abs_tol, cfg, what,
-        base=half_pi_pq(pq), scale=-p / ((p - 1.0) * q),
+    hp = half_pi_pq(pq)
+    value = _run_kernel(
+        kernels.arcsin_series, q / (q - 1.0), p / (p - 1.0), v, cfg.target_abs_tol, what,
+        base=hp, scale=-p / ((p - 1.0) * q),
     )
+    name, _pq, x = what
+    if name == "arccos_pq":  # x = (1 - v**p)**(1/q) with v**p <= 1/2, so x >= 1/2**(1/q)
+        x = math.pow(0.5, 1.0 / q)
+    if not (x <= value <= hp):
+        raise ComputationError(
+            f"{name}(p={p}, q={q}, x={what[2]}) is out of reach: p is so close to 1 that "
+            f"half_pi_pq - {p / ((p - 1.0) * q):.6g} arcsin at the conjugate exponents "
+            f"keeps no digits (estimate {value!r})",
+            partial=value,
+        )
+    return value
 
 
 def arcsin_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """The defining integral on [0, x]; strictly increasing, arcsin_pq(1) = half_pi_pq.
 
     Where x**q >= 1/2 it is half_pi_pq minus the reflected integral at the
-    conjugate exponents (see the module docstring), so no quadrature
-    node comes near the singular end t = 1.  Raises :class:`DomainError`
-    for x outside [0, 1].
+    conjugate exponents (see the module docstring), so the series is
+    never taken beyond z = 1/2.  Raises :class:`DomainError` for x
+    outside [0, 1].
     """
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"arcsin_pq needs x in [0, 1], got {x!r}")
@@ -170,7 +189,7 @@ def arcsin_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
         # V = (1 - x**q)**(1 - 1/p), with 1 - x**q formed without cancellation
         v = math.pow(-math.expm1(pq.q * math.log(x)), (pq.p - 1.0) / pq.p)
         return _reflected(pq, v, cfg, what)
-    return _run_kernel(kernels.arcsin_quad, pq.p, pq.q, x, cfg.target_abs_tol, cfg, what)
+    return _run_kernel(kernels.arcsin_series, pq.p, pq.q, x, cfg.target_abs_tol, what)
 
 
 def arccos_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -186,31 +205,29 @@ def arccos_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
         return _reflected(pq, math.pow(x, pq.p - 1.0), cfg, what)
     # (1 - x**p)**(1/q) without cancellation for x near 1
     w = math.pow(-math.expm1(pq.p * math.log(x)), 1.0 / pq.q)
-    return _run_kernel(kernels.arcsin_quad, pq.p, pq.q, w, cfg.target_abs_tol, cfg, what)
+    return _run_kernel(kernels.arcsin_series, pq.p, pq.q, w, cfg.target_abs_tol, what)
 
 
 def arcsinh_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """The hyperbolic defining integral on [0, x]; strictly increasing in x.
 
-    Where m_star_pq is finite and x**(1 - q/p) <= 1/2 it is m_star_pq
-    minus the tail integral over [x, inf), taken at other exponents (see
-    the module docstring), so a huge x costs no accuracy.
+    One series kernel call for every finite x >= 0: the Pfaff form near
+    0 and the far form, an expansion in x**-q, beyond (see
+    ``_dequad_py``), so a huge x costs no accuracy on either side of
+    p = q.  Where m_star_pq is finite the value never exceeds it.
     """
     if not (x >= 0.0 and math.isfinite(x)):
         raise DomainError(f"arcsinh_pq needs finite x >= 0, got {x!r}")
-    p, q, tol = pq.p, pq.q, cfg.target_abs_tol
-    what = ("arcsinh_pq", pq, x)
-    g = (q - p) / p  # q/p - 1, with q - p exact near p = q
-    if g > 0.0 and x > 1.0 and math.pow(x, -g) <= 0.5:
-        return _run_kernel(
-            kernels.arcsinh_quad, p, q / g, math.pow(x, -g), tol * min(g, 1.0), cfg, what,
-            base=_m_star(p, q), scale=-1.0 / g,
-        )
-    return _run_kernel(kernels.arcsinh_quad, p, q, x, tol, cfg, what)
+    p, q = pq.p, pq.q
+    value = _run_kernel(kernels.arcsinh_series, p, q, x, cfg.target_abs_tol,
+                        ("arcsinh_pq", pq, x))
+    # far out the series comes within ulps of m_star, and its rounding may
+    # put it above the closed form, which the integral never reaches
+    return min(value, _m_star(p, q)) if p < q else value
 
 
 def arcsin_series_oracle(pq: PQParams, x: float, n_terms: int) -> float:
-    """Partial sum of the power series for arcsin_pq, for cross-checking.
+    """Partial sum of the power series for arcsin_pq.
 
     Termwise integration of the binomial expansion of (1 - t**q)**(-1/p)
     gives
@@ -220,7 +237,10 @@ def arcsin_series_oracle(pq: PQParams, x: float, n_terms: int) -> float:
     with (a)_n the rising factorial.  Valid for 0 <= x < 1 (the series
     diverges too slowly at x = 1 to be useful); monotone increasing in
     ``n_terms``.  Terms are accumulated until one falls below 1e-17 of
-    the partial sum, the double-precision floor.
+    the partial sum, the double-precision floor.  This is the series
+    that the arcsin kernel sums where x**q <= 1/2, so it is no
+    independent check of ``arcsin_pq`` there; the test suite checks both
+    against a tanh-sinh reference.
     """
     if not (0.0 <= x < 1.0):
         raise DomainError(f"series oracle needs x in [0, 1), got {x!r}")

@@ -48,7 +48,7 @@ from functools import partial
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from ._records import Validated
-from .errors import DomainError, PQTrigError
+from .errors import ComputationError, DomainError, PQTrigError
 from .functions import PQParams, arcsin_pq, arcsinh_pq, half_pi_pq, m_star_pq
 from .inverse import _roots
 from .means import HolderOrder, holder_mean
@@ -58,6 +58,30 @@ DEFAULT_TOL_REL = 1e-9
 
 # hyperbolic argument grids are capped here when m_star is infinite (or larger)
 SINH_ARG_CAP = 5.0
+
+_LN_MAX = math.log(1.7976931348623157e308)
+
+
+def _softplus(a: float) -> float:
+    # ln(1 + e**a) without overflow: ln(1 + x**q) at a = q ln x
+    if a > 0.0:
+        return a + math.log1p(math.exp(-a))
+    return math.log1p(math.exp(a))
+
+
+def _gmean(a: float, b: float) -> float:
+    """sqrt(a b); as sqrt(a) sqrt(b) where a b overflows or leaves the normal range."""
+    ab = a * b
+    if 2.2250738585072014e-308 <= ab < math.inf:
+        return math.sqrt(ab)
+    return math.sqrt(a) * math.sqrt(b)
+
+
+def _exp(a: float, what: str) -> float:
+    """e**a, or ComputationError where it overflows a float."""
+    if a > _LN_MAX:
+        raise ComputationError(f"{what} overflows a float (its natural log is {a:.6g})")
+    return math.exp(a)
 
 
 def default_tolerance(rhs: float) -> float:
@@ -228,8 +252,14 @@ def _lemma22_cell(pq, pts, ordv, tolerance) -> list:
         if not (x > 0.0 and math.isfinite(x)):
             raise DomainError(f"lemma22 needs finite x > 0, got {x!r}")
         lhs = x / arcsinh_pq(pq, x)
-        xq = math.pow(x, q)
-        rhs = ((p - q) * xq + p) / (p * math.pow(1.0 + xq, 1.0 - 1.0 / p))
+        t = q * math.log(x)  # ln x**q
+        if t <= 0.0:
+            xq = math.exp(t)
+            rhs = ((p - q) * xq + p) / (p * math.exp((1.0 - 1.0 / p) * math.log1p(xq)))
+        else:
+            # x**q factored out: ((p - q) + p x**-q) x**q / (p (1 + x**q)**(1 - 1/p))
+            scale = _exp(t - (1.0 - 1.0 / p) * _softplus(t), f"lemma22 at x={x!r}")
+            rhs = ((p - q) + p * math.exp(-t)) * scale / p
         at = {"p": p, "q": q, "x": x}
         if x0 is not None:
             at["x0"] = x0
@@ -268,18 +298,18 @@ def _mean_cell(check, pq, pts, ordv, tolerance) -> list:
             return 0.0 < r < hp and 0.0 < s < hp
 
     value = _lookup(partial(_roots, fn, pq),
-                    [y for r, s in pts if inside(r, s) for y in (math.sqrt(r * s), r, s)])
+                    [y for r, s in pts if inside(r, s) for y in (_gmean(r, s), r, s)])
     gm = check.startswith("gm-")  # thm11 is the geometric mean, written as sqrt(a b)
     base = {"p": p, "q": q, "order": ordv} if gm else {"p": p, "q": q}
 
     def verdict(r, s):
         if not inside(r, s):
             raise DomainError(f"{check} needs r, s in (0, {top}), got {r!r}, {s!r}")
-        lhs = value(math.sqrt(r * s))
+        lhs = value(_gmean(r, s))
         if gm:
             rhs = holder_mean(ordv, value(r), value(s))
         else:
-            rhs = math.sqrt(value(r) * value(s))
+            rhs = _gmean(value(r), value(s))
         margin = rhs - lhs if fn == "sinh" else lhs - rhs
         return _verdict(lhs, rhs, margin, {**base, "r": r, "s": s}, tolerance)
 
@@ -411,9 +441,9 @@ def Gstar_fn(pq: PQParams, x: float) -> float:
     """
     if not (x > 0.0 and math.isfinite(x)):
         raise DomainError(f"Gstar_fn needs finite x > 0, got {x!r}")
-    xq = math.pow(x, pq.q)
-    opxq = 1.0 + xq
-    return x / (arcsinh_pq(pq, x) * math.pow(opxq, 1.0 / pq.p)) + pq.q * xq / (pq.p * opxq)
+    lx, sp = math.log(x), _softplus(pq.q * math.log(x))  # ln x and ln(1 + x**q)
+    first = math.exp(lx - math.log(arcsinh_pq(pq, x)) - sp / pq.p)
+    return first + pq.q / pq.p * math.exp(pq.q * lx - sp)
 
 
 def F_fn(pq: PQParams, order: Union[HolderOrder, float], x: float) -> float:
@@ -421,8 +451,10 @@ def F_fn(pq: PQParams, order: Union[HolderOrder, float], x: float) -> float:
     if not (0.0 < x < 1.0):
         raise DomainError(f"F_fn needs x in (0, 1), got {x!r}")
     ordv = _order(order)
-    omxq = -math.expm1(pq.q * math.log(x))
-    return math.pow(x, 1.0 - ordv) / (arcsin_pq(pq, x) * math.pow(omxq, 1.0 / pq.p))
+    lx = math.log(x)
+    ln_f = ((1.0 - ordv) * lx - math.log(arcsin_pq(pq, x))
+            - math.log(-math.expm1(pq.q * lx)) / pq.p)
+    return _exp(ln_f, f"F_fn at x={x!r}")
 
 
 def Fstar_fn(pq: PQParams, order: Union[HolderOrder, float], x: float) -> float:
@@ -430,8 +462,9 @@ def Fstar_fn(pq: PQParams, order: Union[HolderOrder, float], x: float) -> float:
     if not (x > 0.0 and math.isfinite(x)):
         raise DomainError(f"Fstar_fn needs finite x > 0, got {x!r}")
     ordv = _order(order)
-    opxq = 1.0 + math.pow(x, pq.q)
-    return math.pow(x, 1.0 - ordv) / (arcsinh_pq(pq, x) * math.pow(opxq, 1.0 / pq.p))
+    lx = math.log(x)
+    ln_f = (1.0 - ordv) * lx - math.log(arcsinh_pq(pq, x)) - _softplus(pq.q * lx) / pq.p
+    return _exp(ln_f, f"Fstar_fn at x={x!r}")
 
 
 def _probe_cell(fn, increasing, pq, pts, ordv, tolerance) -> list:

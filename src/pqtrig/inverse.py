@@ -4,46 +4,39 @@ Each inverse solves its monotone defining equation with Newton steps (the
 derivative of the defining integral is the integrand itself, so it comes
 for free) inside a maintained bracket; a step leaving the bracket falls
 back to bisection.  The convergence criterion is the residual in function
-space, |F(s) - y| <= tol, which is what the quadrature can actually
-certify.  The solve itself is ``kernels.solve`` (see ``_dequad_py.solve``
-for the step variables, warm starts and forward values); it takes an
-ascending list of targets and runs in C with the GIL released when the
-compiled backend is active.  :func:`_roots` checks domains, chooses the
-formulation of each target, makes one ``kernels.solve`` call per
-formulation and maps the solver's failures to :class:`ComputationError`;
-sin_pq, cos_pq and sinh_pq are its one-target calls, and the lab's sweeps
-call it once per function for all the targets of a (p, q) cell.
-
-Within one ``kernels.solve`` call the first forward value is a full
-tanh-sinh quadrature, and each later one is the last value plus a
-15-point Gauss-Kronrod integral over the step from it, where the step
-spans at most half its distance from the integrand's singular points and
-its error estimate is at most 1/100 of the quadrature tolerance; a full
-quadrature is taken otherwise, and always after a sinh quadrature over
-[0, s] beyond s = 1e4, which can be off by more than its tolerance.  On
-the lab's ``sweep-c`` rounds that cuts the integrand evaluations of the
-solves by 83% for the same 2.35 forward values per solve.
+space, |F(s) - y| <= tol, and every forward value F(s) is one series
+kernel call whose bound certifies it.  The solve itself is
+``kernels.solve`` (see ``_dequad_py.solve`` for the step variables and
+warm starts); it takes an ascending list of targets and runs in C with
+the GIL released when the compiled backend is active.  :func:`_roots`
+checks domains, chooses the formulation of each target, makes one
+``kernels.solve`` call per formulation and maps the solver's failures to
+:class:`ComputationError`; sin_pq, cos_pq and sinh_pq are its one-target
+calls, and the lab's sweeps call it once per function for all the
+targets of a (p, q) cell.
 
 sin_pq and cos_pq are one solve each in the bottom, smooth half of a
-trigonometric branch.  A target in the top half of the (p, q) branch is
-reflected onto the bottom half of the conjugate (q*, p*) branch, whose
-root V gives 1 - s**q = v**p = V**(p/(p - 1)) (see ``functions``), so
-no solve steps next to the singular end t = 1.  When the bracket
-collapses to a few ulps the nearest representable root is returned;
-ComputationError is raised on iteration budget exhaustion, when a
-forward quadrature inside the solve does not converge, and where p is so
-close to 1 that the conjugate root V rounds to 1 and cannot be mapped
-back.
+trigonometric branch, s in [0, 2**(-1/q)], where s**q <= 1/2.  A target
+above the half-branch value arcsin_pq(2**(-1/q)) is reflected onto the
+bottom half of the conjugate (q*, p*) branch, whose root V gives
+1 - s**q = v**p = V**(p/(p - 1)) <= 1/2 (see ``functions``), so no solve
+evaluates its series beyond z = 1/2.  When the bracket collapses to a
+few ulps the nearest representable root is returned; ComputationError
+is raised on iteration budget exhaustion, when a forward series inside
+the solve misses its tolerance, when sinh's bracket passes the largest
+float, and where p is so close to 1 that one ulp of the conjugate root V
+moves V**(p/(p - 1)) by 1/16 or more, so that it cannot be mapped back.
 """
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 from ._backend import kernels
 from ._records import Validated
 from .errors import ComputationError, DomainError, PQTrigError
 from .functions import PQParams, _half_pi, _m_star
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import DEFAULT_CONFIG
 
 _TOP_PAD = 1e-12
 
@@ -68,29 +61,26 @@ class InversionConfig(Validated, _InversionFields):
 DEFAULT_INVERSION = InversionConfig()
 
 
-def _quad_cfg(inv: InversionConfig) -> QuadratureConfig:
-    if inv is DEFAULT_INVERSION:  # the common case, ahead of every single call
-        return DEFAULT_CONFIG
-    # the forward evaluations must out-resolve the requested residual, but
-    # below ~1e-13 the level-difference estimate cannot certify anything
-    # more anyway (a sub-floor residual tolerance just makes the solver
-    # polish to the representable root)
-    tol = max(min(inv.tol, DEFAULT_CONFIG.target_abs_tol), 1e-13)
-    if tol == DEFAULT_CONFIG.target_abs_tol:
-        return DEFAULT_CONFIG
-    return QuadratureConfig(target_abs_tol=tol)
+def _forward_tol(inv: InversionConfig) -> float:
+    """The tolerance of every forward value inside a solve."""
+    # the forward values must out-resolve the requested residual, but no
+    # series bound goes below its rounding allowance of 16 ulps, so 1e-13
+    # (relative above 1) is as far as a forward value is asked to go; a
+    # smaller residual tolerance makes the solver polish to the
+    # representable root
+    return max(min(inv.tol, DEFAULT_CONFIG.target_abs_tol), 1e-13)
 
 
-# a conjugate root that rounds to 1 (see _solve), beside the statuses of kernels.solve
+# a conjugate root too coarse to map back (see _solve), beside the statuses of kernels.solve
 _UNRESOLVED = -1
 
 # what each failed status means
 _FAILURES = {
     kernels.BUDGET: "did not converge within {iters} iterations",
-    kernels.UNCONVERGED: "stopped on an unconverged forward quadrature after {iters} iterations",
+    kernels.UNCONVERGED: "stopped on an unconverged forward series after {iters} iterations",
     kernels.OVERFLOW: "bracket passed the largest float after {iters} iterations",
-    _UNRESOLVED: "found a conjugate root that rounds to 1 after {iters} iterations, "
-                 "so p is too close to 1 to map it back",
+    _UNRESOLVED: "found a conjugate root V after {iters} iterations whose last ulp moves "
+                 "V**(p/(p - 1)) by 1/16 or more, so p is too close to 1 to map it back",
 }
 
 
@@ -117,6 +107,13 @@ def _failure(fn, pq, y, value, iters, status) -> ComputationError:
     )
 
 
+@lru_cache(maxsize=4096)
+def _half_branch(p: float, q: float) -> float:
+    """arcsin_pq(2**(-1/q)), the value at the top of the bottom half of the
+    branch, where sin's solve bracket ends."""
+    return kernels.arcsin_series(p, q, math.exp(-math.log(2.0) / q))[0]
+
+
 def _roots(fn, pq: PQParams, ys, cfg: InversionConfig = DEFAULT_INVERSION) -> list:
     """fn_pq(pq, y) for every y in ``ys``: a root, or the PQTrigError it raises.
 
@@ -138,7 +135,7 @@ def _roots(fn, pq: PQParams, ys, cfg: InversionConfig = DEFAULT_INVERSION) -> li
         for i, y in enumerate(ys):
             if not (y >= 0.0):
                 out[i] = DomainError(f"sinh_pq needs y >= 0, got {y!r}")
-            elif p < q and y >= top:
+            elif y >= top:
                 out[i] = DomainError(
                     f"sinh_pq needs y below m_star = {top:.12g} for p={p}, q={q}, got {y!r}"
                 )
@@ -146,18 +143,16 @@ def _roots(fn, pq: PQParams, ys, cfg: InversionConfig = DEFAULT_INVERSION) -> li
                 out[i] = 0.0
             else:
                 direct.setdefault(y, []).append(i)
-        if direct:
-            _solve(out, fn, pq, ys, direct, False, "sinh", p, q, top, cfg.tol, cfg)
+        _solve(out, fn, pq, ys, direct, False, "sinh", p, q, cfg.tol, cfg)
         return out
 
-    # The two-term series m + m**(q + 1) / (p (q + 1)) underestimates
-    # arcsin_pq at the midpoint m = 2**(-1/q), so a target at or below
-    # `split` has its root in the bottom half of the branch and is solved
-    # at (p, q).  Above it, arcsin_pq(s) = hp - c arcsin_{q*,p*}(V), so V
-    # is solved at the conjugate exponents for the target (hp - y) / c,
-    # with the residual tolerance divided by c to keep it in y-space.
+    # A target at or below the half-branch value has its root in the
+    # bottom half of the branch and is solved at (p, q).  Above it,
+    # arcsin_pq(s) = hp - c arcsin_{q*,p*}(V), so V is solved at the
+    # conjugate exponents for the target (hp - y) / c, with the residual
+    # tolerance divided by c to keep it in y-space.
     hp = _half_pi(p, q)  # half_pi_pq
-    split = (1.0 + 0.5 / (p * (q + 1.0))) * math.pow(0.5, 1.0 / q)
+    split = _half_branch(p, q)
     c = p / (p - 1.0) / q
     for i, y in enumerate(ys):
         if not (0.0 <= y <= hp + _TOP_PAD):
@@ -172,28 +167,24 @@ def _roots(fn, pq: PQParams, ys, cfg: InversionConfig = DEFAULT_INVERSION) -> li
             direct.setdefault(y, []).append(i)
         else:
             conj.setdefault((hp - y) / c, []).append(i)
-    if direct:
-        _solve(out, fn, pq, ys, direct, False, "sin", p, q, hp, cfg.tol, cfg)
-    if conj:
-        _solve(out, fn, pq, ys, conj, True, "sin", q / (q - 1.0), p / (p - 1.0), hp / c,
-               cfg.tol / c, cfg)
+    _solve(out, fn, pq, ys, direct, False, "sin", p, q, cfg.tol, cfg)
+    _solve(out, fn, pq, ys, conj, True, "sin", q / (q - 1.0), p / (p - 1.0), cfg.tol / c, cfg)
     return out
 
 
-def _solve(out, fn, pq, ys, targets, conj, mode, p, q, top, tol, cfg):
+def _solve(out, fn, pq, ys, targets, conj, mode, p, q, tol, cfg):
     """One kernels.solve call over the unique ``targets`` (each mapped to
     its indices in ``ys``); stores each target's value or error in ``out``."""
     if not targets:
         return
     ts = sorted(targets)
-    qcfg = _quad_cfg(cfg)
-    results = kernels.solve(mode, p, q, ts, top, tol, cfg.max_iters,
-                            qcfg.target_abs_tol, qcfg.max_levels, qcfg.max_evals)
+    results = kernels.solve(mode, p, q, ts, tol, cfg.max_iters, _forward_tol(cfg))
     plain = fn == "sinh" or (fn == "sin" and not conj)  # the root is the value
-    for t, (root, iters, _evals, status) in zip(ts, results):
-        if conj and root >= 1.0:
-            # a target above `split` has V < 1; V rounds to 1 only where p is
-            # so close to 1 that v**p = V**(p/(p - 1)) keeps no digits
+    for t, (root, iters, _terms, status) in zip(ts, results):
+        if conj and q * math.ulp(root) >= root / 16.0:
+            # q is p/(p - 1) here: one ulp of V moves v**p = V**q by 1/16 or
+            # more only where p is within a few ulps of 1, and then v**p
+            # keeps no digits
             value, status = None, status or _UNRESOLVED
         else:
             value = root if plain else _mapped(fn, pq, root, conj)
@@ -227,7 +218,7 @@ def cos_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> 
 
     For p > 2 arccos_pq flattens near v = 0, so the v-resolution implied
     by the residual tolerance degrades like tol / |arccos_pq'|.  A
-    tolerance below the quadrature noise floor (about 1e-15) makes the
+    tolerance below the forward's rounding (about 1e-15) makes the
     solver polish down to the nearest representable root instead.
     """
     return _one("cos", pq, y, cfg)
@@ -240,9 +231,9 @@ def sinh_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) ->
     below it.  The solve starts at s = y, a lower bound because the
     integrand is at most 1, and needs no upper bound to begin with;
     arcsinh_pq is unbounded in s even when its limit bounds y, so an
-    in-domain y has a finite root.  A root beyond the largest float, one
-    so large that the forward quadrature cannot converge there (p >= q,
-    or q/p within about 1.005 of 1), or one the iteration budget does not
-    reach raises :class:`ComputationError`.
+    in-domain y has a finite root.  A root beyond the largest float, or
+    one the iteration budget does not reach, raises
+    :class:`ComputationError`; every finite root is within reach of the
+    forward series.
     """
     return _one("sinh", pq, y, cfg)

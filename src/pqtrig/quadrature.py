@@ -17,16 +17,69 @@ example, integrate f(b - s) for s in [0, b - a]).
 
 A node that rounds onto an endpoint is nudged inward by one ulp of the
 interval width before the integrand is called.
+
+The substitution u = tanh((pi/2) sinh(tau)) maps (-1, 1) to the real
+line.  Node quantities depend only on tau, so they are tabulated once
+per refinement level and reused by every integral.  Each node record is
+``(omu, w, tau)``, where ``omu = 1 - u`` is computed without
+cancellation (this is what makes abscissae meaningful exponentially
+close to an endpoint) and ``w`` is the du/dtau weight.  Level 0 holds
+tau = 1, 2, 3, ...; level m >= 1 holds the new points tau = k * 2**-m
+for odd k.  The tau = 0 centre node is handled explicitly (omu = 1,
+w = pi/2).  The package's own functions do not use this engine; their
+kernels are series (see ``_dequad_py``).
 """
 
 import math
+import threading
 from typing import Callable, NamedTuple
 
-from ._nodes import run_levels
 from ._records import Validated
 from .errors import ComputationError, DomainError
 
 _PI_HALF = math.pi / 2.0
+
+# Past this point the weight underflows to zero in double precision.
+_TAU_MAX = 6.9
+# Deeper refinement levels are clamped; the double-precision floor stops
+# refinement far earlier.
+_MAX_LEVEL = 16
+_EPS = 2.220446049250313e-16
+
+_tables: dict[int, list[tuple[float, float, float]]] = {}
+_lock = threading.Lock()
+
+
+def _build(level: int) -> list[tuple[float, float, float]]:
+    """The node records of one level, tau = 1, 2, ... at level 0 and the
+    odd multiples of 2**-level above it."""
+    nodes = []
+    h, step = (1.0, 1) if level == 0 else (2.0 ** (-level), 2)
+    k = 1
+    while k * h <= _TAU_MAX:
+        tau = k * h
+        s = _PI_HALF * math.sinh(tau)
+        if 2.0 * s > 1400.0:
+            break
+        e2 = math.exp(-2.0 * s)
+        omu = 2.0 * e2 / (1.0 + e2)
+        w = _PI_HALF * math.cosh(tau) * (4.0 * e2 / ((1.0 + e2) * (1.0 + e2)))
+        if w == 0.0 or omu == 0.0:
+            break
+        nodes.append((omu, w, tau))
+        k += step
+    return nodes
+
+
+def _level_nodes(level: int) -> list[tuple[float, float, float]]:
+    """Node records for one refinement level (built on first use)."""
+    table = _tables.get(level)
+    if table is None:
+        with _lock:
+            table = _tables.get(level)
+            if table is None:
+                table = _tables[level] = _build(level)
+    return table
 
 
 class _QuadratureFields(NamedTuple):
@@ -38,9 +91,11 @@ class _QuadratureFields(NamedTuple):
 class QuadratureConfig(Validated, _QuadratureFields):
     """Accuracy and budget knobs for the integrators.
 
-    Refinement never goes past level 16: a larger ``max_levels`` is
-    clamped, alike by both kernel backends and by :func:`integrate_singular`,
-    so the backends walk the same levels for any ``max_levels``.
+    ``max_levels`` and ``max_evals`` govern :func:`integrate_singular` and
+    :func:`integrate_improper` only: the package's functions take just
+    ``target_abs_tol``, as the tolerance of their series kernels (absolute
+    below a value of 1 and relative above it).  Refinement never goes past
+    level 16; a larger ``max_levels`` is clamped.
     """
 
     __slots__ = ()
@@ -107,15 +162,46 @@ def integrate_singular(
             raise ComputationError(f"integrand returned non-finite value {fx!r} at x={x!r}")
         return fx
 
-    def pair(rec) -> float:
-        omu, w, _ln_lo, _ln_hi, _tau = rec
+    # level-doubling: stop when the difference of two levels meets the
+    # tolerance (converged), at the double-precision floor, on exhausting
+    # max_evals, or after min(max_levels, 16) levels
+    raw_tol = cfg.target_abs_tol / half if half else math.inf  # half underflows for b - a = 5e-324
+    raw = _PI_HALF * feval(a + half)
+    evals = 1
+    for omu, w, _tau in _level_nodes(0):
         r = half * omu
-        return w * (feval(b - r) + feval(a + r))
-
-    return QuadratureResult(*run_levels(
-        pair, _PI_HALF * feval(a + half), half,
-        cfg.target_abs_tol, cfg.max_levels, cfg.max_evals,
-    ))
+        c = w * (feval(b - r) + feval(a + r))
+        raw += c
+        evals += 2
+        if abs(c) <= 1e-17 * abs(raw):  # level-0 taus are all >= 1
+            break
+    h = 1.0
+    value = raw
+    err = math.inf
+    converged = False
+    for level in range(1, min(cfg.max_levels, _MAX_LEVEL) + 1):
+        h *= 0.5
+        small = 0
+        for omu, w, tau in _level_nodes(level):
+            r = half * omu
+            c = w * (feval(b - r) + feval(a + r))
+            raw += c
+            evals += 2
+            if abs(c) <= 1e-17 * abs(raw) and tau >= 1.0:
+                small += 1
+                if small >= 2:
+                    break
+            else:
+                small = 0
+        new = raw * h
+        err = abs(new - value)
+        value = new
+        if err <= raw_tol:
+            converged = True
+            break
+        if err <= 8.0 * _EPS * abs(value) or evals >= cfg.max_evals:
+            break
+    return QuadratureResult(value * half, err * half, evals, converged)
 
 
 def integrate_improper(

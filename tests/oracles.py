@@ -1,12 +1,23 @@
 """Independent reference implementations used only to check the package.
 
-None of this reuses package code: the Beta values come from a Lanczos
-log-gamma written here, the distance of arcsin_pq from the top of its
-branch and the tail of arcsinh_pq from an incomplete-Beta power series,
-and the smooth-integrand reference is a Romberg integrator.  Keeping these separate from the tanh-sinh path is the whole
-point; do not import pqtrig here.
+None of this reuses package code or its methods.  The package sums
+hypergeometric series; the references here are:
+
+- a Lanczos log-gamma for the Beta constants;
+- ``arcsin_ref``, ``arccos_ref`` and ``arcsinh_ref``: the defining
+  integrals by a tanh-sinh level loop written here, with the integrands
+  evaluated from exact distances to the interval ends, and, for
+  arcsinh beyond x = 1, the substitution t = e**u, which leaves the
+  closed form (x**e0 - 1)/e0 (taken in 40-digit ``decimal``) minus a
+  smooth, exponentially decaying remainder;
+- the tail of arcsinh_pq as an incomplete-Beta power series in
+  1/(1 + x**q), a different expansion from the package's x**-q series;
+- a Romberg integrator for smooth integrands.
+
+Do not import pqtrig here.
 """
 
+import decimal
 import math
 
 # Lanczos approximation, g = 7, 9 coefficients
@@ -115,3 +126,125 @@ def romberg(f, a: float, b: float, max_k: int = 18, tol: float = 1e-13) -> float
         if k >= 4 and abs(row[k] - rows[k - 1][k - 1]) < tol:
             return row[k]
     return rows[-1][-1]
+
+
+def tanh_sinh(f, a: float, b: float, max_level: int = 10) -> float:
+    """Integral of ``f`` over [a, b] by level-doubling tanh-sinh quadrature.
+
+    ``f(t, d)`` gets each abscissa t and its distance d = b - t, which is
+    exact next to b, so an integrand that is nearly singular beyond b can
+    be evaluated there without cancellation.  Levels double until two
+    agree to 1e-16 relative, or ``max_level`` is reached.  The nodes' terms
+    are added with ``math.fsum``.
+    """
+    half = 0.5 * (b - a)
+
+    def pair(tau):
+        # the two nodes at +-tau, weighted; None once the weight underflows
+        s = 0.5 * math.pi * math.sinh(tau)
+        e2 = math.exp(-2.0 * s)
+        r = half * 2.0 * e2 / (1.0 + e2)  # the distance of each node from its end
+        w = 0.5 * math.pi * math.cosh(tau) * 4.0 * e2 / ((1.0 + e2) * (1.0 + e2))
+        if w < 1e-300 or r == 0.0:
+            return None
+        return w * (f(a + r, (b - a) - r) + f(b - r, r))
+
+    terms = [0.5 * math.pi * f(a + half, half)]
+    k = 1
+    while (c := pair(float(k))) is not None:
+        terms.append(c)
+        k += 1
+    h, value = 1.0, math.fsum(terms)
+    for _ in range(max_level):
+        h *= 0.5
+        k = 1
+        while (c := pair(k * h)) is not None:
+            terms.append(c)
+            k += 2
+        new = math.fsum(terms) * h
+        if abs(new - value) <= 1e-16 * abs(new):
+            return new * half
+        value = new
+    return value * half
+
+
+def arcsin_ref(p: float, q: float, x: float) -> float:
+    """arcsin_pq(x) for 0 <= x < 1 by quadrature of (1 - t**q)**(-1/p).
+
+    Up to m = 2**(-1/q) the integrand is smooth; beyond it, 1 - t**q is
+    formed from the exact distance d = x - t as
+    (1 - x**q) + x**q (1 - (1 - d/x)**q), both terms without cancellation.
+    """
+    if not 0.0 <= x < 1.0:
+        raise ValueError("the reference is taken for 0 <= x < 1")
+    m = math.pow(0.5, 1.0 / q)
+    def low(t, d):  # t**q may underflow, or t round to 0 next to it
+        return math.pow(-math.expm1(q * math.log(t)), -1.0 / p) if t > 0.0 else 1.0
+
+    bottom = tanh_sinh(low, 0.0, min(x, m)) if x > 0.0 else 0.0
+    if x <= m:
+        return bottom
+    ex, xq = -math.expm1(q * math.log(x)), math.pow(x, q)
+
+    def top(t, d):
+        return math.pow(ex - xq * math.expm1(q * math.log1p(-d / x)), -1.0 / p)
+
+    return bottom + tanh_sinh(top, m, x)
+
+
+def arccos_ref(p: float, q: float, v: float) -> float:
+    """arccos_pq(v) = arcsin_pq(w), 1 - w**q = v**p, for 0 < v <= 1.
+
+    For v**p <= 1/2, w would round next to 1, so the integral is split at
+    m = 2**(-1/q) and its part over [m, w] is taken in s = 1 - t**q:
+    integral of (s**(-1/p) (1 - s)**(1/q - 1)) / q over [v**p, 1/2], an
+    integrand smooth there since v**p bounds s away from 0.  (The package
+    reflects this part onto the conjugate exponents instead.)
+    """
+    if not 0.0 < v <= 1.0:
+        raise ValueError("the reference is taken for 0 < v <= 1")
+    vp = math.pow(v, p)
+    if vp > 0.5:
+        return arcsin_ref(p, q, math.pow(-math.expm1(p * math.log(v)), 1.0 / q))
+
+    def gap(s, d):
+        return math.pow(s, -1.0 / p) * math.exp((1.0 / q - 1.0) * math.log1p(-s)) / q
+
+    return arcsin_ref(p, q, math.pow(0.5, 1.0 / q)) + tanh_sinh(gap, vp, 0.5)
+
+
+def arcsinh_ref(p: float, q: float, x: float) -> float:
+    """arcsinh_pq(x) for finite x >= 0.
+
+    Over [0, min(x, 1)] by quadrature of (1 + t**q)**(-1/p).  Beyond 1,
+    t = e**u gives, with e0 = 1 - q/p and L = ln x,
+
+        integral over [0, L] of e**(e0 u) (1 - h(u)),
+        h(u) = 1 - (1 + e**(-q u))**(-1/p),
+
+    whose first part is (x**e0 - 1)/e0 (L at e0 = 0), taken in 40-digit
+    decimal arithmetic so that its size (up to 1e277) costs no digits,
+    and whose second part decays like e**((e0 - q) u), e0 - q < -0.1.
+    """
+    if not (x >= 0.0 and math.isfinite(x)):
+        raise ValueError("the reference is taken for finite x >= 0")
+    def low(t, d):
+        return math.exp(-math.log1p(math.exp(q * math.log(t))) / p) if t > 0.0 else 1.0
+
+    near = tanh_sinh(low, 0.0, min(x, 1.0)) if x > 0.0 else 0.0
+    if x <= 1.0:
+        return near
+    ln_x = math.log(x)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        e0 = (decimal.Decimal(p) - decimal.Decimal(q)) / decimal.Decimal(p)
+        dl = decimal.Decimal(x).ln()
+        main = float(((e0 * dl).exp() - 1) / e0) if e0 else float(dl)
+    e0f = (p - q) / p
+
+    def rest(u, d):
+        return math.exp(e0f * u) * -math.expm1(-math.log1p(math.exp(-q * u)) / p)
+
+    # h(u) <= e**(-q u)/p, so beyond u = 42/(q - e0) the remainder adds
+    # less than 1e-17 of the result
+    return near + main - tanh_sinh(rest, 0.0, min(ln_x, 42.0 / (q - e0f)))

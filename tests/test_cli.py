@@ -273,3 +273,23 @@ def test_infinity_renders_as_token(capsys):
     obj = json.loads(out)
     assert obj["verdicts"][0]["lhs"] == "inf"
     assert obj["verdicts"][0]["satisfied"] is True
+
+
+def test_far_out_probe_prints_no_traceback():
+    # x**q beyond the largest float used to raise OverflowError out of
+    # Fstar_fn and print a traceback
+    import os
+    import subprocess
+    import sys
+
+    import pqtrig
+
+    src = os.path.dirname(os.path.dirname(pqtrig.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pqtrig.cli", "sweep", "--check", "fstar-monotone",
+         "--order", "0.5", "--p-range", "2:3:2", "--q-range", "3:3:1", "--x-max", "1e300",
+         "--grid", "10"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode in (0, 1)

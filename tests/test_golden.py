@@ -5,7 +5,9 @@ under ``tests/golden/``: the CSV of every check over one grid (the two
 monotonicity probes at ``--grid 10``, ``double-angle`` at (4/3, 4) only),
 ``gm-sin`` also at two positive orders, one JSON report and one text
 report.  A refactor of the lab or the CLI must leave all of them
-byte-identical, on either kernel backend.
+byte-identical, on either kernel backend: each case runs on the compiled
+kernels (where they are built) and on the pure ones, by swapping the
+kernel module that ``functions`` and ``inverse`` call.
 
 Regenerate the files from a trusted tree with
 
@@ -19,7 +21,15 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from pqtrig import _dequad_py, functions, inverse
 from pqtrig.cli import main
+
+try:
+    from pqtrig import _dequad_c
+except ImportError:  # without a C compiler only the pure kernels exist
+    _dequad_c = None
+
+BACKENDS = [k for k in (_dequad_c, _dequad_py) if k is not None]
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -69,13 +79,15 @@ def _golden(name: str, argv) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_output_matches_golden_file(name):
+def test_output_matches_golden_file(name, monkeypatch):
     argv = CASES[name]
-    code, out = _run(argv)
-    expected = _golden(name, argv)
-    status, _, body = expected.partition("\n")
-    assert f"exit {code}" == status
-    assert out == body
+    status, _, body = _golden(name, argv).partition("\n")
+    for kernels in BACKENDS:
+        monkeypatch.setattr(functions, "kernels", kernels)
+        monkeypatch.setattr(inverse, "kernels", kernels)
+        code, out = _run(argv)
+        assert f"exit {code}" == status, kernels.BACKEND
+        assert out == body, kernels.BACKEND
 
 
 def _regenerate() -> None:

@@ -5,8 +5,10 @@ import math
 import pytest
 
 from pqtrig import (
+    ComputationError,
     DomainError,
     F_monotonicity_probe,
+    Fstar_fn,
     Fstar_monotonicity_probe,
     G_fn,
     GridAxis,
@@ -25,6 +27,7 @@ from pqtrig import (
 )
 
 from conftest import pq_grid
+from oracles import arcsinh_ref
 
 
 class TestLemma21:
@@ -573,3 +576,37 @@ def test_sweep_errors_keep_their_row_major_index():
     assert [e.index for e in report.errors] == [2, 5, 8, 11]
     assert report.errors[1].at == {"p": 1.5, "q": 4.0, "x": 1.0}
     assert report.errors[1].message == "DomainError: lemma21 needs x in (0, 1), got 1.0"
+
+
+class TestOverflowStaysInTheErrorContract:
+    """Calls whose x**q overflows a float: each returns a number or raises a
+    PQTrigError, where OverflowError used to escape."""
+
+    def test_fstar_far_out(self):
+        # F* = x**(1 - ord) / (arcsinh_pq(x) (1 + x**q)**(1/p)), in log space
+        pq, x = PQParams(2.0, 3.0), 1e120
+        lx = math.log(x)
+        ref = math.exp(0.5 * lx - math.log(arcsinh_ref(2.0, 3.0, x)) - 1.5 * lx)
+        assert Fstar_fn(pq, 0.5, x) == pytest.approx(ref, rel=1e-12)
+
+    def test_gstar_far_out(self):
+        # the first term vanishes and the second tends to q/p
+        assert Gstar_fn(PQParams(2.0, 3.0), 1e120) == pytest.approx(1.5, rel=1e-15)
+
+    def test_lemma22_far_out(self):
+        # rhs = ((p - q) x**q + p) / (p (1 + x**q)**(1 - 1/p)), about
+        # -x**(q/p) / 2 = -5e179 here
+        v = lemma22_margin(PQParams(2.0, 3.0), 1e120)
+        assert v.rhs == pytest.approx(-0.5 * 1e180, rel=1e-12)
+        assert v.satisfied and v.lhs > 0.0
+
+    def test_a_true_overflow_raises(self):
+        # 10**401 / (arcsinh_pq(10) 10**1.5) is beyond the largest float
+        with pytest.raises(ComputationError, match="overflows a float"):
+            Fstar_fn(PQParams(2.0, 3.0), -400.0, 10.0)
+
+    def test_thm11_sinh_names_its_argument(self):
+        # sqrt(r) sqrt(s) where r s overflows: the root of sinh_pq at 1e300
+        # lies beyond the largest float for p > q
+        with pytest.raises(ComputationError, match=r"y=9\.99.*e\+299\) bracket passed"):
+            thm11_sinh_margin(PQParams(3.0, 2.0), 1e300, 1e300)

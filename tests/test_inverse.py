@@ -23,11 +23,12 @@ from pqtrig import (
     sinh_pq,
 )
 
+from pqtrig import inverse
 from pqtrig._backend import kernels
 from pqtrig.inverse import _roots
 
 from conftest import frac_grid, pq_grid
-from oracles import beta_top_gap
+from oracles import arccos_ref, arcsinh_ref
 
 
 class TestSin:
@@ -70,11 +71,13 @@ class TestSin:
 
     def test_budget_exhaustion(self):
         # trigonometric solves stay in the bottom half of a branch, where
-        # Newton converges in a few steps; this sinh solve, with its root
-        # near 2.9e47, needs 12 iterations
-        pq = PQParams(3.83234318056226, 3.7723666286310134)
-        y = 290.3663707747423
-        cfg = InversionConfig(tol=1e-12, max_iters=10)
+        # Newton converges in a few steps, and with certified forward values
+        # no sinh solve seen at the default tolerance needs more than 9; this
+        # one polishes its root near 4.8e5 to the representable root of a
+        # 1e-17 residual, which takes 12 iterations
+        pq = PQParams(1.467633684721445, 1.723962961368573)
+        y = 5.71395605204422
+        cfg = InversionConfig(tol=1e-17, max_iters=10)
         with pytest.raises(ComputationError, match="within 10 iterations") as err:
             sinh_pq(pq, y, cfg)
         assert err.value.partial == pytest.approx(sinh_pq(pq, y), rel=1e-6)
@@ -82,11 +85,12 @@ class TestSin:
     @pytest.mark.parametrize("fn", [sin_pq, cos_pq])
     def test_conjugate_root_rounding_to_one_raises(self, fn):
         # at p one ulp above 1 the conjugate exponent p/(p - 1) is 4.5e15, so
-        # V = (1 - s**q)**(1/4.5e15) rounds to 1 for this top-half target,
-        # and 1 - s**q = V**4.5e15 cannot be recovered from it (sin_pq used
-        # to raise ValueError from log1p(-1) here, and cos_pq to return 1.0)
+        # V = (1 - s**q)**(1/4.5e15) is within an ulp or two of 1 for this
+        # top-half target, and 1 - s**q = V**4.5e15 cannot be recovered from
+        # it: one ulp of V moves it by half (sin_pq used to raise ValueError
+        # from log1p(-1) here, and cos_pq to return 1.0)
         pq = PQParams(1.0000000000000002, 3.4365388968378525)
-        with pytest.raises(ComputationError, match="rounds to 1") as err:
+        with pytest.raises(ComputationError, match="too close to 1 to map it back") as err:
             fn(pq, 3.5)
         assert err.value.partial is None
 
@@ -114,14 +118,14 @@ class TestCos:
 
     def test_root_next_to_zero(self):
         # the root is near 1.9e-22, far too deep for bisection in v to
-        # reach within the iteration budget; hp - arccos_pq(v) is the
-        # incomplete-Beta gap at z = v**p
+        # reach within the iteration budget; the tanh-sinh reference of
+        # arccos_pq(v) takes the gap to the top as an integral in 1 - t**q
         pq = PQParams(1.069151055122807, 1.8533323187443222)
         hp = half_pi_pq(pq)
         y = 0.9707777342598066 * hp
         v = cos_pq(pq, y)
         assert 0.0 < v < 1e-20
-        assert beta_top_gap(pq.p, pq.q, math.pow(v, pq.p)) == pytest.approx(hp - y, abs=5e-12)
+        assert arccos_ref(pq.p, pq.q, v) == pytest.approx(y, abs=5e-12)
 
     def test_consistent_with_sin_composition(self):
         # cos_pq solves arccos_pq(v) = y, whose defining composition
@@ -169,14 +173,20 @@ class TestSinh:
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
-    def test_unconverged_forward_raises(self):
+    def test_unconverged_forward_raises(self, monkeypatch):
         # for p > q m_star is infinite and the root of this y is near 4e16,
-        # where the arcsinh quadrature over [0, s] cannot reach its
-        # tolerance; the solve must not use that forward value
+        # which the forward series reaches; a forward value whose bound
+        # misses the solve's forward tolerance (never met at 1e-30, below
+        # the 16-ulp rounding allowance) ends the solve instead: the solve
+        # must not use that value
         pq = PQParams(3.0, 2.0)
+        s = sinh_pq(pq, 1e6)
+        assert 1e16 < s < 1e17
+        assert arcsinh_ref(pq.p, pq.q, s) == pytest.approx(1e6, rel=1e-13)
+        monkeypatch.setattr(inverse, "_forward_tol", lambda cfg: 1e-30)
         with pytest.raises(ComputationError, match="unconverged forward") as err:
             sinh_pq(pq, 1e6)
-        assert kernels.arcsinh_quad(pq.p, pq.q, err.value.partial)[3] is False
+        assert kernels.arcsinh_series(pq.p, pq.q, err.value.partial, 1e-30)[3] is False
 
     def test_root_beyond_the_largest_float_fails_fast(self):
         # q/p near 1 and y next to m_star put the root near e**21000; the
@@ -334,3 +344,30 @@ def test_block_roots_share_and_certify(pq):
         assert pair == (s, c)
         assert abs(arcsin_pq(pq, s) - y) <= 2e-12 or s == sin_pq(pq, y)
         assert c == pytest.approx(cos_pq(pq, y), abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.floats(1.001, 10.0),
+       ratio=st.one_of(st.floats(0.1, 10.0), st.just(1.0),
+                       st.floats(-9.0, -2.0).map(lambda e: 1.0 + 10.0 ** e),
+                       st.floats(-9.0, -2.0).map(lambda e: 1.0 - 10.0 ** e)),
+       f=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_sinh_residuals_against_the_reference(p, ratio, f):
+    # at a 1e-13 residual tolerance each root meets the tanh-sinh reference
+    # within 1e-13 relative, or its neighbouring floats straddle y; a root
+    # is missing only where it lies beyond the largest float
+    q = p * ratio
+    if not 1.001 <= q <= 10.0:
+        return
+    pq = PQParams(p, q)
+    y = f * min(m_star_pq(pq).as_float(), 1e3)
+    try:
+        s = sinh_pq(pq, y, InversionConfig(tol=1e-13))
+    except ComputationError as err:
+        assert "passed the largest float" in str(err)
+        assert arcsinh_ref(p, q, 1.7976931348623157e308) < y * (1.0 + 1e-13)
+        return
+    slack = 1e-13 * max(1.0, y)
+    assert (abs(arcsinh_ref(p, q, s) - y) <= slack
+            or arcsinh_ref(p, q, s * (1.0 - 4e-16)) <= y + slack
+            and arcsinh_ref(p, q, s * (1.0 + 4e-16)) >= y - slack), (s, y)
