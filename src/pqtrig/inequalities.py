@@ -7,7 +7,7 @@ Identity checks (the double-angle relation) use ``margin = -|lhs - rhs|``
 so the same satisfaction rule applies.
 
 An instance is satisfied when ``margin >= -tolerance``; the default
-tolerance is ``1e-9 + 1e-9 * |rhs|``, covering the quadrature and
+tolerance is ``1e-9 + 1e-9 * |rhs|``, covering the forward series and
 inversion error carried by both sides plus the equality case on the
 diagonal of the mean inequalities.
 

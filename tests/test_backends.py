@@ -251,26 +251,28 @@ def _close(a, b):
     return a == b
 
 
-# every numeric callable of pqtrig.__all__: its argument kinds after the
-# exponent pair ("x" an argument, "order" a Hölder order), or its whole
-# argument list where it takes no pair
-def _signatures():
-    x1, x2, o = ("x",), ("x", "x"), ("order",)
-    sig = {name: x1 for name in DOMAIN_TOP}
-    sig.update({
-        "half_pi_pq": (), "m_star_pq": (), "lemma23_check": (),
-        "lemma21_margin": x1, "lemma22_margin": x1, "double_angle_margin": x1,
-        "G_fn": x1, "Gstar_fn": x1, "F_fn": o + x1, "Fstar_fn": o + x1,
-        "thm11_sin_margin": x2, "thm11_sinh_margin": x2,
-        "gm_general_sin_margin": o + x2, "gm_general_sinh_margin": o + x2,
-        "F_monotonicity_probe": o, "Fstar_monotonicity_probe": o,
-        "counterexample_search": o, "arcsin_series_oracle": x1,
-    })
-    return sig
-
-
-SIGNATURES = _signatures()
+# every numeric callable of pqtrig.__all__ but holder_mean: its argument
+# kinds after the exponent pair ("x" an argument, "order" a Hölder order)
+SIGNATURES = {
+    **{name: ("x",) for name in DOMAIN_TOP},
+    "half_pi_pq": (), "m_star_pq": (), "lemma23_check": (),
+    "lemma21_margin": ("x",), "lemma22_margin": ("x",), "double_angle_margin": ("x",),
+    "G_fn": ("x",), "Gstar_fn": ("x",), "F_fn": ("order", "x"), "Fstar_fn": ("order", "x"),
+    "thm11_sin_margin": ("x", "x"), "thm11_sinh_margin": ("x", "x"),
+    "gm_general_sin_margin": ("order", "x", "x"), "gm_general_sinh_margin": ("order", "x", "x"),
+    "F_monotonicity_probe": ("order",), "Fstar_monotonicity_probe": ("order",),
+    "counterexample_search": ("order",), "arcsin_series_oracle": ("x",),
+}
 ORDERS = [-400.0, -1.0, 0.0, 0.5, 1.0, 400.0, math.inf, math.nan]
+
+
+def test_the_contract_covers_every_public_function():
+    # the sweep driver, the integrators of callables and the backend name
+    # take no exponent pair; classes and constants are not callables
+    others = {"run_sweep", "integrate_singular", "integrate_improper", "backend_name"}
+    functions_ = {name for name in pqtrig.__all__
+                  if callable(getattr(pqtrig, name)) and not isinstance(getattr(pqtrig, name), type)}
+    assert functions_ - others == set(SIGNATURES) | {"holder_mean"}
 
 
 @settings(max_examples=400, deadline=None)
