@@ -8,7 +8,8 @@
  * tuple (value, bound, terms, converged).  ``solve`` runs the inverse
  * solves of a whole list of targets, every forward value included, with
  * the GIL released; it follows ``_dequad_py.solve`` operation for
- * operation, so both backends take the same steps.  Where the Python
+ * operation, so both backends take the same steps, and each target is
+ * solved from the cold start of a one-target call.  Where the Python
  * kernel caches the far form's constant per (p, q), this one computes it
  * once per call: per ``arcsinh_series`` call that needs it, and per
  * ``solve`` call.  Build it as a plain extension (``setup.py``) or by
@@ -35,10 +36,6 @@
 #define SPLIT 134217729.0 /* 2**27 + 1 */
 /* arcsinh takes the Pfaff form up to x**q = (1 + sqrt(5))/2, as in _dequad_py */
 #define LN_SWITCH 0.48121182505960347
-/* solve_list extrapolates the cubic through two roots no farther than this
- * many times their spacing, as _dequad_py.solve does */
-#define HERMITE_REACH 16.0
-
 typedef struct {
     double value, bound;
     long terms;
@@ -58,7 +55,7 @@ series(double a, double q, double z, double *rest, long *terms)
         m = z * an / n;
         r = m > z ? m : z;
         if (t * r <= HALF_EPS * total * (1.0 - r)) {
-            *rest = t * r / (1.0 - r);
+            *rest = r < 1.0 ? t * r / (1.0 - r) : INFINITY;
             *terms = n;
             return total;
         }
@@ -165,7 +162,7 @@ static double
 pow_e0(double e0, double e_lo, double x)
 {
     int k;
-    double m = frexp(x, &k), a, b, hi, lo;
+    double m = frexp(x, &k), a, b, hi, lo, r, j;
 
     if (m < SQRT_HALF) {
         m = 2.0 * m;
@@ -174,7 +171,9 @@ pow_e0(double e0, double e_lo, double x)
     a = k * LN2_HI;
     b = k * LN2_LO + log(m);
     hi = two_prod(e0, a, &lo);
-    return exp(hi) * exp(lo + e0 * b + e_lo * a);
+    r = lo + e0 * b + e_lo * a;
+    j = floor(r + 0.5);
+    return exp(hi + j) * exp(r - j);
 }
 
 /* arcsinh by the Pfaff form where x**q <= (1 + sqrt(5))/2 and by the far
@@ -302,12 +301,12 @@ softplus(double a)
     return log1p(exp(a));
 }
 
-/* runs without the GIL.  The bracket opens at [0, top]; a finite `start`
- * replaces the cold start (see solve_list); `f` holds the far form's
- * constants of sinh once a forward value has needed them. */
+/* one target of solve(), _dequad_py._solve_one; runs without the GIL.  The
+ * bracket opens at [0, top]; `f` holds the far form's constants of sinh
+ * once a forward value has needed them. */
 static solution
 solve_run(enum solve_mode mode, double p, double q, double y, double top, double tol,
-          long max_iters, double qtol, double start, far_form *f)
+          long max_iters, double qtol, far_form *f)
 {
     solution out = {0.0, 0, 0, SOLVED};
     double lo = 0.0, hi = top, s, resid, s_new, a, lns, g_step;
@@ -322,8 +321,6 @@ solve_run(enum solve_mode mode, double p, double q, double y, double top, double
         if (!(0.0 < s && s < top))
             s = top;
     }
-    if (!isnan(start))
-        s = start;
     for (it = 1; it <= max_iters; it++) {
         out.iterations = it;
         out.root = s;
@@ -392,59 +389,6 @@ solve_run(enum solve_mode mode, double p, double q, double y, double top, double
     return out;
 }
 
-/* ds/dy at a root s: (1 - s**q)**(1/p) for sin, (1 + s**q)**(1/p) for sinh */
-static double
-slope(enum solve_mode mode, double p, double q, double s)
-{
-    if (mode == SIN)
-        return pow(1.0 - pow(s, q), 1.0 / p);
-    return exp(softplus(q * log(s)) / p);
-}
-
-/* Solve every target of the ascending list ys[0..n), warm-starting each
- * from the targets solved before it, as _dequad_py.solve does; runs
- * without the GIL. */
-static void
-solve_list(enum solve_mode mode, double p, double q, const double *ys, Py_ssize_t n,
-           double tol, long max_iters, double qtol, solution *out)
-{
-    double ya = 0.0, sa = 0.0, da = 0.0, yb = 0.0, sb = 0.0, db = 0.0;
-    double top = mode == SIN ? exp(-LN2 / q) : INFINITY, start, u, h, m, c2, c3;
-    int known = 0; /* SOLVED targets so far, up to two: (ya, sa, da) and (yb, sb, db) */
-    far_form f = {0.0, 0.0, 0.0, 0.0, 0};
-    Py_ssize_t i;
-
-    for (i = 0; i < n; i++) {
-        start = NAN;
-        if (known > 0) {
-            u = ys[i] - yb;
-            h = yb - ya;
-            if (known == 1 || u > HERMITE_REACH * h)
-                start = sb + u * db;
-            else {
-                /* the cubic Hermite extrapolation through the last two roots */
-                m = (sb - sa) / h;
-                c2 = (da + 2.0 * db - 3.0 * m) / h;
-                c3 = (da + db - 2.0 * m) / h / h;
-                start = sb + u * (db + u * (c2 + u * c3));
-            }
-            if (!(sb < start && start < top))
-                start = NAN;
-        }
-        out[i] = solve_run(mode, p, q, ys[i], top, tol, max_iters, qtol, start, &f);
-        if (out[i].status == SOLVED) {
-            ya = yb;
-            sa = sb;
-            da = db;
-            yb = ys[i];
-            sb = out[i].root;
-            db = slope(mode, p, q, sb);
-            if (known < 2)
-                known++;
-        }
-    }
-}
-
 static PyObject *
 solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -454,8 +398,9 @@ solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     int mode = -1;
     Py_ssize_t i, count;
     PyObject *seq, *list = NULL, *item;
-    double *ys = NULL;
+    double *ys = NULL, top;
     solution *sols = NULL;
+    far_form f = {0.0, 0.0, 0.0, 0.0, 0};
 
     if (nargs < 6 || nargs > 7) {
         PyErr_Format(PyExc_TypeError, "solve() takes from 6 to 7 positional arguments (%zd given)",
@@ -495,14 +440,13 @@ solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         ys[i] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(seq, i));
         if (PyErr_Occurred())
             goto done;
-        if (i > 0 && !(ys[i] > ys[i - 1])) {
-            PyErr_SetString(PyExc_ValueError, "solve() targets must be strictly ascending");
-            goto done;
-        }
     }
 
     Py_BEGIN_ALLOW_THREADS
-    solve_list((enum solve_mode)mode, d[0], d[1], ys, count, d[2], max_iters, d[3], sols);
+    top = mode == SIN ? exp(-LN2 / d[1]) : INFINITY;
+    for (i = 0; i < count; i++)
+        sols[i] = solve_run((enum solve_mode)mode, d[0], d[1], ys[i], top, d[2], max_iters, d[3],
+                            &f);
     Py_END_ALLOW_THREADS
 
     if ((list = PyList_New(count)) == NULL)
@@ -542,8 +486,8 @@ static PyMethodDef methods[] = {
     {"solve", (PyCFunction)(void (*)(void))solve, METH_FASTCALL,
      "solve(mode, p, q, ys, tol, max_iters, qtol=1e-12, /)\n"
      "--\n\n"
-     "Bracketed Newton solves of one inverse at the strictly ascending\n"
-     "targets ys, each warm-started from the roots before it; returns one\n"
+     "Bracketed Newton solves of one inverse at the targets ys, in any\n"
+     "order, each from the cold start of a one-target call; returns one\n"
      "(root, iterations, terms, status) per target.  See\n"
      "pqtrig._dequad_py.solve."},
     {NULL, NULL, 0, NULL},

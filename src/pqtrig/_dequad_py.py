@@ -97,7 +97,7 @@ def _series(a, q, z):
         m = z * an / n  # u_n / u_{n-1}, and a bound on every later ratio with z
         r = m if m > z else z
         if t * r <= _HALF_EPS * total * (1.0 - r):
-            return total, t * r / (1.0 - r), n
+            return total, (t * r / (1.0 - r) if r < 1.0 else math.inf), n
         u *= m
         t = u / (1.0 + q * n)
         total += t
@@ -173,14 +173,18 @@ def _far_form(p, q):
 def _pow_e0(e0, e_lo, x):
     """x**(e0 + e_lo) to about an ulp, for x >= 1: the exponent
     (e0 + e_lo) ln x is formed to about twice the precision of a double,
-    since rounding it to one would move the power by |e0 ln x| ulps."""
+    since rounding it to one would move the power by |e0 ln x| ulps.
+    The exponent is hi + r; an integer j moves from r to hi, exactly,
+    so that neither factor overflows where |e0 ln(m)| is large."""
     m, k = math.frexp(x)
     if m < _SQRT_HALF:
         m, k = 2.0 * m, k - 1
     a = k * _LN2_HI  # exact
     b = k * _LN2_LO + log(m)
     hi, lo = _two_prod(e0, a)
-    return exp(hi) * exp(lo + e0 * b + e_lo * a)
+    r = lo + e0 * b + e_lo * a
+    j = math.floor(r + 0.5)
+    return exp(hi + j) * exp(r - j)
 
 
 def arcsinh_series(p, q, x, tol=1e-12):
@@ -218,11 +222,6 @@ def arcsinh_series(p, q, x, tol=1e-12):
 # failure to ComputationError
 SOLVED, BUDGET, UNCONVERGED, OVERFLOW = 0, 1, 2, 3
 
-# solve() extrapolates the cubic through two roots no farther than this many
-# times their spacing: each root carries an error of up to ``tol`` in y,
-# which the cubic amplifies by about (distance / spacing)**3
-_HERMITE_REACH = 16.0
-
 
 def _softplus(a: float) -> float:
     # log(1 + e**a) without overflow
@@ -246,64 +245,26 @@ def solve(mode, p, q, ys, tol, max_iters, qtol=1e-12):
     bottom half of the branch, s in [0, 2**(-1/q)], where s**q <= 1/2;
     ``inverse`` reflects the top half onto the bottom half of the
     conjugate exponents) or ``"sinh"`` (F = arcsinh_series on
-    [0, inf)).  ``ys`` is a strictly ascending sequence of targets
-    (ValueError otherwise).  ``tol`` bounds the residual, and ``qtol`` is
-    every forward's ``tol``.  Returns one ``(root, iterations, terms,
-    status)`` per target, as :func:`_solve_one` describes; ``terms``
-    adds up the series terms of its forward values.
+    [0, inf)).  ``ys`` is a sequence of targets, in any order and with
+    repeats.  ``tol`` bounds the residual, and ``qtol`` is every
+    forward's ``tol``.  Returns one ``(root, iterations, terms, status)``
+    per target, as :func:`_solve_one` describes; ``terms`` adds up the
+    series terms of its forward values.
 
-    Each target starts from the roots solved before it.  With none, the
-    start is the cold one of :func:`_solve_one`.  With one, (y1, s1), it
-    is the Newton predictor s1 + (y - y1) ds/dy(s1), where ds/dy =
-    (1 - s**q)**(1/p) for sin and (1 + s**q)**(1/p) for sinh.  With two
-    or more, it is the cubic Hermite extrapolation through the last two
-    SOLVED (y, s, ds/dy), or the Newton predictor from the last one where
-    y lies more than 16 of their spacings beyond it (two targets an ulp
-    apart would make the cubic meaningless).  A start that is not
-    finite, not above the last root, or not below the top of sin's
-    bracket falls back to the cold start.  The bracket still opens at
-    [0, 2**(-1/q)] or [0, inf), so every root is certified by its own
-    residual, and a one-target list is exactly one cold solve.  The
-    compiled twin is ``_dequad_c.solve``.
+    Every target is solved from the same cold start, so its result
+    depends only on (mode, p, q, y, tol, max_iters, qtol) and equals that
+    of a one-target call.  The compiled twin, ``_dequad_c.solve``, takes
+    the same steps; it solves a whole list with the GIL released and
+    computes sinh's far-form constant once per call.
     """
     if mode not in ("sin", "sinh"):
         raise ValueError(f"unknown solve mode {mode!r}")
-    for a, b in zip(ys, ys[1:]):
-        if not (b > a):
-            raise ValueError("solve() targets must be strictly ascending")
     top = exp(-_LN2 / q) if mode == "sin" else math.inf  # the bracket's top
-    out = []
-    known = []  # the last two SOLVED (y, s, ds/dy)
-    for y in ys:
-        start = math.nan
-        if known:
-            ya, sa, da = known[0]
-            yb, sb, db = known[-1]
-            u, h = y - yb, yb - ya
-            if len(known) == 1 or u > _HERMITE_REACH * h:
-                start = sb + u * db
-            else:
-                # the cubic Hermite extrapolation through the last two roots
-                m = (sb - sa) / h
-                c2 = (da + 2.0 * db - 3.0 * m) / h
-                c3 = (da + db - 2.0 * m) / h / h
-                start = sb + u * (db + u * (c2 + u * c3))
-            if not (sb < start < top):
-                start = math.nan
-        res = _solve_one(mode, p, q, y, top, tol, max_iters, qtol, start)
-        out.append(res)
-        if res[3] == SOLVED:
-            s = res[0]
-            if mode == "sin":
-                d = math.pow(1.0 - math.pow(s, q), 1.0 / p)
-            else:  # C's log(0.0) is -inf
-                d = _exp(_softplus(q * math.log(s) if s > 0.0 else -math.inf) / p)
-            known = [known[-1], (y, s, d)] if known else [(y, s, d)]
-    return out
+    return [_solve_one(mode, p, q, y, top, tol, max_iters, qtol) for y in ys]
 
 
-def _solve_one(mode, p, q, y, top, tol, max_iters, qtol, start):
-    """One target of :func:`solve`, from ``start`` unless it is nan.
+def _solve_one(mode, p, q, y, top, tol, max_iters, qtol):
+    """One target of :func:`solve`.
 
     The bracket opens at [0, ``top``].  The cold start of sin is the
     inverse of the two-term series F = s + s**(q + 1) / (p (q + 1)) + ...,
@@ -330,8 +291,6 @@ def _solve_one(mode, p, q, y, top, tol, max_iters, qtol, start):
         s, forward = y - math.pow(y, q + 1.0) / (p * (q + 1.0)), arcsin_series
         if not (0.0 < s < top):
             s = top
-    if start == start:
-        s = start
     terms = 0
     for it in range(1, max_iters + 1):
         v, _bound, n, ok = forward(p, q, s, qtol)

@@ -239,6 +239,10 @@ def cmd_check(ns: argparse.Namespace) -> int:
         raise UsageError("--grid must be at least 2")
     if ns.grid < check.min_grid:
         raise UsageError(f"check {ns.check!r} needs --grid of at least {check.min_grid}")
+    if ns.tol is not None and not (0.0 <= ns.tol < math.inf):
+        raise UsageError(f"--tol must be a finite number >= 0, got {ns.tol!r}")
+    if not (0.0 < ns.x_max < math.inf):
+        raise UsageError(f"--x-max must be finite and positive, got {ns.x_max!r}")
     axes = pq_axes + [GridAxis(name, 0.01, 0.99, ns.grid) for name in check.axes]
     report = run_sweep(
         ns.check, axes, order=ns.order, tolerance=ns.tol, threads=ns.threads, x_max=ns.x_max,

@@ -9,7 +9,9 @@ so the same satisfaction rule applies.
 An instance is satisfied when ``margin >= -tolerance``; the default
 tolerance is ``1e-9 + 1e-9 * |rhs|``, covering the forward series and
 inversion error carried by both sides plus the equality case on the
-diagonal of the mean inequalities.
+diagonal of the mean inequalities.  A tolerance given to a check or a
+sweep must be a finite number >= 0 (DomainError otherwise, before
+anything is computed).
 
 The checks, by registry name:
 
@@ -40,7 +42,9 @@ one ``inverse._roots`` block per function, over the unique targets of
 all the cell's points, and its verdicts are built from those roots; no
 value is cached between calls.  Each check's formula is written once, in
 its cell evaluator: the scalar checks are one-point cells, and the
-monotonicity probes are one-cell sweeps.
+monotonicity probes are one-cell sweeps.  A root depends only on
+(p, q, y), so every verdict of a sweep equals the scalar check at its
+point, bit for bit.
 """
 
 import math
@@ -208,8 +212,15 @@ def _each(pts, verdict) -> list:
     return out
 
 
-def _single(results):
-    value = results[0]
+def _check_tolerance(tolerance: Optional[float]) -> None:
+    if tolerance is not None and not (0.0 <= tolerance < math.inf):
+        raise DomainError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
+
+
+def _scalar(check, pq, pt, ordv, tolerance) -> InequalityVerdict:
+    """The verdict of ``check`` on a one-point cell, raising the error recorded for it."""
+    _check_tolerance(tolerance)
+    value = CHECKS[check].cell(pq, [pt], ordv, tolerance)[0]
     if isinstance(value, PQTrigError):
         raise value
     return value
@@ -343,7 +354,7 @@ def _double_angle_cell(pq, pts, ordv, tolerance) -> list:
 
 def lemma21_margin(pq: PQParams, x: float, tolerance: Optional[float] = None) -> InequalityVerdict:
     """Lower rational bound for arcsin_pq on (0, 1); margin expected > 0."""
-    return _single(_lemma21_cell(pq, [(x,)], None, tolerance))
+    return _scalar("lemma21", pq, (x,), None, tolerance)
 
 
 def lemma22_margin(pq: PQParams, x: float, tolerance: Optional[float] = None) -> InequalityVerdict:
@@ -352,12 +363,12 @@ def lemma22_margin(pq: PQParams, x: float, tolerance: Optional[float] = None) ->
     For p < q the bound's numerator changes sign at
     x0 = (p/(q-p))**(1/q); the verdict records which side x falls on.
     """
-    return _single(_lemma22_cell(pq, [(x,)], None, tolerance))
+    return _scalar("lemma22", pq, (x,), None, tolerance)
 
 
 def lemma23_check(pq: PQParams, tolerance: Optional[float] = None) -> InequalityVerdict:
     """m_star_pq > 1, with the p >= q cells infinite and trivially satisfied."""
-    return _single(_lemma23_cell(pq, [()], None, tolerance))
+    return _scalar("lemma23", pq, (), None, tolerance)
 
 
 def thm11_sin_margin(
@@ -368,14 +379,14 @@ def thm11_sin_margin(
     Arguments must lie in the open interval (0, half_pi_pq); equality
     holds exactly on the diagonal r = s.
     """
-    return _single(_mean_cell("thm11-sin", pq, [(r, s)], None, tolerance))
+    return _scalar("thm11-sin", pq, (r, s), None, tolerance)
 
 
 def thm11_sinh_margin(
     pq: PQParams, r: float, s: float, tolerance: Optional[float] = None
 ) -> InequalityVerdict:
     """sinh_pq at the geometric mean is dominated; margin is rhs - lhs."""
-    return _single(_mean_cell("thm11-sinh", pq, [(r, s)], None, tolerance))
+    return _scalar("thm11-sinh", pq, (r, s), None, tolerance)
 
 
 def gm_general_sin_margin(
@@ -390,7 +401,7 @@ def gm_general_sin_margin(
     Holds for every (r, s) exactly when order <= 0; at order 0 this is
     thm11-sin.  For order > 0 some argument pairs violate it.
     """
-    return _single(_mean_cell("gm-sin", pq, [(r, s)], _order(order), tolerance))
+    return _scalar("gm-sin", pq, (r, s), _order(order), tolerance)
 
 
 def gm_general_sinh_margin(
@@ -401,7 +412,7 @@ def gm_general_sinh_margin(
     tolerance: Optional[float] = None,
 ) -> InequalityVerdict:
     """sinh_pq(sqrt(r s)) <= H_order(sinh_pq(r), sinh_pq(s)); holds for order >= 0."""
-    return _single(_mean_cell("gm-sinh", pq, [(r, s)], _order(order), tolerance))
+    return _scalar("gm-sinh", pq, (r, s), _order(order), tolerance)
 
 
 def double_angle_margin(
@@ -415,7 +426,7 @@ def double_angle_margin(
     (0, half_pi/2).  As an identity check its margin is -|lhs - rhs| and
     the default tolerance is 1e-8.
     """
-    return _single(_double_angle_cell(pq, [(x,)], None, tolerance))
+    return _scalar("double-angle", pq, (x,), None, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -627,12 +638,6 @@ def _sinh_scale(pq: PQParams, x_max: float) -> float:
     return SINH_ARG_CAP
 
 
-def _x_max_scale(pq: PQParams, x_max: float) -> float:
-    if not (x_max > 0.0):
-        raise DomainError("x_max must be positive")
-    return x_max
-
-
 def _product(values: list[list[float]]) -> list[tuple[float, ...]]:
     """Every combination of the inner axes' values, the last axis fastest."""
     pts: list[tuple[float, ...]] = [()]
@@ -681,8 +686,8 @@ CHECKS: dict[str, _Check] = {
                         lambda pq, x_max: half_pi_pq(pq)),
     "thm11-sinh": _Check(("r", "s"), partial(_mean_cell, "thm11-sinh"), _sinh_scale),
     "f-monotone": _Check(("x",), partial(_probe_cell, F_fn, True), **_PAIRS),
-    "fstar-monotone": _Check(("x",), partial(_probe_cell, Fstar_fn, False), _x_max_scale,
-                             **_PAIRS),
+    "fstar-monotone": _Check(("x",), partial(_probe_cell, Fstar_fn, False),
+                             lambda pq, x_max: x_max, **_PAIRS),
 }
 
 CHECK_NAMES = tuple(CHECKS)
@@ -701,10 +706,12 @@ def run_sweep(
 
     ``axes`` starts with the p and q axes followed by the check's inner
     argument axes expressed as domain fractions (see :class:`GridAxis`);
-    ``x_max`` is the domain of fstar-monotone.  The unit of work is one
-    (p, q) cell: its inverse values come from one batched solve per
-    function over the cell's unique targets, and its verdicts are built
-    from those roots.  Verdicts are reported in row-major grid order;
+    ``x_max``, finite and positive, is the domain of fstar-monotone; a
+    ``tolerance`` given must be a finite number >= 0.  The unit of work
+    is one (p, q) cell: its inverse values come from one batched solve
+    per function over the cell's unique targets, and its verdicts are
+    built from those roots, each the verdict of the scalar check at its
+    point.  Verdicts are reported in row-major grid order;
     with ``threads > 1`` the cells are computed concurrently, one task
     each, and merged back in order.  Per-point evaluation failures
     (:class:`PQTrigError`) are recorded in the report rather than raised;
@@ -731,6 +738,9 @@ def run_sweep(
     ordv = None if order is None else _order(order)
     if entry.needs_order and ordv is None:
         raise DomainError(f"{check} requires a Hölder order")
+    _check_tolerance(tolerance)
+    if not (0.0 < x_max < math.inf):
+        raise DomainError(f"x_max must be finite and positive, got {x_max!r}")
     frac_grids = [ax.values() for ax in axes[2:]]
 
     def cell(pq):

@@ -6,14 +6,16 @@ for free) inside a maintained bracket; a step leaving the bracket falls
 back to bisection.  The convergence criterion is the residual in function
 space, |F(s) - y| <= tol, and every forward value F(s) is one series
 kernel call whose bound certifies it.  The solve itself is
-``kernels.solve`` (see ``_dequad_py.solve`` for the step variables and
-warm starts); it takes an ascending list of targets and runs in C with
-the GIL released when the compiled backend is active.  :func:`_roots`
+``kernels.solve`` (see ``_dequad_py.solve`` for the start and the step
+variables); it takes a list of targets and runs in C with the GIL
+released when the compiled backend is active.  Every target is solved
+from the same cold start, so a root depends only on (p, q, y) and the
+solver settings, never on the other targets of its call.  :func:`_roots`
 checks domains, chooses the formulation of each target, makes one
 ``kernels.solve`` call per formulation and maps the solver's failures to
 :class:`ComputationError`; sin_pq, cos_pq and sinh_pq are its one-target
 calls, and the lab's sweeps call it once per function for all the
-targets of a (p, q) cell.
+targets of a (p, q) cell, so a sweep's values equal the scalar calls'.
 
 sin_pq and cos_pq are one solve each in the bottom, smooth half of a
 trigonometric branch, s in [0, 2**(-1/q)], where s**q <= 1/2.  A target
@@ -120,10 +122,10 @@ def _roots(fn, pq: PQParams, ys, cfg: InversionConfig = DEFAULT_INVERSION) -> li
     ``fn`` is "sin", "cos" or "sinh", or "sincos" for (sin_pq, cos_pq)
     pairs that share one root (a failure then carries the sin_pq
     message).  ``ys`` may hold repeats, in any order.  Each formulation
-    is one ``kernels.solve`` call over its unique targets in ascending
-    order, so each warm-starts from its neighbours' roots; the domain
-    checks, endpoint values, routing, root mappings and messages are
-    those of a single call.
+    is one ``kernels.solve`` call over its unique targets.  Each value or
+    error is exactly that of a single call at its y: the solves start
+    cold, and the domain checks, endpoint values, routing, root mappings
+    and messages are those of a single call.
     """
     p, q = pq.p, pq.q
     out: list = [None] * len(ys)
@@ -177,7 +179,7 @@ def _solve(out, fn, pq, ys, targets, conj, mode, p, q, tol, cfg):
     its indices in ``ys``); stores each target's value or error in ``out``."""
     if not targets:
         return
-    ts = sorted(targets)
+    ts = list(targets)
     results = kernels.solve(mode, p, q, ts, tol, cfg.max_iters, _forward_tol(cfg))
     plain = fn == "sinh" or (fn == "sin" and not conj)  # the root is the value
     for t, (root, iters, _terms, status) in zip(ts, results):

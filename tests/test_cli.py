@@ -1,9 +1,13 @@
 """CLI contract tests: exit codes, formats, determinism."""
 
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqtrig.cli import CSV_HEADER, main
 from pqtrig.inequalities import CHECKS
@@ -137,6 +141,25 @@ WHERE = {"verify": ("--p", "2", "--q", "3"),
          "sweep": ("--p-range", "1.25:5:3", "--q-range", "1.25:5:4")}
 NEEDS_ORDER = [name for name, check in CHECKS.items() if check.needs_order]
 PROBES = [name for name, check in CHECKS.items() if check.min_grid == 10]
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("option,value,rule", [
+    ("--tol", "nan", "a finite number >= 0"),
+    ("--tol", "-1", "a finite number >= 0"),
+    ("--tol", "inf", "a finite number >= 0"),
+    ("--x-max", "inf", "finite and positive"),
+    ("--x-max", "nan", "finite and positive"),
+    ("--x-max", "0", "finite and positive"),
+])
+def test_bad_tolerance_or_x_max_is_a_usage_error(capsys, command, option, value, rule):
+    # a nan or negative --tol used to list every point of a proven lemma as
+    # a counterexample, and --x-max inf to record one error per point
+    code, out, err = run(capsys, command, "--check", "lemma21", *WHERE[command], "--grid", "3",
+                         f"{option}={value}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {option} must be {rule}, got ")
 
 
 def test_registry_marks_the_order_and_grid_checks():
@@ -293,3 +316,69 @@ def test_far_out_probe_prints_no_traceback():
     )
     assert "Traceback" not in proc.stderr
     assert proc.returncode in (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the contract over seeded argument vectors: every subcommand, every format
+
+_NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, 1e308, -1e308, 0.0, -0.0, -1.0,
+                     0.5, 1.0, 2.0, 50.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_PQ = st.one_of(
+    st.sampled_from([1.0 + 2.0 ** -52, 1.0, 0.5, math.nan, math.inf, 1e300]),
+    st.floats(1.0, 1e300),
+    st.floats(1.0, 10.0),
+)
+_FORMATS = st.sampled_from(["text", "csv", "json"])
+_CHECK_ARGS = {"--order": _NUMBERS, "--x-max": _NUMBERS, "--tol": _NUMBERS}
+
+
+def _opt(name, value):
+    # --name=value, so that values such as -inf are not taken for options
+    return [f"{name}={value!r}" if isinstance(value, float) else f"{name}={value}"]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["eval", "constants", "verify", "sweep", "counterexample"]))
+    argv = [command, *_opt("--format", draw(_FORMATS))]
+    if command != "sweep":
+        argv += _opt("--p", draw(_PQ)) + _opt("--q", draw(_PQ))
+    if command == "eval":
+        argv += _opt("--fn", draw(st.sampled_from(["arcsin", "arccos", "arcsinh",
+                                                   "sin", "cos", "sinh"])))
+        # a leading space keeps argparse from taking -inf for an option;
+        # float() strips it
+        argv += ["--x", *(f" {x!r}" for x in draw(st.lists(_NUMBERS, min_size=1, max_size=3)))]
+    elif command == "counterexample":
+        argv += _opt("--order", draw(_NUMBERS)) + _opt("--budget",
+                                                        draw(st.sampled_from([50, 100, 400])))
+    elif command in ("verify", "sweep"):
+        argv += _opt("--check", draw(st.sampled_from(list(CHECKS) + ["nope"])))
+        argv += _opt("--grid", draw(st.integers(0, 10)))
+        if command == "sweep":
+            for axis in ("p", "q"):
+                lo, hi = draw(_PQ), draw(_PQ)
+                argv += [f"--{axis}-range={lo!r}:{hi!r}:{draw(st.integers(0, 2))}"]
+        for name, values in _CHECK_ARGS.items():
+            if draw(st.booleans()):
+                argv += _opt(name, draw(values))
+    return argv
+
+
+@settings(max_examples=240, deadline=None)
+@given(argv=_argv())
+def test_cli_keeps_its_contract_on_seeded_arguments(argv):
+    # no exception escapes main (argparse's own usage exit excepted), and
+    # the status is 0, 1 or 2
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, (argv, err.getvalue())
+        return
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -12,9 +12,26 @@ kernel module that ``functions`` and ``inverse`` call.
 Regenerate the files from a trusted tree with
 
     PYTHONPATH=src python tests/test_golden.py
+
+The CSV and text files round every number to 12 digits.  To see how far
+a change moves the numbers themselves, dump every case at full precision
+on the active backend (each verdict's lhs, rhs, margin, tolerance,
+satisfied and at, as ``repr`` floats, each error's message, and the exit
+status), once per tree, and compare the dumps:
+
+    PYTHONPATH=<parent>/src python tests/test_golden.py --full parent.json
+    PYTHONPATH=src python tests/test_golden.py --full change.json
+    PYTHONPATH=src python tests/test_golden.py --compare parent.json change.json
+
+``--compare`` prints, per case, how many numbers moved, the worst move
+|a - b| / max(1, |a|), and any change of exit status, ``satisfied``,
+errors or ``at``.  Set ``PQTRIG_PURE_PYTHON=1`` to dump the pure backend.
 """
 
+import argparse
 import io
+import json
+import math
 import os
 import sys
 from contextlib import redirect_stdout
@@ -99,5 +116,79 @@ def _regenerate() -> None:
         print(f"{name}: exit {code}, {out.count(chr(10))} lines", file=sys.stderr)
 
 
+def _full(argv) -> dict:
+    """One case at full precision: its exit status, and its verdicts and
+    errors as the JSON report gives them."""
+    argv = list(argv)
+    if "--format" in argv:
+        argv[argv.index("--format") + 1] = "json"
+    else:
+        argv += ["--format", "json"]
+    code, out = _run(argv)
+    report = json.loads(out)
+    return {"exit": code, "verdicts": report["verdicts"], "errors": report["errors"]}
+
+
+def _number(v):
+    # the JSON report writes infinities as strings
+    return float(v) if v in ("inf", "-inf") else v
+
+
+def _compare(a: dict, b: dict) -> list[str]:
+    """Per case, the count of moved numbers, the worst move and every
+    change of exit status, ``satisfied``, errors or ``at``."""
+    lines = []
+    for name in sorted(set(a) | set(b)):
+        if name not in a or name not in b:
+            lines.append(f"{name}: only in {'the first' if name in a else 'the second'} dump")
+            continue
+        ca, cb = a[name], b[name]
+        notes = []
+        if ca["exit"] != cb["exit"]:
+            notes.append(f"exit {ca['exit']} -> {cb['exit']}")
+        if ca["errors"] != cb["errors"]:
+            notes.append("errors differ")
+        if len(ca["verdicts"]) != len(cb["verdicts"]):
+            notes.append(f"{len(ca['verdicts'])} -> {len(cb['verdicts'])} verdicts")
+        moved, worst = 0, 0.0
+        flips = ats = 0
+        for va, vb in zip(ca["verdicts"], cb["verdicts"]):
+            flips += va["satisfied"] != vb["satisfied"]
+            ats += va["at"] != vb["at"]
+            for key in ("lhs", "rhs", "margin", "tolerance"):
+                x, y = _number(va[key]), _number(vb[key])
+                if x != y:
+                    moved += 1
+                    move = abs(x - y) / max(1.0, abs(x))
+                    worst = max(worst, move if move == move else math.inf)
+        if flips:
+            notes.append(f"satisfied changed at {flips} verdicts")
+        if ats:
+            notes.append(f"at changed at {ats} verdicts")
+        lines.append(f"{name}: {moved} numbers moved, worst {worst:.3g}"
+                     + "".join(f"; {n}" for n in notes))
+    return lines
+
+
+def _cli() -> None:
+    parser = argparse.ArgumentParser(description="Regenerate, dump or compare the golden outputs.")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--full", metavar="OUT.json", help="dump every case at full precision")
+    mode.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"),
+                      help="compare two full-precision dumps")
+    ns = parser.parse_args()
+    if ns.full:
+        with open(ns.full, "w", encoding="utf-8") as fh:
+            json.dump({name: _full(argv) for name, argv in CASES.items()}, fh, indent=1)
+    elif ns.compare:
+        dumps = []
+        for path in ns.compare:
+            with open(path, encoding="utf-8") as fh:
+                dumps.append(json.load(fh))
+        print("\n".join(_compare(*dumps)))
+    else:
+        _regenerate()
+
+
 if __name__ == "__main__":
-    _regenerate()
+    _cli()

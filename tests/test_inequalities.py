@@ -541,17 +541,13 @@ def _sweep_axes(check, inner):
 @pytest.mark.parametrize("check,order,inner", [s for s in SWEEPS if s[0] in SCALAR],
                          ids=[s[0] for s in SWEEPS if s[0] in SCALAR])
 def test_block_verdicts_match_scalar_checks(check, order, inner):
-    # a cell is solved as one block, warm-started from neighbouring
-    # targets; each verdict must stay within its tolerance of the scalar
-    # check, and each recorded error must be the one the scalar raises
+    # a cell is solved as one block, but each root depends only on
+    # (p, q, y): every verdict is the scalar check's, bit for bit, and
+    # each recorded error is the one the scalar raises
     report = run_sweep(check, _sweep_axes(check, inner), order=order)
     assert report.verdicts
     for v in report.verdicts:
-        scalar = SCALAR[check](PQParams(v.at["p"], v.at["q"]), v.at, order)
-        assert scalar.at == v.at
-        assert v.margin == scalar.margin or abs(v.margin - scalar.margin) <= v.tolerance, (
-            v, scalar)
-        assert v.satisfied == scalar.satisfied
+        assert v == SCALAR[check](PQParams(v.at["p"], v.at["q"]), v.at, order)
     for e in report.errors:
         with pytest.raises(DomainError) as err:
             SCALAR[check](PQParams(e.at["p"], e.at["q"]), e.at, order)
@@ -610,3 +606,43 @@ class TestOverflowStaysInTheErrorContract:
         # lies beyond the largest float for p > q
         with pytest.raises(ComputationError, match=r"y=9\.99.*e\+299\) bracket passed"):
             thm11_sinh_margin(PQParams(3.0, 2.0), 1e300, 1e300)
+
+
+BAD_TOLERANCES = [math.nan, -1.0, math.inf]
+
+
+def _no_solves(*args, **kwargs):
+    raise AssertionError("a value was computed before the arguments were checked")
+
+
+@pytest.mark.parametrize("tolerance", BAD_TOLERANCES)
+def test_scalar_check_rejects_a_tolerance_that_is_not_finite_and_nonnegative(
+        tolerance, monkeypatch):
+    # nan used to make lemma21 report satisfied=False at a proven point
+    monkeypatch.setattr("pqtrig.inequalities.arcsin_pq", _no_solves)
+    with pytest.raises(DomainError, match="tolerance must be a finite number >= 0"):
+        lemma21_margin(PQParams(2.0, 3.0), 0.5, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("tolerance", BAD_TOLERANCES)
+def test_sweep_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tolerance, monkeypatch):
+    # inf used to make a gm-sin order-1 sweep report all satisfied, hiding
+    # its counterexamples
+    monkeypatch.setattr("pqtrig.inequalities._roots", _no_solves)
+    with pytest.raises(DomainError, match="tolerance must be a finite number >= 0"):
+        run_sweep("gm-sin", _sweep_axes("gm-sin", SWEEPS[5][2]), order=1.0, tolerance=tolerance)
+
+
+def test_a_zero_tolerance_is_accepted():
+    assert lemma21_margin(PQParams(2.0, 3.0), 0.5, tolerance=0.0).satisfied
+
+
+@pytest.mark.parametrize("x_max", [math.inf, math.nan, 0.0, -1.0])
+def test_sweep_rejects_an_x_max_that_is_not_finite_and_positive(x_max, monkeypatch):
+    # inf used to record one error per point
+    monkeypatch.setattr("pqtrig.inequalities.arcsinh_pq", _no_solves)
+    with pytest.raises(DomainError, match="x_max must be finite and positive"):
+        run_sweep("fstar-monotone", _sweep_axes("fstar-monotone", SWEEPS[9][2]), order=0.5,
+                  x_max=x_max)
+    with pytest.raises(DomainError, match="x_max must be finite and positive"):
+        Fstar_monotonicity_probe(PQParams(2.0, 3.0), 0.5, 10, x_max)
