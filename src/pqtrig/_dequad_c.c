@@ -36,6 +36,7 @@
 #define SPLIT 134217729.0 /* 2**27 + 1 */
 /* arcsinh takes the Pfaff form up to x**q = (1 + sqrt(5))/2, as in _dequad_py */
 #define LN_SWITCH 0.48121182505960347
+
 typedef struct {
     double value, bound;
     long terms;

@@ -425,7 +425,7 @@ def test_far_form_power_neither_overflows_nor_underflows():
     # the integral is (pi/q) / sin(pi/q) to within 1e-15
     p, q, x = 1.0 + 2.0 ** -52, 3790.0, 6.633333333333334
     value, _bound, _terms, converged = compiled.arcsinh_series(p, q, x, 1e-13)
-    assert (value, converged) == pure.arcsinh_series(p, q, x, 1e-13)[::3]
+    assert compiled.arcsinh_series(p, q, x, 1e-13) == pure.arcsinh_series(p, q, x, 1e-13)
     assert converged
     assert value == pytest.approx(math.pi / q / math.sin(math.pi / q), rel=1e-14)
 
