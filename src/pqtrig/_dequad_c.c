@@ -2,12 +2,13 @@
  * Compiled series kernels of pqtrig: the C twin of ``_dequad_py``.
  *
  * The series, their stopping rules, bounds and term caps follow
- * ``_dequad_py`` operation for operation, so the two backends sum the
- * same terms and return the same term counts (see its docstring for the
- * three series and their truncation bounds).  Each kernel returns the
- * tuple (value, bound, terms, converged).  ``solve`` runs the inverse
- * solves of a whole list of targets, every forward value included, with
- * the GIL released; it follows ``_dequad_py.solve`` operation for
+ * ``_dequad_py`` operation for operation, so the two backends sum the same
+ * terms and return the same term counts (see its docstring for the three
+ * series and their truncation bounds).  Each kernel returns the tuple
+ * (value, bound, terms, converged), where converged is the fixed rule
+ * bound <= 1e-13 max(1, |value|) of both backends.  ``solve`` runs the
+ * inverse solves of a whole list of targets, every forward value included,
+ * with the GIL released; it follows ``_dequad_py.solve`` operation for
  * operation, so both backends take the same steps, and each target is
  * solved from the cold start of a one-target call.  Where the Python
  * kernel caches the far form's constant per (p, q), this one computes it
@@ -95,13 +96,13 @@ alternating(double b, double q, double e0, double w, double scale, double base, 
 }
 
 static inline int
-converged(double value, double bound, double tol)
+converged(double value, double bound)
 {
-    return bound <= tol * (value > 1.0 ? value : 1.0);
+    return bound <= 1e-13 * (value > 1.0 ? value : 1.0);
 }
 
 static result
-arcsin_kernel(double p, double q, double x, double tol)
+arcsin_kernel(double p, double q, double x)
 {
     result r = {0.0, 0.0, 0, 1};
     double rest, s;
@@ -111,7 +112,7 @@ arcsin_kernel(double p, double q, double x, double tol)
     s = series(1.0 / p, q, exp(q * log(x)), &rest, &r.terms);
     r.value = x * s;
     r.bound = x * rest + ROUNDING * r.value;
-    r.converged = converged(r.value, r.bound, tol);
+    r.converged = converged(r.value, r.bound);
     return r;
 }
 
@@ -141,13 +142,17 @@ typedef struct {
 static void
 far_setup(double p, double q, far_form *f)
 {
-    double d = p - q, t = d - p, d_lo, prod, err, s, rest, pre, at_x0, x0e, alt, next;
+    double d = p - q, t = d - p, d_lo, prod, err, sc, s, rest, pre, at_x0, x0e, alt, next;
     long n;
 
     d_lo = (p - (d - t)) - (q + t);
     f->e0 = d / p;
-    prod = two_prod(f->e0, p, &err);
-    f->e_lo = ((d - prod) - err + d_lo) / p;
+    f->e_lo = 0.0;
+    if (fabs(f->e0) < 0x1p62) {
+        sc = 0x1p-600; /* exact, and keeps Dekker's split of p finite */
+        prod = two_prod(f->e0, sc * p, &err);
+        f->e_lo = ((sc * d - prod) - err + sc * d_lo) / (sc * p);
+    }
     s = series(1.0 + 1.0 / q - 1.0 / p, q, 2.0 / 3.0, &rest, &n);
     pre = exp((LN2 - LN3) / q);
     at_x0 = pre * s;
@@ -180,7 +185,7 @@ pow_e0(double e0, double e_lo, double x)
 /* arcsinh by the Pfaff form where x**q <= (1 + sqrt(5))/2 and by the far
  * form beyond, whose constants `f` sets up on first use */
 static result
-arcsinh_kernel(double p, double q, double x, double tol, far_form *f)
+arcsinh_kernel(double p, double q, double x, far_form *f)
 {
     result r = {0.0, 0.0, 0, 1};
     double lx, xq, s, rest, pre, lr, y, x0e, xe0, mid, base, next;
@@ -201,7 +206,8 @@ arcsinh_kernel(double p, double q, double x, double tol, far_form *f)
         lr = lx - LN2 / q;
         y = f->e0 * lr;
         x0e = exp(f->e0 * (LN2 / q));
-        xe0 = pow_e0(f->e0, f->e_lo, x);
+        /* x**e0 = x0e e**y, below the least subnormal where y <= -750 */
+        xe0 = y > -750.0 ? pow_e0(f->e0, f->e_lo, x) : 0.0;
         if (f->e0 == 0.0)
             mid = lr;
         else if (-0.5 <= y && y <= 0.5)
@@ -213,7 +219,7 @@ arcsinh_kernel(double p, double q, double x, double tol, far_form *f)
         r.value = base + xe0 * s;
         r.bound = f->cb + (xe0 * next + ROUNDING * r.value);
     }
-    r.converged = converged(r.value, r.bound, tol);
+    r.converged = converged(r.value, r.bound);
     return r;
 }
 
@@ -233,18 +239,18 @@ result_tuple(result r)
     return out;
 }
 
-/* parse (p, q, x, tol=1e-12) positionally into d; -1 on error */
+/* parse (p, q, x) positionally into d; -1 on error */
 static int
 kernel_args(const char *name, PyObject *const *args, Py_ssize_t nargs, double *d)
 {
     Py_ssize_t i;
 
-    if (nargs < 3 || nargs > 4) {
-        PyErr_Format(PyExc_TypeError, "%s() takes from 3 to 4 positional arguments (%zd given)",
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "%s() takes exactly 3 positional arguments (%zd given)",
                      name, nargs);
         return -1;
     }
-    for (i = 0; i < nargs; i++) {
+    for (i = 0; i < 3; i++) {
         d[i] = PyFloat_AsDouble(args[i]);
         if (PyErr_Occurred())
             return -1;
@@ -255,22 +261,22 @@ kernel_args(const char *name, PyObject *const *args, Py_ssize_t nargs, double *d
 static PyObject *
 arcsin_series(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    double d[4] = {0.0, 0.0, 0.0, 1e-12}; /* p, q, x, tol */
+    double d[3]; /* p, q, x */
 
     if (kernel_args("arcsin_series", args, nargs, d) < 0)
         return NULL;
-    return result_tuple(arcsin_kernel(d[0], d[1], d[2], d[3]));
+    return result_tuple(arcsin_kernel(d[0], d[1], d[2]));
 }
 
 static PyObject *
 arcsinh_series(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    double d[4] = {0.0, 0.0, 0.0, 1e-12};
+    double d[3];
     far_form f = {0.0, 0.0, 0.0, 0.0, 0};
 
     if (kernel_args("arcsinh_series", args, nargs, d) < 0)
         return NULL;
-    return result_tuple(arcsinh_kernel(d[0], d[1], d[2], d[3], &f));
+    return result_tuple(arcsinh_kernel(d[0], d[1], d[2], &f));
 }
 
 /* ---- inverse solves: the twin of _dequad_py.solve ---- */
@@ -307,7 +313,7 @@ softplus(double a)
  * once a forward value has needed them. */
 static solution
 solve_run(enum solve_mode mode, double p, double q, double y, double top, double tol,
-          long max_iters, double qtol, far_form *f)
+          long max_iters, far_form *f)
 {
     solution out = {0.0, 0, 0, SOLVED};
     double lo = 0.0, hi = top, s, resid, s_new, a, lns, g_step;
@@ -325,7 +331,7 @@ solve_run(enum solve_mode mode, double p, double q, double y, double top, double
     for (it = 1; it <= max_iters; it++) {
         out.iterations = it;
         out.root = s;
-        r = mode == SIN ? arcsin_kernel(p, q, s, qtol) : arcsinh_kernel(p, q, s, qtol, f);
+        r = mode == SIN ? arcsin_kernel(p, q, s) : arcsinh_kernel(p, q, s, f);
         out.terms += r.terms;
         if (!r.converged) {
             out.status = UNCONVERGED;
@@ -394,8 +400,8 @@ static PyObject *
 solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     static const char *names[] = {"sin", "sinh"};
-    double d[4] = {0.0, 0.0, 0.0, 1e-12}; /* p, q, tol, qtol */
-    long max_iters = 0;
+    double d[3]; /* p, q, tol */
+    long max_iters;
     int mode = -1;
     Py_ssize_t i, count;
     PyObject *seq, *list = NULL, *item;
@@ -403,8 +409,8 @@ solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     solution *sols = NULL;
     far_form f = {0.0, 0.0, 0.0, 0.0, 0};
 
-    if (nargs < 6 || nargs > 7) {
-        PyErr_Format(PyExc_TypeError, "solve() takes from 6 to 7 positional arguments (%zd given)",
+    if (nargs != 6) {
+        PyErr_Format(PyExc_TypeError, "solve() takes exactly 6 positional arguments (%zd given)",
                      nargs);
         return NULL;
     }
@@ -415,19 +421,13 @@ solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         PyErr_Format(PyExc_ValueError, "unknown solve mode %R", args[0]);
         return NULL;
     }
-    /* positions 1, 2, 4 and 6 are floats, 3 the targets, 5 an integer */
-    for (i = 1; i < nargs; i++) {
-        if (i == 1 || i == 2)
-            d[i - 1] = PyFloat_AsDouble(args[i]);
-        else if (i == 4)
-            d[2] = PyFloat_AsDouble(args[i]);
-        else if (i == 6)
-            d[3] = PyFloat_AsDouble(args[i]);
-        else if (i == 5)
-            max_iters = PyLong_AsLong(args[i]);
-        if (PyErr_Occurred())
-            return NULL;
-    }
+    /* positions 1, 2 and 4 are floats, 3 the targets, 5 an integer */
+    d[0] = PyFloat_AsDouble(args[1]);
+    d[1] = PyFloat_AsDouble(args[2]);
+    d[2] = PyFloat_AsDouble(args[4]);
+    max_iters = PyLong_AsLong(args[5]);
+    if (PyErr_Occurred())
+        return NULL;
     if ((seq = PySequence_Fast(args[3], "solve() targets must be a sequence")) == NULL)
         return NULL;
     count = PySequence_Fast_GET_SIZE(seq);
@@ -446,8 +446,7 @@ solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     Py_BEGIN_ALLOW_THREADS
     top = mode == SIN ? exp(-LN2 / d[1]) : INFINITY;
     for (i = 0; i < count; i++)
-        sols[i] = solve_run((enum solve_mode)mode, d[0], d[1], ys[i], top, d[2], max_iters, d[3],
-                            &f);
+        sols[i] = solve_run((enum solve_mode)mode, d[0], d[1], ys[i], top, d[2], max_iters, &f);
     Py_END_ALLOW_THREADS
 
     if ((list = PyList_New(count)) == NULL)
@@ -477,15 +476,15 @@ done:
 
 static PyMethodDef methods[] = {
     {"arcsin_series", (PyCFunction)(void (*)(void))arcsin_series, METH_FASTCALL,
-     "arcsin_series(p, q, x, tol=1e-12, /)\n--\n\n"
+     "arcsin_series(p, q, x, /)\n--\n\n"
      "Integral of (1 - t**q)**(-1/p) over [0, x], 0 <= x <= 1, as a series;\n"
      "returns (value, bound, terms, converged)."},
     {"arcsinh_series", (PyCFunction)(void (*)(void))arcsinh_series, METH_FASTCALL,
-     "arcsinh_series(p, q, x, tol=1e-12, /)\n--\n\n"
+     "arcsinh_series(p, q, x, /)\n--\n\n"
      "Integral of (1 + t**q)**(-1/p) over [0, x], x >= 0, as a series;\n"
      "returns (value, bound, terms, converged)."},
     {"solve", (PyCFunction)(void (*)(void))solve, METH_FASTCALL,
-     "solve(mode, p, q, ys, tol, max_iters, qtol=1e-12, /)\n"
+     "solve(mode, p, q, ys, tol, max_iters, /)\n"
      "--\n\n"
      "Bracketed Newton solves of one inverse at the targets ys, in any\n"
      "order, each from the cold start of a one-target call; returns one\n"

@@ -47,13 +47,11 @@ neither form sums more than about 65 terms; at x**q = 2 the Pfaff form
 would take up to 90.
 
 Each kernel returns ``(value, bound, terms, converged)``.  Every series
-is summed until its truncation bound falls below half an ulp of its sum,
-so the value does not depend on ``tol``.  ``bound`` is the truncation
-bound plus a rounding allowance of 16 ulps of the value (the largest
-rounding error measured against 40-digit references was 6 ulps), so a
-tolerance below it is never met.  ``converged`` means
-bound <= tol max(1, |value|), so ``tol`` is absolute below |value| = 1
-and relative above it.  ``terms`` counts the terms summed for the value (C's
+is summed until its truncation bound falls below half an ulp of its sum.
+``bound`` adds a rounding allowance of 16 ulps of the value (the largest
+rounding error measured against 40-digit references was 6 ulps), and
+``converged`` is the one rule of both backends, bound <= 1e-13
+max(1, |value|).  ``terms`` counts the terms summed for the value (C's
 excluded).  A series that needs more than ``_MAX_TERMS`` terms (arcsin
 near x = 1, which the callers never ask for) stops there, unconverged
 unless its bound says otherwise.
@@ -69,6 +67,7 @@ _EPS = 2.220446049250313e-16
 _HALF_EPS = 0.5 * _EPS
 # the rounding allowance of each bound, in ulps of the value
 _ROUNDING = 16.0 * _EPS
+_CERTIFIED = 1e-13  # converged: bound <= _CERTIFIED max(1, |value|)
 _MAX_TERMS = 1000
 _LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
@@ -127,14 +126,14 @@ def _alternating(b, q, e0, w, scale, base):
         total += t
 
 
-def arcsin_series(p, q, x, tol=1e-12):
+def arcsin_series(p, q, x):
     """Integral of (1 - t**q)**(-1/p) over [0, x], 0 <= x <= 1, as x F(1/p, 1/q; 1 + 1/q; x**q)."""
     if x == 0.0:
         return 0.0, 0.0, 0, True
     s, rest, n = _series(1.0 / p, q, exp(q * log(x)))
     value = x * s
     bound = x * rest + _ROUNDING * value
-    return value, bound, n, bound <= tol * (value if value > 1.0 else 1.0)
+    return value, bound, n, bound <= _CERTIFIED * (value if value > 1.0 else 1.0)
 
 
 def _two_prod(a, b):
@@ -153,13 +152,17 @@ def _two_prod(a, b):
 def _far_form(p, q):
     """(e_hi, e_lo, C, C's bound) of the far form of arcsinh_pq, anchored at
     x0 = 2**(1/q); e_hi + e_lo is e_0 = (p - q)/p to about twice the
-    precision of a double."""
+    precision of a double; e_lo is 0 where |e_0| >= 2**62, since x0 rounds
+    to 1 there and every x**e_0 of the far form to 0."""
     d = p - q
     t = d - p
     d_lo = (p - (d - t)) - (q + t)  # p - q - d, exactly (Knuth's TwoSum)
     e0 = d / p
-    prod, err = _two_prod(e0, p)
-    e_lo = ((d - prod) - err + d_lo) / p
+    e_lo = 0.0
+    if abs(e0) < 2.0 ** 62:
+        sc = 2.0 ** -600  # exact, and keeps Dekker's split of p finite
+        prod, err = _two_prod(e0, sc * p)
+        e_lo = ((sc * d - prod) - err + sc * d_lo) / (sc * p)
     # arcsinh_pq(x0) by the Pfaff form at x0**q = 2: (2/3)**(1/q) S(a, q, 2/3)
     s, rest, _n = _series(1.0 + 1.0 / q - 1.0 / p, q, 2.0 / 3.0)
     pre = exp((_LN2 - _LN3) / q)
@@ -187,7 +190,7 @@ def _pow_e0(e0, e_lo, x):
     return exp(hi + j) * exp(r - j)
 
 
-def arcsinh_series(p, q, x, tol=1e-12):
+def arcsinh_series(p, q, x):
     """Integral of (1 + t**q)**(-1/p) over [0, x], x >= 0, by the Pfaff form
     where x**q <= 2 and by the far form beyond."""
     if x == 0.0:
@@ -204,7 +207,8 @@ def arcsinh_series(p, q, x, tol=1e-12):
         lr = lx - _LN2 / q  # ln(x/x0)
         y = e0 * lr
         x0e = exp(e0 * (_LN2 / q))
-        xe0 = _pow_e0(e0, e_lo, x)
+        # x**e0 = x0e e**y, below the least subnormal where y <= -750
+        xe0 = _pow_e0(e0, e_lo, x) if y > -750.0 else 0.0
         if e0 == 0.0:
             mid = lr
         elif -0.5 <= y <= 0.5:
@@ -215,7 +219,7 @@ def arcsinh_series(p, q, x, tol=1e-12):
         s, nxt, n = _alternating(1.0 / p, q, e0, exp(-q * lx), xe0, base)
         value = base + xe0 * s
         bound += xe0 * nxt + _ROUNDING * value
-    return value, bound, n, bound <= tol * (value if value > 1.0 else 1.0)
+    return value, bound, n, bound <= _CERTIFIED * (value if value > 1.0 else 1.0)
 
 
 # solve() statuses, the same in both backends; ``inverse`` maps every
@@ -238,7 +242,7 @@ def _exp(a):
         return math.inf
 
 
-def solve(mode, p, q, ys, tol, max_iters, qtol=1e-12):
+def solve(mode, p, q, ys, tol, max_iters):
     """Solve F(s) = y for every target y of one inverse, by Newton steps inside a bracket.
 
     ``mode`` names the forward: ``"sin"`` (F = arcsin_series on the
@@ -246,13 +250,13 @@ def solve(mode, p, q, ys, tol, max_iters, qtol=1e-12):
     ``inverse`` reflects the top half onto the bottom half of the
     conjugate exponents) or ``"sinh"`` (F = arcsinh_series on
     [0, inf)).  ``ys`` is a sequence of targets, in any order and with
-    repeats.  ``tol`` bounds the residual, and ``qtol`` is every
-    forward's ``tol``.  Returns one ``(root, iterations, terms, status)``
-    per target, as :func:`_solve_one` describes; ``terms`` adds up the
-    series terms of its forward values.
+    repeats.  ``tol`` bounds the residual; every forward value is
+    certified by its kernel's own rule.  Returns one ``(root, iterations,
+    terms, status)`` per target, as :func:`_solve_one` describes;
+    ``terms`` adds up the series terms of its forward values.
 
     Every target is solved from the same cold start, so its result
-    depends only on (mode, p, q, y, tol, max_iters, qtol) and equals that
+    depends only on (mode, p, q, y, tol, max_iters) and equals that
     of a one-target call.  The compiled twin, ``_dequad_c.solve``, takes
     the same steps; it solves a whole list with the GIL released and
     computes sinh's far-form constant once per call.
@@ -260,10 +264,10 @@ def solve(mode, p, q, ys, tol, max_iters, qtol=1e-12):
     if mode not in ("sin", "sinh"):
         raise ValueError(f"unknown solve mode {mode!r}")
     top = exp(-_LN2 / q) if mode == "sin" else math.inf  # the bracket's top
-    return [_solve_one(mode, p, q, y, top, tol, max_iters, qtol) for y in ys]
+    return [_solve_one(mode, p, q, y, top, tol, max_iters) for y in ys]
 
 
-def _solve_one(mode, p, q, y, top, tol, max_iters, qtol):
+def _solve_one(mode, p, q, y, top, tol, max_iters):
     """One target of :func:`solve`.
 
     The bracket opens at [0, ``top``].  The cold start of sin is the
@@ -281,19 +285,23 @@ def _solve_one(mode, p, q, y, top, tol, max_iters, qtol):
     nearest representable root).  Returns ``(root, iterations, terms,
     status)``: ``status`` is SOLVED, BUDGET (``max_iters`` forward calls
     did not suffice; ``root`` is the bracket midpoint), UNCONVERGED (a
-    forward series missed ``qtol``; ``root`` is its argument) or OVERFLOW
+    forward value was not certified; ``root`` is its argument) or OVERFLOW
     (sinh's bracket passed the largest float).
     """
     lo, hi = 0.0, top
     if mode == "sinh":
         s, forward = y, arcsinh_series
     else:
-        s, forward = y - math.pow(y, q + 1.0) / (p * (q + 1.0)), arcsin_series
+        forward = arcsin_series
+        try:
+            s = y - math.pow(y, q + 1.0) / (p * (q + 1.0))
+        except OverflowError:  # where C's pow gives inf, and s = -inf
+            s = top
         if not (0.0 < s < top):
             s = top
     terms = 0
     for it in range(1, max_iters + 1):
-        v, _bound, n, ok = forward(p, q, s, qtol)
+        v, _bound, n, ok = forward(p, q, s)
         terms += n
         if not ok:
             return s, it, terms, UNCONVERGED

@@ -7,6 +7,7 @@ Exit codes: 0 all satisfied, 1 violations or evaluation failures,
 
 import argparse
 import math
+import re
 import sys
 from typing import Optional
 
@@ -100,9 +101,7 @@ def _emit(text: str, ns: argparse.Namespace) -> None:
 
 def _verdict_row(check: str, v) -> str:
     at = v.at
-    args = [val for key, val in at.items() if key not in ("p", "q", "x0", "region", "order", "m_star")]
-    arg1 = _fmt12(args[0]) if len(args) > 0 else ""
-    arg2 = _fmt12(args[1]) if len(args) > 1 else ""
+    arg1, arg2 = ([_fmt12(at[name]) for name in CHECKS[check].args] + ["", ""])[:2]
     return ",".join(
         [
             _fmt12(at["p"]),
@@ -345,6 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", type=float, required=True)
     sp.add_argument("--budget", type=int, default=40000)
 
+    # argparse takes -1e-3 or -inf for an option: every negative number is a value
+    negative = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.I)
+    for sp in (parser, *sub.choices.values()):
+        sp._negative_number_matcher = negative
     return parser
 
 

@@ -16,8 +16,9 @@ constants.
 The constants are complete Beta integrals and come in closed form.  The
 integrals are Gauss hypergeometric functions, and each value is one
 call of a series kernel with a rigorous truncation bound (see
-``_dequad_py``).  The arcsin series is taken where x**q <= 1/2 only:
-with p* = p/(p - 1) and q* = q/(q - 1), the substitution
+``_dequad_py``), which certifies it by a fixed rule or the call raises
+:class:`ComputationError`.  The arcsin series is taken where x**q <= 1/2
+only: with p* = p/(p - 1) and q* = q/(q - 1), the substitution
 1 - t**q = V**p* maps the top half of the (p, q) branch onto the bottom
 half of the (q*, p*) branch (the conjugate-exponent relation),
 
@@ -35,7 +36,6 @@ from typing import NamedTuple, Optional
 from ._backend import kernels
 from ._records import Validated
 from .errors import ComputationError, DomainError
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 
 class _PQFields(NamedTuple):
@@ -88,18 +88,18 @@ class ExtendedValue(Validated, _ExtendedFields):
         return self.as_float()
 
 
-def _run_kernel(kernel, p, q, x, tol, what, base=0.0, scale=1.0):
+def _run_kernel(kernel, p, q, x, what, base=0.0, scale=1.0):
     """base + scale * kernel(p, q, x); raises with that estimate if unconverged.
 
     ``what`` is (function name, pq, argument), which name the call in the
     error message.
     """
-    value, bound, _terms, converged = kernel(p, q, x, tol)
+    value, bound, _terms, converged = kernel(p, q, x)
     value = base + scale * value
     if not converged:
         name, pq, arg = what
         raise ComputationError(
-            f"{name}(p={pq.p}, q={pq.q}, x={arg}) did not reach the requested tolerance "
+            f"{name}(p={pq.p}, q={pq.q}, x={arg}) did not converge "
             f"(estimate {value!r}, error bound {abs(scale) * bound:.3e})",
             partial=value,
         )
@@ -147,7 +147,7 @@ def m_star_pq(pq: PQParams) -> ExtendedValue:
     return ExtendedValue.finite(_m_star(pq.p, pq.q))
 
 
-def _reflected(pq: PQParams, v: float, cfg: QuadratureConfig, what: tuple) -> float:
+def _reflected(pq: PQParams, v: float, what: tuple) -> float:
     """half_pi_pq - c arcsin_{q*,p*}(v): arcsin_pq at x with 1 - x**q = v**(p/(p - 1)).
 
     half_pi_pq grows like 1/(p - 1), so the subtraction loses that many
@@ -158,7 +158,7 @@ def _reflected(pq: PQParams, v: float, cfg: QuadratureConfig, what: tuple) -> fl
     p, q = pq.p, pq.q
     hp = half_pi_pq(pq)
     value = _run_kernel(
-        kernels.arcsin_series, q / (q - 1.0), p / (p - 1.0), v, cfg.target_abs_tol, what,
+        kernels.arcsin_series, q / (q - 1.0), p / (p - 1.0), v, what,
         base=hp, scale=-p / ((p - 1.0) * q),
     )
     name, _pq, x = what
@@ -174,7 +174,7 @@ def _reflected(pq: PQParams, v: float, cfg: QuadratureConfig, what: tuple) -> fl
     return value
 
 
-def arcsin_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def arcsin_pq(pq: PQParams, x: float) -> float:
     """The defining integral on [0, x]; strictly increasing, arcsin_pq(1) = half_pi_pq.
 
     Where x**q >= 1/2 it is half_pi_pq minus the reflected integral at the
@@ -188,11 +188,11 @@ def arcsin_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
     if math.pow(x, pq.q) >= 0.5:
         # V = (1 - x**q)**(1 - 1/p), with 1 - x**q formed without cancellation
         v = math.pow(-math.expm1(pq.q * math.log(x)), (pq.p - 1.0) / pq.p)
-        return _reflected(pq, v, cfg, what)
-    return _run_kernel(kernels.arcsin_series, pq.p, pq.q, x, cfg.target_abs_tol, what)
+        return _reflected(pq, v, what)
+    return _run_kernel(kernels.arcsin_series, pq.p, pq.q, x, what)
 
 
-def arccos_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def arccos_pq(pq: PQParams, x: float) -> float:
     """arcsin_pq((1 - x**p)**(1/q)); decreasing from half_pi_pq to 0 on [0, 1].
 
     Where x**p <= 1/2 the argument of arcsin_pq is in the top half of the
@@ -202,13 +202,13 @@ def arccos_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
         raise DomainError(f"arccos_pq needs x in [0, 1], got {x!r}")
     what = ("arccos_pq", pq, x)
     if math.pow(x, pq.p) <= 0.5:
-        return _reflected(pq, math.pow(x, pq.p - 1.0), cfg, what)
+        return _reflected(pq, math.pow(x, pq.p - 1.0), what)
     # (1 - x**p)**(1/q) without cancellation for x near 1
     w = math.pow(-math.expm1(pq.p * math.log(x)), 1.0 / pq.q)
-    return _run_kernel(kernels.arcsin_series, pq.p, pq.q, w, cfg.target_abs_tol, what)
+    return _run_kernel(kernels.arcsin_series, pq.p, pq.q, w, what)
 
 
-def arcsinh_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def arcsinh_pq(pq: PQParams, x: float) -> float:
     """The hyperbolic defining integral on [0, x]; strictly increasing in x.
 
     One series kernel call for every finite x >= 0: the Pfaff form near
@@ -219,8 +219,7 @@ def arcsinh_pq(pq: PQParams, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -
     if not (x >= 0.0 and math.isfinite(x)):
         raise DomainError(f"arcsinh_pq needs finite x >= 0, got {x!r}")
     p, q = pq.p, pq.q
-    value = _run_kernel(kernels.arcsinh_series, p, q, x, cfg.target_abs_tol,
-                        ("arcsinh_pq", pq, x))
+    value = _run_kernel(kernels.arcsinh_series, p, q, x, ("arcsinh_pq", pq, x))
     # far out the series comes within ulps of m_star, and its rounding may
     # put it above the closed form, which the integral never reaches
     return min(value, _m_star(p, q)) if p < q else value

@@ -24,9 +24,9 @@ bottom half of the conjugate (q*, p*) branch, whose root V gives
 1 - s**q = v**p = V**(p/(p - 1)) <= 1/2 (see ``functions``), so no solve
 evaluates its series beyond z = 1/2.  When the bracket collapses to a
 few ulps the nearest representable root is returned; ComputationError
-is raised on iteration budget exhaustion, when a forward series inside
-the solve misses its tolerance, when sinh's bracket passes the largest
-float, and where p is so close to 1 that one ulp of the conjugate root V
+is raised on iteration budget exhaustion, when its kernel does not
+certify a forward value, when sinh's bracket passes the largest float,
+and where p is so close to 1 that one ulp of the conjugate root V
 moves V**(p/(p - 1)) by 1/16 or more, so that it cannot be mapped back.
 """
 
@@ -38,7 +38,6 @@ from ._backend import kernels
 from ._records import Validated
 from .errors import ComputationError, DomainError, PQTrigError
 from .functions import PQParams, _half_pi, _m_star
-from .quadrature import DEFAULT_CONFIG
 
 _TOP_PAD = 1e-12
 
@@ -61,16 +60,6 @@ class InversionConfig(Validated, _InversionFields):
 
 
 DEFAULT_INVERSION = InversionConfig()
-
-
-def _forward_tol(inv: InversionConfig) -> float:
-    """The tolerance of every forward value inside a solve."""
-    # the forward values must out-resolve the requested residual, but no
-    # series bound goes below its rounding allowance of 16 ulps, so 1e-13
-    # (relative above 1) is as far as a forward value is asked to go; a
-    # smaller residual tolerance makes the solver polish to the
-    # representable root
-    return max(min(inv.tol, DEFAULT_CONFIG.target_abs_tol), 1e-13)
 
 
 # a conjugate root too coarse to map back (see _solve), beside the statuses of kernels.solve
@@ -180,7 +169,7 @@ def _solve(out, fn, pq, ys, targets, conj, mode, p, q, tol, cfg):
     if not targets:
         return
     ts = list(targets)
-    results = kernels.solve(mode, p, q, ts, tol, cfg.max_iters, _forward_tol(cfg))
+    results = kernels.solve(mode, p, q, ts, tol, cfg.max_iters)
     plain = fn == "sinh" or (fn == "sin" and not conj)  # the root is the value
     for t, (root, iters, _terms, status) in zip(ts, results):
         if conj and q * math.ulp(root) >= root / 16.0:

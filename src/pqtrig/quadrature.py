@@ -89,13 +89,13 @@ class _QuadratureFields(NamedTuple):
 
 
 class QuadratureConfig(Validated, _QuadratureFields):
-    """Accuracy and budget knobs for the integrators.
+    """Accuracy and budget knobs of :func:`integrate_singular` and
+    :func:`integrate_improper`, the integrators of plain callables.
 
-    ``max_levels`` and ``max_evals`` govern :func:`integrate_singular` and
-    :func:`integrate_improper` only: the package's functions take just
-    ``target_abs_tol``, as the tolerance of their series kernels (absolute
-    below a value of 1 and relative above it).  Refinement never goes past
-    level 16; a larger ``max_levels`` is clamped.
+    The package's own functions take no configuration: their series
+    kernels certify every value themselves (see ``_dequad_py``).
+    Refinement never goes past level 16; a larger ``max_levels`` is
+    clamped.
     """
 
     __slots__ = ()

@@ -1,5 +1,6 @@
 """Agreement between the compiled and pure-Python series kernels."""
 
+import inspect
 import math
 import os
 import subprocess
@@ -47,6 +48,20 @@ def test_backends_export_the_same_names():
         "BACKEND", "arcsin_series", "arcsinh_series", "solve",
         "SOLVED", "BUDGET", "UNCONVERGED", "OVERFLOW",
     }
+
+
+@pytest.mark.parametrize("name,params", [
+    ("arcsin_series", ["p", "q", "x"]),
+    ("arcsinh_series", ["p", "q", "x"]),
+    ("solve", ["mode", "p", "q", "ys", "tol", "max_iters"]),
+])
+def test_twins_take_the_same_parameters(name, params):
+    # a parameter added to or deleted from one twin only fails here
+    for backend in (compiled, pure):
+        assert list(inspect.signature(getattr(backend, name)).parameters) == params, backend
+    # the compiled twin takes exactly these, with no optional rest
+    with pytest.raises(TypeError, match="exactly"):
+        getattr(compiled, name)(*([2.0] * (len(params) + 1)))
 
 
 def test_env_var_forces_pure(monkeypatch):
@@ -152,7 +167,9 @@ def _same(a, b, tol):
     return a == pytest.approx(b, abs=tol)
 
 
-EXPONENT = st.floats(1.0, 10.0, exclude_min=True)
+# up to the largest float, where Dekker's split in the far form once overflowed
+EXPONENT = st.one_of(st.floats(1.0, 10.0, exclude_min=True),
+                     st.floats(1.0, 1.7976931348623157e308, exclude_min=True))
 
 
 @settings(max_examples=300, deadline=None)
@@ -391,8 +408,8 @@ def test_a_sub_ulp_newton_step_moves_one_float_toward_the_root():
     # gave 1.392087849130788, 14.6 ulps above)
     p, q, y = 1.9570362129288126, 8.52255684192038, 1.1300993252640341
     pq = pqtrig.PQParams(p, q)
-    (result,) = compiled.solve("sinh", p, q, [y], 1e-17, 100, 1e-13)
-    assert [result] == pure.solve("sinh", p, q, [y], 1e-17, 100, 1e-13)
+    (result,) = compiled.solve("sinh", p, q, [y], 1e-17, 100)
+    assert [result] == pure.solve("sinh", p, q, [y], 1e-17, 100)
     root, iters, _terms, status = result
     assert status == pure.SOLVED and root == 1.3920878491307864 and iters < 14
     assert pqtrig.sinh_pq(pq, y, pqtrig.InversionConfig(tol=1e-17)) == root
@@ -414,8 +431,8 @@ def test_series_at_ratio_one_reports_an_infinite_bound():
     # backend raised as ZeroDivisionError out of cos_pq
     q = 1.0599853493818049e299
     x = math.exp(-math.log(2.0) / q)
-    assert compiled.arcsin_series(q, q, x, 1e-12) == pure.arcsin_series(q, q, x, 1e-12)
-    assert pure.arcsin_series(q, q, x, 1e-12)[1:] == (math.inf, 2, False)
+    assert compiled.arcsin_series(q, q, x) == pure.arcsin_series(q, q, x)
+    assert pure.arcsin_series(q, q, x)[1:] == (math.inf, 2, False)
 
 
 def test_far_form_power_neither_overflows_nor_underflows():
@@ -424,10 +441,46 @@ def test_far_form_power_neither_overflows_nor_underflows():
     # OverflowError and the compiled one returned nan.  With p = 1 + 2**-52
     # the integral is (pi/q) / sin(pi/q) to within 1e-15
     p, q, x = 1.0 + 2.0 ** -52, 3790.0, 6.633333333333334
-    value, _bound, _terms, converged = compiled.arcsinh_series(p, q, x, 1e-13)
-    assert compiled.arcsinh_series(p, q, x, 1e-13) == pure.arcsinh_series(p, q, x, 1e-13)
+    value, _bound, _terms, converged = compiled.arcsinh_series(p, q, x)
+    assert compiled.arcsinh_series(p, q, x) == pure.arcsinh_series(p, q, x)
     assert converged
     assert value == pytest.approx(math.pi / q / math.sin(math.pi / q), rel=1e-14)
+
+
+_MAX = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("p,q,x", [
+    (1e308, 2.0, 2.0), (2.0, 1e308, 2.0), (1.4e300, 3.0, 5.0), (3.0, 1e301, 1.5),
+    (1.2e300, 3.0, 5.0), (1e308, 1e308, 2.0), (_MAX, _MAX, 10.0), (2.0, _MAX, 1e300),
+    (_MAX, 2.0, 1e300),
+])
+def test_far_form_at_huge_exponents(p, q, x):
+    # Dekker's split of e0 or p overflowed beyond about 1.34e300: the pure
+    # backend raised ValueError on a NaN exponent and the compiled one
+    # returned nan unconverged.  The integrand (1 + t**q)**(-1/p) is 1 within
+    # a relative 1/p for p >> q, and for q >> p it is 1 up to t = 1 and
+    # about 0 beyond; at p = q it is 1/t beyond t = 1
+    vc, vp = compiled.arcsinh_series(p, q, x), pure.arcsinh_series(p, q, x)
+    assert vc == vp and vc[3], (vc, vp)
+    pq = pqtrig.PQParams(p, q)
+    assert _outcome(compiled, pqtrig.arcsinh_pq, pq, x) == _outcome(pure, pqtrig.arcsinh_pq, pq, x)
+    expected = x if p > 1e6 * q else 1.0 if q > 1e6 * p else 1.0 + math.log(x)
+    assert vc[0] == pytest.approx(expected, rel=1e-14)
+
+
+def test_huge_exponent_solves_fail_alike():
+    # sinh's root at p = q = 1e308 lies beyond the largest float; both
+    # backends raised other errors (ValueError, an unconverged forward).
+    # sin's cold start pow(y, q + 1) overflows: C takes inf, the pure
+    # backend raised OverflowError
+    pq = pqtrig.PQParams(1e308, 1e308)
+    y = 3.93599686377914e299
+    for backend in (compiled, pure):
+        assert _outcome(backend, pqtrig.sinh_pq, pq, y) is pqtrig.ComputationError
+    args = ("sin", 2.0, 1.0599853493818049e299, [1.5], 1e-12, 100)
+    assert compiled.solve(*args) == pure.solve(*args)
+    assert compiled.solve(*args)[0][3] == pure.UNCONVERGED
 
 
 @pytest.mark.parametrize("backend", [compiled, pure], ids=["c", "python"])

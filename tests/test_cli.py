@@ -59,6 +59,24 @@ class TestEval:
         assert len(lines) == 2
 
 
+@pytest.mark.parametrize("argv,code,err", [
+    (["eval", "--fn", "sin", "--p", "2", "--q", "2", "--x", "-inf"], 1,
+     "error: sin_pq needs y in [0, 1.57079632679] (half_pi for p=2.0, q=2.0), got -inf\n"),
+    (["eval", "--fn", "arcsinh", "--p", "2", "--q", "2", "--x", "0.5", "-1e-3"], 1,
+     "error: arcsinh_pq needs finite x >= 0, got -0.001\n"),
+    (["eval", "--fn", "arcsin", "--p", "2", "--q", "2", "--x", "-NaN", "-.5E+2"], 1,
+     "error: arcsin_pq needs x in [0, 1], got nan\n"),
+    (["verify", "--check", "gm-sin", "--order", "-1e-3", "--p", "2", "--q", "3", "--grid", "3"],
+     0, ""),
+    (["verify", "--check", "lemma21", "--p", "2", "--q", "3", "--grid", "3", "--tol", "-1e-3"],
+     2, "error: --tol must be a finite number >= 0, got -0.001\n"),
+])
+def test_negative_numbers_are_values_as_separate_words(capsys, argv, code, err):
+    # argparse took -inf and -1e-3 for options and exited 2 before any
+    # command ran: each of these now reaches its command's own checks
+    assert run(capsys, *argv)[::2] == (code, err)
+
+
 class TestConstants:
     def test_classic(self, capsys):
         code, out, _ = run(capsys, "constants", "--p", "2", "--q", "2")
@@ -327,8 +345,9 @@ _NUMBERS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
 )
 _PQ = st.one_of(
-    st.sampled_from([1.0 + 2.0 ** -52, 1.0, 0.5, math.nan, math.inf, 1e300]),
-    st.floats(1.0, 1e300),
+    st.sampled_from([1.0 + 2.0 ** -52, 1.0, 0.5, math.nan, math.inf, 1e300,
+                     1.7976931348623157e308]),
+    st.floats(1.0, 1.7976931348623157e308),
     st.floats(1.0, 10.0),
 )
 _FORMATS = st.sampled_from(["text", "csv", "json"])
@@ -349,9 +368,8 @@ def _argv(draw):
     if command == "eval":
         argv += _opt("--fn", draw(st.sampled_from(["arcsin", "arccos", "arcsinh",
                                                    "sin", "cos", "sinh"])))
-        # a leading space keeps argparse from taking -inf for an option;
-        # float() strips it
-        argv += ["--x", *(f" {x!r}" for x in draw(st.lists(_NUMBERS, min_size=1, max_size=3)))]
+        # separate words, negative ones included
+        argv += ["--x", *(repr(x) for x in draw(st.lists(_NUMBERS, min_size=1, max_size=3)))]
     elif command == "counterexample":
         argv += _opt("--order", draw(_NUMBERS)) + _opt("--budget",
                                                         draw(st.sampled_from([50, 100, 400])))

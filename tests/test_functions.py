@@ -2,18 +2,19 @@
 
 import math
 import random
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pqtrig import functions
 from pqtrig import (
     ComputationError,
     DomainError,
     ExtendedValue,
     PQParams,
-    QuadratureConfig,
     arccos_pq,
     arcsin_pq,
     arcsin_series_oracle,
@@ -151,15 +152,23 @@ class TestHalfPi:
         for pq in pq_grid():
             assert half_pi_pq(pq) > 1.0
 
-    def test_unreachable_tolerance_raises_with_partial(self):
-        # half_pi_pq is a closed form; the arcsin_pq quadratures below and
-        # above the middle of its branch raise, with the estimate in
-        # arcsin terms (half_pi minus the reflected integral above it)
-        cfg = QuadratureConfig(target_abs_tol=1e-30, max_levels=1)
-        for x in (0.5, 0.9):
-            with pytest.raises(ComputationError) as err:
-                arcsin_pq(PQParams(2.0, 2.0), x, cfg)
-            assert err.value.partial == pytest.approx(math.asin(x), abs=1e-3)
+    def test_unreachable_tolerance_raises_with_partial(self, monkeypatch):
+        # half_pi_pq is a closed form; a forward value that its kernel does
+        # not certify (bound <= 1e-13 max(1, |value|)) raises with the
+        # estimate.  At q = 1.06e299, (1 - x**p)**(1/q) rounds to 1, where
+        # the series stops at z = 1 with an infinite bound
+        with pytest.raises(ComputationError, match="did not converge") as err:
+            arccos_pq(PQParams(2.0, 1.0599853493818049e299), 0.9999999999999999)
+        assert err.value.partial == 1.0
+        # above the middle of the branch the series stays at z <= 1/2, and no
+        # input misses the certificate: with a stub kernel that certifies
+        # nothing, the estimate is in arcsin terms, half_pi minus the
+        # reflected integral
+        stub = types.SimpleNamespace(arcsin_series=lambda p, q, x: (0.25, 1.0, 3, False))
+        monkeypatch.setattr(functions, "kernels", stub)
+        with pytest.raises(ComputationError, match="did not converge") as err:
+            arcsin_pq(PQParams(2.0, 2.0), 0.9)
+        assert err.value.partial == pytest.approx(math.pi / 2.0 - 0.25, rel=1e-15)
 
     def test_thread_safe_cache(self):
         pq = PQParams(3.0, 2.0)

@@ -173,20 +173,26 @@ class TestSinh:
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
-    def test_unconverged_forward_raises(self, monkeypatch):
+    def test_unconverged_forward_raises(self):
         # for p > q m_star is infinite and the root of this y is near 4e16,
-        # which the forward series reaches; a forward value whose bound
-        # misses the solve's forward tolerance (never met at 1e-30, below
-        # the 16-ulp rounding allowance) ends the solve instead: the solve
-        # must not use that value
+        # which the forward series reaches and certifies
         pq = PQParams(3.0, 2.0)
         s = sinh_pq(pq, 1e6)
         assert 1e16 < s < 1e17
         assert arcsinh_ref(pq.p, pq.q, s) == pytest.approx(1e6, rel=1e-13)
-        monkeypatch.setattr(inverse, "_forward_tol", lambda cfg: 1e-30)
-        with pytest.raises(ComputationError, match="unconverged forward") as err:
-            sinh_pq(pq, 1e6)
-        assert kernels.arcsinh_series(pq.p, pq.q, err.value.partial, 1e-30)[3] is False
+        # a forward value that its kernel does not certify ends the solve
+        # instead, which must not use that value: at q = 1.06e299 sin's cold
+        # start overflows onto the bracket top 2**(-1/q), which rounds to 1,
+        # where the series stops at z = 1 with an infinite bound
+        p, q = 2.0, 1.0599853493818049e299
+        ((root, iters, _terms, status),) = kernels.solve("sin", p, q, [1.5], 1e-12, 100)
+        assert (root, iters, status) == (1.0, 1, kernels.UNCONVERGED)
+        assert kernels.arcsin_series(p, q, root)[3] is False
+        out = [None]
+        inverse._solve(out, "sin", PQParams(p, q), [1.5], {1.5: [0]}, False, "sin", p, q,
+                       1e-12, inverse.DEFAULT_INVERSION)
+        assert isinstance(out[0], ComputationError) and out[0].partial == 1.0
+        assert "stopped on an unconverged forward series after 1 iterations" in str(out[0])
 
     def test_root_beyond_the_largest_float_fails_fast(self):
         # q/p near 1 and y next to m_star put the root near e**21000; the
