@@ -11,8 +11,8 @@ truncation bound.  The series kernels exist twice: a hand-written C
 extension (``_dequad_c.c``) for speed and a pure-Python twin
 (``_dequad_py``) selected automatically when the extension is missing
 (or when ``PQTRIG_PURE_PYTHON=1``); see :func:`backend_name`.  The
-tanh-sinh integrators ``integrate_singular`` and ``integrate_improper``
-are offered for integrands given as callables.
+tanh-sinh integrator ``integrate_singular`` is offered for integrands
+given as callables.  A Hölder order is a plain float.
 """
 
 from ._backend import backend_name
@@ -53,13 +53,8 @@ from .inequalities import (
     thm11_sinh_margin,
 )
 from .inverse import InversionConfig, cos_pq, sin_pq, sinh_pq
-from .means import HolderOrder, holder_mean
-from .quadrature import (
-    QuadratureConfig,
-    QuadratureResult,
-    integrate_improper,
-    integrate_singular,
-)
+from .means import holder_mean
+from .quadrature import QuadratureResult, integrate_singular
 
 __version__ = "0.1.0"
 
@@ -76,12 +71,10 @@ __all__ = [
     "G_fn",
     "GridAxis",
     "Gstar_fn",
-    "HolderOrder",
     "InequalityVerdict",
     "InversionConfig",
     "PQParams",
     "PQTrigError",
-    "QuadratureConfig",
     "QuadratureResult",
     "SweepError",
     "SweepReport",
@@ -98,7 +91,6 @@ __all__ = [
     "gm_general_sinh_margin",
     "half_pi_pq",
     "holder_mean",
-    "integrate_improper",
     "integrate_singular",
     "lemma21_margin",
     "lemma22_margin",

@@ -1,4 +1,19 @@
-"""The construction path shared by the package's validated records."""
+"""The construction path shared by the package's validated records, and
+the check of a count."""
+
+import operator
+
+from .errors import DomainError
+
+
+def count(value, what: str) -> int:
+    """``value`` as an int, or DomainError where ``operator.index`` refuses
+    it (a float such as 10.0 included), so a count never reaches ``range``
+    or a kernel as a non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
 class Validated:

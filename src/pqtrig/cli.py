@@ -81,10 +81,14 @@ def _parse_range(text: str, name: str) -> GridAxis:
 
 
 def _require_params(p: float, q: float) -> None:
-    if p <= 1.0:
-        raise UsageError("p must exceed 1")
-    if q <= 1.0:
-        raise UsageError("q must exceed 1")
+    for name, value in (("p", p), ("q", q)):
+        if not (1.0 < value < math.inf):
+            raise UsageError(f"{name} must exceed 1 and be finite, got {value!r}")
+
+
+def _require_order(order: float) -> None:
+    if not math.isfinite(order):
+        raise UsageError(f"--order must be a finite number, got {order!r}")
 
 
 def _emit(text: str, ns: argparse.Namespace) -> None:
@@ -234,6 +238,8 @@ def cmd_check(ns: argparse.Namespace) -> int:
         )
     if check.needs_order and ns.order is None:
         raise UsageError(f"check {ns.check!r} requires --order")
+    if ns.order is not None:
+        _require_order(ns.order)
     if ns.grid < 2:
         raise UsageError("--grid must be at least 2")
     if ns.grid < check.min_grid:
@@ -243,14 +249,13 @@ def cmd_check(ns: argparse.Namespace) -> int:
     if not (0.0 < ns.x_max < math.inf):
         raise UsageError(f"--x-max must be finite and positive, got {ns.x_max!r}")
     axes = pq_axes + [GridAxis(name, 0.01, 0.99, ns.grid) for name in check.axes]
-    report = run_sweep(
-        ns.check, axes, order=ns.order, tolerance=ns.tol, threads=ns.threads, x_max=ns.x_max,
-    )
+    report = run_sweep(ns.check, axes, order=ns.order, tolerance=ns.tol, x_max=ns.x_max)
     return _emit_report(report, ns)
 
 
 def cmd_counterexample(ns: argparse.Namespace) -> int:
     _require_params(ns.p, ns.q)
+    _require_order(ns.order)
     if ns.order <= 0.0:
         raise UsageError("counterexample search needs --order > 0")
     if ns.budget < 100:
@@ -326,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", type=float, default=None, help="Hölder order where applicable")
     sp.add_argument("--x-max", type=float, default=50.0)
     sp.add_argument("--tol", type=float, default=None, help="override the verdict tolerance")
-    sp.add_argument("--threads", type=int, default=0, help="sweep parallelism (0 = default)")
 
     sp = sub.add_parser("sweep", help="verify one check over (p, q) ranges")
     add_common(sp, cmd_check, pq_point=False)
@@ -337,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", type=float, default=None)
     sp.add_argument("--x-max", type=float, default=50.0)
     sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--threads", type=int, default=0)
 
     sp = sub.add_parser("counterexample", help="search for sharpness witnesses")
     add_common(sp, cmd_counterexample)

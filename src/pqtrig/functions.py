@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from ._backend import kernels
-from ._records import Validated
+from ._records import Validated, count
 from .errors import ComputationError, DomainError
 
 
@@ -243,7 +243,7 @@ def arcsin_series_oracle(pq: PQParams, x: float, n_terms: int) -> float:
     """
     if not (0.0 <= x < 1.0):
         raise DomainError(f"series oracle needs x in [0, 1), got {x!r}")
-    if n_terms < 1:
+    if count(n_terms, "n_terms") < 1:
         raise DomainError("n_terms must be at least 1")
     if x == 0.0:
         return 0.0

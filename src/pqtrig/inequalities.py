@@ -10,8 +10,8 @@ An instance is satisfied when ``margin >= -tolerance``; the default
 tolerance is ``1e-9 + 1e-9 * |rhs|``, covering the forward series and
 inversion error carried by both sides plus the equality case on the
 diagonal of the mean inequalities.  A tolerance given to a check or a
-sweep must be a finite number >= 0 (DomainError otherwise, before
-anything is computed).
+sweep must be a finite number >= 0, and a Hölder order a finite float
+(DomainError otherwise, before anything is computed).
 
 The checks, by registry name:
 
@@ -49,13 +49,13 @@ point, bit for bit.
 
 import math
 from functools import partial
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from ._records import Validated
+from ._records import Validated, count
 from .errors import ComputationError, DomainError, PQTrigError
 from .functions import PQParams, arcsin_pq, arcsinh_pq, half_pi_pq, m_star_pq
 from .inverse import _roots
-from .means import HolderOrder, holder_mean
+from .means import holder_mean
 
 DEFAULT_TOL_ABS = 1e-9
 DEFAULT_TOL_REL = 1e-9
@@ -95,8 +95,14 @@ def default_tolerance(rhs: float) -> float:
     return DEFAULT_TOL_ABS + DEFAULT_TOL_REL * abs(rhs)
 
 
-def _order(order: Union[HolderOrder, float]) -> float:
-    return order.order if isinstance(order, HolderOrder) else float(order)
+def _order(order: float) -> float:
+    """A Hölder order as a float; DomainError unless it is finite.  Each
+    public entry that takes an order calls this once, before it computes
+    anything."""
+    r = float(order)
+    if not math.isfinite(r):
+        raise DomainError(f"Hölder order must be a finite real, got {r!r}")
+    return r
 
 
 class InequalityVerdict(NamedTuple):
@@ -143,7 +149,7 @@ class GridAxis(Validated, _AxisFields):
     __slots__ = ()
 
     def _check(self):
-        if self.n < 1:
+        if count(self.n, f"axis {self.name!r} n") < 1:
             raise DomainError(f"axis {self.name!r} needs n >= 1")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo <= self.hi):
             raise DomainError(f"axis {self.name!r} needs finite lo <= hi")
@@ -390,11 +396,7 @@ def thm11_sinh_margin(
 
 
 def gm_general_sin_margin(
-    pq: PQParams,
-    order: Union[HolderOrder, float],
-    r: float,
-    s: float,
-    tolerance: Optional[float] = None,
+    pq: PQParams, order: float, r: float, s: float, tolerance: Optional[float] = None
 ) -> InequalityVerdict:
     """sin_pq(sqrt(r s)) >= H_order(sin_pq(r), sin_pq(s)).
 
@@ -405,11 +407,7 @@ def gm_general_sin_margin(
 
 
 def gm_general_sinh_margin(
-    pq: PQParams,
-    order: Union[HolderOrder, float],
-    r: float,
-    s: float,
-    tolerance: Optional[float] = None,
+    pq: PQParams, order: float, r: float, s: float, tolerance: Optional[float] = None
 ) -> InequalityVerdict:
     """sinh_pq(sqrt(r s)) <= H_order(sinh_pq(r), sinh_pq(s)); holds for order >= 0."""
     return _scalar("gm-sinh", pq, (r, s), _order(order), tolerance)
@@ -457,22 +455,22 @@ def Gstar_fn(pq: PQParams, x: float) -> float:
     return first + pq.q / pq.p * math.exp(pq.q * lx - sp)
 
 
-def F_fn(pq: PQParams, order: Union[HolderOrder, float], x: float) -> float:
+def F_fn(pq: PQParams, order: float, x: float) -> float:
     """F(x) = x**(1-order) / (arcsin_pq(x) (1-x**q)**(1/p)) on (0, 1)."""
+    ordv = _order(order)
     if not (0.0 < x < 1.0):
         raise DomainError(f"F_fn needs x in (0, 1), got {x!r}")
-    ordv = _order(order)
     lx = math.log(x)
     ln_f = ((1.0 - ordv) * lx - math.log(arcsin_pq(pq, x))
             - math.log(-math.expm1(pq.q * lx)) / pq.p)
     return _exp(ln_f, f"F_fn at x={x!r}")
 
 
-def Fstar_fn(pq: PQParams, order: Union[HolderOrder, float], x: float) -> float:
+def Fstar_fn(pq: PQParams, order: float, x: float) -> float:
     """F*(x) = x**(1-order) / (arcsinh_pq(x) (1+x**q)**(1/p)) on (0, inf)."""
+    ordv = _order(order)
     if not (x > 0.0 and math.isfinite(x)):
         raise DomainError(f"Fstar_fn needs finite x > 0, got {x!r}")
-    ordv = _order(order)
     lx = math.log(x)
     ln_f = (1.0 - ordv) * lx - math.log(arcsinh_pq(pq, x)) - _softplus(pq.q * lx) / pq.p
     return _exp(ln_f, f"Fstar_fn at x={x!r}")
@@ -504,9 +502,7 @@ def _probe(check, pq, order, grid_n, x_max) -> SweepReport:
     return report
 
 
-def F_monotonicity_probe(
-    pq: PQParams, order: Union[HolderOrder, float], grid_n: int
-) -> SweepReport:
+def F_monotonicity_probe(pq: PQParams, order: float, grid_n: int) -> SweepReport:
     """Scan F on (0, 1): strictly increasing exactly when order <= 0.
 
     Each verdict compares consecutive grid values; ``all_satisfied``
@@ -517,7 +513,7 @@ def F_monotonicity_probe(
 
 
 def Fstar_monotonicity_probe(
-    pq: PQParams, order: Union[HolderOrder, float], grid_n: int, x_max: float = 50.0
+    pq: PQParams, order: float, grid_n: int, x_max: float = 50.0
 ) -> SweepReport:
     """Scan F* on (0, x_max]: strictly decreasing exactly when order >= 0."""
     return _probe("fstar-monotone", pq, order, grid_n, x_max)
@@ -555,7 +551,7 @@ _WITNESS_FLOOR = 1e-11
 
 
 def counterexample_search(
-    pq: PQParams, order: Union[HolderOrder, float], budget: int = 40000
+    pq: PQParams, order: float, budget: int = 40000
 ) -> CounterexampleResult:
     """Grid scan plus local refinement for both margin signs on (0, 1)**2.
 
@@ -567,7 +563,7 @@ def counterexample_search(
     ordv = _order(order)
     if not (ordv > 0.0):
         raise DomainError("counterexample_search needs a positive order")
-    if budget < 100:
+    if count(budget, "budget") < 100:
         raise DomainError("budget must be at least 100")
     evals = 0
     known: dict[float, float] = {}  # arcsin_pq values, for this search only
@@ -697,7 +693,7 @@ def run_sweep(
     check: str,
     axes: Sequence[GridAxis],
     *,
-    order: Union[HolderOrder, float, None] = None,
+    order: Optional[float] = None,
     tolerance: Optional[float] = None,
     threads: int = 0,
     x_max: float = 50.0,
@@ -707,13 +703,13 @@ def run_sweep(
     ``axes`` starts with the p and q axes followed by the check's inner
     argument axes expressed as domain fractions (see :class:`GridAxis`);
     ``x_max``, finite and positive, is the domain of fstar-monotone; a
-    ``tolerance`` given must be a finite number >= 0.  The unit of work
-    is one (p, q) cell: its inverse values come from one batched solve
-    per function over the cell's unique targets, and its verdicts are
-    built from those roots, each the verdict of the scalar check at its
-    point.  Verdicts are reported in row-major grid order;
-    with ``threads > 1`` the cells are computed concurrently, one task
-    each, and merged back in order.  Per-point evaluation failures
+    ``tolerance`` given must be a finite number >= 0, and an ``order``
+    a finite float.  The unit of work is one (p, q) cell: its inverse
+    values come from one batched solve per function over the cell's
+    unique targets, and its verdicts are built from those roots, each
+    the verdict of the scalar check at its point.  Verdicts are reported
+    in row-major grid order; with ``threads > 1`` the cells are computed
+    concurrently, one task each, and merged back in order.  Per-point evaluation failures
     (:class:`PQTrigError`) are recorded in the report rather than raised;
     any other exception propagates.
     """

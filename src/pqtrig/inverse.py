@@ -35,11 +35,12 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from ._backend import kernels
-from ._records import Validated
+from ._records import Validated, count
 from .errors import ComputationError, DomainError, PQTrigError
 from .functions import PQParams, _half_pi, _m_star
 
 _TOP_PAD = 1e-12
+_MAX_ITERS = 2**31 - 1
 
 
 class _InversionFields(NamedTuple):
@@ -48,15 +49,22 @@ class _InversionFields(NamedTuple):
 
 
 class InversionConfig(Validated, _InversionFields):
-    """Residual tolerance and iteration budget for the root finders."""
+    """Residual tolerance and iteration budget for the root finders.
+
+    ``max_iters`` is an integer from 10 to 2**31 - 1, which every
+    backend's kernel takes.
+    """
 
     __slots__ = ()
 
     def _check(self):
         if not (self.tol > 0.0):
             raise DomainError("tol must be positive")
-        if self.max_iters < 10:
+        iters = count(self.max_iters, "max_iters")
+        if iters < 10:
             raise DomainError("max_iters must be at least 10")
+        if iters > _MAX_ITERS:
+            raise DomainError(f"max_iters must be at most {_MAX_ITERS}")
 
 
 DEFAULT_INVERSION = InversionConfig()

@@ -8,9 +8,7 @@ min(a, b) and max(a, b), and strictly increasing in r for a != b.
 """
 
 import math
-from typing import NamedTuple, Union
 
-from ._records import Validated
 from .errors import DomainError
 
 # the r != 0 formula is numerically unstable near zero; route to the
@@ -18,23 +16,12 @@ from .errors import DomainError
 _ZERO_BAND = 1e-12
 
 
-class _HolderFields(NamedTuple):
-    order: float
+def holder_mean(order: float, a: float, b: float) -> float:
+    """H_order(a, b) for positive a, b; always within [min(a,b), max(a,b)].
 
-
-class HolderOrder(Validated, _HolderFields):
-    """The mean's exponent; 0 encodes the geometric mean."""
-
-    __slots__ = ()
-
-    def _check(self):
-        if not math.isfinite(self.order):
-            raise DomainError(f"Hölder order must be a finite real, got {self.order!r}")
-
-
-def holder_mean(order: Union[HolderOrder, float], a: float, b: float) -> float:
-    """H_order(a, b) for positive a, b; always within [min(a,b), max(a,b)]."""
-    r = order.order if isinstance(order, HolderOrder) else float(order)
+    ``order`` must be finite; 0 encodes the geometric mean.
+    """
+    r = float(order)
     if not math.isfinite(r):
         raise DomainError(f"Hölder order must be a finite real, got {r!r}")
     if not (a > 0.0 and b > 0.0):

@@ -1,8 +1,10 @@
 """Agreement between the compiled and pure-Python series kernels."""
 
+import contextlib
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -189,16 +191,24 @@ def test_kernels_agree_everywhere(p, q, data):
             kernel, args, vc, vp)
 
 
-def _outcome(backend, fn, *args):
-    """What ``fn`` returns with ``backend``'s kernels, or the error class it raises."""
+@contextlib.contextmanager
+def _kernels(backend):
+    """The library on ``backend``'s kernels, for the body of the block."""
     saved = functions.kernels, inverse.kernels
     functions.kernels = inverse.kernels = backend
     try:
-        return fn(*args)
-    except PQTrigError as err:
-        return type(err)
+        yield
     finally:
         functions.kernels, inverse.kernels = saved
+
+
+def _outcome(backend, fn, *args):
+    """What ``fn`` returns with ``backend``'s kernels, or the error class it raises."""
+    with _kernels(backend):
+        try:
+            return fn(*args)
+        except PQTrigError as err:
+            return type(err)
 
 
 @settings(max_examples=300, deadline=None)
@@ -269,7 +279,8 @@ def _close(a, b):
 
 
 # every numeric callable of pqtrig.__all__ but holder_mean: its argument
-# kinds after the exponent pair ("x" an argument, "order" a Hölder order)
+# kinds after the exponent pair ("x" an argument, "order" a Hölder order,
+# "count" a count: a probe's grid_n, a search's budget, an oracle's terms)
 SIGNATURES = {
     **{name: ("x",) for name in DOMAIN_TOP},
     "half_pi_pq": (), "m_star_pq": (), "lemma23_check": (),
@@ -277,16 +288,23 @@ SIGNATURES = {
     "G_fn": ("x",), "Gstar_fn": ("x",), "F_fn": ("order", "x"), "Fstar_fn": ("order", "x"),
     "thm11_sin_margin": ("x", "x"), "thm11_sinh_margin": ("x", "x"),
     "gm_general_sin_margin": ("order", "x", "x"), "gm_general_sinh_margin": ("order", "x", "x"),
-    "F_monotonicity_probe": ("order",), "Fstar_monotonicity_probe": ("order",),
-    "counterexample_search": ("order",), "arcsin_series_oracle": ("x",),
+    "F_monotonicity_probe": ("order", "count"), "Fstar_monotonicity_probe": ("order", "count"),
+    "counterexample_search": ("order", "count"), "arcsin_series_oracle": ("x", "count"),
 }
 ORDERS = [-400.0, -1.0, 0.0, 0.5, 1.0, 400.0, math.inf, math.nan]
+# what no count may be: not an integer, or below each function's least
+BAD_COUNTS = [2.5, 10.0, 10.5, 100.5, 1e30, "10", None, True, 0, -1, 9, 99]
+# the counts that run, small enough to stay quick
+COUNTS = {"counterexample_search": st.integers(100, 400),
+          "F_monotonicity_probe": st.integers(10, 40),
+          "Fstar_monotonicity_probe": st.integers(10, 40),
+          "arcsin_series_oracle": st.integers(1, 200)}
 
 
 def test_the_contract_covers_every_public_function():
     # the sweep driver, the integrators of callables and the backend name
     # take no exponent pair; classes and constants are not callables
-    others = {"run_sweep", "integrate_singular", "integrate_improper", "backend_name"}
+    others = {"run_sweep", "integrate_singular", "backend_name"}
     functions_ = {name for name in pqtrig.__all__
                   if callable(getattr(pqtrig, name)) and not isinstance(getattr(pqtrig, name), type)}
     assert functions_ - others == set(SIGNATURES) | {"holder_mean"}
@@ -307,18 +325,13 @@ def test_public_functions_keep_the_error_contract(p, q, name, data):
         st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e),
     )
     orders = st.one_of(st.sampled_from(ORDERS), st.floats(-5.0, 5.0))
-    draw = {"x": xs, "order": orders}
+    draw = {"x": xs, "order": orders,
+            "count": st.one_of(st.sampled_from(BAD_COUNTS), COUNTS.get(name, st.nothing()))}
     if name == "holder_mean":
         args = (data.draw(orders, label="order"), data.draw(xs, label="a"),
                 data.draw(xs, label="b"))
     else:
         args = (pq,) + tuple(data.draw(draw[kind], label=kind) for kind in SIGNATURES[name])
-        if name == "counterexample_search":
-            args += (100,)
-        elif name.endswith("_probe"):
-            args += (10,)
-        elif name == "arcsin_series_oracle":
-            args += (50,)
     fn = getattr(pqtrig, name)
     rc = _outcome(compiled, fn, *args)
     rp = _outcome(pure, fn, *args)
@@ -326,6 +339,51 @@ def test_public_functions_keep_the_error_contract(p, q, name, data):
         assert rc is rp, (rc, rp)
     else:
         assert _close(rc, rp), (rc, rp)
+
+
+def _sweep_axes(n):
+    return [pqtrig.GridAxis("p", 2.0, 2.0, 1), pqtrig.GridAxis("q", 3.0, 3.0, 1),
+            pqtrig.GridAxis("x", 0.1, 0.9, n)]
+
+
+def _sin_pq(max_iters):
+    return pqtrig.sin_pq(_PQ23, 0.5, pqtrig.InversionConfig(max_iters=max_iters))
+
+
+_PQ23 = pqtrig.PQParams(2.0, 3.0)
+_NOT_AN_INTEGER = {
+    "GridAxis": (lambda: pqtrig.GridAxis("x", 0.1, 0.9, 2.5).values(),
+                 "axis 'x' n must be an integer, got 2.5"),
+    "run_sweep": (lambda: pqtrig.run_sweep("lemma21", _sweep_axes(2.5)),
+                  "axis 'x' n must be an integer, got 2.5"),
+    "F_monotonicity_probe": (lambda: pqtrig.F_monotonicity_probe(_PQ23, 0.0, 10.5),
+                             "axis 'x' n must be an integer, got 10.5"),
+    "counterexample_search": (lambda: pqtrig.counterexample_search(_PQ23, 1.0, budget=100.5),
+                              "budget must be an integer, got 100.5"),
+    "arcsin_series_oracle": (lambda: pqtrig.arcsin_series_oracle(_PQ23, 0.5, 2.5),
+                             "n_terms must be an integer, got 2.5"),
+    "sin_pq": (lambda: _sin_pq(10.5), "max_iters must be an integer, got 10.5"),
+    "sinh_pq": (lambda: pqtrig.sinh_pq(_PQ23, 0.5, pqtrig.InversionConfig(max_iters=10.5)),
+                "max_iters must be an integer, got 10.5"),
+    "sin_pq-10**30": (lambda: _sin_pq(10**30), "max_iters must be at most 2147483647"),
+    "sin_pq-2**31": (lambda: _sin_pq(2**31), "max_iters must be at most 2147483647"),
+}
+
+
+@pytest.mark.parametrize("case", _NOT_AN_INTEGER)
+def test_a_count_that_is_not_an_integer_raises_alike(case):
+    # each leaked a TypeError; with max_iters = 10**30 the compiled solve
+    # raised OverflowError and the pure one returned a root
+    call, message = _NOT_AN_INTEGER[case]
+    for backend in (compiled, pure):
+        with _kernels(backend), pytest.raises(pqtrig.DomainError, match=re.escape(message)):
+            call()
+
+
+def test_the_largest_iteration_budget_runs_alike():
+    for backend in (compiled, pure):
+        with _kernels(backend):
+            assert _sin_pq(2**31 - 1) == pqtrig.sin_pq(_PQ23, 0.5)
 
 
 def _certified(mode, p, q, root, y):

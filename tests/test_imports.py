@@ -23,8 +23,18 @@ PROBE = (
     f"print(','.join(m for m in {UNNEEDED!r} if m in sys.modules))\n"
 )
 
-SWEEP = ["sweep", "--check", "thm11-sin", "--p-range", "1.5:2:2", "--q-range", "2:3:2",
-         "--grid", "3", "--format", "csv"]
+# a sweep on one thread, then on two: only the second loads the thread pool
+THREADED = (
+    "import sys\n"
+    "import pqtrig\n"
+    "axes = [pqtrig.GridAxis('p', 1.5, 2.0, 2), pqtrig.GridAxis('q', 2.0, 3.0, 2),\n"
+    "        pqtrig.GridAxis('r', 0.01, 0.99, 3), pqtrig.GridAxis('s', 0.01, 0.99, 3)]\n"
+    "one = pqtrig.run_sweep('thm11-sin', axes)\n"
+    "before = 'concurrent.futures' in sys.modules\n"
+    "two = pqtrig.run_sweep('thm11-sin', axes, threads=2)\n"
+    "print(before, 'concurrent.futures' in sys.modules, len(two.verdicts),\n"
+    "      two.verdicts == one.verdicts)\n"
+)
 
 
 @pytest.fixture(scope="module", params=["c", "python"])
@@ -64,7 +74,6 @@ def test_json_output_and_threaded_sweep_still_work(backend_env):
     proc = _run(env, "-m", "pqtrig.cli", "constants", "--p", "2", "--q", "3", "--format", "json")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["half_pi"] == pqtrig.half_pi_pq(pqtrig.PQParams(2.0, 3.0))
-    one = _run(env, "-m", "pqtrig.cli", *SWEEP)
-    two = _run(env, "-m", "pqtrig.cli", *SWEEP, "--threads", "2")
-    assert one.returncode == two.returncode == 0, two.stderr
-    assert two.stdout == one.stdout and two.stdout.count("\n") == 1 + 4 * 9
+    proc = _run(env, "-c", THREADED)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False True 36 True\n"

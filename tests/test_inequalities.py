@@ -7,6 +7,7 @@ import pytest
 from pqtrig import (
     ComputationError,
     DomainError,
+    F_fn,
     F_monotonicity_probe,
     Fstar_fn,
     Fstar_monotonicity_probe,
@@ -646,3 +647,33 @@ def test_sweep_rejects_an_x_max_that_is_not_finite_and_positive(x_max, monkeypat
                   x_max=x_max)
     with pytest.raises(DomainError, match="x_max must be finite and positive"):
         Fstar_monotonicity_probe(PQParams(2.0, 3.0), 0.5, 10, x_max)
+
+
+_PQ23 = PQParams(2.0, 3.0)
+# each public entry that takes a Hölder order, called with the order given
+TAKES_AN_ORDER = {
+    "run_sweep": lambda order: run_sweep("gm-sin", _sweep_axes("gm-sin", SWEEPS[5][2]),
+                                         order=order),
+    "run_sweep-lemma21": lambda order: run_sweep("lemma21", _sweep_axes("lemma21", SWEEPS[0][2]),
+                                                 order=order),
+    "F_monotonicity_probe": lambda order: F_monotonicity_probe(_PQ23, order, 10),
+    "Fstar_monotonicity_probe": lambda order: Fstar_monotonicity_probe(_PQ23, order, 10),
+    "F_fn": lambda order: F_fn(_PQ23, order, 0.5),
+    "Fstar_fn": lambda order: Fstar_fn(_PQ23, order, 0.5),
+    "gm_general_sin_margin": lambda order: gm_general_sin_margin(_PQ23, order, 0.5, 0.7),
+    "gm_general_sinh_margin": lambda order: gm_general_sinh_margin(_PQ23, order, 0.5, 0.7),
+    "counterexample_search": lambda order: counterexample_search(_PQ23, order, 100),
+}
+
+
+@pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", TAKES_AN_ORDER)
+def test_an_order_that_is_not_finite_raises_before_anything_is_computed(
+        entry, order, monkeypatch):
+    # F_fn and Fstar_fn returned nan at a nan order, so the probes listed
+    # counterexamples to a proven claim, and the gm checks recorded one
+    # error per point
+    for name in ("arcsin_pq", "arcsinh_pq", "half_pi_pq", "m_star_pq", "_roots"):
+        monkeypatch.setattr(f"pqtrig.inequalities.{name}", _no_solves)
+    with pytest.raises(DomainError, match="Hölder order must be a finite real, got "):
+        TAKES_AN_ORDER[entry](order)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pqtrig import DomainError, HolderOrder, holder_mean
+from pqtrig import DomainError, holder_mean
 
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
 moderate = st.floats(min_value=1e-2, max_value=1e2, allow_nan=False, allow_infinity=False)
@@ -25,10 +25,11 @@ def test_harmonic():
     assert holder_mean(-1.0, 2.0, 4.0) == pytest.approx(8.0 / 3.0, abs=1e-14)
 
 
-def test_holder_order_wrapper():
-    assert holder_mean(HolderOrder(2.0), 3.0, 3.0) == 3.0
-    with pytest.raises(DomainError):
-        HolderOrder(math.inf)
+def test_order_is_a_finite_float():
+    assert holder_mean(2.0, 3.0, 3.0) == 3.0
+    for order in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="Hölder order must be a finite real"):
+            holder_mean(order, 3.0, 3.0)
 
 
 @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-2.0, 3.0), (1.0, -1.0)])

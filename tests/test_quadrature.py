@@ -4,13 +4,7 @@ import math
 
 import pytest
 
-from pqtrig import (
-    ComputationError,
-    DomainError,
-    QuadratureConfig,
-    integrate_improper,
-    integrate_singular,
-)
+from pqtrig import ComputationError, DomainError, integrate_singular
 
 from conftest import PQ_VALUES
 from oracles import beta, beta_half_pi
@@ -98,22 +92,18 @@ class TestIntegrateSingular:
             integrate_singular(lambda t: 1.0, 0.0, math.inf)
 
     def test_unreachable_tolerance_reports_not_converged(self):
-        cfg = QuadratureConfig(target_abs_tol=1e-30)
-        res = integrate_singular(lambda t: (1.0 - t * t) ** -0.5, 0.0, 1.0, cfg)
+        # the naive right-endpoint form stalls above the fixed 1e-12 within
+        # its 12 levels (estimate 8.0e-12), and says so
+        res = integrate_singular(lambda t: (1.0 - t * t) ** -0.5, 0.0, 1.0)
         assert not res.converged
+        assert 1e-12 < res.error_estimate < 1e-11
+        assert res.evaluations <= 50_479
         assert res.value == pytest.approx(math.pi / 2.0, abs=1e-6)
 
     def test_converged_respects_tolerance_invariant(self):
-        for tol in (1e-6, 1e-10, 1e-12):
-            cfg = QuadratureConfig(target_abs_tol=tol)
-            res = integrate_singular(flipped_root_integrand(2.0, 2.0), 0.0, 1.0, cfg)
-            if res.converged:
-                assert res.error_estimate <= tol
-
-    def test_evaluation_budget(self):
-        cfg = QuadratureConfig(target_abs_tol=1e-30, max_evals=150)
-        res = integrate_singular(lambda t: math.sin(10.0 * t), 0.0, 1.0, cfg)
-        assert not res.converged
+        res = integrate_singular(flipped_root_integrand(2.0, 2.0), 0.0, 1.0)
+        assert res.converged
+        assert res.error_estimate <= 1e-12
 
     def test_concurrent_use(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -123,40 +113,3 @@ class TestIntegrateSingular:
             results = list(pool.map(lambda _: integrate_singular(f, 0.0, 1.0).value, range(32)))
         assert len(set(results)) == 1
 
-
-class TestImproper:
-    def test_exponential(self):
-        res = integrate_improper(lambda t: math.exp(-t))
-        assert res.converged
-        assert res.value == pytest.approx(1.0, abs=1e-12)
-
-    def test_arctan_tail(self):
-        res = integrate_improper(lambda t: 1.0 / (1.0 + t * t))
-        assert res.converged
-        assert res.value == pytest.approx(math.pi / 2.0, abs=1e-12)
-
-    def test_quartic_tail_vs_beta(self):
-        res = integrate_improper(lambda t: (1.0 + t ** 4) ** -0.5)
-        assert res.converged
-        assert res.value == pytest.approx(beta(0.25, 0.25) / 4.0, abs=1e-10)
-
-
-class TestConfig:
-    def test_defaults(self):
-        cfg = QuadratureConfig()
-        assert cfg.target_abs_tol == 1e-12
-        assert cfg.max_levels == 12
-        assert cfg.max_evals == 1_000_000
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"target_abs_tol": 0.0},
-            {"target_abs_tol": -1e-9},
-            {"max_levels": 0},
-            {"max_evals": 99},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(DomainError):
-            QuadratureConfig(**kwargs)

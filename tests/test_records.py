@@ -2,7 +2,6 @@
 and the tuple behaviour they share."""
 
 import copy
-import math
 import pickle
 
 import pytest
@@ -12,11 +11,9 @@ from pqtrig import (
     DomainError,
     ExtendedValue,
     GridAxis,
-    HolderOrder,
     InequalityVerdict,
     InversionConfig,
     PQParams,
-    QuadratureConfig,
     QuadratureResult,
     SweepError,
     SweepReport,
@@ -28,10 +25,7 @@ VALIDATED = [
     (PQParams, {"p": 2.0, "q": 3.0}, "p", 0.5, "p must be a finite real exceeding 1"),
     (ExtendedValue, {"value": 2.5}, "value", -1.0, "must be a nonnegative real"),
     (GridAxis, {"name": "x", "lo": 0.1, "hi": 0.9, "n": 5}, "n", 0, "needs n >= 1"),
-    (HolderOrder, {"order": 1.0}, "order", math.nan, "must be a finite real"),
     (InversionConfig, {"tol": 1e-12, "max_iters": 100}, "max_iters", 5, "at least 10"),
-    (QuadratureConfig, {"target_abs_tol": 1e-12, "max_levels": 12, "max_evals": 10**6},
-     "max_evals", 50, "at least 100"),
 ]
 
 
@@ -70,9 +64,7 @@ FROZEN = [
     PQParams(2.0, 3.0),
     ExtendedValue(2.5),
     GridAxis("x", 0.1, 0.9, 5),
-    HolderOrder(1.0),
     InversionConfig(),
-    QuadratureConfig(),
     InequalityVerdict.make(1.0, 0.5, 0.5, {"p": 2.0, "q": 3.0}),
     SweepError(0, {"p": 2.0, "q": 3.0}, "DomainError: bad"),
     Witness(0.1, 0.2, 1.0, 1.1, 0.1),
