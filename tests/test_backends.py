@@ -292,7 +292,8 @@ SIGNATURES = {
     "counterexample_search": ("order", "count"), "arcsin_series_oracle": ("x", "count"),
 }
 ORDERS = [-400.0, -1.0, 0.0, 0.5, 1.0, 400.0, math.inf, math.nan]
-# what no count may be: not an integer, or below each function's least
+# counts that some or all of those functions refuse: not integers, or
+# below a function's least
 BAD_COUNTS = [2.5, 10.0, 10.5, 100.5, 1e30, "10", None, True, 0, -1, 9, 99]
 # the counts that run, small enough to stay quick
 COUNTS = {"counterexample_search": st.integers(100, 400),
@@ -341,6 +342,9 @@ def test_public_functions_keep_the_error_contract(p, q, name, data):
         assert _close(rc, rp), (rc, rp)
 
 
+_PQ23 = pqtrig.PQParams(2.0, 3.0)
+
+
 def _sweep_axes(n):
     return [pqtrig.GridAxis("p", 2.0, 2.0, 1), pqtrig.GridAxis("q", 3.0, 3.0, 1),
             pqtrig.GridAxis("x", 0.1, 0.9, n)]
@@ -350,8 +354,8 @@ def _sin_pq(max_iters):
     return pqtrig.sin_pq(_PQ23, 0.5, pqtrig.InversionConfig(max_iters=max_iters))
 
 
-_PQ23 = pqtrig.PQParams(2.0, 3.0)
-_NOT_AN_INTEGER = {
+# counts that are not integers, or more iterations than a kernel takes
+BAD_COUNT_CALLS = {
     "GridAxis": (lambda: pqtrig.GridAxis("x", 0.1, 0.9, 2.5).values(),
                  "axis 'x' n must be an integer, got 2.5"),
     "run_sweep": (lambda: pqtrig.run_sweep("lemma21", _sweep_axes(2.5)),
@@ -370,11 +374,11 @@ _NOT_AN_INTEGER = {
 }
 
 
-@pytest.mark.parametrize("case", _NOT_AN_INTEGER)
-def test_a_count_that_is_not_an_integer_raises_alike(case):
+@pytest.mark.parametrize("case", BAD_COUNT_CALLS)
+def test_a_bad_count_raises_the_same_error_on_both_backends(case):
     # each leaked a TypeError; with max_iters = 10**30 the compiled solve
     # raised OverflowError and the pure one returned a root
-    call, message = _NOT_AN_INTEGER[case]
+    call, message = BAD_COUNT_CALLS[case]
     for backend in (compiled, pure):
         with _kernels(backend), pytest.raises(pqtrig.DomainError, match=re.escape(message)):
             call()
