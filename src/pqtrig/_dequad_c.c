@@ -3,18 +3,20 @@
  *
  * The series, their stopping rules, bounds and term caps follow
  * ``_dequad_py`` operation for operation, so the two backends sum the same
- * terms and return the same term counts (see its docstring for the three
- * series and their truncation bounds).  Each kernel returns the tuple
- * (value, bound, terms, converged), where converged is the fixed rule
- * bound <= 1e-13 max(1, |value|) of both backends.  ``solve`` runs the
- * inverse solves of a whole list of targets, every forward value included,
- * with the GIL released; it follows ``_dequad_py.solve`` operation for
- * operation, so both backends take the same steps, and each target is
- * solved from the cold start of a one-target call.  Where the Python
- * kernel caches the far form's constant per (p, q), this one computes it
- * once per call: per ``arcsinh_series`` call that needs it, and per
- * ``solve`` call.  Build it as a plain extension (``setup.py``) or by
- * hand:
+ * terms and return the same term counts (see its docstring for the four
+ * series and their truncation bounds: arcsin's bottom half, its top form
+ * anchored at w = 1 - x**q = 1/2, arcsinh's Pfaff form and its far form).
+ * Each kernel returns the tuple (value, bound, terms, converged), where
+ * converged is the fixed rule bound <= 1e-13 max(1, |value|) of both
+ * backends.  ``solve`` runs the inverse solves of a whole list of targets,
+ * every forward value included, with the GIL released; it follows
+ * ``_dequad_py.solve`` operation for operation, so both backends take the
+ * same steps, and each target is solved from the cold start of a
+ * one-target call.  Where the Python
+ * kernel caches the constants of the far form and the top form per
+ * (p, q), this one computes them once per call: per ``arcsinh_series``
+ * or ``arcsin_top`` call that needs them, and per ``solve`` call.  Build
+ * it as a plain extension (``setup.py``) or by hand:
  *
  *     cc -O3 -fPIC -shared -I<python include dir> _dequad_c.c -o _dequad_c<EXT_SUFFIX> -lm
  */
@@ -73,8 +75,8 @@ series(double a, double q, double z, double *rest, long *terms)
     return total;
 }
 
-/* sum_{n>=1} (-1)**n (b)_n / n! w**n / (e0 - q n), its bound in *next and
- * its term count in *terms; _dequad_py._alternating */
+/* sum_{n>=1} (-1)**n (b)_n / n! w**n / (e0 - q n), the magnitude of the
+ * next term in *next and its term count in *terms; _dequad_py._alternating */
 static double
 alternating(double b, double q, double e0, double w, double scale, double base, double *next,
             long *terms)
@@ -112,6 +114,51 @@ arcsin_kernel(double p, double q, double x)
     s = series(1.0 / p, q, exp(q * log(x)), &rest, &r.terms);
     r.value = x * s;
     r.bound = x * rest + ROUNDING * r.value;
+    r.converged = converged(r.value, r.bound);
+    return r;
+}
+
+/* the top form's e = (p - 1)/p, S, C - S and C's bound; _dequad_py._top_form */
+typedef struct {
+    double e, c, c_lo, cb;
+    int set;
+} top_form;
+
+static void
+top_setup(double p, double q, top_form *g)
+{
+    double s, rest, pre, scale, tail, next;
+    long n;
+
+    g->e = (p - 1.0) / p;
+    s = series(1.0 / p, q, 0.5, &rest, &n);
+    pre = expm1(-LN2 / q); /* 2**(-1/q) - 1 */
+    scale = exp(-g->e * LN2) / q; /* 2**-e / q */
+    tail = alternating(1.0 - 1.0 / q, -1.0, g->e, -0.5, scale, s, &next, &n);
+    g->c = s;
+    g->c_lo = pre * s + scale * tail;
+    g->cb = (1.0 + pre) * rest + 2.0 * scale * next + ROUNDING * (s + fabs(g->c_lo));
+    g->set = 1;
+}
+
+/* arcsin_pq where 1 - x**q = w = e**-t, t >= ln 2, by the top form, whose
+ * constants `g` sets up on first use; _dequad_py.arcsin_top */
+static result
+top_kernel(double p, double q, double t, top_form *g)
+{
+    result r = {0.0, 0.0, 0, 1};
+    double v, y, mid, scale, base, s, next;
+
+    if (!g->set)
+        top_setup(p, q, g);
+    v = exp(-g->e * t); /* w**e */
+    y = g->e * (t - LN2); /* e ln(1/(2 w)) */
+    mid = (y <= 0.5 ? v * expm1(y) : exp(-g->e * LN2) - v) / (g->e * q);
+    scale = v / q;
+    base = g->c_lo + mid;
+    s = alternating(1.0 - 1.0 / q, -1.0, g->e, -exp(-t), scale, g->c + base, &next, &r.terms);
+    r.value = g->c + (base - scale * s);
+    r.bound = g->cb + (2.0 * scale * next + ROUNDING * r.value);
     r.converged = converged(r.value, r.bound);
     return r;
 }
@@ -279,9 +326,20 @@ arcsinh_series(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return result_tuple(arcsinh_kernel(d[0], d[1], d[2], &f));
 }
 
+static PyObject *
+arcsin_top(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    double d[3]; /* p, q, t */
+    top_form g = {0.0, 0.0, 0.0, 0.0, 0};
+
+    if (kernel_args("arcsin_top", args, nargs, d) < 0)
+        return NULL;
+    return result_tuple(top_kernel(d[0], d[1], d[2], &g));
+}
+
 /* ---- inverse solves: the twin of _dequad_py.solve ---- */
 
-enum solve_mode { SIN, SINH };
+enum solve_mode { SIN, SINH, TOP };
 enum status { SOLVED, BUDGET, UNCONVERGED, OVERFLOW };
 
 typedef struct {
@@ -309,19 +367,26 @@ softplus(double a)
 }
 
 /* one target of solve(), _dequad_py._solve_one; runs without the GIL.  The
- * bracket opens at [0, top]; `f` holds the far form's constants of sinh
- * once a forward value has needed them. */
+ * bracket opens at [bottom, top]; `f` and `g` hold the constants of sinh's
+ * far form and of the top form once a forward value has needed them. */
 static solution
-solve_run(enum solve_mode mode, double p, double q, double y, double top, double tol,
-          long max_iters, far_form *f)
+solve_run(enum solve_mode mode, double p, double q, double y, double bottom, double top,
+          double tol, long max_iters, far_form *f, top_form *g)
 {
     solution out = {0.0, 0, 0, SOLVED};
-    double lo = 0.0, hi = top, s, resid, s_new, a, lns, g_step;
+    double lo = bottom, hi = top, s, resid, s_new, a, lns, g_step;
     long it;
     result r;
 
     if (mode == SINH)
         s = y;
+    else if (mode == TOP) {
+        if (!g->set)
+            top_setup(p, q, g);
+        /* w**e = 2**-e - (y - C) e q, as t = ln(1/w) */
+        g_step = ((y - g->c) - g->c_lo) * g->e * q * exp(g->e * LN2);
+        s = 0.0 < g_step && g_step < 1.0 ? LN2 - log1p(-g_step) / g->e : bottom;
+    }
     else {
         /* start from the two-term series, as in _dequad_py._solve_one */
         s = y - pow(y, q + 1.0) / (p * (q + 1.0));
@@ -331,7 +396,8 @@ solve_run(enum solve_mode mode, double p, double q, double y, double top, double
     for (it = 1; it <= max_iters; it++) {
         out.iterations = it;
         out.root = s;
-        r = mode == SIN ? arcsin_kernel(p, q, s) : arcsinh_kernel(p, q, s, f);
+        r = mode == SIN ? arcsin_kernel(p, q, s)
+            : mode == TOP ? top_kernel(p, q, s, g) : arcsinh_kernel(p, q, s, f);
         out.terms += r.terms;
         if (!r.converged) {
             out.status = UNCONVERGED;
@@ -354,6 +420,12 @@ solve_run(enum solve_mode mode, double p, double q, double y, double top, double
         if (mode == SIN)
             /* dF/ds = (1 - s**q)**(-1/p) */
             s_new = s - resid * pow(1.0 - pow(s, q), 1.0 / p);
+        else if (mode == TOP) {
+            /* in v = w**e: v + resid e q (1 - w)**(1 - 1/q) = v (1 + g_step) */
+            g_step = resid * g->e * q * exp((1.0 - 1.0 / q) * log1p(-exp(-s)) + g->e * s);
+            if (g_step > -1.0)
+                s_new = s - log1p(g_step) / g->e;
+        }
         else if (s <= 1.0)
             /* dF/ds = (1 + s**q)**(-1/p) */
             s_new = s - resid * exp(log1p(pow(s, q)) / p);
@@ -399,22 +471,23 @@ solve_run(enum solve_mode mode, double p, double q, double y, double top, double
 static PyObject *
 solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    static const char *names[] = {"sin", "sinh"};
+    static const char *names[] = {"sin", "sinh", "top"};
     double d[3]; /* p, q, tol */
     long max_iters;
     int mode = -1;
     Py_ssize_t i, count;
     PyObject *seq, *list = NULL, *item;
-    double *ys = NULL, top;
+    double *ys = NULL, bottom, top;
     solution *sols = NULL;
     far_form f = {0.0, 0.0, 0.0, 0.0, 0};
+    top_form g = {0.0, 0.0, 0.0, 0.0, 0};
 
     if (nargs != 6) {
         PyErr_Format(PyExc_TypeError, "solve() takes exactly 6 positional arguments (%zd given)",
                      nargs);
         return NULL;
     }
-    for (i = 0; i < 2 && PyUnicode_Check(args[0]); i++)
+    for (i = 0; i < 3 && PyUnicode_Check(args[0]); i++)
         if (PyUnicode_CompareWithASCIIString(args[0], names[i]) == 0)
             mode = (int)i;
     if (mode < 0) {
@@ -444,9 +517,11 @@ solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
 
     Py_BEGIN_ALLOW_THREADS
+    bottom = mode == TOP ? LN2 : 0.0;
     top = mode == SIN ? exp(-LN2 / d[1]) : INFINITY;
     for (i = 0; i < count; i++)
-        sols[i] = solve_run((enum solve_mode)mode, d[0], d[1], ys[i], top, d[2], max_iters, &f);
+        sols[i] = solve_run((enum solve_mode)mode, d[0], d[1], ys[i], bottom, top, d[2],
+                            max_iters, &f, &g);
     Py_END_ALLOW_THREADS
 
     if ((list = PyList_New(count)) == NULL)
@@ -483,6 +558,10 @@ static PyMethodDef methods[] = {
      "arcsinh_series(p, q, x, /)\n--\n\n"
      "Integral of (1 + t**q)**(-1/p) over [0, x], x >= 0, as a series;\n"
      "returns (value, bound, terms, converged)."},
+    {"arcsin_top", (PyCFunction)(void (*)(void))arcsin_top, METH_FASTCALL,
+     "arcsin_top(p, q, t, /)\n--\n\n"
+     "Integral of (1 - u**q)**(-1/p) over [0, x], where 1 - x**q = e**-t and\n"
+     "t >= ln 2, by the top form; returns (value, bound, terms, converged)."},
     {"solve", (PyCFunction)(void (*)(void))solve, METH_FASTCALL,
      "solve(mode, p, q, ys, tol, max_iters, /)\n"
      "--\n\n"

@@ -11,14 +11,28 @@ Both defining integrals are Gauss hypergeometric functions (DLMF 15.4,
     arcsin_pq(x)  = x F(1/p, 1/q; 1 + 1/q;  x**q),
     arcsinh_pq(x) = x F(1/p, 1/q; 1 + 1/q; -x**q).
 
-With c_n = (1/p)_n / n!, each value is one of three series, every one
+With c_n = (1/p)_n / n!, each value is one of four series, every one
 with a rigorous truncation bound:
 
 - arcsin, z = x**q: x sum c_n z**n / (1 + q n).  The terms are positive
   and each ratio is below z, so the remainder after a term t is at most
-  t z / (1 - z).  The callers take it where z <= 1/2 only; the top half
-  of the branch is the same series at the conjugate exponents (see
-  ``functions``).
+  t z / (1 - z).  The callers take it where z <= 1/2 only.
+- arcsin's top half, w = 1 - x**q <= 1/2, by the degenerate 1 - z
+  connection of DLMF 15.8 anchored at w = 1/2: with e = (p - 1)/p and
+  d_n = (1 - 1/q)_n / n!,
+
+      arcsin_pq(x) = C + (2**-e - w**e) / (e q)
+                       - (w**e / q) sum_{n>=1} d_n w**n / (n + e),
+      C = H + (2**-e / q) sum_{n>=1} d_n 2**-n / (n + e),
+
+  where H = 2**(-1/q) S and S is the arcsin series at z = 1/2.  The
+  middle term is w**e expm1(e ln(1/(2 w))) / (e q) where that exponent
+  is at most 1/2, so nothing cancels as p nears 1.  The terms are
+  positive with ratios below w <= 1/2, so twice the next term bounds
+  each sum.  The kernel takes t = ln(1/w), so a w below the subnormal
+  range keeps its power w**e; t = inf gives half_pi_pq.  C is cached
+  per (p, q) as S plus a small part, so a constant next to 1 keeps its
+  last digits.
 - arcsinh, x**q <= (1 + sqrt(5))/2, by Pfaff's transformation (DLMF
   15.8.1): x (1 + x**q)**(-1/q) sum (a)_n / n! z**n / (1 + q n), with
   a = 1 + 1/q - 1/p and z = x**q / (1 + x**q) <= 0.618.  The terms are
@@ -36,11 +50,12 @@ with a rigorous truncation bound:
   where |e_0 ln(x/x0)| <= 1/2, and (x**e_0 - x0**e_0) / e_0 beyond.  Both
   sums alternate with decreasing terms (e_n < 0 for n >= 1), so the next
   term bounds each.  Nothing cancels near p = q, and the same form holds
-  on both sides of it.  C depends on (p, q) only and takes about 150
-  terms; it is cached here.  x**e_0 is formed from e_0 and ln x each
-  carried to about twice the precision of a double: rounded to one, the
-  exponent e_0 ln x would move x**e_0 by up to |e_0 ln x| ulps, 1e-13
-  relative near the largest float.
+  on both sides of it; at x = inf it is m_star_pq where p < q.  C
+  depends on (p, q) only and takes about 150 terms; it is cached here.
+  x**e_0 is formed from e_0 and ln x each carried to about twice the
+  precision of a double: rounded to one, the exponent e_0 ln x would
+  move x**e_0 by up to |e_0 ln x| ulps, 1e-13 relative near the largest
+  float.
 
 The switch at x**q = (1 + sqrt(5))/2 puts both ratios at 0.618 there, so
 neither form sums more than about 65 terms; at x**q = 2 the Pfaff form
@@ -107,11 +122,11 @@ def _series(a, q, z):
 
 
 def _alternating(b, q, e0, w, scale, base):
-    """sum_{n>=1} (-1)**n (b)_n / n! w**n / (e0 - q n) for 0 <= w <= 1/2, e0 < q.
+    """sum_{n>=1} (-1)**n (b)_n / n! w**n / (e0 - q n) for |w| <= 1/2.
 
-    Returns (sum, bound, terms): the terms are summed until the next one,
-    times ``scale``, is at most half an ulp of ``base``; that term's
-    magnitude is the bound.
+    Returns (sum, next, terms), summed until the next term times ``scale``
+    is at most half an ulp of ``base``; its magnitude ``next`` bounds the
+    rest for e0 < q, and half of it for the top form's positive terms.
     """
     total = 0.0
     u = 1.0
@@ -133,6 +148,34 @@ def arcsin_series(p, q, x):
     s, rest, n = _series(1.0 / p, q, exp(q * log(x)))
     value = x * s
     bound = x * rest + _ROUNDING * value
+    return value, bound, n, bound <= _CERTIFIED * (value if value > 1.0 else 1.0)
+
+
+@lru_cache(maxsize=4096)
+def _top_form(p, q):
+    """(e, S, C - S, C's bound) of the top form; S is the series at z = 1/2,
+    not the kernel at x = 2**(-1/q), which rounds to 1 beyond q = 1e16."""
+    e = (p - 1.0) / p
+    s, rest, _n = _series(1.0 / p, q, 0.5)
+    pre = expm1(-_LN2 / q)  # 2**(-1/q) - 1
+    scale = exp(-e * _LN2) / q  # 2**-e / q
+    tail, nxt, _n = _alternating(1.0 - 1.0 / q, -1.0, e, -0.5, scale, s)
+    c_lo = pre * s + scale * tail
+    return e, s, c_lo, (1.0 + pre) * rest + 2.0 * scale * nxt + _ROUNDING * (s + abs(c_lo))
+
+
+def arcsin_top(p, q, t):
+    """Integral of (1 - u**q)**(-1/p) over [0, x], where 1 - x**q = w = e**-t
+    and t >= ln 2, by the top form; at t = inf (x = 1) it is half_pi_pq."""
+    e, c, c_lo, bound = _top_form(p, q)
+    v = exp(-e * t)  # w**e
+    y = e * (t - _LN2)  # e ln(1/(2 w))
+    mid = (v * expm1(y) if y <= 0.5 else exp(-e * _LN2) - v) / (e * q)
+    scale = v / q
+    base = c_lo + mid
+    s, nxt, n = _alternating(1.0 - 1.0 / q, -1.0, e, -exp(-t), scale, c + base)
+    value = c + (base - scale * s)
+    bound += 2.0 * scale * nxt + _ROUNDING * value
     return value, bound, n, bound <= _CERTIFIED * (value if value > 1.0 else 1.0)
 
 
@@ -246,39 +289,43 @@ def solve(mode, p, q, ys, tol, max_iters):
     """Solve F(s) = y for every target y of one inverse, by Newton steps inside a bracket.
 
     ``mode`` names the forward: ``"sin"`` (F = arcsin_series on the
-    bottom half of the branch, s in [0, 2**(-1/q)], where s**q <= 1/2;
-    ``inverse`` reflects the top half onto the bottom half of the
-    conjugate exponents) or ``"sinh"`` (F = arcsinh_series on
-    [0, inf)).  ``ys`` is a sequence of targets, in any order and with
-    repeats.  ``tol`` bounds the residual; every forward value is
-    certified by its kernel's own rule.  Returns one ``(root, iterations,
-    terms, status)`` per target, as :func:`_solve_one` describes;
-    ``terms`` adds up the series terms of its forward values.
+    bottom half of the branch, s in [0, 2**(-1/q)], where s**q <= 1/2),
+    ``"top"`` (F = arcsin_top on the top half, s = t = ln(1/w) in
+    [ln 2, inf), where w = 1 - x**q <= 1/2) or ``"sinh"`` (F =
+    arcsinh_series on [0, inf)).  ``ys`` is a sequence of targets, in any
+    order and with repeats.  ``tol`` bounds the residual; every forward
+    value is certified by its kernel's own rule.  Returns one ``(root,
+    iterations, terms, status)`` per target, as :func:`_solve_one`
+    describes; ``terms`` adds up the series terms of its forward values.
 
     Every target is solved from the same cold start, so its result
     depends only on (mode, p, q, y, tol, max_iters) and equals that
     of a one-target call.  The compiled twin, ``_dequad_c.solve``, takes
     the same steps; it solves a whole list with the GIL released and
-    computes sinh's far-form constant once per call.
+    computes each form's constant once per call.
     """
-    if mode not in ("sin", "sinh"):
+    if mode not in ("sin", "sinh", "top"):
         raise ValueError(f"unknown solve mode {mode!r}")
-    top = exp(-_LN2 / q) if mode == "sin" else math.inf  # the bracket's top
-    return [_solve_one(mode, p, q, y, top, tol, max_iters) for y in ys]
+    bottom = _LN2 if mode == "top" else 0.0
+    top = exp(-_LN2 / q) if mode == "sin" else math.inf
+    return [_solve_one(mode, p, q, y, bottom, top, tol, max_iters) for y in ys]
 
 
-def _solve_one(mode, p, q, y, top, tol, max_iters):
+def _solve_one(mode, p, q, y, bottom, top, tol, max_iters):
     """One target of :func:`solve`.
 
-    The bracket opens at [0, ``top``].  The cold start of sin is the
-    inverse of the two-term series F = s + s**(q + 1) / (p (q + 1)) + ...,
-    at most ``top`` = 2**(-1/q), and it steps in s.  sinh starts at s = y,
-    a lower bound since its integrand is at most 1, and steps in s up to
-    s = 1 and in s**(1 - q/p) (ln s where p = q) above, where F
-    approaches its power-law tail.  A step that leaves the bracket is
-    replaced: with no upper bound yet, s is squared above 2 and doubled
-    below; with one, the bracket is bisected geometrically where sinh's
-    s >= 1, and arithmetically otherwise.
+    The bracket opens at [``bottom``, ``top``].  The cold start of sin is
+    the inverse of the two-term series F = s + s**(q + 1) / (p (q + 1)) +
+    ..., at most ``top`` = 2**(-1/q), and it steps in s.  top starts from
+    the top form without its tail, at or above the root, and steps in
+    w**e = e**(-e t), where F is concave and nearly linear, so Newton
+    approaches the root from above.  sinh starts at s = y, a lower bound
+    since its integrand is at most 1, and steps in s up to s = 1 and in
+    s**(1 - q/p) (ln s where p = q) above, where F approaches its
+    power-law tail.  A step that leaves the bracket is replaced: with no
+    upper bound yet, s is squared above 2 and doubled below; with one,
+    the bracket is bisected geometrically where sinh's s >= 1, and
+    arithmetically otherwise.
 
     The solve stops on a residual |F(s) - y| <= ``tol``, or returns the
     bracket midpoint once the bracket has collapsed to a few ulps (the
@@ -286,11 +333,17 @@ def _solve_one(mode, p, q, y, top, tol, max_iters):
     status)``: ``status`` is SOLVED, BUDGET (``max_iters`` forward calls
     did not suffice; ``root`` is the bracket midpoint), UNCONVERGED (a
     forward value was not certified; ``root`` is its argument) or OVERFLOW
-    (sinh's bracket passed the largest float).
+    (the bracket passed the largest float).
     """
-    lo, hi = 0.0, top
+    lo, hi = bottom, top
     if mode == "sinh":
         s, forward = y, arcsinh_series
+    elif mode == "top":
+        forward = arcsin_top
+        e, c, c_lo, _bound = _top_form(p, q)
+        # w**e = 2**-e - (y - C) e q, as t = ln(1/w)
+        g = ((y - c) - c_lo) * e * q * exp(e * _LN2)
+        s = _LN2 - log1p(-g) / e if 0.0 < g < 1.0 else bottom
     else:
         forward = arcsin_series
         try:
@@ -320,6 +373,11 @@ def _solve_one(mode, p, q, y, top, tol, max_iters):
         if mode == "sin":
             # dF/ds = (1 - s**q)**(-1/p)
             s_new = s - resid * math.pow(1.0 - math.pow(s, q), 1.0 / p)
+        elif mode == "top":
+            # in v = w**e: v + resid e q (1 - w)**(1 - 1/q) = v (1 + g)
+            g = resid * e * q * _exp((1.0 - 1.0 / q) * log1p(-exp(-s)) + e * s)
+            if g > -1.0:
+                s_new = s - log1p(g) / e
         elif s <= 1.0:
             # dF/ds = (1 + s**q)**(-1/p)
             s_new = s - resid * exp(log1p(math.pow(s, q)) / p)

@@ -17,17 +17,14 @@ checks domains, chooses the formulation of each target, makes one
 calls, and the lab's sweeps call it once per function for all the
 targets of a (p, q) cell, so a sweep's values equal the scalar calls'.
 
-sin_pq and cos_pq are one solve each in the bottom, smooth half of a
-trigonometric branch, s in [0, 2**(-1/q)], where s**q <= 1/2.  A target
-above the half-branch value arcsin_pq(2**(-1/q)) is reflected onto the
-bottom half of the conjugate (q*, p*) branch, whose root V gives
-1 - s**q = v**p = V**(p/(p - 1)) <= 1/2 (see ``functions``), so no solve
-evaluates its series beyond z = 1/2.  When the bracket collapses to a
-few ulps the nearest representable root is returned; ComputationError
-is raised on iteration budget exhaustion, when its kernel does not
-certify a forward value, when sinh's bracket passes the largest float,
-and where p is so close to 1 that one ulp of the conjugate root V
-moves V**(p/(p - 1)) by 1/16 or more, so that it cannot be mapped back.
+sin_pq and cos_pq are one solve each: for s in [0, 2**(-1/q)], where
+s**q <= 1/2, below the half-branch value arcsin_pq(2**(-1/q)), and above
+it by the top form (see ``functions``) for t = ln(1/w), w = 1 - s**q, which
+maps back without cancellation as sin = exp(log1p(-w)/q) and
+cos = w**(1/p) = e**(-t/p).  When the bracket collapses to a few ulps the
+nearest representable root is returned; ComputationError is raised on
+iteration budget exhaustion, when its kernel does not certify a forward
+value, and when sinh's bracket passes the largest float.
 """
 
 import math
@@ -70,26 +67,21 @@ class InversionConfig(Validated, _InversionFields):
 DEFAULT_INVERSION = InversionConfig()
 
 
-# a conjugate root too coarse to map back (see _solve), beside the statuses of kernels.solve
-_UNRESOLVED = -1
-
 # what each failed status means
 _FAILURES = {
     kernels.BUDGET: "did not converge within {iters} iterations",
     kernels.UNCONVERGED: "stopped on an unconverged forward series after {iters} iterations",
     kernels.OVERFLOW: "bracket passed the largest float after {iters} iterations",
-    _UNRESOLVED: "found a conjugate root V after {iters} iterations whose last ulp moves "
-                 "V**(p/(p - 1)) by 1/16 or more, so p is too close to 1 to map it back",
 }
 
 
-def _mapped(fn, pq, root, conj):
-    """fn_pq from the root of a sin solve: s itself, or V at the conjugate
-    exponents if ``conj``, where 1 - s**q = v**p = V**(p/(p - 1))."""
+def _mapped(fn, pq, root, mode):
+    """fn_pq from the root of a trigonometric solve: s itself in mode
+    "sin", or t = ln(1/w) in mode "top", where 1 - s**q = w."""
     p, q = pq.p, pq.q
-    if conj:
-        sin = math.exp(math.log1p(-math.pow(root, p / (p - 1.0))) / q) if fn != "cos" else None
-        cos = math.pow(root, 1.0 / (p - 1.0)) if fn != "sin" else None
+    if mode == "top":
+        sin = math.exp(math.log1p(-math.exp(-root)) / q) if fn != "cos" else None
+        cos = math.exp(-root / p) if fn != "sin" else None
     else:
         sin = root
         cos = math.exp(math.log1p(-math.pow(root, q)) / p) if fn != "sin" else None
@@ -101,7 +93,7 @@ def _failure(fn, pq, y, value, iters, status) -> ComputationError:
     return ComputationError(
         f"{'sin' if fn == 'sincos' else fn}_pq(p={pq.p}, q={pq.q}, y={y!r}) "
         + _FAILURES[status].format(iters=iters)
-        + ("" if partial is None else f" (last estimate {partial!r})"),
+        + f" (last estimate {partial!r})",
         partial=partial,
     )
 
@@ -109,8 +101,8 @@ def _failure(fn, pq, y, value, iters, status) -> ComputationError:
 @lru_cache(maxsize=4096)
 def _half_branch(p: float, q: float) -> float:
     """arcsin_pq(2**(-1/q)), the value at the top of the bottom half of the
-    branch, where sin's solve bracket ends."""
-    return kernels.arcsin_series(p, q, math.exp(-math.log(2.0) / q))[0]
+    branch, where sin's solve bracket ends: the top form at w = 1/2."""
+    return kernels.arcsin_top(p, q, math.log(2.0))[0]
 
 
 def _roots(fn, pq: PQParams, ys, cfg: InversionConfig = DEFAULT_INVERSION) -> list:
@@ -126,9 +118,9 @@ def _roots(fn, pq: PQParams, ys, cfg: InversionConfig = DEFAULT_INVERSION) -> li
     """
     p, q = pq.p, pq.q
     out: list = [None] * len(ys)
-    # target -> indices into ys, at (p, q) and at the conjugate exponents
-    direct: dict = {}
-    conj: dict = {}
+    # target -> indices into ys, in the bottom and the top half of a branch
+    bottom: dict = {}
+    top_half: dict = {}
     if fn == "sinh":
         top = _m_star(p, q) if p < q else math.inf  # m_star_pq
         for i, y in enumerate(ys):
@@ -141,18 +133,12 @@ def _roots(fn, pq: PQParams, ys, cfg: InversionConfig = DEFAULT_INVERSION) -> li
             elif y == 0.0:
                 out[i] = 0.0
             else:
-                direct.setdefault(y, []).append(i)
-        _solve(out, fn, pq, ys, direct, False, "sinh", p, q, cfg.tol, cfg)
+                bottom.setdefault(y, []).append(i)
+        _solve(out, fn, pq, ys, bottom, "sinh", cfg)
         return out
 
-    # A target at or below the half-branch value has its root in the
-    # bottom half of the branch and is solved at (p, q).  Above it,
-    # arcsin_pq(s) = hp - c arcsin_{q*,p*}(V), so V is solved at the
-    # conjugate exponents for the target (hp - y) / c, with the residual
-    # tolerance divided by c to keep it in y-space.
     hp = _half_pi(p, q)  # half_pi_pq
     split = _half_branch(p, q)
-    c = p / (p - 1.0) / q
     for i, y in enumerate(ys):
         if not (0.0 <= y <= hp + _TOP_PAD):
             out[i] = DomainError(
@@ -163,30 +149,24 @@ def _roots(fn, pq: PQParams, ys, cfg: InversionConfig = DEFAULT_INVERSION) -> li
             sin = 0.0 if y == 0.0 else 1.0
             out[i] = sin if fn == "sin" else 1.0 - sin if fn == "cos" else (sin, 1.0 - sin)
         elif y <= split:
-            direct.setdefault(y, []).append(i)
+            bottom.setdefault(y, []).append(i)
         else:
-            conj.setdefault((hp - y) / c, []).append(i)
-    _solve(out, fn, pq, ys, direct, False, "sin", p, q, cfg.tol, cfg)
-    _solve(out, fn, pq, ys, conj, True, "sin", q / (q - 1.0), p / (p - 1.0), cfg.tol / c, cfg)
+            top_half.setdefault(y, []).append(i)
+    _solve(out, fn, pq, ys, bottom, "sin", cfg)
+    _solve(out, fn, pq, ys, top_half, "top", cfg)
     return out
 
 
-def _solve(out, fn, pq, ys, targets, conj, mode, p, q, tol, cfg):
-    """One kernels.solve call over the unique ``targets`` (each mapped to
-    its indices in ``ys``); stores each target's value or error in ``out``."""
+def _solve(out, fn, pq, ys, targets, mode, cfg):
+    """One kernels.solve call in ``mode`` over the unique ``targets`` (each
+    mapped to its indices in ``ys``); stores each value or error in ``out``."""
     if not targets:
         return
     ts = list(targets)
-    results = kernels.solve(mode, p, q, ts, tol, cfg.max_iters)
-    plain = fn == "sinh" or (fn == "sin" and not conj)  # the root is the value
+    results = kernels.solve(mode, pq.p, pq.q, ts, cfg.tol, cfg.max_iters)
+    plain = fn == "sinh" or (fn == "sin" and mode == "sin")  # the root is the value
     for t, (root, iters, _terms, status) in zip(ts, results):
-        if conj and q * math.ulp(root) >= root / 16.0:
-            # q is p/(p - 1) here: one ulp of V moves v**p = V**q by 1/16 or
-            # more only where p is within a few ulps of 1, and then v**p
-            # keeps no digits
-            value, status = None, status or _UNRESOLVED
-        else:
-            value = root if plain else _mapped(fn, pq, root, conj)
+        value = root if plain else _mapped(fn, pq, root, mode)
         for i in targets[t]:
             out[i] = _failure(fn, pq, ys[i], value, iters, status) if status else value
 
@@ -212,8 +192,11 @@ def cos_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> 
 
     The residual is that of arcsin_pq at the same y, so v is formed from
     the root of the same solve as sin_pq, without cancellation: from
-    1 - s**q in the bottom half of the branch, and as V**(1/(p - 1)) from
-    the conjugate root V in the top half, where v**p < 1/2.
+    1 - s**q in the bottom half of the branch, and as e**(-t/p) from the
+    root t = ln(1/v**p) of the top half, where v**p < 1/2.  t is resolved
+    even where v**p is below the subnormal range: a subnormal v is the
+    float nearest e**(-t/p), whose neighbours may straddle y by more than
+    the tolerance, and a v below the subnormal range is 0.0.
 
     For p > 2 arccos_pq flattens near v = 0, so the v-resolution implied
     by the residual tolerance degrades like tol / |arccos_pq'|.  A

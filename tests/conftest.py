@@ -86,3 +86,28 @@ def pq_grid():
 def frac_grid(n, lo=0.01, hi=0.99):
     step = (hi - lo) / (n - 1)
     return [lo + step * i for i in range(n)]
+
+
+def _kernel_backends():
+    """The kernel modules that exist: the compiled one where it was built, and the pure one."""
+    from pqtrig import _dequad_py
+
+    try:
+        from pqtrig import _dequad_c
+    except ImportError:
+        return [_dequad_py]
+    return [_dequad_c, _dequad_py]
+
+
+@pytest.fixture(params=["c", "python"])
+def backend(request, monkeypatch):
+    """Runs the test with ``functions`` and ``inverse`` on each kernel
+    backend in turn; the compiled one is skipped where it was not built."""
+    from pqtrig import functions, inverse
+
+    found = {k.BACKEND: k for k in _kernel_backends()}
+    if request.param not in found:
+        pytest.skip("compiled kernel extension not built")
+    monkeypatch.setattr(functions, "kernels", found[request.param])
+    monkeypatch.setattr(inverse, "kernels", found[request.param])
+    return found[request.param]

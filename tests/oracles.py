@@ -199,7 +199,7 @@ def arccos_ref(p: float, q: float, v: float) -> float:
     m = 2**(-1/q) and its part over [m, w] is taken in s = 1 - t**q:
     integral of (s**(-1/p) (1 - s)**(1/q - 1)) / q over [v**p, 1/2], an
     integrand smooth there since v**p bounds s away from 0.  (The package
-    reflects this part onto the conjugate exponents instead.)
+    sums this part as a power series in s instead.)
     """
     if not 0.0 < v <= 1.0:
         raise ValueError("the reference is taken for 0 < v <= 1")

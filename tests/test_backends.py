@@ -4,6 +4,7 @@ import contextlib
 import inspect
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -47,13 +48,14 @@ def _public(module):
 def test_backends_export_the_same_names():
     # a mode added to or deleted from one twin only fails here
     assert _public(compiled) == _public(pure) == {
-        "BACKEND", "arcsin_series", "arcsinh_series", "solve",
+        "BACKEND", "arcsin_series", "arcsin_top", "arcsinh_series", "solve",
         "SOLVED", "BUDGET", "UNCONVERGED", "OVERFLOW",
     }
 
 
 @pytest.mark.parametrize("name,params", [
     ("arcsin_series", ["p", "q", "x"]),
+    ("arcsin_top", ["p", "q", "t"]),
     ("arcsinh_series", ["p", "q", "x"]),
     ("solve", ["mode", "p", "q", "ys", "tol", "max_iters"]),
 ])
@@ -139,8 +141,8 @@ def test_mstar_kernels_agree(p, q):
 def test_arcsin_kernels_reach_the_singular_end(p, q):
     # the series itself does not reach t = 1, where the integrand diverges:
     # at x = 1 it stops unconverged at its term cap on both backends.  The
-    # top half of the branch is the series at the conjugate exponents,
-    # which arcsin_pq takes on either backend up to the singular end
+    # top half of the branch is the top form, which arcsin_pq takes on
+    # either backend up to the singular end
     vc, vp = compiled.arcsin_series(p, q, 1.0), pure.arcsin_series(p, q, 1.0)
     assert vc[2:] == vp[2:] and vc[3] is False
     pq = pqtrig.PQParams(p, q)
@@ -180,9 +182,10 @@ def test_kernels_agree_everywhere(p, q, data):
     x = data.draw(st.floats(0.0, 1.0), label="arcsin x")
     y = data.draw(st.one_of(st.floats(0.0, 1e4), st.floats(0.0, 1.7976931348623157e308)),
                   label="arcsinh x")
-    # the top half of the branch is arcsin_series at the conjugate exponents
+    # the top half of the branch is arcsin_top at t = ln(1/w), w = 1 - x**q
+    w = 0.5 * x
     calls = [("arcsin_series", (p, q, x)), ("arcsinh_series", (p, q, y)),
-             ("arcsin_series", (q / (q - 1.0), p / (p - 1.0), x))]
+             ("arcsin_top", (p, q, -math.log(w) if w > 0.0 else math.inf))]
     for kernel, args in calls:
         vc = getattr(compiled, kernel)(*args)
         vp = getattr(pure, kernel)(*args)
@@ -236,8 +239,11 @@ def test_solvers_agree_everywhere(p, q, mode, data):
     else:
         assert rc == pytest.approx(rp, abs=1e-13)
     if 0.0 < y < top - 1e-12:
-        # the same steps: iteration and term counts and status
-        args = ("sin" if mode == "cos" else mode, p, q, [y], 1e-12, 100)
+        # the same steps, in the mode that inverse routes y to: iteration
+        # and term counts and status
+        if mode != "sinh":
+            mode = "sin" if y <= _outcome(compiled, inverse._half_branch, p, q) else "top"
+        args = (mode, p, q, [y], 1e-12, 100)
         (sc,), (sp,) = compiled.solve(*args), pure.solve(*args)
         assert sc[1:] == sp[1:], (sc, sp)
         assert sc[0] == pytest.approx(sp[0], abs=1e-13)
@@ -394,8 +400,9 @@ def _certified(mode, p, q, root, y):
     """Whether root meets the forward's residual tolerance, or floats a few
     ulps either side of it straddle y (the nearest representable root)."""
     pq = pqtrig.PQParams(p, q)
-    forward = ((lambda s: compiled.arcsin_series(p, q, s)[0]) if mode == "sin"
-               else (lambda s: pqtrig.arcsinh_pq(pq, s)))
+    forward = {"sin": lambda s: compiled.arcsin_series(p, q, s)[0],
+               "top": lambda t: compiled.arcsin_top(p, q, t)[0],
+               "sinh": lambda s: pqtrig.arcsinh_pq(pq, s)}[mode]
     if abs(forward(root) - y) <= 1e-12:
         return True
     below, above = root, root
@@ -410,17 +417,24 @@ def _alone(mode, p, q, ys, tol=1e-12):
 
 
 @settings(max_examples=120, deadline=None)
-@given(p=st.floats(1.001, 10.0), q=st.floats(1.001, 10.0), mode=st.sampled_from(["sin", "sinh"]),
+@given(p=st.floats(1.001, 10.0), q=st.floats(1.001, 10.0),
+       mode=st.sampled_from(["sin", "top", "sinh"]),
        fracs=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=40))
 def test_batched_solves_agree_and_certify_every_root(p, q, mode, fracs):
     # the targets of one kernels.solve call, in any order and with repeats;
-    # sin targets stay in the bottom half of the branch, as inverse routes them
+    # sin and top targets stay in their halves of the branch, as inverse
+    # routes them
+    bottom = 0.0
     if mode == "sin":
         top = span = inverse._half_branch(p, q)
+    elif mode == "top":
+        bottom = inverse._half_branch(p, q)
+        top = pqtrig.half_pi_pq(pqtrig.PQParams(p, q)) - 1e-12
+        span = top - bottom
     else:
         top = pqtrig.m_star_pq(pqtrig.PQParams(p, q)).as_float()
         span = min(top, 20.0)
-    ys = [f * span for f in fracs if 0.0 < f * span < top]
+    ys = [bottom + f * span for f in fracs if bottom < bottom + f * span < top]
     if not ys:
         return
     args = (mode, p, q, ys, 1e-12, 100)
@@ -434,24 +448,24 @@ def test_batched_solves_agree_and_certify_every_root(p, q, mode, fracs):
 
 
 def _dense_blocks():
-    # sin at (p, q); sin at the conjugate exponents of p = 1.001, where the
-    # integrand steepens next to t = 1; and sinh at p < q from y = 1.81
+    # sin at (p, q); top at p = 1.001, where the top half of the branch
+    # spans 98% of half_pi_pq; and sinh at p < q from y = 1.81
     # (s**(1 - q/p) = 1/2) to 1/65 of m_star below it, the far form's range
     p, q = 2.5, 3.5
     yield "sin", p, q, 0.0, inverse._half_branch(p, q)
-    p, q = 1.5, 1.001 / 0.001001  # (q/(q - 1), p/(p - 1)) at p = 1.001, q = 3
-    yield "sin", p, q, 0.0, inverse._half_branch(p, q)
+    p, q = 1.001, 3.0
+    split = inverse._half_branch(p, q)
+    yield "top", p, q, split, pqtrig.half_pi_pq(pqtrig.PQParams(p, q)) - split
     p, q = 2.0, 3.0
-    top = pqtrig.m_star_pq(pqtrig.PQParams(p, q)).as_float()
-    yield "sinh", p, q, top, top
+    yield "sinh", p, q, 0.0, pqtrig.m_star_pq(pqtrig.PQParams(p, q)).as_float()
 
 
-@pytest.mark.parametrize("mode,p,q,top,span", list(_dense_blocks()),
-                         ids=["sin", "sin-conjugate", "sinh-tail"])
-def test_dense_blocks_continue_the_forward(mode, p, q, top, span):
+@pytest.mark.parametrize("mode,p,q,bottom,span", list(_dense_blocks()),
+                         ids=["sin", "top", "sinh-tail"])
+def test_dense_blocks_continue_the_forward(mode, p, q, bottom, span):
     # 64 ascending targets in one call: both backends give every target its
     # one-target tuple, and every root certifies
-    ys = [span * (i + 1) / 65.0 for i in range(64)]
+    ys = [bottom + span * (i + 1) / 65.0 for i in range(64)]
     args = (mode, p, q, ys, 1e-12, 100)
     block = compiled.solve(*args)
     assert block == pure.solve(*args)
@@ -459,6 +473,32 @@ def test_dense_blocks_continue_the_forward(mode, p, q, top, span):
     for y, (root, _iters, _terms, status) in zip(ys, block):
         assert status == compiled.SOLVED
         assert _certified(mode, p, q, root, y), (y, root)
+
+
+# the top form's extremes: w at 0, at and below the least subnormal, and
+# 1/2, p one ulp above 1, and q up to the largest float
+TOP_WS = [0.0, 5e-324, 1e-300, 0.5]
+TOP_PS = [1.0 + 2.0 ** -52, 1.5, 2.0, 1e10, 1e300, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_top_form_twins_agree(seed):
+    # the same tuple from arcsin_top, and from a top solve over targets
+    # across the top half of the branch, on both backends
+    rng = random.Random(seed)
+    for _ in range(100):
+        p = rng.choice(TOP_PS) if rng.random() < 0.3 else 1.0 + 10.0 ** rng.uniform(-15.6, 2.0)
+        q = rng.choice(TOP_PS) if rng.random() < 0.3 else 1.0 + 10.0 ** rng.uniform(-15.6, 308.0)
+        q = min(q, 1.7976931348623157e308)
+        w = rng.choice(TOP_WS) if rng.random() < 0.5 else 0.5 * rng.random() ** 20
+        t = -math.log(w) if w > 0.0 else math.inf
+        vc = compiled.arcsin_top(p, q, t)
+        assert repr(vc) == repr(pure.arcsin_top(p, q, t)), (p, q, w)
+        assert vc[3], (p, q, w, vc)
+        split, hp = pure.arcsin_top(p, q, math.log(2.0))[0], pure.arcsin_top(p, q, math.inf)[0]
+        ys = [split + rng.random() * (hp - split) for _ in range(3)] + [vc[0]]
+        args = ("top", p, q, ys, 1e-12, 100)
+        assert repr(compiled.solve(*args)) == repr(pure.solve(*args)), (p, q, ys)
 
 
 def test_a_sub_ulp_newton_step_moves_one_float_toward_the_root():
@@ -482,7 +522,7 @@ def test_a_sub_ulp_newton_step_moves_one_float_toward_the_root():
                                 [0.3, 0.1, 0.3, 0.6, 0.1]])
 def test_unsorted_targets_solve_as_alone(backend, ys):
     # descending targets and repeats: each gets exactly its one-target tuple
-    for mode in ("sin", "sinh"):
+    for mode in ("sin", "top", "sinh"):
         block = backend.solve(mode, 2.0, 3.0, ys, 1e-12, 100)
         assert block == [backend.solve(mode, 2.0, 3.0, [y], 1e-12, 100)[0] for y in ys]
 
@@ -551,10 +591,10 @@ def test_empty_target_list(backend):
 
 
 def test_pure_cli_reports_unconverged_constant():
-    # the constants are closed forms and arcsinh_pq converges for every
-    # finite x; a failed computation (here sinh_pq, whose root for p > q
-    # lies beyond the largest float) takes the same path to the CLI's error
-    # line, on the pure backend too
+    # the constants and arcsinh_pq converge for every finite x; a failed
+    # computation (here sinh_pq, whose root for p > q lies beyond the
+    # largest float) takes the same path to the CLI's error line, on the
+    # pure backend too
     src = os.path.dirname(os.path.dirname(pqtrig.__file__))
     env = {**os.environ, "PYTHONPATH": src, "PQTRIG_PURE_PYTHON": "1"}
 

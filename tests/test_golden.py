@@ -24,8 +24,12 @@ status), once per tree, and compare the dumps:
     PYTHONPATH=src python tests/test_golden.py --compare parent.json change.json
 
 ``--compare`` prints, per case, how many numbers moved, the worst move
-|a - b| / max(1, |a|), and any change of exit status, ``satisfied``,
-errors or ``at``.  Set ``PQTRIG_PURE_PYTHON=1`` to dump the pure backend.
+|a - b| / max(1, |a|), how many verdicts moved their ``at`` and the
+worst relative move |a - b| / |a| of an ``at`` value, and any change of
+exit status, ``satisfied``, errors or verdict count.  It exits 1 when
+any case changes its exit status, a ``satisfied``, its errors or its
+verdict count, or is missing from one dump, and 0 otherwise.  Set
+``PQTRIG_PURE_PYTHON=1`` to dump the pure backend.
 """
 
 import argparse
@@ -134,13 +138,22 @@ def _number(v):
     return float(v) if v in ("inf", "-inf") else v
 
 
-def _compare(a: dict, b: dict) -> list[str]:
-    """Per case, the count of moved numbers, the worst move and every
-    change of exit status, ``satisfied``, errors or ``at``."""
-    lines = []
+def _moved(x, y, scale):
+    """|x - y| / scale(x), inf where that is nan."""
+    move = abs(x - y) / scale(x)
+    return move if move == move else math.inf
+
+
+def _compare(a: dict, b: dict) -> tuple[list[str], bool]:
+    """Per case, the count of moved numbers and the worst move, the count
+    of moved ``at`` and their worst relative move, and every change of exit
+    status, ``satisfied``, errors or verdict count; and whether any case
+    changed one of those four (or is missing from one dump)."""
+    lines, changed = [], False
     for name in sorted(set(a) | set(b)):
         if name not in a or name not in b:
             lines.append(f"{name}: only in {'the first' if name in a else 'the second'} dump")
+            changed = True
             continue
         ca, cb = a[name], b[name]
         notes = []
@@ -152,22 +165,30 @@ def _compare(a: dict, b: dict) -> list[str]:
             notes.append(f"{len(ca['verdicts'])} -> {len(cb['verdicts'])} verdicts")
         moved, worst = 0, 0.0
         flips = ats = 0
+        worst_at = 0.0
         for va, vb in zip(ca["verdicts"], cb["verdicts"]):
             flips += va["satisfied"] != vb["satisfied"]
-            ats += va["at"] != vb["at"]
+            if va["at"] != vb["at"]:
+                ats += 1
+                if va["at"].keys() != vb["at"].keys():
+                    worst_at = math.inf
+                for key in va["at"].keys() & vb["at"].keys():
+                    x, y = _number(va["at"][key]), _number(vb["at"][key])
+                    if x != y:
+                        worst_at = max(worst_at, _moved(x, y, lambda v: abs(v) or 1.0))
             for key in ("lhs", "rhs", "margin", "tolerance"):
                 x, y = _number(va[key]), _number(vb[key])
                 if x != y:
                     moved += 1
-                    move = abs(x - y) / max(1.0, abs(x))
-                    worst = max(worst, move if move == move else math.inf)
+                    worst = max(worst, _moved(x, y, lambda v: max(1.0, abs(v))))
         if flips:
             notes.append(f"satisfied changed at {flips} verdicts")
+        changed = changed or bool(notes)
         if ats:
-            notes.append(f"at changed at {ats} verdicts")
+            notes.append(f"at changed at {ats} verdicts, worst {worst_at:.3g} relative")
         lines.append(f"{name}: {moved} numbers moved, worst {worst:.3g}"
                      + "".join(f"; {n}" for n in notes))
-    return lines
+    return lines, changed
 
 
 def _cli() -> None:
@@ -185,7 +206,9 @@ def _cli() -> None:
         for path in ns.compare:
             with open(path, encoding="utf-8") as fh:
                 dumps.append(json.load(fh))
-        print("\n".join(_compare(*dumps)))
+        lines, changed = _compare(*dumps)
+        print("\n".join(lines))
+        sys.exit(1 if changed else 0)
     else:
         _regenerate()
 

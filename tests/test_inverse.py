@@ -28,7 +28,7 @@ from pqtrig._backend import kernels
 from pqtrig.inverse import _roots
 
 from conftest import frac_grid, pq_grid
-from oracles import arccos_ref, arcsinh_ref
+from oracles import arccos_ref, arcsin_ref, arcsinh_ref
 
 
 class TestSin:
@@ -63,9 +63,9 @@ class TestSin:
         assert s == pytest.approx(math.sin(hp * (1.0 - 1e-9)), abs=1e-12)
 
     def test_root_next_to_one(self, classic):
-        # reflected, this is a bottom-half solve for 1 - s**2 = V**2 of
-        # about 2.5e-18, whose nearest float is s = 1; a solve stepping in s
-        # next to 1 cannot step below the bracket's top and bisects
+        # a top solve for 1 - s**2 of about 2.5e-18, whose nearest float is
+        # s = 1; a solve stepping in s next to 1 cannot step below the
+        # bracket's top and bisects
         hp = half_pi_pq(classic)
         assert sin_pq(classic, hp * (1.0 - 1e-9)) == 1.0
 
@@ -82,17 +82,20 @@ class TestSin:
             sinh_pq(pq, y, cfg)
         assert err.value.partial == pytest.approx(sinh_pq(pq, y), rel=1e-6)
 
-    @pytest.mark.parametrize("fn", [sin_pq, cos_pq])
-    def test_conjugate_root_rounding_to_one_raises(self, fn):
-        # at p one ulp above 1 the conjugate exponent p/(p - 1) is 4.5e15, so
-        # V = (1 - s**q)**(1/4.5e15) is within an ulp or two of 1 for this
-        # top-half target, and 1 - s**q = V**4.5e15 cannot be recovered from
-        # it: one ulp of V moves it by half (sin_pq used to raise ValueError
-        # from log1p(-1) here, and cos_pq to return 1.0)
-        pq = PQParams(1.0000000000000002, 3.4365388968378525)
-        with pytest.raises(ComputationError, match="too close to 1 to map it back") as err:
-            fn(pq, 3.5)
-        assert err.value.partial is None
+    @pytest.mark.parametrize("p,q,y", [
+        (1.000001, 3.4365388968378525, 1.0),
+        (1.0 + 1e-10, 3.4365388968378525, 2.0),
+        (1.0000000000000002, 3.4365388968378525, 3.5),
+    ])
+    def test_round_trips_next_to_p_one(self, backend, p, q, y):
+        # the conjugate-exponent route missed the 1e-12 residual here by
+        # 7.4e-10 and 1.3e-6, one ulp of its root moving 1 - s**q by
+        # p/(p - 1) ulps, and at p one ulp above 1 it could not map its root
+        # back at all; the top solve's root is t = ln(1/(1 - s**q)) itself
+        pq = PQParams(p, q)
+        s, c = sin_pq(pq, y), cos_pq(pq, y)
+        assert abs(arcsin_ref(p, q, s) - y) <= 1e-12
+        assert abs(arccos_ref(p, q, c) - y) <= 1e-12
 
 
 class TestCos:
@@ -126,6 +129,28 @@ class TestCos:
         v = cos_pq(pq, y)
         assert 0.0 < v < 1e-20
         assert arccos_ref(pq.p, pq.q, v) == pytest.approx(y, abs=5e-12)
+
+    def test_roots_below_the_normal_range(self, backend):
+        # by mpmath, the root here has ln(v**p) = -745.506, below the least
+        # subnormal, and v = 4.461e-322, which keeps two digits: its
+        # neighbouring floats straddle y by about 1e-5.  The top solve's
+        # root t = ln(1/v**p) is resolved all the same, so cos_pq returns
+        # the subnormal nearest e**(-t/p), never 0, within its budget
+        pq = PQParams(1.007526403616098, 3.9487676838225623)
+        y = 34.679658140146735
+        ((t, _iters, _terms, status),) = inverse.kernels.solve(
+            "top", pq.p, pq.q, [y], 1e-12, 100)
+        assert status == inverse.kernels.SOLVED
+        assert t == pytest.approx(745.506, abs=1e-3)
+        assert cos_pq(pq, y) == pytest.approx(4.461e-322, rel=0.01)
+        # here v = 4.4e-327 is below the subnormal range and rounds to 0,
+        # while s = 1 - 1.4e-326/q rounds to 1
+        pq = PQParams(1.002, 1.3)
+        ((_t, _iters, _terms, status),) = inverse.kernels.solve(
+            "top", pq.p, pq.q, [300.0], 1e-12, 100)
+        assert status == inverse.kernels.SOLVED
+        assert _roots("sincos", pq, [300.0]) == [(1.0, 0.0)]
+        assert (sin_pq(pq, 300.0), cos_pq(pq, 300.0)) == (1.0, 0.0)
 
     def test_consistent_with_sin_composition(self):
         # cos_pq solves arccos_pq(v) = y, whose defining composition
@@ -189,8 +214,8 @@ class TestSinh:
         assert (root, iters, status) == (1.0, 1, kernels.UNCONVERGED)
         assert kernels.arcsin_series(p, q, root)[3] is False
         out = [None]
-        inverse._solve(out, "sin", PQParams(p, q), [1.5], {1.5: [0]}, False, "sin", p, q,
-                       1e-12, inverse.DEFAULT_INVERSION)
+        inverse._solve(out, "sin", PQParams(p, q), [1.5], {1.5: [0]}, "sin",
+                       inverse.DEFAULT_INVERSION)
         assert isinstance(out[0], ComputationError) and out[0].partial == 1.0
         assert "stopped on an unconverged forward series after 1 iterations" in str(out[0])
 
