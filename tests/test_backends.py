@@ -183,6 +183,7 @@ def test_kernels_agree_everywhere(p, q, data):
     y = data.draw(st.one_of(st.floats(0.0, 1e4), st.floats(0.0, 1.7976931348623157e308)),
                   label="arcsinh x")
     # the top half of the branch is arcsin_top at t = ln(1/w), w = 1 - x**q
+    # in [0, 1/2]: draw w as x/2
     w = 0.5 * x
     calls = [("arcsin_series", (p, q, x)), ("arcsinh_series", (p, q, y)),
              ("arcsin_top", (p, q, -math.log(w) if w > 0.0 else math.inf))]
@@ -242,7 +243,7 @@ def test_solvers_agree_everywhere(p, q, mode, data):
         # the same steps, in the mode that inverse routes y to: iteration
         # and term counts and status
         if mode != "sinh":
-            mode = "sin" if y <= _outcome(compiled, inverse._half_branch, p, q) else "top"
+            mode = "sin" if y <= inverse._half_branch(p, q) else "top"
         args = (mode, p, q, [y], 1e-12, 100)
         (sc,), (sp,) = compiled.solve(*args), pure.solve(*args)
         assert sc[1:] == sp[1:], (sc, sp)
