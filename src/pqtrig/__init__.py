@@ -52,7 +52,7 @@ from .inequalities import (
     thm11_sin_margin,
     thm11_sinh_margin,
 )
-from .inverse import InversionConfig, cos_pq, sin_pq, sinh_pq
+from .inverse import cos_pq, sin_pq, sinh_pq
 from .means import holder_mean
 from .quadrature import QuadratureResult, integrate_singular
 
@@ -72,7 +72,6 @@ __all__ = [
     "GridAxis",
     "Gstar_fn",
     "InequalityVerdict",
-    "InversionConfig",
     "PQParams",
     "PQTrigError",
     "QuadratureResult",

@@ -371,7 +371,7 @@ softplus(double a)
  * far form and of the top form once a forward value has needed them. */
 static solution
 solve_run(enum solve_mode mode, double p, double q, double y, double bottom, double top,
-          double tol, long max_iters, far_form *f, top_form *g)
+          long max_iters, far_form *f, top_form *g)
 {
     solution out = {0.0, 0, 0, SOLVED};
     double lo = bottom, hi = top, s, resid, s_new, a, lns, g_step;
@@ -404,7 +404,7 @@ solve_run(enum solve_mode mode, double p, double q, double y, double bottom, dou
             return out;
         }
         resid = r.value - y;
-        if (fabs(resid) <= tol)
+        if (fabs(resid) <= r.bound)
             return out;
         if (resid < 0.0)
             lo = s;
@@ -442,8 +442,6 @@ solve_run(enum solve_mode mode, double p, double q, double y, double bottom, dou
                     s_new = s * exp(log1p(-g_step) / a);
             }
         }
-        if (s_new == s) /* a step below one ulp: the neighbouring float toward the root */
-            s_new = nextafter(s, resid < 0.0 ? hi : lo);
         if (!(lo < s_new && s_new < hi)) {
             /* no upper bound: square s above 2, double it below; with a
              * bracket, bisect geometrically where sinh's s >= 1 */
@@ -472,7 +470,7 @@ static PyObject *
 solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     static const char *names[] = {"sin", "sinh", "top"};
-    double d[3]; /* p, q, tol */
+    double p, q;
     long max_iters;
     int mode = -1;
     Py_ssize_t i, count;
@@ -482,8 +480,8 @@ solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     far_form f = {0.0, 0.0, 0.0, 0.0, 0};
     top_form g = {0.0, 0.0, 0.0, 0.0, 0};
 
-    if (nargs != 6) {
-        PyErr_Format(PyExc_TypeError, "solve() takes exactly 6 positional arguments (%zd given)",
+    if (nargs != 5) {
+        PyErr_Format(PyExc_TypeError, "solve() takes exactly 5 positional arguments (%zd given)",
                      nargs);
         return NULL;
     }
@@ -494,11 +492,10 @@ solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         PyErr_Format(PyExc_ValueError, "unknown solve mode %R", args[0]);
         return NULL;
     }
-    /* positions 1, 2 and 4 are floats, 3 the targets, 5 an integer */
-    d[0] = PyFloat_AsDouble(args[1]);
-    d[1] = PyFloat_AsDouble(args[2]);
-    d[2] = PyFloat_AsDouble(args[4]);
-    max_iters = PyLong_AsLong(args[5]);
+    /* positions 1 and 2 are floats, 3 the targets, 4 an integer */
+    p = PyFloat_AsDouble(args[1]);
+    q = PyFloat_AsDouble(args[2]);
+    max_iters = PyLong_AsLong(args[4]);
     if (PyErr_Occurred())
         return NULL;
     if ((seq = PySequence_Fast(args[3], "solve() targets must be a sequence")) == NULL)
@@ -518,10 +515,9 @@ solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 
     Py_BEGIN_ALLOW_THREADS
     bottom = mode == TOP ? LN2 : 0.0;
-    top = mode == SIN ? exp(-LN2 / d[1]) : INFINITY;
+    top = mode == SIN ? exp(-LN2 / q) : INFINITY;
     for (i = 0; i < count; i++)
-        sols[i] = solve_run((enum solve_mode)mode, d[0], d[1], ys[i], bottom, top, d[2],
-                            max_iters, &f, &g);
+        sols[i] = solve_run((enum solve_mode)mode, p, q, ys[i], bottom, top, max_iters, &f, &g);
     Py_END_ALLOW_THREADS
 
     if ((list = PyList_New(count)) == NULL)
@@ -563,7 +559,7 @@ static PyMethodDef methods[] = {
      "Integral of (1 - u**q)**(-1/p) over [0, x], where 1 - x**q = e**-t and\n"
      "t >= ln 2, by the top form; returns (value, bound, terms, converged)."},
     {"solve", (PyCFunction)(void (*)(void))solve, METH_FASTCALL,
-     "solve(mode, p, q, ys, tol, max_iters, /)\n"
+     "solve(mode, p, q, ys, max_iters, /)\n"
      "--\n\n"
      "Bracketed Newton solves of one inverse at the targets ys, in any\n"
      "order, each from the cold start of a one-target call; returns one\n"

@@ -285,7 +285,7 @@ def _exp(a):
         return math.inf
 
 
-def solve(mode, p, q, ys, tol, max_iters):
+def solve(mode, p, q, ys, max_iters):
     """Solve F(s) = y for every target y of one inverse, by Newton steps inside a bracket.
 
     ``mode`` names the forward: ``"sin"`` (F = arcsin_series on the
@@ -293,14 +293,13 @@ def solve(mode, p, q, ys, tol, max_iters):
     ``"top"`` (F = arcsin_top on the top half, s = t = ln(1/w) in
     [ln 2, inf), where w = 1 - x**q <= 1/2) or ``"sinh"`` (F =
     arcsinh_series on [0, inf)).  ``ys`` is a sequence of targets, in any
-    order and with repeats.  ``tol`` bounds the residual; every forward
-    value is certified by its kernel's own rule.  Returns one ``(root,
-    iterations, terms, status)`` per target, as :func:`_solve_one`
-    describes; ``terms`` adds up the series terms of its forward values.
+    order and with repeats.  Returns one ``(root, iterations, terms,
+    status)`` per target, as :func:`_solve_one` describes; ``terms`` adds
+    up the series terms of its forward values.
 
     Every target is solved from the same cold start, so its result
-    depends only on (mode, p, q, y, tol, max_iters) and equals that
-    of a one-target call.  The compiled twin, ``_dequad_c.solve``, takes
+    depends only on (mode, p, q, y, max_iters) and equals that of a
+    one-target call.  The compiled twin, ``_dequad_c.solve``, takes
     the same steps; it solves a whole list with the GIL released and
     computes each form's constant once per call.
     """
@@ -308,10 +307,10 @@ def solve(mode, p, q, ys, tol, max_iters):
         raise ValueError(f"unknown solve mode {mode!r}")
     bottom = _LN2 if mode == "top" else 0.0
     top = exp(-_LN2 / q) if mode == "sin" else math.inf
-    return [_solve_one(mode, p, q, y, bottom, top, tol, max_iters) for y in ys]
+    return [_solve_one(mode, p, q, y, bottom, top, max_iters) for y in ys]
 
 
-def _solve_one(mode, p, q, y, bottom, top, tol, max_iters):
+def _solve_one(mode, p, q, y, bottom, top, max_iters):
     """One target of :func:`solve`.
 
     The bracket opens at [``bottom``, ``top``].  The cold start of sin is
@@ -327,13 +326,14 @@ def _solve_one(mode, p, q, y, bottom, top, tol, max_iters):
     the bracket is bisected geometrically where sinh's s >= 1, and
     arithmetically otherwise.
 
-    The solve stops on a residual |F(s) - y| <= ``tol``, or returns the
-    bracket midpoint once the bracket has collapsed to a few ulps (the
-    nearest representable root).  Returns ``(root, iterations, terms,
-    status)``: ``status`` is SOLVED, BUDGET (``max_iters`` forward calls
-    did not suffice; ``root`` is the bracket midpoint), UNCONVERGED (a
-    forward value was not certified; ``root`` is its argument) or OVERFLOW
-    (the bracket passed the largest float).
+    The solve stops once |F(s) - y| is within the bound that the kernel
+    returned with F(s), below which the residual is rounding noise, or
+    returns the bracket midpoint once the bracket has collapsed to a few
+    ulps (the nearest representable root).  Returns ``(root, iterations,
+    terms, status)``: ``status`` is SOLVED, BUDGET (``max_iters`` forward
+    calls did not suffice; ``root`` is the bracket midpoint), UNCONVERGED
+    (a forward value was not certified; ``root`` is its argument) or
+    OVERFLOW (the bracket passed the largest float).
     """
     lo, hi = bottom, top
     if mode == "sinh":
@@ -354,12 +354,12 @@ def _solve_one(mode, p, q, y, bottom, top, tol, max_iters):
             s = top
     terms = 0
     for it in range(1, max_iters + 1):
-        v, _bound, n, ok = forward(p, q, s)
+        v, bound, n, ok = forward(p, q, s)
         terms += n
         if not ok:
             return s, it, terms, UNCONVERGED
         resid = v - y
-        if abs(resid) <= tol:
+        if abs(resid) <= bound:
             return s, it, terms, SOLVED
         if resid < 0.0:
             lo = s
@@ -391,8 +391,6 @@ def _solve_one(mode, p, q, y, bottom, top, tol, max_iters):
                 g_step *= a * _exp(-a * lns)  # the relative step in x
                 if g_step < 1.0:
                     s_new = s * _exp(log1p(-g_step) / a)
-        if s_new == s:  # a step below one ulp: the neighbouring float toward the root
-            s_new = math.nextafter(s, hi if resid < 0.0 else lo)
         if not (lo < s_new < hi):
             if hi == math.inf:
                 s_new = lo * lo if lo > 2.0 else 2.0 * lo

@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from ._backend import kernels
-from ._records import Validated, count
+from ._records import Validated, count, real
 from .errors import ComputationError, DomainError
 
 
@@ -134,6 +134,7 @@ def arcsin_pq(pq: PQParams, x: float) -> float:
     docstring), so the series is never taken beyond z = 1/2.  Raises
     :class:`DomainError` for x outside [0, 1].
     """
+    x = real(x, "arcsin_pq's x")
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"arcsin_pq needs x in [0, 1], got {x!r}")
     what = ("arcsin_pq", x)
@@ -151,6 +152,7 @@ def arccos_pq(pq: PQParams, x: float) -> float:
     branch, and the top form takes w = x**p as ln(1/w) = -p ln x, which
     holds where x**p is below the subnormal range.
     """
+    x = real(x, "arccos_pq's x")
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"arccos_pq needs x in [0, 1], got {x!r}")
     what = ("arccos_pq", x)
@@ -170,6 +172,7 @@ def arcsinh_pq(pq: PQParams, x: float) -> float:
     ``_dequad_py``), so a huge x costs no accuracy on either side of
     p = q.  Where m_star_pq is finite the value never exceeds it.
     """
+    x = real(x, "arcsinh_pq's x")
     if not (x >= 0.0 and math.isfinite(x)):
         raise DomainError(f"arcsinh_pq needs finite x >= 0, got {x!r}")
     p, q = pq.p, pq.q

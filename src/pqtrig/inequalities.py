@@ -51,7 +51,7 @@ import math
 from functools import partial
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from ._records import Validated, count
+from ._records import Validated, count, real
 from .errors import ComputationError, DomainError, PQTrigError
 from .functions import PQParams, arcsin_pq, arcsinh_pq, half_pi_pq, m_star_pq
 from .inverse import _roots
@@ -96,10 +96,10 @@ def default_tolerance(rhs: float) -> float:
 
 
 def _order(order: float) -> float:
-    """A Hölder order as a float; DomainError unless it is finite.  Each
-    public entry that takes an order calls this once, before it computes
-    anything."""
-    r = float(order)
+    """A Hölder order as a float; DomainError unless it is a finite real.
+    Each public entry that takes an order calls this once, before it
+    computes anything."""
+    r = real(order, "Hölder order")
     if not math.isfinite(r):
         raise DomainError(f"Hölder order must be a finite real, got {r!r}")
     return r

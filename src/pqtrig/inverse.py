@@ -3,14 +3,14 @@
 Each inverse solves its monotone defining equation with Newton steps (the
 derivative of the defining integral is the integrand itself, so it comes
 for free) inside a maintained bracket; a step leaving the bracket falls
-back to bisection.  The convergence criterion is the residual in function
-space, |F(s) - y| <= tol, and every forward value F(s) is one series
-kernel call whose bound certifies it.  The solve itself is
-``kernels.solve`` (see ``_dequad_py.solve`` for the start and the step
-variables); it takes a list of targets and runs in C with the GIL
-released when the compiled backend is active.  Every target is solved
-from the same cold start, so a root depends only on (p, q, y) and the
-solver settings, never on the other targets of its call.  :func:`_roots`
+back to bisection.  Every forward value F(s) is one series kernel call,
+which returns it with a rigorous bound, and the solve stops once the
+residual |F(s) - y| is within that bound, with no tolerance of its own.
+The solve itself is ``kernels.solve`` (see ``_dequad_py.solve`` for the
+start and the step variables); it takes a list of targets and runs in C
+with the GIL released when the compiled backend is active.  Every target
+is solved from the same cold start, so a root depends only on (p, q, y),
+never on the other targets of its call.  :func:`_roots`
 checks domains, chooses the formulation of each target, makes one
 ``kernels.solve`` call per formulation and maps the solver's failures to
 :class:`ComputationError`; sin_pq, cos_pq and sinh_pq are its one-target
@@ -22,49 +22,22 @@ s**q <= 1/2, below the half-branch value arcsin_pq(2**(-1/q)), and above
 it by the top form (see ``functions``) for t = ln(1/w), w = 1 - s**q, which
 maps back without cancellation as sin = exp(log1p(-w)/q) and
 cos = w**(1/p) = e**(-t/p).  When the bracket collapses to a few ulps the
-nearest representable root is returned; ComputationError is raised on
-iteration budget exhaustion, when its kernel does not certify a forward
-value, and when sinh's bracket passes the largest float.
+nearest representable root is returned; ComputationError is raised when
+``_MAX_ITERS`` forward values do not suffice, when its kernel does not
+certify a forward value, and when sinh's bracket passes the largest
+float.
 """
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
 from ._backend import kernels
-from ._records import Validated, count
+from ._records import real
 from .errors import ComputationError, DomainError, PQTrigError
 from .functions import PQParams, _half_pi, _m_star
 
-_TOP_PAD = 1e-12
-_MAX_ITERS = 2**31 - 1
-
-
-class _InversionFields(NamedTuple):
-    tol: float = 1e-12
-    max_iters: int = 100
-
-
-class InversionConfig(Validated, _InversionFields):
-    """Residual tolerance and iteration budget for the root finders.
-
-    ``max_iters`` is an integer from 10 to 2**31 - 1, which every
-    backend's kernel takes.
-    """
-
-    __slots__ = ()
-
-    def _check(self):
-        if not (self.tol > 0.0):
-            raise DomainError("tol must be positive")
-        iters = count(self.max_iters, "max_iters")
-        if iters < 10:
-            raise DomainError("max_iters must be at least 10")
-        if iters > _MAX_ITERS:
-            raise DomainError(f"max_iters must be at most {_MAX_ITERS}")
-
-
-DEFAULT_INVERSION = InversionConfig()
+_TOP_PAD = 1e-12  # how far the domain of sin_pq and cos_pq reaches above half_pi_pq
+_MAX_ITERS = 100  # forward values per solve; the most seen is 47, at p, q = 1 + 1e-12
 
 
 # what each failed status means
@@ -105,7 +78,7 @@ def _half_branch(p: float, q: float) -> float:
     return kernels.arcsin_top(p, q, math.log(2.0))[0]
 
 
-def _roots(fn, pq: PQParams, ys, cfg: InversionConfig = DEFAULT_INVERSION) -> list:
+def _roots(fn, pq: PQParams, ys) -> list:
     """fn_pq(pq, y) for every y in ``ys``: a root, or the PQTrigError it raises.
 
     ``fn`` is "sin", "cos" or "sinh", or "sincos" for (sin_pq, cos_pq)
@@ -134,7 +107,7 @@ def _roots(fn, pq: PQParams, ys, cfg: InversionConfig = DEFAULT_INVERSION) -> li
                 out[i] = 0.0
             else:
                 bottom.setdefault(y, []).append(i)
-        _solve(out, fn, pq, ys, bottom, "sinh", cfg)
+        _solve(out, fn, pq, ys, bottom, "sinh")
         return out
 
     hp = _half_pi(p, q)  # half_pi_pq
@@ -145,25 +118,25 @@ def _roots(fn, pq: PQParams, ys, cfg: InversionConfig = DEFAULT_INVERSION) -> li
                 f"{'sin' if fn == 'sincos' else fn}_pq needs y in [0, {hp:.12g}] "
                 f"(half_pi for p={p}, q={q}), got {y!r}"
             )
-        elif y == 0.0 or y >= hp - _TOP_PAD:
+        elif y == 0.0 or y >= hp:
             sin = 0.0 if y == 0.0 else 1.0
             out[i] = sin if fn == "sin" else 1.0 - sin if fn == "cos" else (sin, 1.0 - sin)
         elif y <= split:
             bottom.setdefault(y, []).append(i)
         else:
             top_half.setdefault(y, []).append(i)
-    _solve(out, fn, pq, ys, bottom, "sin", cfg)
-    _solve(out, fn, pq, ys, top_half, "top", cfg)
+    _solve(out, fn, pq, ys, bottom, "sin")
+    _solve(out, fn, pq, ys, top_half, "top")
     return out
 
 
-def _solve(out, fn, pq, ys, targets, mode, cfg):
+def _solve(out, fn, pq, ys, targets, mode):
     """One kernels.solve call in ``mode`` over the unique ``targets`` (each
     mapped to its indices in ``ys``); stores each value or error in ``out``."""
     if not targets:
         return
     ts = list(targets)
-    results = kernels.solve(mode, pq.p, pq.q, ts, cfg.tol, cfg.max_iters)
+    results = kernels.solve(mode, pq.p, pq.q, ts, _MAX_ITERS)
     plain = fn == "sinh" or (fn == "sin" and mode == "sin")  # the root is the value
     for t, (root, iters, _terms, status) in zip(ts, results):
         value = root if plain else _mapped(fn, pq, root, mode)
@@ -171,23 +144,23 @@ def _solve(out, fn, pq, ys, targets, mode, cfg):
             out[i] = _failure(fn, pq, ys[i], value, iters, status) if status else value
 
 
-def _one(fn, pq, y, cfg):
-    (value,) = _roots(fn, pq, (y,), cfg)
+def _one(fn, pq, y):
+    (value,) = _roots(fn, pq, (y,))
     if isinstance(value, PQTrigError):
         raise value
     return value
 
 
-def sin_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> float:
+def sin_pq(pq: PQParams, y: float) -> float:
     """Solve arcsin_pq(s) = y for s in [0, 1].
 
-    ``y`` must lie in [0, half_pi_pq] (the top end is tolerance-padded by
-    1e-12); sin_pq(0) = 0 and sin_pq(half_pi_pq) = 1 exactly.
+    ``y`` must be a real in [0, half_pi_pq + 1e-12]; sin_pq(0) = 0, and
+    sin_pq(y) = 1 exactly for every y >= half_pi_pq.
     """
-    return _one("sin", pq, y, cfg)
+    return _one("sin", pq, real(y, "sin_pq's y"))
 
 
-def cos_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> float:
+def cos_pq(pq: PQParams, y: float) -> float:
     """Solve arccos_pq(v) = y for v in [0, 1].
 
     The residual is that of arcsin_pq at the same y, so v is formed from
@@ -196,17 +169,17 @@ def cos_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> 
     root t = ln(1/v**p) of the top half, where v**p < 1/2.  t is resolved
     even where v**p is below the subnormal range: a subnormal v is the
     float nearest e**(-t/p), whose neighbours may straddle y by more than
-    the tolerance, and a v below the subnormal range is 0.0.
+    the forward's bound, and a v below the subnormal range is 0.0.
 
-    For p > 2 arccos_pq flattens near v = 0, so the v-resolution implied
-    by the residual tolerance degrades like tol / |arccos_pq'|.  A
-    tolerance below the forward's rounding (about 1e-15) makes the
-    solver polish down to the nearest representable root instead.
+    For p > 2 arccos_pq flattens near v = 0 (its slope vanishes like
+    v**(p - 2)), so a residual within the forward's bound, about 16 ulps
+    of y, fixes v only to about that bound over |arccos_pq'(v)|; no
+    float forward value resolves v more finely.
     """
-    return _one("cos", pq, y, cfg)
+    return _one("cos", pq, real(y, "cos_pq's y"))
 
 
-def sinh_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) -> float:
+def sinh_pq(pq: PQParams, y: float) -> float:
     """Solve arcsinh_pq(s) = y for s >= 0.
 
     ``y`` must be nonnegative and, when m_star_pq is finite, strictly
@@ -218,4 +191,4 @@ def sinh_pq(pq: PQParams, y: float, cfg: InversionConfig = DEFAULT_INVERSION) ->
     :class:`ComputationError`; every finite root is within reach of the
     forward series.
     """
-    return _one("sinh", pq, y, cfg)
+    return _one("sinh", pq, real(y, "sinh_pq's y"))

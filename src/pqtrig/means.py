@@ -9,6 +9,7 @@ min(a, b) and max(a, b), and strictly increasing in r for a != b.
 
 import math
 
+from ._records import real
 from .errors import DomainError
 
 # the r != 0 formula is numerically unstable near zero; route to the
@@ -19,9 +20,10 @@ _ZERO_BAND = 1e-12
 def holder_mean(order: float, a: float, b: float) -> float:
     """H_order(a, b) for positive a, b; always within [min(a,b), max(a,b)].
 
-    ``order`` must be finite; 0 encodes the geometric mean.
+    ``order`` must be a finite real; 0 encodes the geometric mean.
     """
-    r = float(order)
+    r = real(order, "Hölder order")
+    a, b = real(a, "holder_mean's a"), real(b, "holder_mean's b")
     if not math.isfinite(r):
         raise DomainError(f"Hölder order must be a finite real, got {r!r}")
     if not (a > 0.0 and b > 0.0):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from pqtrig import (
     ComputationError,
     DomainError,
-    InversionConfig,
     PQParams,
     PQTrigError,
     arccos_pq,
@@ -69,18 +68,20 @@ class TestSin:
         hp = half_pi_pq(classic)
         assert sin_pq(classic, hp * (1.0 - 1e-9)) == 1.0
 
-    def test_budget_exhaustion(self):
-        # trigonometric solves stay in the bottom half of a branch, where
-        # Newton converges in a few steps, and with certified forward values
-        # no sinh solve seen at the default tolerance needs more than 9; this
-        # one polishes its root near 4.8e5 to the representable root of a
-        # 1e-17 residual, which takes 12 iterations
+    def test_budget_exhaustion(self, backend, monkeypatch):
+        # this sinh solve, whose root is near 4.8e5, takes more than 3
+        # forward values: a kernel solve given 3 stops with BUDGET and the
+        # bracket midpoint, and inverse, given the same budget, raises it as
+        # ComputationError with that estimate
         pq = PQParams(1.467633684721445, 1.723962961368573)
         y = 5.71395605204422
-        cfg = InversionConfig(tol=1e-17, max_iters=10)
-        with pytest.raises(ComputationError, match="within 10 iterations") as err:
-            sinh_pq(pq, y, cfg)
-        assert err.value.partial == pytest.approx(sinh_pq(pq, y), rel=1e-6)
+        ((root, iters, _terms, status),) = backend.solve("sinh", pq.p, pq.q, [y], 3)
+        assert (iters, status) == (3, backend.BUDGET)
+        assert backend.solve("sinh", pq.p, pq.q, [y], 100)[0][3] == backend.SOLVED
+        monkeypatch.setattr(inverse, "_MAX_ITERS", 3)
+        with pytest.raises(ComputationError, match="within 3 iterations") as err:
+            sinh_pq(pq, y)
+        assert err.value.partial == root
 
     @pytest.mark.parametrize("p,q,y", [
         (1.000001, 3.4365388968378525, 1.0),
@@ -138,19 +139,31 @@ class TestCos:
         # the subnormal nearest e**(-t/p), never 0, within its budget
         pq = PQParams(1.007526403616098, 3.9487676838225623)
         y = 34.679658140146735
-        ((t, _iters, _terms, status),) = inverse.kernels.solve(
-            "top", pq.p, pq.q, [y], 1e-12, 100)
+        ((t, _iters, _terms, status),) = inverse.kernels.solve("top", pq.p, pq.q, [y], 100)
         assert status == inverse.kernels.SOLVED
         assert t == pytest.approx(745.506, abs=1e-3)
         assert cos_pq(pq, y) == pytest.approx(4.461e-322, rel=0.01)
         # here v = 4.4e-327 is below the subnormal range and rounds to 0,
         # while s = 1 - 1.4e-326/q rounds to 1
         pq = PQParams(1.002, 1.3)
-        ((_t, _iters, _terms, status),) = inverse.kernels.solve(
-            "top", pq.p, pq.q, [300.0], 1e-12, 100)
+        ((_t, _iters, _terms, status),) = inverse.kernels.solve("top", pq.p, pq.q, [300.0], 100)
         assert status == inverse.kernels.SOLVED
         assert _roots("sincos", pq, [300.0]) == [(1.0, 0.0)]
         assert (sin_pq(pq, 300.0), cos_pq(pq, 300.0)) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("p,q,root", [(1000.0, 2.0, 0.973395), (50.0, 50.0, 0.61602),
+                                          (3.0, 1.0000001, 8.165e-7)])
+    def test_roots_within_the_pad_below_half_pi(self, backend, p, q, root):
+        # every y within 1e-12 below half_pi_pq returned the endpoint 0.0.
+        # The slope of arccos_pq at these roots is at most 2.4e-6, so the
+        # rounding of a forward value near half_pi_pq moves v by up to 3e-4
+        # relative: the check is that the tanh-sinh reference of arccos_pq
+        # maps v back to y within a few ulps
+        pq = PQParams(p, q)
+        y = half_pi_pq(pq) - 1e-12
+        v = cos_pq(pq, y)
+        assert v == pytest.approx(root, rel=1e-3)
+        assert abs(arccos_ref(p, q, v) - y) <= 1e-14
 
     def test_consistent_with_sin_composition(self):
         # cos_pq solves arccos_pq(v) = y, whose defining composition
@@ -210,12 +223,11 @@ class TestSinh:
         # start overflows onto the bracket top 2**(-1/q), which rounds to 1,
         # where the series stops at z = 1 with an infinite bound
         p, q = 2.0, 1.0599853493818049e299
-        ((root, iters, _terms, status),) = kernels.solve("sin", p, q, [1.5], 1e-12, 100)
+        ((root, iters, _terms, status),) = kernels.solve("sin", p, q, [1.5], 100)
         assert (root, iters, status) == (1.0, 1, kernels.UNCONVERGED)
         assert kernels.arcsin_series(p, q, root)[3] is False
         out = [None]
-        inverse._solve(out, "sin", PQParams(p, q), [1.5], {1.5: [0]}, "sin",
-                       inverse.DEFAULT_INVERSION)
+        inverse._solve(out, "sin", PQParams(p, q), [1.5], {1.5: [0]}, "sin")
         assert isinstance(out[0], ComputationError) and out[0].partial == 1.0
         assert "stopped on an unconverged forward series after 1 iterations" in str(out[0])
 
@@ -251,10 +263,7 @@ class TestRoundTrips:
     # representability itself caps the achievable round-trip accuracy
     # (adjacent representable s values near the singular top straddle more
     # than 1e-9 in y-space for exponents near 1; likewise the w-channel of
-    # arccos quantizes v near 0 for p > 2).  The cos solves use a
-    # tolerance below the quadrature noise floor so they polish down to
-    # the representable root.
-    COS_CFG = InversionConfig(tol=1e-16, max_iters=200)
+    # arccos quantizes v near 0 for p > 2).
 
     @pytest.mark.parametrize("pq", pq_grid(), ids=lambda pq: f"p{pq.p}-q{pq.q}")
     def test_both_ways_all_pairs(self, pq):
@@ -265,8 +274,8 @@ class TestRoundTrips:
             x = f
             assert abs(sin_pq(pq, arcsin_pq(pq, x)) - x) <= 1e-9
             assert abs(arcsin_pq(pq, sin_pq(pq, f * hp)) - f * hp) <= 1e-9
-            assert abs(cos_pq(pq, arccos_pq(pq, x), self.COS_CFG) - x) <= 1e-9
-            assert abs(arccos_pq(pq, cos_pq(pq, f * hp, self.COS_CFG)) - f * hp) <= 1e-9
+            assert abs(cos_pq(pq, arccos_pq(pq, x)) - x) <= 1e-9
+            assert abs(arccos_pq(pq, cos_pq(pq, f * hp)) - f * hp) <= 1e-9
             assert abs(sinh_pq(pq, arcsinh_pq(pq, f * 5.0)) - f * 5.0) <= 1e-9
             assert abs(arcsinh_pq(pq, sinh_pq(pq, f * cap)) - f * cap) <= 1e-9
 
@@ -282,13 +291,6 @@ class TestDoubleAngle:
             s, c = sin_pq(pq, x), cos_pq(pq, x)
             rhs = 2.0 * s * c ** (1.0 / 3.0) / math.sqrt(1.0 + 4.0 * s ** 4 * c ** (4.0 / 3.0))
             assert abs(lhs - rhs) <= 1e-8
-
-
-class TestConfig:
-    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1.0}, {"max_iters": 9}])
-    def test_validation(self, kwargs):
-        with pytest.raises(DomainError):
-            InversionConfig(**kwargs)
 
 
 @pytest.mark.parametrize("solve", [sin_pq, cos_pq, sinh_pq])
@@ -384,16 +386,16 @@ def test_block_roots_share_and_certify(pq):
                        st.floats(-9.0, -2.0).map(lambda e: 1.0 - 10.0 ** e)),
        f=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 def test_sinh_residuals_against_the_reference(p, ratio, f):
-    # at a 1e-13 residual tolerance each root meets the tanh-sinh reference
-    # within 1e-13 relative, or its neighbouring floats straddle y; a root
-    # is missing only where it lies beyond the largest float
+    # each root meets the tanh-sinh reference within 1e-13 relative, or its
+    # neighbouring floats straddle y; a root is missing only where it lies
+    # beyond the largest float
     q = p * ratio
     if not 1.001 <= q <= 10.0:
         return
     pq = PQParams(p, q)
     y = f * min(m_star_pq(pq).as_float(), 1e3)
     try:
-        s = sinh_pq(pq, y, InversionConfig(tol=1e-13))
+        s = sinh_pq(pq, y)
     except ComputationError as err:
         assert "passed the largest float" in str(err)
         assert arcsinh_ref(p, q, 1.7976931348623157e308) < y * (1.0 + 1e-13)

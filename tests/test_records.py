@@ -12,7 +12,6 @@ from pqtrig import (
     ExtendedValue,
     GridAxis,
     InequalityVerdict,
-    InversionConfig,
     PQParams,
     QuadratureResult,
     SweepError,
@@ -25,7 +24,6 @@ VALIDATED = [
     (PQParams, {"p": 2.0, "q": 3.0}, "p", 0.5, "p must be a finite real exceeding 1"),
     (ExtendedValue, {"value": 2.5}, "value", -1.0, "must be a nonnegative real"),
     (GridAxis, {"name": "x", "lo": 0.1, "hi": 0.9, "n": 5}, "n", 0, "needs n >= 1"),
-    (InversionConfig, {"tol": 1e-12, "max_iters": 100}, "max_iters", 5, "at least 10"),
 ]
 
 
@@ -64,7 +62,6 @@ FROZEN = [
     PQParams(2.0, 3.0),
     ExtendedValue(2.5),
     GridAxis("x", 0.1, 0.9, 5),
-    InversionConfig(),
     InequalityVerdict.make(1.0, 0.5, 0.5, {"p": 2.0, "q": 3.0}),
     SweepError(0, {"p": 2.0, "q": 3.0}, "DomainError: bad"),
     Witness(0.1, 0.2, 1.0, 1.1, 0.1),
