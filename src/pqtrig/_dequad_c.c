@@ -12,11 +12,10 @@
  * every forward value included, with the GIL released; it follows
  * ``_dequad_py.solve`` operation for operation, so both backends take the
  * same steps, and each target is solved from the cold start of a
- * one-target call.  Where the Python
- * kernel caches the constants of the far form and the top form per
- * (p, q), this one computes them once per call: per ``arcsinh_series``
- * or ``arcsin_top`` call that needs them, and per ``solve`` call.  Build
- * it as a plain extension (``setup.py``) or by hand:
+ * one-target call.  Where the Python kernel caches the far and top forms'
+ * constants per (p, q), this one computes them once per kernel or
+ * ``solve`` call that needs them.  Build it as a plain extension
+ * (``setup.py``) or by hand:
  *
  *     cc -O3 -fPIC -shared -I<python include dir> _dequad_c.c -o _dequad_c<EXT_SUFFIX> -lm
  */
@@ -366,15 +365,16 @@ softplus(double a)
     return log1p(exp(a));
 }
 
-/* one target of solve(), _dequad_py._solve_one; runs without the GIL.  The
- * bracket opens at [bottom, top]; `f` and `g` hold the constants of sinh's
- * far form and of the top form once a forward value has needed them. */
+/* one target of solve(), _dequad_py._solve_one, without the GIL: the bracket
+ * opens at [bottom, top], sin and top start at or above the root (top at
+ * bottom where its start leaves its range) and sinh below it; `f` and `g`
+ * hold the far and top forms' constants once a forward value needs them. */
 static solution
 solve_run(enum solve_mode mode, double p, double q, double y, double bottom, double top,
           long max_iters, far_form *f, top_form *g)
 {
     solution out = {0.0, 0, 0, SOLVED};
-    double lo = bottom, hi = top, s, resid, s_new, a, lns, g_step;
+    double lo = bottom, hi = top, s, resid, s_new, a, lns, g_step, z, v;
     long it;
     result r;
 
@@ -387,11 +387,12 @@ solve_run(enum solve_mode mode, double p, double q, double y, double bottom, dou
         g_step = ((y - g->c) - g->c_lo) * g->e * q * exp(g->e * LN2);
         s = 0.0 < g_step && g_step < 1.0 ? LN2 - log1p(-g_step) / g->e : bottom;
     }
+    else if (y >= top)
+        s = top;
     else {
-        /* start from the two-term series, as in _dequad_py._solve_one */
-        s = y - pow(y, q + 1.0) / (p * (q + 1.0));
-        if (!(0.0 < s && s < top))
-            s = top;
+        z = pow(y, q); /* one Newton step from y on three terms of the series */
+        v = 0.5 / p * (1.0 / p + 1.0) * z * z; /* c2 z**2 */
+        s = y - y * (z / (p * (q + 1.0)) + v / (2.0 * q + 1.0)) / (1.0 + z / p + v);
     }
     for (it = 1; it <= max_iters; it++) {
         out.iterations = it;
@@ -470,12 +471,11 @@ static PyObject *
 solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     static const char *names[] = {"sin", "sinh", "top"};
-    double p, q;
     long max_iters;
     int mode = -1;
     Py_ssize_t i, count;
     PyObject *seq, *list = NULL, *item;
-    double *ys = NULL, bottom, top;
+    double p, q, *ys = NULL, bottom, top;
     solution *sols = NULL;
     far_form f = {0.0, 0.0, 0.0, 0.0, 0};
     top_form g = {0.0, 0.0, 0.0, 0.0, 0};

@@ -313,12 +313,16 @@ def solve(mode, p, q, ys, max_iters):
 def _solve_one(mode, p, q, y, bottom, top, max_iters):
     """One target of :func:`solve`.
 
-    The bracket opens at [``bottom``, ``top``].  The cold start of sin is
-    the inverse of the two-term series F = s + s**(q + 1) / (p (q + 1)) +
-    ..., at most ``top`` = 2**(-1/q), and it steps in s.  top starts from
-    the top form without its tail, at or above the root, and steps in
-    w**e = e**(-e t), where F is concave and nearly linear, so Newton
-    approaches the root from above.  sinh starts at s = y, a lower bound
+    The bracket opens at [``bottom``, ``top``].  sin steps in s from at
+    or above its root: ``top`` = 2**(-1/q) where y >= top, else one
+    Newton step from y on the series' first terms g = s + s**(q + 1) /
+    (p (q + 1)) + c2 s**(2q + 1) / (2q + 1), c2 = (1/p)(1/p + 1)/2.  As
+    g <= F is convex with g(y) >= y, that step is at or above the root,
+    and F is convex on [0, top], so no Newton step passes below it.  top
+    starts from the top form without its tail, at or above the root (at
+    ``bottom``, below it, where that start leaves its range), and steps
+    in w**e = e**(-e t), where F is concave and nearly linear, so Newton
+    approaches the root from above.  sinh starts at s = y, below the root
     since its integrand is at most 1, and steps in s up to s = 1 and in
     s**(1 - q/p) (ln s where p = q) above, where F approaches its
     power-law tail.  A step that leaves the bracket is replaced: with no
@@ -344,14 +348,12 @@ def _solve_one(mode, p, q, y, bottom, top, max_iters):
         # w**e = 2**-e - (y - C) e q, as t = ln(1/w)
         g = ((y - c) - c_lo) * e * q * exp(e * _LN2)
         s = _LN2 - log1p(-g) / e if 0.0 < g < 1.0 else bottom
+    elif y >= top:
+        s, forward = top, arcsin_series
     else:
-        forward = arcsin_series
-        try:
-            s = y - math.pow(y, q + 1.0) / (p * (q + 1.0))
-        except OverflowError:  # where C's pow gives inf, and s = -inf
-            s = top
-        if not (0.0 < s < top):
-            s = top
+        forward, z = arcsin_series, math.pow(y, q)  # < 1/2, so nothing below overflows
+        v = 0.5 / p * (1.0 / p + 1.0) * z * z
+        s = y - y * (z / (p * (q + 1.0)) + v / (2.0 * q + 1.0)) / (1.0 + z / p + v)
     terms = 0
     for it in range(1, max_iters + 1):
         v, bound, n, ok = forward(p, q, s)

@@ -1,6 +1,7 @@
 """The construction path shared by the package's validated records, and
-the checks of a count and of a real argument."""
+the checks of a count, of a real argument and of a Hölder order."""
 
+import math
 import operator
 
 from .errors import DomainError
@@ -27,6 +28,16 @@ def real(value, what: str) -> float:
     except (TypeError, OverflowError):
         pass
     raise DomainError(f"{what} must be a real number, got {value!r}")
+
+
+def holder_order(value) -> float:
+    """A Hölder order as a float; DomainError unless it is a finite real.
+    Each public entry that takes an order calls this once, before it
+    computes anything."""
+    r = real(value, "Hölder order")
+    if not math.isfinite(r):
+        raise DomainError(f"Hölder order must be a finite real, got {r!r}")
+    return r
 
 
 class Validated:

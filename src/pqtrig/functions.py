@@ -44,9 +44,10 @@ class PQParams(Validated, _PQFields):
     __slots__ = ()
 
     def _check(self):
-        if not (math.isfinite(self.p) and self.p > 1.0):
+        p, q = real(self.p, "p"), real(self.q, "q")
+        if not (math.isfinite(p) and p > 1.0):
             raise DomainError(f"p must be a finite real exceeding 1, got {self.p!r}")
-        if not (math.isfinite(self.q) and self.q > 1.0):
+        if not (math.isfinite(q) and q > 1.0):
             raise DomainError(f"q must be a finite real exceeding 1, got {self.q!r}")
 
 
@@ -60,7 +61,8 @@ class ExtendedValue(Validated, _ExtendedFields):
     __slots__ = ()
 
     def _check(self):
-        if self.value is not None and not (math.isfinite(self.value) and self.value >= 0.0):
+        value = self.value if self.value is None else real(self.value, "ExtendedValue")
+        if value is not None and not (math.isfinite(value) and value >= 0.0):
             raise DomainError("finite ExtendedValue must be a nonnegative real")
 
     @classmethod
@@ -198,7 +200,7 @@ def arcsin_series_oracle(pq: PQParams, x: float, n_terms: int) -> float:
     independent check of ``arcsin_pq`` there; the test suite checks both
     against a tanh-sinh reference.
     """
-    if not (0.0 <= x < 1.0):
+    if not (0.0 <= real(x, "series oracle's x") < 1.0):
         raise DomainError(f"series oracle needs x in [0, 1), got {x!r}")
     if count(n_terms, "n_terms") < 1:
         raise DomainError("n_terms must be at least 1")

@@ -51,7 +51,7 @@ import math
 from functools import partial
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from ._records import Validated, count, real
+from ._records import Validated, count, holder_order, real
 from .errors import ComputationError, DomainError, PQTrigError
 from .functions import PQParams, arcsin_pq, arcsinh_pq, half_pi_pq, m_star_pq
 from .inverse import _roots
@@ -93,16 +93,6 @@ def default_tolerance(rhs: float) -> float:
     if math.isinf(rhs):
         return DEFAULT_TOL_ABS
     return DEFAULT_TOL_ABS + DEFAULT_TOL_REL * abs(rhs)
-
-
-def _order(order: float) -> float:
-    """A Hölder order as a float; DomainError unless it is a finite real.
-    Each public entry that takes an order calls this once, before it
-    computes anything."""
-    r = real(order, "Hölder order")
-    if not math.isfinite(r):
-        raise DomainError(f"Hölder order must be a finite real, got {r!r}")
-    return r
 
 
 class InequalityVerdict(NamedTuple):
@@ -151,9 +141,10 @@ class GridAxis(Validated, _AxisFields):
     def _check(self):
         if count(self.n, f"axis {self.name!r} n") < 1:
             raise DomainError(f"axis {self.name!r} needs n >= 1")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo <= self.hi):
+        lo, hi = real(self.lo, f"axis {self.name!r} lo"), real(self.hi, f"axis {self.name!r} hi")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise DomainError(f"axis {self.name!r} needs finite lo <= hi")
-        if self.n > 1 and self.lo == self.hi:
+        if self.n > 1 and lo == hi:
             raise DomainError(f"axis {self.name!r} has n > 1 but zero width")
 
     def values(self) -> list[float]:
@@ -219,24 +210,23 @@ def _each(pts, verdict) -> list:
 
 
 def _check_tolerance(tolerance: Optional[float]) -> None:
-    if tolerance is not None and not (0.0 <= tolerance < math.inf):
+    if tolerance is not None and not (0.0 <= real(tolerance, "tolerance") < math.inf):
         raise DomainError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
 
 
 def _scalar(check, pq, pt, ordv, tolerance) -> InequalityVerdict:
     """The verdict of ``check`` on a one-point cell, raising the error recorded for it."""
+    entry = CHECKS[check]
+    pt = tuple(real(v, f"{check}'s {name}") for name, v in zip(entry.args, pt))
     _check_tolerance(tolerance)
-    value = CHECKS[check].cell(pq, [pt], ordv, tolerance)[0]
+    value = entry.cell(pq, [pt], ordv, tolerance)[0]
     if isinstance(value, PQTrigError):
         raise value
     return value
 
 
-def _lookup(outcomes: Callable[[list], list], ys) -> Callable[[float], float]:
-    """y -> its value among ``outcomes`` of the unique targets in ``ys``,
-    raising the error recorded for it."""
-    ys = list(set(ys))
-    table = dict(zip(ys, outcomes(ys)))
+def _lookup(table: dict) -> Callable[[float], float]:
+    """y -> table[y], raising the error recorded for it."""
 
     def value(y):
         v = table[y]
@@ -314,8 +304,8 @@ def _mean_cell(check, pq, pts, ordv, tolerance) -> list:
         def inside(r, s):
             return 0.0 < r < hp and 0.0 < s < hp
 
-    value = _lookup(partial(_roots, fn, pq),
-                    [y for r, s in pts if inside(r, s) for y in (_gmean(r, s), r, s)])
+    value = _lookup(_roots(fn, pq, [y for r, s in pts if inside(r, s)
+                                    for y in (_gmean(r, s), r, s)]))
     gm = check.startswith("gm-")  # thm11 is the geometric mean, written as sqrt(a b)
     base = {"p": p, "q": q, "order": ordv} if gm else {"p": p, "q": q}
 
@@ -337,8 +327,8 @@ def _double_angle_cell(pq, pts, ordv, tolerance) -> list:
     hp = half_pi_pq(pq)
     tol = 1e-8 if tolerance is None else tolerance
     # sin_pq at x and 2x and cos_pq at x, from one block of shared roots
-    value = _lookup(partial(_roots, "sincos", pq),
-                    [y for (x,) in pts if 0.0 < x < 0.5 * hp for y in (2.0 * x, x)])
+    value = _lookup(_roots("sincos", pq,
+                           [y for (x,) in pts if 0.0 < x < 0.5 * hp for y in (2.0 * x, x)]))
 
     def verdict(x):
         if not (0.0 < x < 0.5 * hp):
@@ -403,14 +393,14 @@ def gm_general_sin_margin(
     Holds for every (r, s) exactly when order <= 0; at order 0 this is
     thm11-sin.  For order > 0 some argument pairs violate it.
     """
-    return _scalar("gm-sin", pq, (r, s), _order(order), tolerance)
+    return _scalar("gm-sin", pq, (r, s), holder_order(order), tolerance)
 
 
 def gm_general_sinh_margin(
     pq: PQParams, order: float, r: float, s: float, tolerance: Optional[float] = None
 ) -> InequalityVerdict:
     """sinh_pq(sqrt(r s)) <= H_order(sinh_pq(r), sinh_pq(s)); holds for order >= 0."""
-    return _scalar("gm-sinh", pq, (r, s), _order(order), tolerance)
+    return _scalar("gm-sinh", pq, (r, s), holder_order(order), tolerance)
 
 
 def double_angle_margin(
@@ -436,6 +426,7 @@ def G_fn(pq: PQParams, x: float) -> float:
     Defined on (0, 1) with range (-1, inf): G tends to -1 at 0 and to
     +inf at 1.
     """
+    x = real(x, "G_fn's x")
     if not (0.0 < x < 1.0):
         raise DomainError(f"G_fn needs x in (0, 1), got {x!r}")
     xq = math.pow(x, pq.q)
@@ -448,6 +439,7 @@ def Gstar_fn(pq: PQParams, x: float) -> float:
 
     Exceeds 1 for every x > 0 and tends to 1 at 0.
     """
+    x = real(x, "Gstar_fn's x")
     if not (x > 0.0 and math.isfinite(x)):
         raise DomainError(f"Gstar_fn needs finite x > 0, got {x!r}")
     lx, sp = math.log(x), _softplus(pq.q * math.log(x))  # ln x and ln(1 + x**q)
@@ -457,7 +449,7 @@ def Gstar_fn(pq: PQParams, x: float) -> float:
 
 def F_fn(pq: PQParams, order: float, x: float) -> float:
     """F(x) = x**(1-order) / (arcsin_pq(x) (1-x**q)**(1/p)) on (0, 1)."""
-    ordv = _order(order)
+    ordv, x = holder_order(order), real(x, "F_fn's x")
     if not (0.0 < x < 1.0):
         raise DomainError(f"F_fn needs x in (0, 1), got {x!r}")
     lx = math.log(x)
@@ -468,7 +460,7 @@ def F_fn(pq: PQParams, order: float, x: float) -> float:
 
 def Fstar_fn(pq: PQParams, order: float, x: float) -> float:
     """F*(x) = x**(1-order) / (arcsinh_pq(x) (1+x**q)**(1/p)) on (0, inf)."""
-    ordv = _order(order)
+    ordv, x = holder_order(order), real(x, "Fstar_fn's x")
     if not (x > 0.0 and math.isfinite(x)):
         raise DomainError(f"Fstar_fn needs finite x > 0, got {x!r}")
     lx = math.log(x)
@@ -480,8 +472,8 @@ def _probe_cell(fn, increasing, pq, pts, ordv, tolerance) -> list:
     """f-monotone (``fn`` F, increasing) or fstar-monotone (F*, decreasing)
     at consecutive grid values (x_lo, x_hi); each x is evaluated once, and
     a failure there is recorded for the pairs that use it."""
-    value = _lookup(lambda xs: _each([(x,) for x in xs], partial(fn, pq, ordv)),
-                    [x for pt in pts for x in pt])
+    xs = list(dict.fromkeys(x for pt in pts for x in pt))
+    value = _lookup(dict(zip(xs, _each([(x,) for x in xs], partial(fn, pq, ordv)))))
 
     def verdict(x_lo, x_hi):
         lhs, rhs = (value(x_hi), value(x_lo)) if increasing else (value(x_lo), value(x_hi))
@@ -560,7 +552,7 @@ def counterexample_search(
     10x zoom.  Margins within 1e-11 of zero (the diagonal's equality
     case) never qualify as witnesses.
     """
-    ordv = _order(order)
+    ordv = holder_order(order)
     if not (ordv > 0.0):
         raise DomainError("counterexample_search needs a positive order")
     if count(budget, "budget") < 100:
@@ -731,11 +723,11 @@ def run_sweep(
             raise DomainError(f"inner axis {ax.name!r} must use fractions in (0, 1]")
         if ax.n < entry.min_grid:
             raise DomainError(f"grid_n must be at least {entry.min_grid}")
-    ordv = None if order is None else _order(order)
+    ordv = None if order is None else holder_order(order)
     if entry.needs_order and ordv is None:
         raise DomainError(f"{check} requires a Hölder order")
     _check_tolerance(tolerance)
-    if not (0.0 < x_max < math.inf):
+    if not (0.0 < real(x_max, "x_max") < math.inf):
         raise DomainError(f"x_max must be finite and positive, got {x_max!r}")
     frac_grids = [ax.values() for ax in axes[2:]]
 

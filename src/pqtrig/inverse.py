@@ -13,19 +13,21 @@ is solved from the same cold start, so a root depends only on (p, q, y),
 never on the other targets of its call.  :func:`_roots`
 checks domains, chooses the formulation of each target, makes one
 ``kernels.solve`` call per formulation and maps the solver's failures to
-:class:`ComputationError`; sin_pq, cos_pq and sinh_pq are its one-target
-calls, and the lab's sweeps call it once per function for all the
-targets of a (p, q) cell, so a sweep's values equal the scalar calls'.
+:class:`ComputationError`, returning one table of the distinct targets;
+sin_pq, cos_pq and sinh_pq are its one-target calls, and the lab's
+sweeps call it once per function for all the targets of a (p, q) cell,
+so a sweep's values equal the scalar calls'.
 
 sin_pq and cos_pq are one solve each: for s in [0, 2**(-1/q)], where
-s**q <= 1/2, below the half-branch value arcsin_pq(2**(-1/q)), and above
-it by the top form (see ``functions``) for t = ln(1/w), w = 1 - s**q, which
+s**q <= 1/2, below the half-branch value arcsin_pq(2**(-1/q)), starting
+at or above the root, where arcsin_pq is convex; and from that value up
+by the top form (see ``functions``) for t = ln(1/w), w = 1 - s**q, which
 maps back without cancellation as sin = exp(log1p(-w)/q) and
-cos = w**(1/p) = e**(-t/p).  When the bracket collapses to a few ulps the
-nearest representable root is returned; ComputationError is raised when
-``_MAX_ITERS`` forward values do not suffice, when its kernel does not
-certify a forward value, and when sinh's bracket passes the largest
-float.
+cos = w**(1/p) = e**(-t/p).  sinh starts below its root.  When the
+bracket collapses to a few ulps the nearest representable root is
+returned; ComputationError is raised when ``_MAX_ITERS`` forward values
+do not suffice, when its kernel does not certify a forward value, and
+when sinh's bracket passes the largest float.
 """
 
 import math
@@ -78,74 +80,72 @@ def _half_branch(p: float, q: float) -> float:
     return kernels.arcsin_top(p, q, math.log(2.0))[0]
 
 
-def _roots(fn, pq: PQParams, ys) -> list:
-    """fn_pq(pq, y) for every y in ``ys``: a root, or the PQTrigError it raises.
+def _roots(fn, pq: PQParams, ys) -> dict:
+    """{y: fn_pq(pq, y) or the PQTrigError it raises} over the distinct
+    targets in ``ys``.
 
     ``fn`` is "sin", "cos" or "sinh", or "sincos" for (sin_pq, cos_pq)
     pairs that share one root (a failure then carries the sin_pq
     message).  ``ys`` may hold repeats, in any order.  Each formulation
-    is one ``kernels.solve`` call over its unique targets.  Each value or
-    error is exactly that of a single call at its y: the solves start
+    is one ``kernels.solve`` call over its targets: sin's below the
+    half-branch value arcsin_pq(2**(-1/q)), top's from it up.  Each value
+    or error is exactly that of a single call at its y: the solves start
     cold, and the domain checks, endpoint values, routing, root mappings
     and messages are those of a single call.
     """
     p, q = pq.p, pq.q
-    out: list = [None] * len(ys)
-    # target -> indices into ys, in the bottom and the top half of a branch
-    bottom: dict = {}
-    top_half: dict = {}
+    table = dict.fromkeys(ys)
+    bottom, top_half = [], []  # the targets to solve, in the bottom and the top half of a branch
     if fn == "sinh":
         top = _m_star(p, q) if p < q else math.inf  # m_star_pq
-        for i, y in enumerate(ys):
+        for y in table:
             if not (y >= 0.0):
-                out[i] = DomainError(f"sinh_pq needs y >= 0, got {y!r}")
+                table[y] = DomainError(f"sinh_pq needs y >= 0, got {y!r}")
             elif y >= top:
-                out[i] = DomainError(
+                table[y] = DomainError(
                     f"sinh_pq needs y below m_star = {top:.12g} for p={p}, q={q}, got {y!r}"
                 )
             elif y == 0.0:
-                out[i] = 0.0
+                table[y] = 0.0
             else:
-                bottom.setdefault(y, []).append(i)
-        _solve(out, fn, pq, ys, bottom, "sinh")
-        return out
+                bottom.append(y)
+        _solve(table, fn, pq, bottom, "sinh")
+        return table
 
     hp = _half_pi(p, q)  # half_pi_pq
     split = _half_branch(p, q)
-    for i, y in enumerate(ys):
+    for y in table:
         if not (0.0 <= y <= hp + _TOP_PAD):
-            out[i] = DomainError(
+            table[y] = DomainError(
                 f"{'sin' if fn == 'sincos' else fn}_pq needs y in [0, {hp:.12g}] "
                 f"(half_pi for p={p}, q={q}), got {y!r}"
             )
         elif y == 0.0 or y >= hp:
             sin = 0.0 if y == 0.0 else 1.0
-            out[i] = sin if fn == "sin" else 1.0 - sin if fn == "cos" else (sin, 1.0 - sin)
-        elif y <= split:
-            bottom.setdefault(y, []).append(i)
+            table[y] = sin if fn == "sin" else 1.0 - sin if fn == "cos" else (sin, 1.0 - sin)
+        elif y < split:  # not the split: its root 2**(-1/q) rounds to 1.0 where q > ~1.25e16
+            bottom.append(y)
         else:
-            top_half.setdefault(y, []).append(i)
-    _solve(out, fn, pq, ys, bottom, "sin")
-    _solve(out, fn, pq, ys, top_half, "top")
-    return out
+            top_half.append(y)
+    _solve(table, fn, pq, bottom, "sin")
+    _solve(table, fn, pq, top_half, "top")
+    return table
 
 
-def _solve(out, fn, pq, ys, targets, mode):
-    """One kernels.solve call in ``mode`` over the unique ``targets`` (each
-    mapped to its indices in ``ys``); stores each value or error in ``out``."""
-    if not targets:
+def _solve(table, fn, pq, ys, mode):
+    """One kernels.solve call in ``mode`` over the distinct targets ``ys``;
+    stores each value or error in ``table``."""
+    if not ys:
         return
-    ts = list(targets)
-    results = kernels.solve(mode, pq.p, pq.q, ts, _MAX_ITERS)
+    results = kernels.solve(mode, pq.p, pq.q, ys, _MAX_ITERS)
     plain = fn == "sinh" or (fn == "sin" and mode == "sin")  # the root is the value
-    for t, (root, iters, _terms, status) in zip(ts, results):
+    for y, (root, iters, _terms, status) in zip(ys, results):
         value = root if plain else _mapped(fn, pq, root, mode)
-        for i in targets[t]:
-            out[i] = _failure(fn, pq, ys[i], value, iters, status) if status else value
+        table[y] = _failure(fn, pq, y, value, iters, status) if status else value
 
 
 def _one(fn, pq, y):
-    (value,) = _roots(fn, pq, (y,))
+    value = _roots(fn, pq, (y,))[y]
     if isinstance(value, PQTrigError):
         raise value
     return value

@@ -9,7 +9,7 @@ min(a, b) and max(a, b), and strictly increasing in r for a != b.
 
 import math
 
-from ._records import real
+from ._records import holder_order, real
 from .errors import DomainError
 
 # the r != 0 formula is numerically unstable near zero; route to the
@@ -22,10 +22,8 @@ def holder_mean(order: float, a: float, b: float) -> float:
 
     ``order`` must be a finite real; 0 encodes the geometric mean.
     """
-    r = real(order, "Hölder order")
+    r = holder_order(order)
     a, b = real(a, "holder_mean's a"), real(b, "holder_mean's b")
-    if not math.isfinite(r):
-        raise DomainError(f"Hölder order must be a finite real, got {r!r}")
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"holder_mean needs positive arguments, got {a!r}, {b!r}")
     if a == b:

@@ -11,7 +11,7 @@ import sys
 import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pqtrig
@@ -243,7 +243,7 @@ def test_solvers_agree_everywhere(p, q, mode, data):
         # the same steps, in the mode that inverse routes y to: iteration
         # and term counts and status
         if mode != "sinh":
-            mode = "sin" if y <= inverse._half_branch(p, q) else "top"
+            mode = "sin" if y < inverse._half_branch(p, q) else "top"
         args = (mode, p, q, [y], 100)
         (sc,), (sp,) = compiled.solve(*args), pure.solve(*args)
         assert sc[1:] == sp[1:], (sc, sp)
@@ -321,17 +321,43 @@ def test_the_contract_covers_every_public_function():
     assert functions_ - others == set(SIGNATURES) | {"holder_mean"}
 
 
+class _Drawn:
+    """Stands in for st.data() in an @example: every draw returns ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def draw(self, strategy, label=None):
+        return self.value
+
+    def __repr__(self):
+        return f"_Drawn({self.value!r})"
+
+
+# where 2**(-1/q) rounds to 1.0, so the half-branch value is 1.0 and
+# half_pi_pq the float above it; y = 1.0 was sent to the sin solve, which
+# failed at x = 1 (and cos_pq leaked a ValueError from the failed root)
+SPLIT_AT_ONE = [(1.5, 1.2486629536330718e16), (1.018272186166234, 3.052930388671308e17)]
+
+
 @settings(max_examples=400, deadline=None)
 @given(p=EXPONENT, q=EXPONENT,
        name=st.sampled_from(sorted(SIGNATURES) + ["holder_mean"]), data=st.data())
+@example(p=SPLIT_AT_ONE[0][0], q=SPLIT_AT_ONE[0][1], name="sin_pq", data=_Drawn(1.0))
+@example(p=SPLIT_AT_ONE[0][0], q=SPLIT_AT_ONE[0][1], name="cos_pq", data=_Drawn(1.0))
+@example(p=SPLIT_AT_ONE[1][0], q=SPLIT_AT_ONE[1][1], name="sin_pq", data=_Drawn(1.0))
+@example(p=SPLIT_AT_ONE[1][0], q=SPLIT_AT_ONE[1][1], name="cos_pq", data=_Drawn(1.0))
 def test_public_functions_keep_the_error_contract(p, q, name, data):
     # across each function's whole domain, its ends and beyond: both
     # backends return the same value or raise the same PQTrigError
     # subclass, and no other exception escapes
     pq = pqtrig.PQParams(p, q)
     top = DOMAIN_TOP.get(name, lambda pq: pqtrig.half_pi_pq(pq))(pq)
-    # the six functions and holder_mean also take non-real arguments
-    special = SPECIAL + (NON_REALS if name in DOMAIN_TOP or name == "holder_mean" else [])
+    # every x argument also takes non-real values; sin_pq and cos_pq also
+    # the ulps around the half-branch value, where their solves change mode
+    special = SPECIAL + NON_REALS
+    if name in ("sin_pq", "cos_pq"):
+        special = special + _ulps_around(inverse._half_branch(p, q))
     xs = st.one_of(
         st.sampled_from(special + _ulps_around(top) + _ulps_around(top + 1e-12)),
         st.floats(0.0, top if top < math.inf else 10.0),
@@ -404,6 +430,57 @@ def test_a_non_real_argument_is_a_domain_error(case, bad):
             NON_REAL_CALLS[case](fn, bad)
     # ints stay real arguments
     assert NON_REAL_CALLS[case](fn, 1) == NON_REAL_CALLS[case](fn, 1.0)
+
+
+# where a non-real record field or setting goes in each call, and an int
+# that it takes
+NON_REAL_SETTINGS = {
+    "PQParams-p": (lambda bad: pqtrig.PQParams(bad, 3.0), 2),
+    "PQParams-q": (lambda bad: pqtrig.PQParams(2.0, bad), 3),
+    "GridAxis-lo": (lambda bad: pqtrig.GridAxis("x", bad, 0.9, 3).values(), 0),
+    "GridAxis-hi": (lambda bad: pqtrig.GridAxis("x", 0.1, bad, 3).values(), 1),
+    "ExtendedValue": (lambda bad: pqtrig.ExtendedValue(bad), 2),
+    "tolerance-check": (lambda bad: pqtrig.lemma21_margin(_PQ23, 0.5, tolerance=bad), 0),
+    "tolerance-sweep": (lambda bad: pqtrig.run_sweep("lemma21", _sweep_axes(3), tolerance=bad),
+                        0),
+    "x_max-sweep": (lambda bad: pqtrig.run_sweep("fstar-monotone", _sweep_axes(10), order=0.5,
+                                                 x_max=bad), 5),
+    "x_max-probe": (lambda bad: pqtrig.Fstar_monotonicity_probe(_PQ23, 0.5, 10, x_max=bad), 5),
+}
+
+
+# where None is a value: the default tolerance, and an infinite ExtendedValue
+NONE_TAKEN = {"tolerance-check", "tolerance-sweep", "ExtendedValue"}
+
+
+@pytest.mark.parametrize("case,bad", [(case, bad) for case in NON_REAL_SETTINGS for bad in NON_REALS
+                                      if not (bad is None and case in NONE_TAKEN)])
+def test_a_non_real_record_field_or_setting_is_a_domain_error(case, bad):
+    # each leaked a TypeError
+    call, good = NON_REAL_SETTINGS[case]
+    for backend in (compiled, pure):
+        with _kernels(backend), pytest.raises(pqtrig.DomainError, match="must be a real number"):
+            call(bad)
+    # ints stay real
+    assert _close(call(good), call(float(good)))
+
+
+def test_sin_solves_next_to_the_split_take_newton_steps():
+    # the sin solve starts at or above its root, where arcsin_pq is convex,
+    # so Newton descends to the root inside the bracket: a target one ulp or
+    # 1e-13 below the half-branch value takes at most 3 forward values (a
+    # start below the root overshot the bracket top and bisected, for up to
+    # 47), and the twins take the same steps
+    rng = random.Random(20)
+    for _ in range(300):
+        p, q = 1.0 + 10.0 ** rng.uniform(-12.0, 2.0), 1.0 + 10.0 ** rng.uniform(-12.0, 2.0)
+        split = inverse._half_branch(p, q)
+        ys = [math.nextafter(split, 0.0), split - 1e-13]
+        sols = compiled.solve("sin", p, q, ys, 100)
+        assert sols == pure.solve("sin", p, q, ys, 100), (p, q)
+        for y, (root, iters, _terms, status) in zip(ys, sols):
+            assert status == compiled.SOLVED and iters <= 3, (p, q, y, iters)
+            assert _certified("sin", p, q, root, y), (p, q, y)
 
 
 def _certified(mode, p, q, root, y):

@@ -148,7 +148,7 @@ class TestCos:
         pq = PQParams(1.002, 1.3)
         ((_t, _iters, _terms, status),) = inverse.kernels.solve("top", pq.p, pq.q, [300.0], 100)
         assert status == inverse.kernels.SOLVED
-        assert _roots("sincos", pq, [300.0]) == [(1.0, 0.0)]
+        assert _roots("sincos", pq, [300.0]) == {300.0: (1.0, 0.0)}
         assert (sin_pq(pq, 300.0), cos_pq(pq, 300.0)) == (1.0, 0.0)
 
     @pytest.mark.parametrize("p,q,root", [(1000.0, 2.0, 0.973395), (50.0, 50.0, 0.61602),
@@ -220,16 +220,16 @@ class TestSinh:
         assert arcsinh_ref(pq.p, pq.q, s) == pytest.approx(1e6, rel=1e-13)
         # a forward value that its kernel does not certify ends the solve
         # instead, which must not use that value: at q = 1.06e299 sin's cold
-        # start overflows onto the bracket top 2**(-1/q), which rounds to 1,
-        # where the series stops at z = 1 with an infinite bound
+        # start for a y above the bracket top 2**(-1/q) is that top, which
+        # rounds to 1, where the series stops at z = 1 with an infinite bound
         p, q = 2.0, 1.0599853493818049e299
         ((root, iters, _terms, status),) = kernels.solve("sin", p, q, [1.5], 100)
         assert (root, iters, status) == (1.0, 1, kernels.UNCONVERGED)
         assert kernels.arcsin_series(p, q, root)[3] is False
-        out = [None]
-        inverse._solve(out, "sin", PQParams(p, q), [1.5], {1.5: [0]}, "sin")
-        assert isinstance(out[0], ComputationError) and out[0].partial == 1.0
-        assert "stopped on an unconverged forward series after 1 iterations" in str(out[0])
+        table = {}
+        inverse._solve(table, "sin", PQParams(p, q), [1.5], "sin")
+        assert isinstance(table[1.5], ComputationError) and table[1.5].partial == 1.0
+        assert "stopped on an unconverged forward series after 1 iterations" in str(table[1.5])
 
     def test_root_beyond_the_largest_float_fails_fast(self):
         # q/p near 1 and y next to m_star put the root near e**21000; the
@@ -299,6 +299,20 @@ def test_nan_is_a_domain_error(solve):
         solve(PQParams(2.0, 3.0), math.nan)
 
 
+@pytest.mark.parametrize("p,q", [(1.5, 1.2486629536330718e16),
+                                 (1.018272186166234, 3.052930388671308e17)])
+def test_the_half_branch_value_goes_to_the_top_solve(backend, p, q):
+    # 2**(-1/q) rounds to 1.0 here, so the half-branch value is 1.0 and
+    # half_pi_pq the float above it: as a sin target, y = 1.0 put the
+    # series at x = 1, where sin_pq raised and cos_pq leaked a ValueError
+    pq = PQParams(p, q)
+    assert inverse._half_branch(p, q) == 1.0 < half_pi_pq(pq)
+    s, c = sin_pq(pq, 1.0), cos_pq(pq, 1.0)
+    assert 0.0 < c < 1.0 and _roots("sincos", pq, [1.0]) == {1.0: (s, c)}
+    assert arcsin_pq(pq, s) == pytest.approx(1.0, abs=5e-14)
+    assert arccos_pq(pq, c) == pytest.approx(1.0, abs=5e-14)
+
+
 def _straddles(forward, s, y, slack, sign):
     """Whether floats a few ulps either side of s put forward(.) - y on both sides."""
     below, above = s, s
@@ -354,7 +368,9 @@ def test_one_target_roots_is_the_scalar_call(p, q, fn, data):
         st.just(math.nan),
     ), label="y")
     scalar = {"sin": sin_pq, "cos": cos_pq, "sinh": sinh_pq}[fn]
-    (got,) = _roots(fn, pq, [y])
+    table = _roots(fn, pq, [y])
+    assert list(table) == [y]
+    got = table[y]
     got = (type(got), str(got)) if isinstance(got, PQTrigError) else got
     assert repr(got) == repr(_outcome(scalar, pq, y))
 
@@ -363,13 +379,16 @@ def test_one_target_roots_is_the_scalar_call(p, q, fn, data):
                          ids=lambda pq: f"p{pq.p}-q{pq.q}")
 def test_block_roots_share_and_certify(pq):
     # one block over both halves of the branch, with repeats, endpoints and
-    # out-of-domain targets: each entry is what the scalar call gives or
-    # raises, to within the solve tolerance; sin and cos share one root
+    # out-of-domain targets: the table holds each distinct target once, and
+    # each entry is what the scalar call gives or raises, to within the
+    # solve tolerance; sin and cos share one root
     hp = half_pi_pq(pq)
     ys = [f * hp for f in frac_grid(25)] + [0.0, hp, 0.3 * hp, -1.0, 2.0 * hp]
     both = _roots("sincos", pq, ys)
     sin_block, cos_block = _roots("sin", pq, ys), _roots("cos", pq, ys)
-    for y, pair, s, c in zip(ys, both, sin_block, cos_block):
+    assert list(both) == list(sin_block) == list(cos_block) == list(dict.fromkeys(ys))
+    for y in ys:
+        pair, s, c = both[y], sin_block[y], cos_block[y]
         if isinstance(pair, PQTrigError):
             assert (type(pair), str(pair)) == _outcome(sin_pq, pq, y)
             assert (type(c), str(c)) == _outcome(cos_pq, pq, y)
