@@ -15,7 +15,6 @@ from ._backend import backend_name
 from .errors import DomainError, PQTrigError
 from .functions import PQParams, arccos_pq, arcsin_pq, arcsinh_pq, half_pi_pq, m_star_pq
 from .inequalities import (
-    CHECK_NAMES,
     CHECKS,
     GridAxis,
     SweepReport,
@@ -62,6 +61,16 @@ def _json(obj, sort_keys: bool = True) -> str:
     return json.dumps(obj, indent=2, sort_keys=sort_keys)
 
 
+def _checked(make, *args, **kwargs):
+    """``make(*args, **kwargs)`` for PQParams, GridAxis, run_sweep or
+    counterexample_search, each of which raises DomainError only for a bad
+    argument and before it computes anything: that is a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except DomainError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _parse_range(text: str, name: str) -> GridAxis:
     parts = text.split(":")
     if len(parts) != 3:
@@ -70,30 +79,16 @@ def _parse_range(text: str, name: str) -> GridAxis:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise UsageError(f"bad --{name}-range {text!r}: {exc}") from None
-    if lo > hi:
-        raise UsageError(f"--{name}-range has lo > hi: {text!r}")
-    if n < 1:
-        raise UsageError(f"--{name}-range needs n >= 1: {text!r}")
-    try:
-        return GridAxis(name, lo, hi, n)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _require_params(p: float, q: float) -> None:
-    for name, value in (("p", p), ("q", q)):
-        if not (1.0 < value < math.inf):
-            raise UsageError(f"{name} must exceed 1 and be finite, got {value!r}")
-
-
-def _require_order(order: float) -> None:
-    if not math.isfinite(order):
-        raise UsageError(f"--order must be a finite number, got {order!r}")
+    return _checked(GridAxis, name, lo, hi, n)
 
 
 def _emit(text: str, ns: argparse.Namespace) -> None:
     if ns.output:
-        with open(ns.output, "w") as fh:
+        try:
+            fh = open(ns.output, "w")
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {ns.output!r}: {exc.strerror}") from None
+        with fh:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
@@ -192,8 +187,7 @@ def _emit_report(report: SweepReport, ns: argparse.Namespace) -> int:
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    _require_params(ns.p, ns.q)
-    pq, fn = PQParams(ns.p, ns.q), _EVAL_FNS[ns.fn]
+    pq, fn = _checked(PQParams, ns.p, ns.q), _EVAL_FNS[ns.fn]
     rows = [(x, fn(pq, x)) for x in ns.x]
     if ns.format == "csv":
         _emit("\n".join(["x,value"] + [f"{_fmt12(x)},{_fmt12(v)}" for x, v in rows]), ns)
@@ -205,8 +199,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 
 def cmd_constants(ns: argparse.Namespace) -> int:
-    _require_params(ns.p, ns.q)
-    pq = PQParams(ns.p, ns.q)
+    pq = _checked(PQParams, ns.p, ns.q)
     hp = half_pi_pq(pq)
     ms = m_star_pq(pq)
     ms_text = _fmt12(ms.value) if ms.is_finite else "inf"
@@ -226,41 +219,23 @@ def cmd_constants(ns: argparse.Namespace) -> int:
 def cmd_check(ns: argparse.Namespace) -> int:
     """``verify`` (one (p, q) point) and ``sweep`` (p and q ranges)."""
     if ns.command == "verify":
-        _require_params(ns.p, ns.q)
-        pq_axes = [GridAxis("p", ns.p, ns.p, 1), GridAxis("q", ns.q, ns.q, 1)]
+        pq = _checked(PQParams, ns.p, ns.q)  # first, so a bad p or q gets PQParams' message
+        pq_axes = [GridAxis("p", pq.p, pq.p, 1), GridAxis("q", pq.q, pq.q, 1)]
     else:
         pq_axes = [_parse_range(ns.p_range, "p"), _parse_range(ns.q_range, "q")]
-        _require_params(pq_axes[0].lo, pq_axes[1].lo)
-    check = CHECKS.get(ns.check)
-    if check is None:
-        raise UsageError(
-            f"unknown check {ns.check!r}; expected one of {', '.join(CHECK_NAMES)}"
-        )
-    if check.needs_order and ns.order is None:
-        raise UsageError(f"check {ns.check!r} requires --order")
-    if ns.order is not None:
-        _require_order(ns.order)
     if ns.grid < 2:
         raise UsageError("--grid must be at least 2")
-    if ns.grid < check.min_grid:
-        raise UsageError(f"check {ns.check!r} needs --grid of at least {check.min_grid}")
-    if ns.tol is not None and not (0.0 <= ns.tol < math.inf):
-        raise UsageError(f"--tol must be a finite number >= 0, got {ns.tol!r}")
-    if not (0.0 < ns.x_max < math.inf):
-        raise UsageError(f"--x-max must be finite and positive, got {ns.x_max!r}")
-    axes = pq_axes + [GridAxis(name, 0.01, 0.99, ns.grid) for name in check.axes]
-    report = run_sweep(ns.check, axes, order=ns.order, tolerance=ns.tol, x_max=ns.x_max)
+    # an unknown check gets no inner axes, and run_sweep names it
+    inner = CHECKS[ns.check].axes if ns.check in CHECKS else ()
+    axes = pq_axes + [GridAxis(name, 0.01, 0.99, ns.grid) for name in inner]
+    report = _checked(run_sweep, ns.check, axes, order=ns.order, tolerance=ns.tol,
+                      x_max=ns.x_max)
     return _emit_report(report, ns)
 
 
 def cmd_counterexample(ns: argparse.Namespace) -> int:
-    _require_params(ns.p, ns.q)
-    _require_order(ns.order)
-    if ns.order <= 0.0:
-        raise UsageError("counterexample search needs --order > 0")
-    if ns.budget < 100:
-        raise UsageError("--budget must be at least 100")
-    result = counterexample_search(PQParams(ns.p, ns.q), ns.order, ns.budget)
+    pq = _checked(PQParams, ns.p, ns.q)
+    result = _checked(counterexample_search, pq, ns.order, ns.budget)
     rows = [("violating", result.violating), ("satisfying", result.satisfying)]
     if ns.format == "csv":
         lines = [CSV_HEADER]
@@ -358,7 +333,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return ns.run(ns)
-    except UsageError as exc:  # raised before a command computes anything
+    except UsageError as exc:  # an argument, found before computing, or an unwritable --output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PQTrigError as exc:

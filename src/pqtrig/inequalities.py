@@ -55,7 +55,7 @@ from ._records import Validated, count, holder_order, real
 from .errors import ComputationError, DomainError, PQTrigError
 from .functions import PQParams, arcsin_pq, arcsinh_pq, half_pi_pq, m_star_pq
 from .inverse import _roots
-from .means import holder_mean
+from .means import _holder_mean
 
 DEFAULT_TOL_ABS = 1e-9
 DEFAULT_TOL_REL = 1e-9
@@ -148,10 +148,11 @@ class GridAxis(Validated, _AxisFields):
             raise DomainError(f"axis {self.name!r} has n > 1 but zero width")
 
     def values(self) -> list[float]:
+        """The ``n`` values, the first ``lo`` and the last ``hi`` exactly."""
         if self.n == 1:
             return [self.lo]
-        span = self.hi - self.lo
-        return [self.lo + span * i / (self.n - 1) for i in range(self.n)]
+        span, last = self.hi - self.lo, self.n - 1
+        return [self.lo + span * i / last for i in range(last)] + [self.hi]
 
 
 class SweepError(NamedTuple):
@@ -314,7 +315,7 @@ def _mean_cell(check, pq, pts, ordv, tolerance) -> list:
             raise DomainError(f"{check} needs r, s in (0, {top}), got {r!r}, {s!r}")
         lhs = value(_gmean(r, s))
         if gm:
-            rhs = holder_mean(ordv, value(r), value(s))
+            rhs = _holder_mean(ordv, value(r), value(s))  # roots of r, s > 0 are positive
         else:
             rhs = _gmean(value(r), value(s))
         margin = rhs - lhs if fn == "sinh" else lhs - rhs
@@ -570,7 +571,7 @@ def counterexample_search(
         # claim: arcsin_pq(H_ord(x, y)) <= sqrt(arcsin_pq(x) arcsin_pq(y))
         nonlocal evals
         evals += 1
-        lhs = arcsin(holder_mean(ordv, x, y))
+        lhs = arcsin(_holder_mean(ordv, x, y))
         rhs = math.sqrt(arcsin(x) * arcsin(y))
         return lhs, rhs, rhs - lhs
 
@@ -696,14 +697,17 @@ def run_sweep(
     argument axes expressed as domain fractions (see :class:`GridAxis`);
     ``x_max``, finite and positive, is the domain of fstar-monotone; a
     ``tolerance`` given must be a finite number >= 0, and an ``order``
-    a finite float.  The unit of work is one (p, q) cell: its inverse
-    values come from one batched solve per function over the cell's
-    unique targets, and its verdicts are built from those roots, each
-    the verdict of the scalar check at its point.  Verdicts are reported
-    in row-major grid order; with ``threads > 1`` the cells are computed
-    concurrently, one task each, and merged back in order.  Per-point evaluation failures
-    (:class:`PQTrigError`) are recorded in the report rather than raised;
-    any other exception propagates.
+    a finite float; the report records the order only for a check that
+    needs one.  Each argument is checked before anything is computed,
+    and a bad one raises :class:`DomainError`.  The unit of work is one
+    (p, q) cell: its inverse values come from one batched solve per
+    function over the cell's unique targets, and its verdicts are built
+    from those roots, each the verdict of the scalar check at its point.
+    Verdicts are reported in row-major grid order; with ``threads > 1``
+    the cells are computed concurrently, one task each, and merged back
+    in order.  Per-point evaluation failures (:class:`PQTrigError`) are
+    recorded in the report rather than raised; any other exception
+    propagates.
     """
     axes = tuple(axes)
     if not axes:
@@ -724,7 +728,9 @@ def run_sweep(
         if ax.n < entry.min_grid:
             raise DomainError(f"grid_n must be at least {entry.min_grid}")
     ordv = None if order is None else holder_order(order)
-    if entry.needs_order and ordv is None:
+    if not entry.needs_order:
+        ordv = None  # checked, but none of this check's verdicts uses it
+    elif ordv is None:
         raise DomainError(f"{check} requires a Hölder order")
     _check_tolerance(tolerance)
     if not (0.0 < real(x_max, "x_max") < math.inf):

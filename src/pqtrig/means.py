@@ -26,6 +26,12 @@ def holder_mean(order: float, a: float, b: float) -> float:
     a, b = real(a, "holder_mean's a"), real(b, "holder_mean's b")
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"holder_mean needs positive arguments, got {a!r}, {b!r}")
+    return _holder_mean(r, a, b)
+
+
+def _holder_mean(r: float, a: float, b: float) -> float:
+    """:func:`holder_mean` without its checks, for callers that have made
+    them: ``r`` a finite float, ``a`` and ``b`` positive floats."""
     if a == b:
         return a
     if abs(r) < _ZERO_BAND:

@@ -69,7 +69,7 @@ class TestEval:
     (["verify", "--check", "gm-sin", "--order", "-1e-3", "--p", "2", "--q", "3", "--grid", "3"],
      0, ""),
     (["verify", "--check", "lemma21", "--p", "2", "--q", "3", "--grid", "3", "--tol", "-1e-3"],
-     2, "error: --tol must be a finite number >= 0, got -0.001\n"),
+     2, "error: tolerance must be a finite number >= 0, got -0.001\n"),
 ])
 def test_negative_numbers_are_values_as_separate_words(capsys, argv, code, err):
     # argparse took -inf and -1e-3 for options and exited 2 before any
@@ -93,7 +93,7 @@ class TestConstants:
     def test_rejects_p_below_one(self, capsys):
         code, _, err = run(capsys, "constants", "--p", "0.9", "--q", "2")
         assert code == 2
-        assert "p must exceed 1" in err
+        assert "p must be a finite real exceeding 1" in err
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "constants", "--p", "2", "--q", "2", "--format", "json")
@@ -131,7 +131,7 @@ class TestVerify:
     def test_gm_needs_order(self, capsys):
         code, _, err = run(capsys, "verify", "--check", "gm-sin", "--p", "2", "--q", "2")
         assert code == 2
-        assert "--order" in err
+        assert "requires a Hölder order" in err
 
     def test_probe_verify(self, capsys):
         code, out, _ = run(
@@ -150,7 +150,7 @@ class TestVerify:
             capsys, command, "--check", check, "--order", "0", *where, "--grid", "4",
         )
         assert code == 2
-        assert "--grid of at least 10" in err
+        assert "grid_n must be at least 10" in err
         assert out == ""
 
 
@@ -163,12 +163,12 @@ PROBES = [name for name, check in CHECKS.items() if check.min_grid == 10]
 
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 @pytest.mark.parametrize("option,value,rule", [
-    ("--tol", "nan", "a finite number >= 0"),
-    ("--tol", "-1", "a finite number >= 0"),
-    ("--tol", "inf", "a finite number >= 0"),
-    ("--x-max", "inf", "finite and positive"),
-    ("--x-max", "nan", "finite and positive"),
-    ("--x-max", "0", "finite and positive"),
+    ("--tol", "nan", "tolerance must be a finite number >= 0"),
+    ("--tol", "-1", "tolerance must be a finite number >= 0"),
+    ("--tol", "inf", "tolerance must be a finite number >= 0"),
+    ("--x-max", "inf", "x_max must be finite and positive"),
+    ("--x-max", "nan", "x_max must be finite and positive"),
+    ("--x-max", "0", "x_max must be finite and positive"),
 ])
 def test_bad_tolerance_or_x_max_is_a_usage_error(capsys, command, option, value, rule):
     # a nan or negative --tol used to list every point of a proven lemma as
@@ -177,31 +177,31 @@ def test_bad_tolerance_or_x_max_is_a_usage_error(capsys, command, option, value,
                          f"{option}={value}")
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {option} must be {rule}, got ")
+    assert err.startswith(f"error: {rule}, got ")
 
 
 @pytest.mark.parametrize("argv,rule", [
-    (["constants", "--p", "nan", "--q", "2"], "p must exceed 1 and be finite, got nan"),
-    (["constants", "--p", "inf", "--q", "2"], "p must exceed 1 and be finite, got inf"),
-    (["constants", "--p", "2", "--q", "nan"], "q must exceed 1 and be finite, got nan"),
+    (["constants", "--p", "nan", "--q", "2"], "p must be a finite real exceeding 1, got nan"),
+    (["constants", "--p", "inf", "--q", "2"], "p must be a finite real exceeding 1, got inf"),
+    (["constants", "--p", "2", "--q", "nan"], "q must be a finite real exceeding 1, got nan"),
     (["eval", "--fn", "sin", "--p", "nan", "--q", "2", "--x", "0.5"],
-     "p must exceed 1 and be finite, got nan"),
+     "p must be a finite real exceeding 1, got nan"),
     (["verify", "--check", "lemma21", "--p", "inf", "--q", "2", "--grid", "3"],
-     "p must exceed 1 and be finite, got inf"),
+     "p must be a finite real exceeding 1, got inf"),
     (["verify", "--check", "f-monotone", "--order", "nan", "--p", "2", "--q", "3",
-      "--grid", "10"], "--order must be a finite number, got nan"),
+      "--grid", "10"], "Hölder order must be a finite real, got nan"),
     (["verify", "--check", "fstar-monotone", "--order", "nan", "--p", "2", "--q", "3",
-      "--grid", "10"], "--order must be a finite number, got nan"),
+      "--grid", "10"], "Hölder order must be a finite real, got nan"),
     (["verify", "--check", "gm-sin", "--order", "nan", "--p", "2", "--q", "3", "--grid", "3"],
-     "--order must be a finite number, got nan"),
+     "Hölder order must be a finite real, got nan"),
     (["verify", "--check", "lemma21", "--order", "inf", "--p", "2", "--q", "3", "--grid", "3"],
-     "--order must be a finite number, got inf"),
+     "Hölder order must be a finite real, got inf"),
     (["sweep", "--check", "gm-sinh", "--order", "-inf", "--p-range", "1.5:2:2",
-      "--q-range", "2:3:2", "--grid", "3"], "--order must be a finite number, got -inf"),
+      "--q-range", "2:3:2", "--grid", "3"], "Hölder order must be a finite real, got -inf"),
     (["counterexample", "--order", "nan", "--p", "2", "--q", "2"],
-     "--order must be a finite number, got nan"),
+     "Hölder order must be a finite real, got nan"),
     (["counterexample", "--order", "inf", "--p", "2", "--q", "2"],
-     "--order must be a finite number, got inf"),
+     "Hölder order must be a finite real, got inf"),
 ])
 def test_a_parameter_or_order_that_is_not_finite_is_a_usage_error(capsys, argv, rule):
     # each exited 1: nan and inf passed `p <= 1`, and a nan order made the
@@ -219,7 +219,7 @@ def test_registry_marks_the_order_and_grid_checks():
 def test_check_needing_an_order_is_a_usage_error_without_one(capsys, command, check):
     code, out, err = run(capsys, command, "--check", check, *WHERE[command], "--grid", "10")
     assert code == 2
-    assert err == f"error: check {check!r} requires --order\n"
+    assert err == f"error: {check} requires a Hölder order\n"
     assert out == ""
 
 
@@ -238,7 +238,7 @@ def test_probe_at_grid_nine_is_a_usage_error(capsys, command, check):
     code, out, err = run(capsys, command, "--check", check, "--order", "0",
                          *WHERE[command], "--grid", "9")
     assert code == 2
-    assert err == f"error: check {check!r} needs --grid of at least 10\n"
+    assert err == "error: grid_n must be at least 10\n"
     assert out == ""
 
 
@@ -352,6 +352,95 @@ def test_far_out_probe_prints_no_traceback():
     )
     assert "Traceback" not in proc.stderr
     assert proc.returncode in (0, 1)
+
+
+def test_a_report_names_no_order_its_check_did_not_use(capsys):
+    # lemma21 takes no order: the report said "check: lemma21 (order=0.5)"
+    code, out, err = run(capsys, "verify", "--check", "lemma21", "--p", "2", "--q", "3",
+                         "--grid", "3", "--order", "0.5")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "check: lemma21"
+
+
+@pytest.mark.parametrize("parts", [("missing", "out.txt"), ()])
+def test_an_output_path_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, parts):
+    # a missing directory or a directory raised FileNotFoundError or
+    # IsADirectoryError out of main, with a traceback
+    target = str(tmp_path.joinpath(*parts))
+    code, out, err = run(capsys, "constants", "--p", "2", "--q", "3", "--output", target)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write --output {target!r}: ")
+
+
+# every argv of this module's usage-error tests, and a few for the rules the
+# CLI keeps itself (--grid >= 2 and the lo:hi:n form of a range)
+USAGE_ARGVS = [
+    ["verify", "--check", "lemma21", "--p", "2", "--q", "3", "--grid", "3", "--tol", "-1e-3"],
+    ["constants", "--p", "0.9", "--q", "2"],
+    ["verify", "--check", "nope", "--p", "2", "--q", "2"],
+    ["verify", "--check", "gm-sin", "--p", "2", "--q", "2"],
+    *([command, "--check", check, "--order", "0", *WHERE[command], "--grid", grid]
+      for command in WHERE for check in PROBES for grid in ("4", "9")),
+    *([command, "--check", "lemma21", *WHERE[command], "--grid", "3", f"{option}={value}"]
+      for command in WHERE for option, value in (("--tol", "nan"), ("--tol", "-1"),
+                                                 ("--tol", "inf"), ("--x-max", "inf"),
+                                                 ("--x-max", "nan"), ("--x-max", "0"))),
+    ["constants", "--p", "nan", "--q", "2"],
+    ["constants", "--p", "inf", "--q", "2"],
+    ["constants", "--p", "2", "--q", "nan"],
+    ["eval", "--fn", "sin", "--p", "nan", "--q", "2", "--x", "0.5"],
+    ["verify", "--check", "lemma21", "--p", "inf", "--q", "2", "--grid", "3"],
+    ["verify", "--check", "f-monotone", "--order", "nan", "--p", "2", "--q", "3", "--grid", "10"],
+    ["verify", "--check", "fstar-monotone", "--order", "nan", "--p", "2", "--q", "3",
+     "--grid", "10"],
+    ["verify", "--check", "gm-sin", "--order", "nan", "--p", "2", "--q", "3", "--grid", "3"],
+    ["verify", "--check", "lemma21", "--order", "inf", "--p", "2", "--q", "3", "--grid", "3"],
+    ["sweep", "--check", "gm-sinh", "--order", "-inf", "--p-range", "1.5:2:2",
+     "--q-range", "2:3:2", "--grid", "3"],
+    ["counterexample", "--order", "nan", "--p", "2", "--q", "2"],
+    ["counterexample", "--order", "inf", "--p", "2", "--q", "2"],
+    *([command, "--check", check, *WHERE[command], "--grid", "10"]
+      for command in WHERE for check in NEEDS_ORDER),
+    ["sweep", "--check", "lemma21", "--p-range", "5:1.25:3", "--q-range", "2:3:2"],
+    ["counterexample", "--order", "-1", "--p", "2", "--q", "2"],
+    ["counterexample", "--order", "1", "--p", "2", "--q", "2", "--budget", "99"],
+    ["eval", "--fn", "arcsin", "--p", "0.5", "--q", "2", "--x", "0.5"],
+    ["sweep", "--check", "thm11-sinh", "--p-range", "0.5:2:2", "--q-range", "2:3:2"],
+    ["sweep", "--check", "thm11-sinh", "--p-range", "1.5:2", "--q-range", "2:3:2"],
+    ["sweep", "--check", "thm11-sinh", "--p-range", "1.5:2:0", "--q-range", "2:3:2"],
+    ["verify", "--check", "thm11-sin", "--p", "2", "--q", "3", "--grid", "1"],
+    ["verify", "--check", "lemma23", "--p", "2", "--q", "3", "--grid", "0"],
+]
+
+
+class _NoKernels:
+    """A kernel module whose every function fails the test that calls it."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        def call(*args):
+            self.calls.append(name)
+            raise AssertionError(f"kernels.{name} called before the usage error")
+
+        return call
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGVS, ids=" ".join)
+def test_a_usage_error_is_found_before_any_computation(capsys, monkeypatch, argv):
+    # the CLI reads every DomainError of PQParams, GridAxis, run_sweep and
+    # counterexample_search as a usage error, which holds only while they
+    # raise it before the first kernel call
+    from pqtrig import functions, inverse
+
+    kernels = _NoKernels()
+    monkeypatch.setattr(functions, "kernels", kernels)
+    monkeypatch.setattr(inverse, "kernels", kernels)
+    for cached in (functions._half_pi, functions._m_star, inverse._half_branch):
+        cached.cache_clear()  # a cached constant would hide its kernel call
+    assert run(capsys, *argv)[:2] == (2, "")
+    assert kernels.calls == []
 
 
 # ---------------------------------------------------------------------------

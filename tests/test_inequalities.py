@@ -317,6 +317,16 @@ class TestDoubleAngleCheck:
             double_angle_margin(pq, 2.0)
 
 
+@pytest.mark.parametrize("lo,hi", [(0.01, 0.99), (0.05, 1.0), (1.25, 5.0), (-3.0, 7.1)])
+def test_grid_axis_values_run_from_lo_to_hi_exactly(lo, hi):
+    # lo + (hi - lo) * (n - 1) / (n - 1) can round below hi:
+    # GridAxis("s", 0.05, 1.0, 7) ended at 0.9999999999999999
+    for n in range(2, 60):
+        values = GridAxis("x", lo, hi, n).values()
+        assert (len(values), values[0], values[-1]) == (n, lo, hi)
+        assert values == sorted(values)
+
+
 class TestRunSweep:
     def test_empty_axes_rejected(self):
         with pytest.raises(DomainError):
@@ -425,6 +435,15 @@ class TestRunSweep:
                     GridAxis("s", 0.01, 0.99, 3),
                 ],
             )
+
+    def test_order_is_checked_for_every_check_and_recorded_where_used(self):
+        inner = [GridAxis("r", 0.1, 0.9, 3), GridAxis("s", 0.1, 0.9, 3)]
+        axes = [GridAxis("p", 2.0, 2.0, 1), GridAxis("q", 3.0, 3.0, 1)]
+        assert run_sweep("thm11-sin", axes + inner, order=0.5).order is None
+        assert run_sweep("lemma23", axes, order=0.5).order is None
+        assert run_sweep("gm-sin", axes + inner, order=0.5).order == 0.5
+        with pytest.raises(DomainError):
+            run_sweep("lemma23", axes, order=math.nan)
 
     def test_probe_sweep(self, classic):
         report = run_sweep(
