@@ -37,25 +37,33 @@ for the probes each pair (x_lo, x_hi) of neighbouring values), the scale
 of the axes' fractions, whether it needs a Hölder order, and its fewest
 grid values.  ``run_sweep`` and the CLI read all of these from it.
 
-A sweep's unit of work is one (p, q) cell.  Its inverse values come from
-one ``inverse._roots`` block per function, over the unique targets of
-all the cell's points, and its verdicts are built from those roots; no
-value is cached between calls.  Each check's formula is written once, in
-its cell evaluator: the scalar checks are one-point cells, and the
-monotonicity probes are one-cell sweeps.  A root depends only on
-(p, q, y), so every verdict of a sweep equals the scalar check at its
-point, bit for bit.
+A sweep's unit of work is one (p, q) cell, which its check's cell
+evaluator computes in columns, in one pass: one domain test over the
+cell's points; one table of values over their distinct arguments, from
+one ``inverse._roots`` block per inverse function or one forward call
+per argument; then the columns of lhs, rhs, margin, tolerance and
+satisfied, and one verdict per row.  A point outside the domain, one
+that reads a failed value and one whose formula fails each get an error
+instead of a verdict; the cell returns its verdicts in point order and
+its errors with their positions, so the sweep gives each error its
+row-major index.  No value is cached between calls.  Each check's
+formula is written once, in its cell evaluator: the scalar checks are
+one-point cells, and the monotonicity probes are one-cell sweeps.  A
+value depends only on (p, q) and its argument, so every verdict and
+error of a sweep equals the scalar check's at its point, bit for bit.
 """
 
 import math
 from functools import partial
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from itertools import repeat
+from operator import itemgetter
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from ._records import Validated, count, holder_order, real
 from .errors import ComputationError, DomainError, PQTrigError
 from .functions import PQParams, arcsin_pq, arcsinh_pq, half_pi_pq, m_star_pq
 from .inverse import _roots
-from .means import _holder_mean
+from .means import _holder_mean, _holder_means
 
 DEFAULT_TOL_ABS = 1e-9
 DEFAULT_TOL_REL = 1e-9
@@ -73,26 +81,20 @@ def _softplus(a: float) -> float:
     return math.log1p(math.exp(a))
 
 
-def _gmean(a: float, b: float) -> float:
-    """sqrt(a b); as sqrt(a) sqrt(b) where a b overflows or leaves the normal range."""
-    ab = a * b
-    if 2.2250738585072014e-308 <= ab < math.inf:
-        return math.sqrt(ab)
-    return math.sqrt(a) * math.sqrt(b)
+def _gmeans(a_col, b_col) -> list[float]:
+    """sqrt(a b) for each pair; as sqrt(a) sqrt(b) where a b overflows or
+    leaves the normal range."""
+    sqrt, tiny, inf = math.sqrt, 2.2250738585072014e-308, math.inf
+    return [sqrt(ab) if tiny <= (ab := a * b) < inf else sqrt(a) * sqrt(b)
+            for a, b in zip(a_col, b_col)]
 
 
-def _exp(a: float, what: str) -> float:
-    """e**a, or ComputationError where it overflows a float."""
+def _exp(a: float, name: str, x: float) -> float:
+    """e**a, or ComputationError, naming ``name`` at ``x``, where it
+    overflows a float."""
     if a > _LN_MAX:
-        raise ComputationError(f"{what} overflows a float (its natural log is {a:.6g})")
+        raise ComputationError(f"{name} at x={x!r} overflows a float (its natural log is {a:.6g})")
     return math.exp(a)
-
-
-def default_tolerance(rhs: float) -> float:
-    """Satisfaction tolerance for one inequality instance."""
-    if math.isinf(rhs):
-        return DEFAULT_TOL_ABS
-    return DEFAULT_TOL_ABS + DEFAULT_TOL_REL * abs(rhs)
 
 
 class InequalityVerdict(NamedTuple):
@@ -111,14 +113,23 @@ class InequalityVerdict(NamedTuple):
 
     @classmethod
     def make(cls, lhs, rhs, margin, at, tolerance=None) -> "InequalityVerdict":
-        return _verdict(lhs, rhs, margin, dict(at), tolerance)
+        return _verdicts([lhs], [rhs], [margin], [dict(at)], tolerance)[0]
 
 
-def _verdict(lhs, rhs, margin, at, tolerance) -> InequalityVerdict:
-    """:meth:`InequalityVerdict.make` without its copy of ``at``, for the
-    callers here, which build a fresh dict for each verdict."""
-    tol = default_tolerance(rhs) if tolerance is None else tolerance
-    return InequalityVerdict(lhs, rhs, margin, tol, margin >= -tol, at)
+_new_verdict = partial(tuple.__new__, InequalityVerdict)  # from a tuple of its six fields
+
+
+def _verdicts(lhs, rhs, margin, ats, tolerance) -> list[InequalityVerdict]:
+    """One verdict per row of the columns lhs, rhs, margin and ``ats``,
+    whose every row is a fresh dict; its tolerance is ``tolerance`` where
+    one is given, else the default for its rhs."""
+    if tolerance is None:
+        tol_abs, tol_rel, inf = DEFAULT_TOL_ABS, DEFAULT_TOL_REL, math.inf
+        tols = [tol_abs if h == inf else tol_abs + tol_rel * h for h in map(abs, rhs)]
+    else:
+        tols = [tolerance] * len(rhs)
+    satisfied = [m >= -tol for m, tol in zip(margin, tols)]
+    return list(map(_new_verdict, zip(lhs, rhs, margin, tols, satisfied, ats)))
 
 
 class _AxisFields(NamedTuple):
@@ -196,19 +207,13 @@ class SweepReport:
 # ---------------------------------------------------------------------------
 # cell evaluators: one check on one (p, q) cell at a list of argument tuples
 #
-# Each returns, per argument tuple, its InequalityVerdict or the PQTrigError
-# its evaluation raised.  The inverse values of a cell come from one
-# ``_roots`` call per function; the scalar checks are one-point cells.
-
-def _each(pts, verdict) -> list:
-    out = []
-    for pt in pts:
-        try:
-            out.append(verdict(*pt))
-        except PQTrigError as exc:  # recorded, not fatal; anything else is a bug
-            out.append(exc)
-    return out
-
+# Each is one pass over the cell in columns: a domain test over the points,
+# one table of values over their distinct arguments (one ``_roots`` call
+# per inverse function), then the columns of lhs, rhs and margin.  Each
+# returns its verdicts, in point order, and its errors as (position,
+# PQTrigError) pairs: a point out of the domain, or one that reads a
+# failed value or whose formula fails, has an error and no verdict.  The
+# scalar checks are one-point cells.
 
 def _check_tolerance(tolerance: Optional[float]) -> None:
     if tolerance is not None and not (0.0 <= real(tolerance, "tolerance") < math.inf):
@@ -220,130 +225,158 @@ def _scalar(check, pq, pt, ordv, tolerance) -> InequalityVerdict:
     entry = CHECKS[check]
     pt = tuple(real(v, f"{check}'s {name}") for name, v in zip(entry.args, pt))
     _check_tolerance(tolerance)
-    value = entry.cell(pq, [pt], ordv, tolerance)[0]
-    if isinstance(value, PQTrigError):
-        raise value
-    return value
+    verdicts, errors = entry.cell(pq, [pt], ordv, tolerance)
+    if errors:
+        raise errors[0][1]
+    return verdicts[0]
 
 
-def _lookup(table: dict) -> Callable[[float], float]:
-    """y -> table[y], raising the error recorded for it."""
-
-    def value(y):
-        v = table[y]
-        if isinstance(v, PQTrigError):
-            raise v.with_traceback(None)
-        return v
-
-    return value
+def _domain(pts, inside, error) -> tuple[list, Sequence[int], list]:
+    """(the points whose ``inside`` is true, their positions, and the
+    errors list, holding (position, error(*point)) for every other point)."""
+    if all(inside):
+        return pts, range(len(pts)), []
+    pos = [i for i, ok in enumerate(inside) if ok]
+    errors = [(i, error(*pts[i])) for i, ok in enumerate(inside) if not ok]
+    return [pts[i] for i in pos], pos, errors
 
 
-def _lemma21_cell(pq, pts, ordv, tolerance) -> list:
+def _table(fn, xs) -> dict:
+    """{x: fn(x) or the PQTrigError it raises} over the distinct ``xs``."""
+    table = dict.fromkeys(xs)
+    for x in table:
+        try:
+            table[x] = fn(x)
+        except PQTrigError as exc:  # recorded, not fatal; anything else is a bug
+            table[x] = exc
+    return table
+
+
+def _solved(table, errors, pos, keys) -> tuple[Sequence[int], tuple]:
+    """(pos, keys) without the points that read a failed entry of ``table``.
+
+    ``keys`` holds, in the order a point reads them, the columns of its
+    table keys; a dropped point is added to ``errors`` at its position
+    with the error of the first failed entry it reads.
+    """
+    if not any(map(isinstance, table.values(), repeat(PQTrigError))):
+        return pos, keys
+    kept = []
+    for k, row in enumerate(zip(*keys)):
+        failed = [table[y] for y in row if isinstance(table[y], PQTrigError)]
+        if failed:
+            errors.append((pos[k], failed[0]))
+        else:
+            kept.append(k)
+    return [pos[k] for k in kept], tuple([col[k] for k in kept] for col in keys)
+
+
+def _lemma21_cell(pq, pts, ordv, tolerance) -> tuple[list, list]:
     p, q = pq.p, pq.q
-
-    def verdict(x):
-        if not (0.0 < x < 1.0):
-            raise DomainError(f"lemma21 needs x in (0, 1), got {x!r}")
-        lhs = arcsin_pq(pq, x)
+    pts, pos, errors = _domain(pts, [0.0 < x < 1.0 for (x,) in pts],
+                               lambda x: DomainError(f"lemma21 needs x in (0, 1), got {x!r}"))
+    xs = [x for (x,) in pts]
+    table = _table(partial(arcsin_pq, pq), xs)
+    pos, (xs,) = _solved(table, errors, pos, (xs,))
+    rhs = []
+    for x in xs:
         xq = math.pow(x, q)
-        rhs = p * x * math.pow(1.0 - xq, 1.0 - 1.0 / p) / ((q - p) * xq + p)
-        return _verdict(lhs, rhs, lhs - rhs, {"p": p, "q": q, "x": x}, tolerance)
+        rhs.append(p * x * math.pow(1.0 - xq, 1.0 - 1.0 / p) / ((q - p) * xq + p))
+    lhs = [table[x] for x in xs]
+    ats = [{"p": p, "q": q, "x": x} for x in xs]
+    return _verdicts(lhs, rhs, [lh - rh for lh, rh in zip(lhs, rhs)], ats, tolerance), errors
 
-    return _each(pts, verdict)
 
-
-def _lemma22_cell(pq, pts, ordv, tolerance) -> list:
+def _lemma22_cell(pq, pts, ordv, tolerance) -> tuple[list, list]:
     p, q = pq.p, pq.q
     x0 = math.pow(p / (q - p), 1.0 / q) if p < q else None
-
-    def verdict(x):
-        if not (x > 0.0 and math.isfinite(x)):
-            raise DomainError(f"lemma22 needs finite x > 0, got {x!r}")
-        lhs = x / arcsinh_pq(pq, x)
+    pts, pos, errors = _domain(pts, [x > 0.0 and math.isfinite(x) for (x,) in pts],
+                               lambda x: DomainError(f"lemma22 needs finite x > 0, got {x!r}"))
+    xs = [x for (x,) in pts]
+    table = _table(partial(arcsinh_pq, pq), xs)
+    pos, (xs,) = _solved(table, errors, pos, (xs,))
+    lhs, rhs, ats = [], [], []
+    for i, x in zip(pos, xs):
         t = q * math.log(x)  # ln x**q
         if t <= 0.0:
             xq = math.exp(t)
-            rhs = ((p - q) * xq + p) / (p * math.exp((1.0 - 1.0 / p) * math.log1p(xq)))
+            rh = ((p - q) * xq + p) / (p * math.exp((1.0 - 1.0 / p) * math.log1p(xq)))
         else:
             # x**q factored out: ((p - q) + p x**-q) x**q / (p (1 + x**q)**(1 - 1/p))
-            scale = _exp(t - (1.0 - 1.0 / p) * _softplus(t), f"lemma22 at x={x!r}")
-            rhs = ((p - q) + p * math.exp(-t)) * scale / p
+            try:
+                scale = _exp(t - (1.0 - 1.0 / p) * _softplus(t), "lemma22", x)
+            except ComputationError as exc:
+                errors.append((i, exc))
+                continue
+            rh = ((p - q) + p * math.exp(-t)) * scale / p
         at = {"p": p, "q": q, "x": x}
         if x0 is not None:
             at["x0"] = x0
             at["region"] = "below_x0" if x < x0 else ("above_x0" if x > x0 else "at_x0")
-        return _verdict(lhs, rhs, lhs - rhs, at, tolerance)
+        lhs.append(x / table[x])
+        rhs.append(rh)
+        ats.append(at)
+    return _verdicts(lhs, rhs, [lh - rh for lh, rh in zip(lhs, rhs)], ats, tolerance), errors
 
-    return _each(pts, verdict)
 
-
-def _lemma23_cell(pq, pts, ordv, tolerance) -> list:
-    def verdict():
+def _lemma23_cell(pq, pts, ordv, tolerance) -> tuple[list, list]:
+    try:
         ms = m_star_pq(pq)
-        at = {"p": pq.p, "q": pq.q, "m_star": ms.as_float()}
-        if not ms.is_finite:
-            return _verdict(math.inf, 1.0, math.inf, at, tolerance)
-        return _verdict(ms.value, 1.0, ms.value - 1.0, at, tolerance)
+    except PQTrigError as exc:
+        return [], [(i, exc) for i in range(len(pts))]
+    lhs, margin = (ms.value, ms.value - 1.0) if ms.is_finite else (math.inf, math.inf)
+    n = len(pts)
+    ats = [{"p": pq.p, "q": pq.q, "m_star": ms.as_float()} for _ in pts]
+    return _verdicts([lhs] * n, [1.0] * n, [margin] * n, ats, tolerance), []
 
-    return _each(pts, verdict)
 
-
-def _mean_cell(check, pq, pts, ordv, tolerance) -> list:
+def _mean_cell(check, pq, pts, ordv, tolerance) -> tuple[list, list]:
     """thm11-sin, thm11-sinh, gm-sin or gm-sinh: the function at the
     geometric mean of (r, s) against the mean of its values at r and s."""
     p, q = pq.p, pq.q
     if check.endswith("-sinh"):
         fn, ms = "sinh", m_star_pq(pq)
-        top = f"{ms.value:.12g}" if ms.is_finite else "inf"
-
-        def inside(r, s):
-            return r > 0.0 and s > 0.0 and (not ms.is_finite or (r < ms.value and s < ms.value))
+        hi = ms.value if ms.is_finite else math.inf
     else:
-        fn, hp = "sin", half_pi_pq(pq)
-        top = f"{hp:.12g}"
-
-        def inside(r, s):
-            return 0.0 < r < hp and 0.0 < s < hp
-
-    value = _lookup(_roots(fn, pq, [y for r, s in pts if inside(r, s)
-                                    for y in (_gmean(r, s), r, s)]))
-    gm = check.startswith("gm-")  # thm11 is the geometric mean, written as sqrt(a b)
-    base = {"p": p, "q": q, "order": ordv} if gm else {"p": p, "q": q}
-
-    def verdict(r, s):
-        if not inside(r, s):
-            raise DomainError(f"{check} needs r, s in (0, {top}), got {r!r}, {s!r}")
-        lhs = value(_gmean(r, s))
-        if gm:
-            rhs = _holder_mean(ordv, value(r), value(s))  # roots of r, s > 0 are positive
-        else:
-            rhs = _gmean(value(r), value(s))
-        margin = rhs - lhs if fn == "sinh" else lhs - rhs
-        return _verdict(lhs, rhs, margin, {**base, "r": r, "s": s}, tolerance)
-
-    return _each(pts, verdict)
+        fn, hi = "sin", half_pi_pq(pq)
+    pts, pos, errors = _domain(
+        pts, [0.0 < r < hi and 0.0 < s < hi for r, s in pts],
+        lambda r, s: DomainError(f"{check} needs r, s in (0, {hi:.12g}), got {r!r}, {s!r}"))
+    rs, ss = [r for r, _ in pts], [s for _, s in pts]
+    gs = _gmeans(rs, ss)
+    table = _roots(fn, pq, gs + rs + ss)
+    pos, (gs, rs, ss) = _solved(table, errors, pos, (gs, rs, ss))
+    lhs, a, b = (list(map(table.__getitem__, col)) for col in (gs, rs, ss))
+    if check.startswith("gm-"):
+        rhs = _holder_means(ordv, a, b)  # roots of r, s > 0 are positive
+        ats = [{"p": p, "q": q, "order": ordv, "r": r, "s": s} for r, s in zip(rs, ss)]
+    else:  # thm11 is the geometric mean, written as sqrt(a b)
+        rhs = _gmeans(a, b)
+        ats = [{"p": p, "q": q, "r": r, "s": s} for r, s in zip(rs, ss)]
+    if fn == "sinh":
+        margin = [rh - lh for lh, rh in zip(lhs, rhs)]
+    else:
+        margin = [lh - rh for lh, rh in zip(lhs, rhs)]
+    return _verdicts(lhs, rhs, margin, ats, tolerance), errors
 
 
-def _double_angle_cell(pq, pts, ordv, tolerance) -> list:
-    hp = half_pi_pq(pq)
-    tol = 1e-8 if tolerance is None else tolerance
+def _double_angle_cell(pq, pts, ordv, tolerance) -> tuple[list, list]:
+    half = 0.5 * half_pi_pq(pq)
+    pts, pos, errors = _domain(
+        pts, [0.0 < x < half for (x,) in pts],
+        lambda x: DomainError(f"double-angle needs x in (0, {half:.12g}), got {x!r}"))
+    xs = [x for (x,) in pts]
+    twice = [2.0 * x for x in xs]
     # sin_pq at x and 2x and cos_pq at x, from one block of shared roots
-    value = _lookup(_roots("sincos", pq,
-                           [y for (x,) in pts if 0.0 < x < 0.5 * hp for y in (2.0 * x, x)]))
-
-    def verdict(x):
-        if not (0.0 < x < 0.5 * hp):
-            raise DomainError(f"double-angle needs x in (0, {0.5 * hp:.12g}), got {x!r}")
-        lhs = value(2.0 * x)[0]
-        sx, cx = value(x)
-        rhs = 2.0 * sx * math.pow(cx, 1.0 / 3.0) / math.sqrt(
-            1.0 + 4.0 * sx**4 * math.pow(cx, 4.0 / 3.0)
-        )
-        return _verdict(
-            lhs, rhs, -abs(lhs - rhs), {"p": pq.p, "q": pq.q, "x": x}, tol
-        )
-
-    return _each(pts, verdict)
+    table = _roots("sincos", pq, twice + xs)
+    pos, (twice, xs) = _solved(table, errors, pos, (twice, xs))
+    lhs = [table[y][0] for y in twice]
+    rhs = [2.0 * sx * math.pow(cx, 1.0 / 3.0)
+           / math.sqrt(1.0 + 4.0 * sx**4 * math.pow(cx, 4.0 / 3.0))
+           for sx, cx in map(table.__getitem__, xs)]
+    ats = [{"p": pq.p, "q": pq.q, "x": x} for x in xs]
+    margin = [-abs(lh - rh) for lh, rh in zip(lhs, rhs)]
+    return _verdicts(lhs, rhs, margin, ats, 1e-8 if tolerance is None else tolerance), errors
 
 
 # ---------------------------------------------------------------------------
@@ -450,38 +483,47 @@ def Gstar_fn(pq: PQParams, x: float) -> float:
 
 def F_fn(pq: PQParams, order: float, x: float) -> float:
     """F(x) = x**(1-order) / (arcsin_pq(x) (1-x**q)**(1/p)) on (0, 1)."""
-    ordv, x = holder_order(order), real(x, "F_fn's x")
+    return _F(pq, holder_order(order), real(x, "F_fn's x"))
+
+
+def _F(pq: PQParams, ordv: float, x: float) -> float:
+    """:func:`F_fn` for an order and an x that are already floats."""
     if not (0.0 < x < 1.0):
         raise DomainError(f"F_fn needs x in (0, 1), got {x!r}")
     lx = math.log(x)
     ln_f = ((1.0 - ordv) * lx - math.log(arcsin_pq(pq, x))
             - math.log(-math.expm1(pq.q * lx)) / pq.p)
-    return _exp(ln_f, f"F_fn at x={x!r}")
+    return _exp(ln_f, "F_fn", x)
 
 
 def Fstar_fn(pq: PQParams, order: float, x: float) -> float:
     """F*(x) = x**(1-order) / (arcsinh_pq(x) (1+x**q)**(1/p)) on (0, inf)."""
-    ordv, x = holder_order(order), real(x, "Fstar_fn's x")
+    return _Fstar(pq, holder_order(order), real(x, "Fstar_fn's x"))
+
+
+def _Fstar(pq: PQParams, ordv: float, x: float) -> float:
+    """:func:`Fstar_fn` for an order and an x that are already floats."""
     if not (x > 0.0 and math.isfinite(x)):
         raise DomainError(f"Fstar_fn needs finite x > 0, got {x!r}")
     lx = math.log(x)
     ln_f = (1.0 - ordv) * lx - math.log(arcsinh_pq(pq, x)) - _softplus(pq.q * lx) / pq.p
-    return _exp(ln_f, f"Fstar_fn at x={x!r}")
+    return _exp(ln_f, "Fstar_fn", x)
 
 
-def _probe_cell(fn, increasing, pq, pts, ordv, tolerance) -> list:
+def _probe_cell(fn, increasing, pq, pts, ordv, tolerance) -> tuple[list, list]:
     """f-monotone (``fn`` F, increasing) or fstar-monotone (F*, decreasing)
     at consecutive grid values (x_lo, x_hi); each x is evaluated once, and
     a failure there is recorded for the pairs that use it."""
-    xs = list(dict.fromkeys(x for pt in pts for x in pt))
-    value = _lookup(dict(zip(xs, _each([(x,) for x in xs], partial(fn, pq, ordv)))))
-
-    def verdict(x_lo, x_hi):
-        lhs, rhs = (value(x_hi), value(x_lo)) if increasing else (value(x_lo), value(x_hi))
-        at = {"p": pq.p, "q": pq.q, "x_lo": x_lo, "x_hi": x_hi, "order": ordv}
-        return _verdict(lhs, rhs, lhs - rhs, at, tolerance)
-
-    return _each(pts, verdict)
+    table = _table(partial(fn, pq, ordv), [x for pt in pts for x in pt])
+    los, his = [lo for lo, _ in pts], [hi for _, hi in pts]
+    errors: list = []
+    pos, (left, right) = _solved(table, errors, range(len(pts)),
+                                 (his, los) if increasing else (los, his))
+    lhs, rhs = [table[x] for x in left], [table[x] for x in right]
+    los, his = (right, left) if increasing else (left, right)
+    ats = [{"p": pq.p, "q": pq.q, "x_lo": lo, "x_hi": hi, "order": ordv}
+           for lo, hi in zip(los, his)]
+    return _verdicts(lhs, rhs, [lh - rh for lh, rh in zip(lhs, rhs)], ats, tolerance), errors
 
 
 def _probe(check, pq, order, grid_n, x_max) -> SweepReport:
@@ -653,7 +695,7 @@ class _Check:
     def __init__(self, axes, cell, scale=lambda pq, x_max: 1.0, points=_product, args=(),
                  needs_order=False, min_grid=1):
         self.axes = axes  # the inner axis names, after p and q
-        self.cell = cell  # (pq, argument tuples, order, tolerance) -> verdicts or errors
+        self.cell = cell  # (pq, argument tuples, order, tolerance) -> (verdicts, errors)
         self.scale = scale  # (pq, x_max) -> the factor of the inner axes' fractions
         self.points = points  # the inner axes' values -> argument tuples
         self.args = args or axes  # the names of an argument tuple's entries
@@ -674,8 +716,8 @@ CHECKS: dict[str, _Check] = {
     "thm11-sin": _Check(("r", "s"), partial(_mean_cell, "thm11-sin"),
                         lambda pq, x_max: half_pi_pq(pq)),
     "thm11-sinh": _Check(("r", "s"), partial(_mean_cell, "thm11-sinh"), _sinh_scale),
-    "f-monotone": _Check(("x",), partial(_probe_cell, F_fn, True), **_PAIRS),
-    "fstar-monotone": _Check(("x",), partial(_probe_cell, Fstar_fn, False),
+    "f-monotone": _Check(("x",), partial(_probe_cell, _F, True), **_PAIRS),
+    "fstar-monotone": _Check(("x",), partial(_probe_cell, _Fstar, False),
                              lambda pq, x_max: x_max, **_PAIRS),
 }
 
@@ -698,16 +740,18 @@ def run_sweep(
     ``x_max``, finite and positive, is the domain of fstar-monotone; a
     ``tolerance`` given must be a finite number >= 0, and an ``order``
     a finite float; the report records the order only for a check that
-    needs one.  Each argument is checked before anything is computed,
-    and a bad one raises :class:`DomainError`.  The unit of work is one
-    (p, q) cell: its inverse values come from one batched solve per
-    function over the cell's unique targets, and its verdicts are built
-    from those roots, each the verdict of the scalar check at its point.
-    Verdicts are reported in row-major grid order; with ``threads > 1``
-    the cells are computed concurrently, one task each, and merged back
-    in order.  Per-point evaluation failures (:class:`PQTrigError`) are
-    recorded in the report rather than raised; any other exception
-    propagates.
+    needs one; an inner axis needs at least the check's fewest grid
+    values (10 for a probe).  Each argument is checked before anything
+    is computed, and a bad one raises :class:`DomainError`.  The unit of
+    work is one (p, q) cell, computed in columns: its inverse values come
+    from one batched solve per function over the cell's distinct
+    targets, and it returns its verdicts, each the verdict of the scalar
+    check at its point, and its errors with their positions in the cell.
+    Verdicts are reported in row-major grid order, and each error
+    (:class:`SweepError`, a :class:`PQTrigError` at one point, recorded
+    rather than raised) with its row-major index; any other exception
+    propagates.  With ``threads > 1`` the cells are computed
+    concurrently, one task each, and merged back in order.
     """
     axes = tuple(axes)
     if not axes:
@@ -726,7 +770,8 @@ def run_sweep(
         if not (0.0 < ax.lo and ax.hi <= 1.0):
             raise DomainError(f"inner axis {ax.name!r} must use fractions in (0, 1]")
         if ax.n < entry.min_grid:
-            raise DomainError(f"grid_n must be at least {entry.min_grid}")
+            raise DomainError(f"{check} needs at least {entry.min_grid} values on axis "
+                              f"{ax.name!r}, got {ax.n}")
     ordv = None if order is None else holder_order(order)
     if not entry.needs_order:
         ordv = None  # checked, but none of this check's verdicts uses it
@@ -754,14 +799,12 @@ def run_sweep(
 
     report = SweepReport(check=check, order=ordv, grid=axes)
     verdicts, errors = report.verdicts, report.errors
-    index = 0
-    for pq, (pts, outcomes) in zip(cells, results):
-        for pt, outcome in zip(pts, outcomes):
-            if isinstance(outcome, PQTrigError):
-                at = {"p": pq.p, "q": pq.q}
-                at.update(zip(entry.args, pt))
-                errors.append(SweepError(index, at, f"{type(outcome).__name__}: {outcome}"))
-            else:
-                verdicts.append(outcome)
-            index += 1
+    index = 0  # of the cell's first point, in row-major order
+    for pq, (pts, (cell_verdicts, cell_errors)) in zip(cells, results):
+        verdicts.extend(cell_verdicts)
+        for i, exc in sorted(cell_errors, key=itemgetter(0)):
+            at = {"p": pq.p, "q": pq.q}
+            at.update(zip(entry.args, pts[i]))
+            errors.append(SweepError(index + i, at, f"{type(exc).__name__}: {exc}"))
+        index += len(pts)
     return report

@@ -50,17 +50,18 @@ _FAILURES = {
 }
 
 
-def _mapped(fn, pq, root, mode):
-    """fn_pq from the root of a trigonometric solve: s itself in mode
+def _mapped(fn, pq, roots, mode) -> list:
+    """fn_pq from each root of a trigonometric solve: s itself in mode
     "sin", or t = ln(1/w) in mode "top", where 1 - s**q = w."""
     p, q = pq.p, pq.q
+    exp, log1p = math.exp, math.log1p
     if mode == "top":
-        sin = math.exp(math.log1p(-math.exp(-root)) / q) if fn != "cos" else None
-        cos = math.exp(-root / p) if fn != "sin" else None
+        sin = [exp(log1p(-exp(-t)) / q) for t in roots] if fn != "cos" else None
+        cos = [exp(-t / p) for t in roots] if fn != "sin" else None
     else:
-        sin = root
-        cos = math.exp(math.log1p(-math.pow(root, q)) / p) if fn != "sin" else None
-    return sin if fn == "sin" else cos if fn == "cos" else (sin, cos)
+        sin = roots
+        cos = [exp(log1p(-math.pow(s, q)) / p) for s in roots] if fn != "sin" else None
+    return sin if fn == "sin" else cos if fn == "cos" else list(zip(sin, cos))
 
 
 def _failure(fn, pq, y, value, iters, status) -> ComputationError:
@@ -113,9 +114,9 @@ def _roots(fn, pq: PQParams, ys) -> dict:
         return table
 
     hp = _half_pi(p, q)  # half_pi_pq
-    split = _half_branch(p, q)
+    split, reach = _half_branch(p, q), hp + _TOP_PAD
     for y in table:
-        if not (0.0 <= y <= hp + _TOP_PAD):
+        if not (0.0 <= y <= reach):
             table[y] = DomainError(
                 f"{'sin' if fn == 'sincos' else fn}_pq needs y in [0, {hp:.12g}] "
                 f"(half_pi for p={p}, q={q}), got {y!r}"
@@ -138,10 +139,14 @@ def _solve(table, fn, pq, ys, mode):
     if not ys:
         return
     results = kernels.solve(mode, pq.p, pq.q, ys, _MAX_ITERS)
-    plain = fn == "sinh" or (fn == "sin" and mode == "sin")  # the root is the value
-    for y, (root, iters, _terms, status) in zip(ys, results):
-        value = root if plain else _mapped(fn, pq, root, mode)
-        table[y] = _failure(fn, pq, y, value, iters, status) if status else value
+    values = [res[0] for res in results]
+    if not (fn == "sinh" or (fn == "sin" and mode == "sin")):  # where the root is not the value
+        values = _mapped(fn, pq, values, mode)
+    table.update(zip(ys, values))
+    if any(res[3] for res in results):
+        for y, value, (_root, iters, _terms, status) in zip(ys, values, results):
+            if status:
+                table[y] = _failure(fn, pq, y, value, iters, status)
 
 
 def _one(fn, pq, y):

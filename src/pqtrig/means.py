@@ -32,19 +32,34 @@ def holder_mean(order: float, a: float, b: float) -> float:
 def _holder_mean(r: float, a: float, b: float) -> float:
     """:func:`holder_mean` without its checks, for callers that have made
     them: ``r`` a finite float, ``a`` and ``b`` positive floats."""
-    if a == b:
-        return a
-    if abs(r) < _ZERO_BAND:
-        mean = math.exp(0.5 * (math.log(a) + math.log(b)))
-    else:
-        # factor out the dominant argument so the remaining ratio power is
-        # <= 1: the larger one for positive orders, the smaller for negative
-        if r > 0.0:
-            m, other = (a, b) if a > b else (b, a)
+    return _holder_means(r, (a,), (b,))[0]
+
+
+def _holder_means(r: float, a_col, b_col) -> list[float]:
+    """[_holder_mean(r, a, b) for a, b in zip(a_col, b_col)] in one loop."""
+    log, exp, log1p, ln2 = math.log, math.exp, math.log1p, math.log(2.0)
+    geometric, up = abs(r) < _ZERO_BAND, r > 0.0
+    out = []
+    for a, b in zip(a_col, b_col):
+        if a == b:
+            out.append(a)
+            continue
+        if a < b:
+            lo, hi = a, b
         else:
-            m, other = (a, b) if a < b else (b, a)
-        t = math.exp(r * (math.log(other) - math.log(m)))  # in (0, 1]
-        mean = m * math.exp((math.log1p(t) - math.log(2.0)) / r)
-    # rounding can step past an argument that is a few ulps from the other
-    lo, hi = (a, b) if a < b else (b, a)
-    return min(max(mean, lo), hi)
+            lo, hi = b, a
+        if geometric:
+            mean = exp(0.5 * (log(a) + log(b)))
+        else:
+            # factor out the dominant argument so the remaining ratio power
+            # is <= 1: the larger one for positive orders, the smaller for
+            # negative
+            if up:
+                m, other = hi, lo
+            else:
+                m, other = lo, hi
+            t = exp(r * (log(other) - log(m)))  # in (0, 1]
+            mean = m * exp((log1p(t) - ln2) / r)
+        # rounding can step past an argument that is a few ulps from the other
+        out.append(lo if mean < lo else hi if mean > hi else mean)
+    return out

@@ -150,7 +150,7 @@ class TestVerify:
             capsys, command, "--check", check, "--order", "0", *where, "--grid", "4",
         )
         assert code == 2
-        assert "grid_n must be at least 10" in err
+        assert f"{check} needs at least 10 values on axis 'x', got 4" in err
         assert out == ""
 
 
@@ -238,7 +238,7 @@ def test_probe_at_grid_nine_is_a_usage_error(capsys, command, check):
     code, out, err = run(capsys, command, "--check", check, "--order", "0",
                          *WHERE[command], "--grid", "9")
     assert code == 2
-    assert err == "error: grid_n must be at least 10\n"
+    assert err == f"error: {check} needs at least 10 values on axis 'x', got 9\n"
     assert out == ""
 
 

@@ -1,6 +1,7 @@
 """Tests for the inequality lab: margins, probes, search and sweep runner."""
 
 import math
+from functools import partial
 
 import pytest
 
@@ -14,7 +15,9 @@ from pqtrig import (
     G_fn,
     GridAxis,
     Gstar_fn,
+    InequalityVerdict,
     PQParams,
+    PQTrigError,
     counterexample_search,
     double_angle_margin,
     gm_general_sin_margin,
@@ -26,6 +29,8 @@ from pqtrig import (
     thm11_sin_margin,
     thm11_sinh_margin,
 )
+
+from pqtrig.inequalities import CHECKS
 
 from conftest import pq_grid
 from oracles import arcsinh_ref
@@ -463,7 +468,8 @@ class TestRunSweep:
         axes = [GridAxis("p", 1.25, 5.0, 3), GridAxis("q", 1.25, 5.0, 4),
                 GridAxis("x", 0.01, 0.99, 4)]
         for check in ("f-monotone", "fstar-monotone"):
-            with pytest.raises(DomainError, match="grid_n must be at least 10"):
+            with pytest.raises(DomainError,
+                               match=f"^{check} needs at least 10 values on axis 'x', got 4$"):
                 run_sweep(check, axes, order=0.0)
 
     @pytest.mark.parametrize("check,order,x_max", [("f-monotone", -0.5, 1.0),
@@ -592,6 +598,116 @@ def test_sweep_errors_keep_their_row_major_index():
     assert [e.index for e in report.errors] == [2, 5, 8, 11]
     assert report.errors[1].at == {"p": 1.5, "q": 4.0, "x": 1.0}
     assert report.errors[1].message == "DomainError: lemma21 needs x in (0, 1), got 1.0"
+
+
+# ---------------------------------------------------------------------------
+# each cell's column pass against the scalar checks, point by point, on
+# grids that put out-of-domain and in-domain points into the same cell
+
+
+def _probe_pair(check, pq, at, order):
+    """One probe verdict from F_fn or Fstar_fn, raising the error of the
+    first value it reads."""
+    fn, increasing = (F_fn, True) if check == "f-monotone" else (Fstar_fn, False)
+    first, second = (at["x_hi"], at["x_lo"]) if increasing else (at["x_lo"], at["x_hi"])
+    lhs = fn(pq, order, first)
+    rhs = fn(pq, order, second)
+    return InequalityVerdict.make(lhs, rhs, lhs - rhs, {**at, "order": order})
+
+
+POINT = {**SCALAR, "f-monotone": partial(_probe_pair, "f-monotone"),
+         "fstar-monotone": partial(_probe_pair, "fstar-monotone")}
+
+# the top fraction 1.0 puts r or s on half_pi (sin), on m_star where it is
+# below the cap (sinh at p = 1.5, q = 4) and x on 1 (lemma21, f-monotone)
+# or on half_pi / 2 (double-angle)
+_RS = (("r", 0.25, 1.0, 4), ("s", 0.25, 1.0, 4))
+EDGE_SWEEPS = [
+    ("lemma21", None, (("x", 0.2, 1.0, 5),), True),
+    ("lemma22", None, (("x", 0.2, 1.0, 5),), False),
+    ("lemma23", None, (), False),
+    ("thm11-sin", None, _RS, True),
+    ("thm11-sinh", None, _RS, True),
+    ("gm-sin", -1.0, _RS, True),
+    ("gm-sin", 0.0, _RS, True),
+    ("gm-sin", 1.0, _RS, True),
+    ("gm-sinh", 1.0, _RS, True),
+    ("gm-sinh", -2.0, _RS, True),
+    ("double-angle", None, (("x", 0.2, 1.0, 5),), True),
+    ("f-monotone", -0.5, (("x", 0.1, 1.0, 10),), True),
+    ("fstar-monotone", 0.5, (("x", 0.1, 1.0, 10),), False),
+]
+_X_MAX = 20.0
+
+
+def _scalar_report(check, axes, order):
+    """The verdicts, and the (index, at, message) of the errors, that the
+    scalar checks give at each point of the grid, in row-major order."""
+    entry = CHECKS[check]
+    verdicts, errors, index = [], [], 0
+    for p in axes[0].values():
+        for q in axes[1].values():
+            pq = PQParams(p, q)
+            scale = entry.scale(pq, _X_MAX)
+            for pt in entry.points([[f * scale for f in ax.values()] for ax in axes[2:]]):
+                at = {"p": p, "q": q, **dict(zip(entry.args, pt))}
+                try:
+                    verdicts.append(POINT[check](pq, at, order))
+                except PQTrigError as exc:
+                    errors.append((index, at, f"{type(exc).__name__}: {exc}"))
+                index += 1
+    return verdicts, errors
+
+
+@pytest.mark.parametrize("check,order,inner,mixed", EDGE_SWEEPS,
+                         ids=[f"{s[0]}-{s[1]}" for s in EDGE_SWEEPS])
+def test_column_cells_are_the_scalar_checks_where_some_points_fail(
+        backend, check, order, inner, mixed):
+    axes = _sweep_axes(check, inner)
+    report = run_sweep(check, axes, order=order, x_max=_X_MAX)
+    verdicts, errors = _scalar_report(check, axes, order)
+    assert report.verdicts == verdicts
+    assert [(e.index, e.at, e.message) for e in report.errors] == errors
+    assert report.verdicts and bool(report.errors) == mixed
+
+
+@pytest.mark.parametrize("check,order", [("thm11-sin", None), ("gm-sin", 1.0),
+                                         ("gm-sinh", 1.0), ("double-angle", None)])
+def test_a_failed_root_is_the_error_of_each_point_that_reads_it(
+        backend, monkeypatch, check, order):
+    # the roots at the inner fractions 0.5, 0.75 and 1.0 fail in every
+    # cell; a point that reads one gets the error of the first it reads,
+    # in row-major order among the points that the domain test rejects
+    from pqtrig import inequalities
+
+    roots = inequalities._roots
+
+    def failing(fn, pq, ys):
+        table = roots(fn, pq, ys)
+        for f in (0.5, 0.75, 1.0):
+            bad = f * CHECKS[check].scale(pq, _X_MAX)
+            if bad in table:
+                table[bad] = ComputationError(f"no root at fraction {f}")
+        return table
+
+    monkeypatch.setattr(inequalities, "_roots", failing)
+    inner = (("x", 0.125, 1.0, 8),) if check == "double-angle" else _RS
+    axes = _sweep_axes(check, inner)
+    report = run_sweep(check, axes, order=order, x_max=_X_MAX)
+    verdicts, errors = _scalar_report(check, axes, order)
+    assert report.verdicts == verdicts
+    assert [(e.index, e.at, e.message) for e in report.errors] == errors
+    kinds = {e.message.partition(":")[0] for e in report.errors}
+    assert kinds == {"DomainError", "ComputationError"} and report.verdicts
+    # points that read two failed roots: double-angle reads sin_pq(2x)
+    # before sin_pq(x), a mean check r before s
+    pq = PQParams(axes[0].values()[0], axes[1].values()[0])
+    scale = CHECKS[check].scale(pq, _X_MAX)
+    reads = {(0.5,): 1.0} if check == "double-angle" else {(0.5, 0.75): 0.5, (0.75, 0.5): 0.75}
+    message = {tuple(e.at.values()): e.message for e in report.errors}
+    for fractions, first in reads.items():
+        at = (pq.p, pq.q, *(f * scale for f in fractions))
+        assert message[at] == f"ComputationError: no root at fraction {first}"
 
 
 class TestOverflowStaysInTheErrorContract:

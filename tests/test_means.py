@@ -1,12 +1,14 @@
 """Tests for the Hölder mean."""
 
 import math
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pqtrig import DomainError, holder_mean
+from pqtrig.means import _holder_mean, _holder_means
 
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
 moderate = st.floats(min_value=1e-2, max_value=1e2, allow_nan=False, allow_infinity=False)
@@ -101,3 +103,24 @@ def test_extreme_orders_stay_finite():
     # +/- 50 approaches max/min
     assert holder_mean(50.0, 2.0, 5.0) == pytest.approx(5.0, rel=0.05)
     assert holder_mean(-50.0, 2.0, 5.0) == pytest.approx(2.0, rel=0.05)
+
+
+def test_the_column_mean_is_the_scalar_mean_bit_for_bit():
+    # one column per order over every pair: equal arguments, pairs of
+    # neighbouring floats, the extremes of the normal and the subnormal
+    # range, and seeded pairs log-uniform on [1e-300, 1e300]
+    rng = random.Random(22)
+    tiny, huge = 2.2250738585072014e-308, 1.7976931348623157e308
+    pairs = [(a, a) for a in (5e-324, tiny, 0.3, 1.0, 7.5, huge)]
+    pairs += [(1.0, math.nextafter(1.0, 2.0)), (math.nextafter(0.5, 0.0), 0.5),
+              (tiny, huge), (huge, tiny), (5e-324, 1.0), (1e290, 5e-324), (tiny, 1.0),
+              (1.0, huge)]
+    pairs += [(10.0 ** rng.uniform(-300, 300), 10.0 ** rng.uniform(-300, 300))
+              for _ in range(300)]
+    orders = [0.0, 1e-13, -1e-13, 9.99e-13, -9.99e-13, 1e-12, -1e-12, 1e-11, -1e-11,
+              0.5, -0.5, 1.0, -1.0, 2.0, -3.0, 30.0, -30.0]
+    orders += [rng.uniform(-40.0, 40.0) for _ in range(20)]
+    a_col, b_col = [a for a, _ in pairs], [b for _, b in pairs]
+    for r in orders:
+        column = _holder_means(r, a_col, b_col)
+        assert [m.hex() for m in column] == [_holder_mean(r, a, b).hex() for a, b in pairs], r
