@@ -5,6 +5,8 @@ arcsinh_pq (defined by the integrals of (1 -+ t**q)**(-1/p)), their
 inverses sin_pq, cos_pq and sinh_pq, the constants half_pi_pq and
 m_star_pq, Hölder means, and a lab that mechanically verifies the
 inequality, limit and monotonicity claims these functions satisfy.
+Each claim is one registered check (``CHECK_NAMES``), asked at one
+point with ``check_at`` or over a grid with ``run_sweep``.
 
 Every forward value is a hypergeometric series with a rigorous
 truncation bound.  The series kernels exist twice: a hand-written C
@@ -31,9 +33,7 @@ from .inequalities import (
     CHECK_NAMES,
     CounterexampleResult,
     F_fn,
-    F_monotonicity_probe,
     Fstar_fn,
-    Fstar_monotonicity_probe,
     G_fn,
     GridAxis,
     Gstar_fn,
@@ -41,16 +41,9 @@ from .inequalities import (
     SweepError,
     SweepReport,
     Witness,
+    check_at,
     counterexample_search,
-    double_angle_margin,
-    gm_general_sin_margin,
-    gm_general_sinh_margin,
-    lemma21_margin,
-    lemma22_margin,
-    lemma23_check,
     run_sweep,
-    thm11_sin_margin,
-    thm11_sinh_margin,
 )
 from .inverse import cos_pq, sin_pq, sinh_pq
 from .means import holder_mean
@@ -65,9 +58,7 @@ __all__ = [
     "DomainError",
     "ExtendedValue",
     "F_fn",
-    "F_monotonicity_probe",
     "Fstar_fn",
-    "Fstar_monotonicity_probe",
     "G_fn",
     "GridAxis",
     "Gstar_fn",
@@ -83,22 +74,15 @@ __all__ = [
     "arcsin_series_oracle",
     "arcsinh_pq",
     "backend_name",
+    "check_at",
     "cos_pq",
     "counterexample_search",
-    "double_angle_margin",
-    "gm_general_sin_margin",
-    "gm_general_sinh_margin",
     "half_pi_pq",
     "holder_mean",
     "integrate_singular",
-    "lemma21_margin",
-    "lemma22_margin",
-    "lemma23_check",
     "m_star_pq",
     "run_sweep",
     "sin_pq",
     "sinh_pq",
-    "thm11_sin_margin",
-    "thm11_sinh_margin",
     "__version__",
 ]

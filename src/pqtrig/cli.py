@@ -228,8 +228,7 @@ def cmd_check(ns: argparse.Namespace) -> int:
     # an unknown check gets no inner axes, and run_sweep names it
     inner = CHECKS[ns.check].axes if ns.check in CHECKS else ()
     axes = pq_axes + [GridAxis(name, 0.01, 0.99, ns.grid) for name in inner]
-    report = _checked(run_sweep, ns.check, axes, order=ns.order, tolerance=ns.tol,
-                      x_max=ns.x_max)
+    report = _checked(run_sweep, ns.check, axes, order=ns.order, x_max=ns.x_max)
     return _emit_report(report, ns)
 
 
@@ -305,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=int, default=12)
     sp.add_argument("--order", type=float, default=None, help="Hölder order where applicable")
     sp.add_argument("--x-max", type=float, default=50.0)
-    sp.add_argument("--tol", type=float, default=None, help="override the verdict tolerance")
 
     sp = sub.add_parser("sweep", help="verify one check over (p, q) ranges")
     add_common(sp, cmd_check, pq_point=False)
@@ -315,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=int, default=10)
     sp.add_argument("--order", type=float, default=None)
     sp.add_argument("--x-max", type=float, default=50.0)
-    sp.add_argument("--tol", type=float, default=None)
 
     sp = sub.add_parser("counterexample", help="search for sharpness witnesses")
     add_common(sp, cmd_counterexample)

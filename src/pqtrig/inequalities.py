@@ -6,12 +6,12 @@ oriented so that a nonnegative value means the claim holds at that point;
 Identity checks (the double-angle relation) use ``margin = -|lhs - rhs|``
 so the same satisfaction rule applies.
 
-An instance is satisfied when ``margin >= -tolerance``; the default
-tolerance is ``1e-9 + 1e-9 * |rhs|``, covering the forward series and
-inversion error carried by both sides plus the equality case on the
-diagonal of the mean inequalities.  A tolerance given to a check or a
-sweep must be a finite number >= 0, and a Hölder order a finite float
-(DomainError otherwise, before anything is computed).
+An instance is satisfied when ``margin >= -tolerance``.  The tolerance
+is the check's own: ``1e-9 + 1e-9 * |rhs|``, covering the forward series
+and inversion error carried by both sides plus the equality case on the
+diagonal of the mean inequalities, and 1e-8 for the double-angle
+identity.  A Hölder order must be a finite float (DomainError otherwise,
+before anything is computed).
 
 The checks, by registry name:
 
@@ -22,20 +22,25 @@ The checks, by registry name:
     thm11-sinh      sinh_pq(sqrt(r* s*)) <= sqrt(sinh_pq(r*) sinh_pq(s*))
     gm-sin          sin_pq(sqrt(r s)) >= H_ord(sin_pq(r), sin_pq(s))
     gm-sinh         sinh_pq(sqrt(r* s*)) <= H_ord(sinh_pq(r*), sinh_pq(s*))
-    double-angle    the (4/3, 4) double-angle identity
+    double-angle    sin(2x) = 2 sin(x) cos(x)**(1/3) / (1 + 4 sin(x)**4 cos(x)**(4/3))**(1/2)
+                    at (p, q) = (4/3, 4), x in (0, half_pi/2)
     f-monotone      F(x) = x**(1-ord) / (arcsin_pq(x) (1-x**q)**(1/p)) increasing
     fstar-monotone  F*(x) = x**(1-ord) / (arcsinh_pq(x) (1+x**q)**(1/p)) decreasing
 
 The geometric-mean inequalities are sharp at order 0: gm-sin holds for
 every argument pair exactly when ord <= 0, gm-sinh exactly when
-ord >= 0.  ``counterexample_search`` exhibits the failure (and a
-satisfying instance) for gm-sin at a positive order.
+ord >= 0; at order 0 they are thm11, bit for bit.  ``counterexample_search``
+exhibits the failure (and a satisfying instance) for gm-sin at a
+positive order.  For p < q the bound of lemma22 changes sign at
+x0 = (p/(q-p))**(1/q), and its verdicts record which side x is on.
 
 Every check is one entry of the ``CHECKS`` registry: its inner axis
 names, how their values become argument tuples (every combination, or
 for the probes each pair (x_lo, x_hi) of neighbouring values), the scale
 of the axes' fractions, whether it needs a Hölder order, and its fewest
-grid values.  ``run_sweep`` and the CLI read all of these from it.
+grid values.  The registry is the lab's only way in: ``check_at`` asks
+a check at one point, ``run_sweep`` over a grid, and the CLI reads its
+checks' axes from it.
 
 A sweep's unit of work is one (p, q) cell, which its check's cell
 evaluator computes in columns, in one pass: one domain test over the
@@ -47,10 +52,10 @@ that reads a failed value and one whose formula fails each get an error
 instead of a verdict; the cell returns its verdicts in point order and
 its errors with their positions, so the sweep gives each error its
 row-major index.  No value is cached between calls.  Each check's
-formula is written once, in its cell evaluator: the scalar checks are
-one-point cells, and the monotonicity probes are one-cell sweeps.  A
-value depends only on (p, q) and its argument, so every verdict and
-error of a sweep equals the scalar check's at its point, bit for bit.
+formula is written once, in its cell evaluator, and ``check_at`` is a
+one-point cell.  A value depends only on (p, q) and its argument, so
+every verdict and error of a sweep equals ``check_at``'s at its point,
+bit for bit.
 """
 
 import math
@@ -63,10 +68,11 @@ from ._records import Validated, count, holder_order, real
 from .errors import ComputationError, DomainError, PQTrigError
 from .functions import PQParams, arcsin_pq, arcsinh_pq, half_pi_pq, m_star_pq
 from .inverse import _roots
-from .means import _holder_mean, _holder_means
+from .means import _gmeans, _holder_mean, _holder_means
 
 DEFAULT_TOL_ABS = 1e-9
 DEFAULT_TOL_REL = 1e-9
+DOUBLE_ANGLE_TOL = 1e-8  # the identity's margin is -|lhs - rhs|, so it has no rhs scale
 
 # hyperbolic argument grids are capped here when m_star is infinite (or larger)
 SINH_ARG_CAP = 5.0
@@ -79,14 +85,6 @@ def _softplus(a: float) -> float:
     if a > 0.0:
         return a + math.log1p(math.exp(-a))
     return math.log1p(math.exp(a))
-
-
-def _gmeans(a_col, b_col) -> list[float]:
-    """sqrt(a b) for each pair; as sqrt(a) sqrt(b) where a b overflows or
-    leaves the normal range."""
-    sqrt, tiny, inf = math.sqrt, 2.2250738585072014e-308, math.inf
-    return [sqrt(ab) if tiny <= (ab := a * b) < inf else sqrt(a) * sqrt(b)
-            for a, b in zip(a_col, b_col)]
 
 
 def _exp(a: float, name: str, x: float) -> float:
@@ -111,23 +109,19 @@ class InequalityVerdict(NamedTuple):
     satisfied: bool
     at: Mapping[str, object]
 
-    @classmethod
-    def make(cls, lhs, rhs, margin, at, tolerance=None) -> "InequalityVerdict":
-        return _verdicts([lhs], [rhs], [margin], [dict(at)], tolerance)[0]
-
 
 _new_verdict = partial(tuple.__new__, InequalityVerdict)  # from a tuple of its six fields
 
 
-def _verdicts(lhs, rhs, margin, ats, tolerance) -> list[InequalityVerdict]:
+def _verdicts(lhs, rhs, margin, ats, fixed_tol=None) -> list[InequalityVerdict]:
     """One verdict per row of the columns lhs, rhs, margin and ``ats``,
-    whose every row is a fresh dict; its tolerance is ``tolerance`` where
-    one is given, else the default for its rhs."""
-    if tolerance is None:
+    whose every row is a fresh dict; its tolerance is ``fixed_tol`` for
+    an identity check, else the default for its rhs."""
+    if fixed_tol is None:
         tol_abs, tol_rel, inf = DEFAULT_TOL_ABS, DEFAULT_TOL_REL, math.inf
         tols = [tol_abs if h == inf else tol_abs + tol_rel * h for h in map(abs, rhs)]
     else:
-        tols = [tolerance] * len(rhs)
+        tols = [fixed_tol] * len(rhs)
     satisfied = [m >= -tol for m, tol in zip(margin, tols)]
     return list(map(_new_verdict, zip(lhs, rhs, margin, tols, satisfied, ats)))
 
@@ -212,24 +206,8 @@ class SweepReport:
 # per inverse function), then the columns of lhs, rhs and margin.  Each
 # returns its verdicts, in point order, and its errors as (position,
 # PQTrigError) pairs: a point out of the domain, or one that reads a
-# failed value or whose formula fails, has an error and no verdict.  The
-# scalar checks are one-point cells.
-
-def _check_tolerance(tolerance: Optional[float]) -> None:
-    if tolerance is not None and not (0.0 <= real(tolerance, "tolerance") < math.inf):
-        raise DomainError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
-
-
-def _scalar(check, pq, pt, ordv, tolerance) -> InequalityVerdict:
-    """The verdict of ``check`` on a one-point cell, raising the error recorded for it."""
-    entry = CHECKS[check]
-    pt = tuple(real(v, f"{check}'s {name}") for name, v in zip(entry.args, pt))
-    _check_tolerance(tolerance)
-    verdicts, errors = entry.cell(pq, [pt], ordv, tolerance)
-    if errors:
-        raise errors[0][1]
-    return verdicts[0]
-
+# failed value or whose formula fails, has an error and no verdict.
+# ``check_at`` is a one-point cell.
 
 def _domain(pts, inside, error) -> tuple[list, Sequence[int], list]:
     """(the points whose ``inside`` is true, their positions, and the
@@ -271,7 +249,7 @@ def _solved(table, errors, pos, keys) -> tuple[Sequence[int], tuple]:
     return [pos[k] for k in kept], tuple([col[k] for k in kept] for col in keys)
 
 
-def _lemma21_cell(pq, pts, ordv, tolerance) -> tuple[list, list]:
+def _lemma21_cell(pq, pts, ordv) -> tuple[list, list]:
     p, q = pq.p, pq.q
     pts, pos, errors = _domain(pts, [0.0 < x < 1.0 for (x,) in pts],
                                lambda x: DomainError(f"lemma21 needs x in (0, 1), got {x!r}"))
@@ -284,10 +262,10 @@ def _lemma21_cell(pq, pts, ordv, tolerance) -> tuple[list, list]:
         rhs.append(p * x * math.pow(1.0 - xq, 1.0 - 1.0 / p) / ((q - p) * xq + p))
     lhs = [table[x] for x in xs]
     ats = [{"p": p, "q": q, "x": x} for x in xs]
-    return _verdicts(lhs, rhs, [lh - rh for lh, rh in zip(lhs, rhs)], ats, tolerance), errors
+    return _verdicts(lhs, rhs, [lh - rh for lh, rh in zip(lhs, rhs)], ats), errors
 
 
-def _lemma22_cell(pq, pts, ordv, tolerance) -> tuple[list, list]:
+def _lemma22_cell(pq, pts, ordv) -> tuple[list, list]:
     p, q = pq.p, pq.q
     x0 = math.pow(p / (q - p), 1.0 / q) if p < q else None
     pts, pos, errors = _domain(pts, [x > 0.0 and math.isfinite(x) for (x,) in pts],
@@ -316,10 +294,10 @@ def _lemma22_cell(pq, pts, ordv, tolerance) -> tuple[list, list]:
         lhs.append(x / table[x])
         rhs.append(rh)
         ats.append(at)
-    return _verdicts(lhs, rhs, [lh - rh for lh, rh in zip(lhs, rhs)], ats, tolerance), errors
+    return _verdicts(lhs, rhs, [lh - rh for lh, rh in zip(lhs, rhs)], ats), errors
 
 
-def _lemma23_cell(pq, pts, ordv, tolerance) -> tuple[list, list]:
+def _lemma23_cell(pq, pts, ordv) -> tuple[list, list]:
     try:
         ms = m_star_pq(pq)
     except PQTrigError as exc:
@@ -327,10 +305,10 @@ def _lemma23_cell(pq, pts, ordv, tolerance) -> tuple[list, list]:
     lhs, margin = (ms.value, ms.value - 1.0) if ms.is_finite else (math.inf, math.inf)
     n = len(pts)
     ats = [{"p": pq.p, "q": pq.q, "m_star": ms.as_float()} for _ in pts]
-    return _verdicts([lhs] * n, [1.0] * n, [margin] * n, ats, tolerance), []
+    return _verdicts([lhs] * n, [1.0] * n, [margin] * n, ats), []
 
 
-def _mean_cell(check, pq, pts, ordv, tolerance) -> tuple[list, list]:
+def _mean_cell(check, pq, pts, ordv) -> tuple[list, list]:
     """thm11-sin, thm11-sinh, gm-sin or gm-sinh: the function at the
     geometric mean of (r, s) against the mean of its values at r and s."""
     p, q = pq.p, pq.q
@@ -347,20 +325,20 @@ def _mean_cell(check, pq, pts, ordv, tolerance) -> tuple[list, list]:
     table = _roots(fn, pq, gs + rs + ss)
     pos, (gs, rs, ss) = _solved(table, errors, pos, (gs, rs, ss))
     lhs, a, b = (list(map(table.__getitem__, col)) for col in (gs, rs, ss))
-    if check.startswith("gm-"):
-        rhs = _holder_means(ordv, a, b)  # roots of r, s > 0 are positive
-        ats = [{"p": p, "q": q, "order": ordv, "r": r, "s": s} for r, s in zip(rs, ss)]
-    else:  # thm11 is the geometric mean, written as sqrt(a b)
-        rhs = _gmeans(a, b)
+    # roots of r, s > 0 are positive; thm11 is the mean of order 0
+    rhs = _holder_means(0.0 if ordv is None else ordv, a, b)
+    if ordv is None:
         ats = [{"p": p, "q": q, "r": r, "s": s} for r, s in zip(rs, ss)]
+    else:
+        ats = [{"p": p, "q": q, "order": ordv, "r": r, "s": s} for r, s in zip(rs, ss)]
     if fn == "sinh":
         margin = [rh - lh for lh, rh in zip(lhs, rhs)]
     else:
         margin = [lh - rh for lh, rh in zip(lhs, rhs)]
-    return _verdicts(lhs, rhs, margin, ats, tolerance), errors
+    return _verdicts(lhs, rhs, margin, ats), errors
 
 
-def _double_angle_cell(pq, pts, ordv, tolerance) -> tuple[list, list]:
+def _double_angle_cell(pq, pts, ordv) -> tuple[list, list]:
     half = 0.5 * half_pi_pq(pq)
     pts, pos, errors = _domain(
         pts, [0.0 < x < half for (x,) in pts],
@@ -376,83 +354,11 @@ def _double_angle_cell(pq, pts, ordv, tolerance) -> tuple[list, list]:
            for sx, cx in map(table.__getitem__, xs)]
     ats = [{"p": pq.p, "q": pq.q, "x": x} for x in xs]
     margin = [-abs(lh - rh) for lh, rh in zip(lhs, rhs)]
-    return _verdicts(lhs, rhs, margin, ats, 1e-8 if tolerance is None else tolerance), errors
+    return _verdicts(lhs, rhs, margin, ats, DOUBLE_ANGLE_TOL), errors
 
 
 # ---------------------------------------------------------------------------
-# scalar checks
-
-def lemma21_margin(pq: PQParams, x: float, tolerance: Optional[float] = None) -> InequalityVerdict:
-    """Lower rational bound for arcsin_pq on (0, 1); margin expected > 0."""
-    return _scalar("lemma21", pq, (x,), None, tolerance)
-
-
-def lemma22_margin(pq: PQParams, x: float, tolerance: Optional[float] = None) -> InequalityVerdict:
-    """Lower bound for x / arcsinh_pq(x) on (0, inf); margin expected > 0.
-
-    For p < q the bound's numerator changes sign at
-    x0 = (p/(q-p))**(1/q); the verdict records which side x falls on.
-    """
-    return _scalar("lemma22", pq, (x,), None, tolerance)
-
-
-def lemma23_check(pq: PQParams, tolerance: Optional[float] = None) -> InequalityVerdict:
-    """m_star_pq > 1, with the p >= q cells infinite and trivially satisfied."""
-    return _scalar("lemma23", pq, (), None, tolerance)
-
-
-def thm11_sin_margin(
-    pq: PQParams, r: float, s: float, tolerance: Optional[float] = None
-) -> InequalityVerdict:
-    """sin_pq at the geometric mean dominates the geometric mean of sines.
-
-    Arguments must lie in the open interval (0, half_pi_pq); equality
-    holds exactly on the diagonal r = s.
-    """
-    return _scalar("thm11-sin", pq, (r, s), None, tolerance)
-
-
-def thm11_sinh_margin(
-    pq: PQParams, r: float, s: float, tolerance: Optional[float] = None
-) -> InequalityVerdict:
-    """sinh_pq at the geometric mean is dominated; margin is rhs - lhs."""
-    return _scalar("thm11-sinh", pq, (r, s), None, tolerance)
-
-
-def gm_general_sin_margin(
-    pq: PQParams, order: float, r: float, s: float, tolerance: Optional[float] = None
-) -> InequalityVerdict:
-    """sin_pq(sqrt(r s)) >= H_order(sin_pq(r), sin_pq(s)).
-
-    Holds for every (r, s) exactly when order <= 0; at order 0 this is
-    thm11-sin.  For order > 0 some argument pairs violate it.
-    """
-    return _scalar("gm-sin", pq, (r, s), holder_order(order), tolerance)
-
-
-def gm_general_sinh_margin(
-    pq: PQParams, order: float, r: float, s: float, tolerance: Optional[float] = None
-) -> InequalityVerdict:
-    """sinh_pq(sqrt(r s)) <= H_order(sinh_pq(r), sinh_pq(s)); holds for order >= 0."""
-    return _scalar("gm-sinh", pq, (r, s), holder_order(order), tolerance)
-
-
-def double_angle_margin(
-    pq: PQParams, x: float, tolerance: Optional[float] = None
-) -> InequalityVerdict:
-    """The double-angle identity satisfied by the (4/3, 4) sine.
-
-        sin(2x) = 2 sin(x) cos(x)**(1/3) / (1 + 4 sin(x)**4 cos(x)**(4/3))**(1/2)
-
-    with every function taken at (p, q) = (4/3, 4) and x in
-    (0, half_pi/2).  As an identity check its margin is -|lhs - rhs| and
-    the default tolerance is 1e-8.
-    """
-    return _scalar("double-angle", pq, (x,), None, tolerance)
-
-
-# ---------------------------------------------------------------------------
-# proof-machinery scalar functions and monotonicity probes
+# proof-machinery functions, and the monotonicity probes' cell
 
 def G_fn(pq: PQParams, x: float) -> float:
     """G(x) = q x**q / (p (1-x**q)) - x / (arcsin_pq(x) (1-x**q)**(1/p)).
@@ -510,7 +416,7 @@ def _Fstar(pq: PQParams, ordv: float, x: float) -> float:
     return _exp(ln_f, "Fstar_fn", x)
 
 
-def _probe_cell(fn, increasing, pq, pts, ordv, tolerance) -> tuple[list, list]:
+def _probe_cell(fn, increasing, pq, pts, ordv) -> tuple[list, list]:
     """f-monotone (``fn`` F, increasing) or fstar-monotone (F*, decreasing)
     at consecutive grid values (x_lo, x_hi); each x is evaluated once, and
     a failure there is recorded for the pairs that use it."""
@@ -523,35 +429,7 @@ def _probe_cell(fn, increasing, pq, pts, ordv, tolerance) -> tuple[list, list]:
     los, his = (right, left) if increasing else (left, right)
     ats = [{"p": pq.p, "q": pq.q, "x_lo": lo, "x_hi": hi, "order": ordv}
            for lo, hi in zip(los, his)]
-    return _verdicts(lhs, rhs, [lh - rh for lh, rh in zip(lhs, rhs)], ats, tolerance), errors
-
-
-def _probe(check, pq, order, grid_n, x_max) -> SweepReport:
-    """One cell of a probe sweep over fractions 0.01..0.99 of the check's
-    scale, with the grid reported in absolute x."""
-    x = GridAxis("x", 0.01, 0.99, grid_n)
-    report = run_sweep(check, [GridAxis("p", pq.p, pq.p, 1), GridAxis("q", pq.q, pq.q, 1), x],
-                       order=order, x_max=x_max)
-    xs, scale = x.values(), CHECKS[check].scale(pq, x_max)
-    report.grid = (GridAxis("x", xs[0] * scale, xs[-1] * scale, grid_n),)
-    return report
-
-
-def F_monotonicity_probe(pq: PQParams, order: float, grid_n: int) -> SweepReport:
-    """Scan F on (0, 1): strictly increasing exactly when order <= 0.
-
-    Each verdict compares consecutive grid values; ``all_satisfied``
-    means every difference was positive.  For order > 0 the scan is
-    expected to record a violation.
-    """
-    return _probe("f-monotone", pq, order, grid_n, 1.0)
-
-
-def Fstar_monotonicity_probe(
-    pq: PQParams, order: float, grid_n: int, x_max: float = 50.0
-) -> SweepReport:
-    """Scan F* on (0, x_max]: strictly decreasing exactly when order >= 0."""
-    return _probe("fstar-monotone", pq, order, grid_n, x_max)
+    return _verdicts(lhs, rhs, [lh - rh for lh, rh in zip(lhs, rhs)], ats), errors
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +573,7 @@ class _Check:
     def __init__(self, axes, cell, scale=lambda pq, x_max: 1.0, points=_product, args=(),
                  needs_order=False, min_grid=1):
         self.axes = axes  # the inner axis names, after p and q
-        self.cell = cell  # (pq, argument tuples, order, tolerance) -> (verdicts, errors)
+        self.cell = cell  # (pq, argument tuples, order) -> (verdicts, errors)
         self.scale = scale  # (pq, x_max) -> the factor of the inner axes' fractions
         self.points = points  # the inner axes' values -> argument tuples
         self.args = args or axes  # the names of an argument tuple's entries
@@ -724,12 +602,50 @@ CHECKS: dict[str, _Check] = {
 CHECK_NAMES = tuple(CHECKS)
 
 
+def _entry(check: str) -> _Check:
+    entry = CHECKS.get(check)
+    if entry is None:
+        raise DomainError(f"unknown check {check!r}; expected one of {', '.join(CHECK_NAMES)}")
+    return entry
+
+
+def _order(check: str, entry: _Check, order: Optional[float]) -> Optional[float]:
+    """``order`` as a finite float where ``check`` uses one, else None
+    (after checking a given one all the same)."""
+    ordv = None if order is None else holder_order(order)
+    if not entry.needs_order:
+        return None
+    if ordv is None:
+        raise DomainError(f"{check} requires a Hölder order")
+    return ordv
+
+
+def check_at(check: str, pq: PQParams, *args: float,
+             order: Optional[float] = None) -> InequalityVerdict:
+    """The verdict of the registered ``check`` at one point, whose ``args``
+    (named by the check's ``args``: x, none for lemma23, (r, s) or
+    (x_lo, x_hi)) are absolute.  As in :func:`run_sweep`, an unknown
+    check, the wrong number of arguments, a missing order where the check
+    needs one and a non-finite order raise :class:`DomainError` before
+    anything is computed; an order the check does not use is checked and
+    not recorded.  A point raises the error that a sweep records there."""
+    entry = _entry(check)
+    if len(args) != len(entry.args):
+        raise DomainError(f"{check} takes the arguments ({', '.join(entry.args)}), "
+                          f"got {len(args)}")
+    ordv = _order(check, entry, order)
+    pt = tuple(real(v, f"{check}'s {name}") for name, v in zip(entry.args, args))
+    verdicts, errors = entry.cell(pq, [pt], ordv)
+    if errors:
+        raise errors[0][1]
+    return verdicts[0]
+
+
 def run_sweep(
     check: str,
     axes: Sequence[GridAxis],
     *,
     order: Optional[float] = None,
-    tolerance: Optional[float] = None,
     threads: int = 0,
     x_max: float = 50.0,
 ) -> SweepReport:
@@ -737,16 +653,16 @@ def run_sweep(
 
     ``axes`` starts with the p and q axes followed by the check's inner
     argument axes expressed as domain fractions (see :class:`GridAxis`);
-    ``x_max``, finite and positive, is the domain of fstar-monotone; a
-    ``tolerance`` given must be a finite number >= 0, and an ``order``
-    a finite float; the report records the order only for a check that
-    needs one; an inner axis needs at least the check's fewest grid
-    values (10 for a probe).  Each argument is checked before anything
-    is computed, and a bad one raises :class:`DomainError`.  The unit of
-    work is one (p, q) cell, computed in columns: its inverse values come
-    from one batched solve per function over the cell's distinct
-    targets, and it returns its verdicts, each the verdict of the scalar
-    check at its point, and its errors with their positions in the cell.
+    ``x_max``, finite and positive, is the domain of fstar-monotone; an
+    ``order`` must be a finite float, and the report records it only for
+    a check that needs one; an inner axis needs at least the check's
+    fewest grid values (10 for a probe).  Each argument is checked before
+    anything is computed, and a bad one raises :class:`DomainError`.  The
+    unit of work is one (p, q) cell, computed in columns: its inverse
+    values come from one batched solve per function over the cell's
+    distinct targets, and it returns its verdicts, each the verdict of
+    :func:`check_at` at its point, and its errors with their positions
+    in the cell.
     Verdicts are reported in row-major grid order, and each error
     (:class:`SweepError`, a :class:`PQTrigError` at one point, recorded
     rather than raised) with its row-major index; any other exception
@@ -756,9 +672,7 @@ def run_sweep(
     axes = tuple(axes)
     if not axes:
         raise DomainError("axes must be nonempty")
-    entry = CHECKS.get(check)
-    if entry is None:
-        raise DomainError(f"unknown check {check!r}; expected one of {', '.join(CHECK_NAMES)}")
+    entry = _entry(check)
     if len(axes) != 2 + len(entry.axes):
         raise DomainError(
             f"{check} expects axes (p, q{''.join(', ' + a for a in entry.axes)}), "
@@ -772,12 +686,7 @@ def run_sweep(
         if ax.n < entry.min_grid:
             raise DomainError(f"{check} needs at least {entry.min_grid} values on axis "
                               f"{ax.name!r}, got {ax.n}")
-    ordv = None if order is None else holder_order(order)
-    if not entry.needs_order:
-        ordv = None  # checked, but none of this check's verdicts uses it
-    elif ordv is None:
-        raise DomainError(f"{check} requires a Hölder order")
-    _check_tolerance(tolerance)
+    ordv = _order(check, entry, order)
     if not (0.0 < real(x_max, "x_max") < math.inf):
         raise DomainError(f"x_max must be finite and positive, got {x_max!r}")
     frac_grids = [ax.values() for ax in axes[2:]]
@@ -785,7 +694,7 @@ def run_sweep(
     def cell(pq):
         scale = entry.scale(pq, x_max)
         pts = entry.points([[f * scale for f in fg] for fg in frac_grids])
-        return pts, entry.cell(pq, pts, ordv, tolerance)
+        return pts, entry.cell(pq, pts, ordv)
 
     cells = [PQParams(p, q) for p in axes[0].values() for q in axes[1].values()]
     if threads and threads > 1:

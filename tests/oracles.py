@@ -12,7 +12,10 @@ hypergeometric series; the references here are:
   smooth, exponentially decaying remainder;
 - the tail of arcsinh_pq as an incomplete-Beta power series in
   1/(1 + x**q), a different expansion from the package's x**-q series;
-- a Romberg integrator for smooth integrands.
+- a Romberg integrator for smooth integrands;
+- ``holder_mean_ref``: the Hölder mean from its definition in decimal
+  arithmetic, with the digits that a**r + b**r loses near r = 0 added to
+  the precision.
 
 Do not import pqtrig here.
 """
@@ -248,3 +251,24 @@ def arcsinh_ref(p: float, q: float, x: float) -> float:
     # h(u) <= e**(-q u)/p, so beyond u = 42/(q - e0) the remainder adds
     # less than 1e-17 of the result
     return near + main - tanh_sinh(rest, 0.0, min(ln_x, 42.0 / (q - e0f)))
+
+
+def holder_mean_ref(r: float, a: float, b: float) -> float:
+    """H_r(a, b) = ((a**r + b**r) / 2)**(1/r), and sqrt(a b) at r = 0, for
+    floats a, b > 0, correctly rounded to a float.
+
+    Taken in decimal arithmetic from the definition, each power as
+    exp(r ln a): a**r + b**r is 2 + r ln(a b) + ..., so near r = 0 its
+    logarithm loses about -log10|r| digits, and the precision is 50
+    digits beyond those, with an exponent range that holds the powers of
+    any pair of floats.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50 + (0 if r == 0.0 else max(0, -math.floor(math.log10(abs(r)))))
+        ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+        da, db = decimal.Decimal(a), decimal.Decimal(b)
+        if r == 0.0:
+            return float((da * db).sqrt())
+        dr = decimal.Decimal(r)
+        total = (dr * da.ln()).exp() + (dr * db.ln()).exp()
+        return float(((total / 2).ln() / dr).exp())

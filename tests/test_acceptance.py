@@ -8,8 +8,6 @@ import json
 import math
 
 from pqtrig import (
-    F_monotonicity_probe,
-    Fstar_monotonicity_probe,
     G_fn,
     GridAxis,
     Gstar_fn,
@@ -136,17 +134,17 @@ def test_ac05_theorem_geometric_mean_inequalities():
 
 
 def test_ac06_rational_bounds():
-    from pqtrig import lemma21_margin, lemma22_margin
+    from pqtrig import check_at
 
     worst21 = math.inf
     worst22 = math.inf
     sides_covered = True
     for pq in pq_grid():
         for i in range(1, 50):
-            worst21 = min(worst21, lemma21_margin(pq, 0.02 * i).margin)
+            worst21 = min(worst21, check_at("lemma21", pq, 0.02 * i).margin)
         regions = set()
         for i in range(1, 101):
-            v = lemma22_margin(pq, 0.1 * i)
+            v = check_at("lemma22", pq, 0.1 * i)
             worst22 = min(worst22, v.margin)
             if "region" in v.at:
                 regions.add(v.at["region"])
@@ -202,12 +200,18 @@ def test_ac09_proof_machinery():
             ok &= G_fn(pq, i / 40.0) > -1.0
         for x in (0.01, 0.1, 1.0, 5.0, 20.0):
             ok &= Gstar_fn(pq, x) > 1.0
+
+    def probe(check, order):
+        axes = [GridAxis("p", 2.0, 2.0, 1), GridAxis("q", 2.0, 2.0, 1),
+                GridAxis("x", 0.01, 0.99, 100)]
+        return run_sweep(check, axes, order=order, x_max=20.0).all_satisfied
+
     for order in (-2.0, -0.5, 0.0):
-        ok &= F_monotonicity_probe(CLASSIC, order, 100).all_satisfied
-    ok &= not F_monotonicity_probe(CLASSIC, 1.0, 100).all_satisfied
+        ok &= probe("f-monotone", order)
+    ok &= not probe("f-monotone", 1.0)
     for order in (0.0, 1.0, 3.0):
-        ok &= Fstar_monotonicity_probe(CLASSIC, order, 100, x_max=20.0).all_satisfied
-    ok &= not Fstar_monotonicity_probe(CLASSIC, -1.0, 100, x_max=20.0).all_satisfied
+        ok &= probe("fstar-monotone", order)
+    ok &= not probe("fstar-monotone", -1.0)
     report(9, "proof machinery: G, G*, F, F*", ok, "; ".join(detail))
 
 

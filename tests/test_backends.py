@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import pqtrig
 from pqtrig import backend_name, functions, inverse
+from pqtrig.inequalities import CHECKS
 from pqtrig import _dequad_py as pure
 from pqtrig.errors import PQTrigError
 
@@ -285,18 +286,18 @@ def _close(a, b):
     return a == b
 
 
-# every numeric callable of pqtrig.__all__ but holder_mean: its argument
-# kinds after the exponent pair ("x" an argument, "order" a Hölder order,
-# "count" a count: a probe's grid_n, a search's budget, an oracle's terms)
+# every numeric callable of pqtrig.__all__ but holder_mean, and check_at
+# once for each registered check ("check_at <check>"): its argument kinds
+# after the exponent pair ("x" an argument, "order" a Hölder order, "count"
+# a count: a search's budget, an oracle's terms).  check_at takes an order
+# for every check, and checks it where the check uses none
 SIGNATURES = {
     **{name: ("x",) for name in DOMAIN_TOP},
-    "half_pi_pq": (), "m_star_pq": (), "lemma23_check": (),
-    "lemma21_margin": ("x",), "lemma22_margin": ("x",), "double_angle_margin": ("x",),
+    "half_pi_pq": (), "m_star_pq": (),
     "G_fn": ("x",), "Gstar_fn": ("x",), "F_fn": ("order", "x"), "Fstar_fn": ("order", "x"),
-    "thm11_sin_margin": ("x", "x"), "thm11_sinh_margin": ("x", "x"),
-    "gm_general_sin_margin": ("order", "x", "x"), "gm_general_sinh_margin": ("order", "x", "x"),
-    "F_monotonicity_probe": ("order", "count"), "Fstar_monotonicity_probe": ("order", "count"),
     "counterexample_search": ("order", "count"), "arcsin_series_oracle": ("x", "count"),
+    **{f"check_at {check}": ("order",) + ("x",) * len(entry.args)
+       for check, entry in CHECKS.items()},
 }
 # arguments that are no real numbers: each leaked a TypeError or a plain
 # ValueError, or (as a Hölder order, "1.5") passed as a float
@@ -307,9 +308,16 @@ ORDERS = [-400.0, -1.0, 0.0, 0.5, 1.0, 400.0, math.inf, math.nan] + NON_REALS
 BAD_COUNTS = [2.5, 10.0, 10.5, 100.5, 1e30, "10", None, True, 0, -1, 9, 99]
 # the counts that run, small enough to stay quick
 COUNTS = {"counterexample_search": st.integers(100, 400),
-          "F_monotonicity_probe": st.integers(10, 40),
-          "Fstar_monotonicity_probe": st.integers(10, 40),
           "arcsin_series_oracle": st.integers(1, 200)}
+
+
+def _public_fn(name):
+    """The callable that a name of SIGNATURES stands for: (pq, order,
+    *args) for check_at's entries."""
+    function, _, check = name.partition(" ")
+    if not check:
+        return getattr(pqtrig, function)
+    return lambda pq, order, *args: pqtrig.check_at(check, pq, *args, order=order)
 
 
 def test_the_contract_covers_every_public_function():
@@ -318,7 +326,7 @@ def test_the_contract_covers_every_public_function():
     others = {"run_sweep", "integrate_singular", "backend_name"}
     functions_ = {name for name in pqtrig.__all__
                   if callable(getattr(pqtrig, name)) and not isinstance(getattr(pqtrig, name), type)}
-    assert functions_ - others == set(SIGNATURES) | {"holder_mean"}
+    assert functions_ - others == {name.partition(" ")[0] for name in SIGNATURES} | {"holder_mean"}
 
 
 class _Drawn:
@@ -371,7 +379,7 @@ def test_public_functions_keep_the_error_contract(p, q, name, data):
                 data.draw(xs, label="b"))
     else:
         args = (pq,) + tuple(data.draw(draw[kind], label=kind) for kind in SIGNATURES[name])
-    fn = getattr(pqtrig, name)
+    fn = _public_fn(name)
     rc = _outcome(compiled, fn, *args)
     rp = _outcome(pure, fn, *args)
     if isinstance(rc, type) or isinstance(rp, type):
@@ -394,7 +402,7 @@ BAD_COUNT_CALLS = {
                  "axis 'x' n must be an integer, got 2.5"),
     "run_sweep": (lambda: pqtrig.run_sweep("lemma21", _sweep_axes(2.5)),
                   "axis 'x' n must be an integer, got 2.5"),
-    "F_monotonicity_probe": (lambda: pqtrig.F_monotonicity_probe(_PQ23, 0.0, 10.5),
+    "run_sweep-f-monotone": (lambda: pqtrig.run_sweep("f-monotone", _sweep_axes(10.5), order=0.0),
                              "axis 'x' n must be an integer, got 10.5"),
     "counterexample_search": (lambda: pqtrig.counterexample_search(_PQ23, 1.0, budget=100.5),
                               "budget must be an integer, got 100.5"),
@@ -412,17 +420,47 @@ def test_a_bad_count_raises_the_same_error_on_both_backends(case):
             call()
 
 
+# check_at's rules, which are run_sweep's: a registered check, its number
+# of arguments, and an order where it needs one
+BAD_CHECK_AT_CALLS = {
+    "unknown-check": (lambda: pqtrig.check_at("nope", _PQ23, 0.5),
+                      "unknown check 'nope'; expected one of double-angle, gm-sin, "),
+    "arity": (lambda: pqtrig.check_at("thm11-sin", _PQ23, 0.5),
+              "thm11-sin takes the arguments (r, s), got 1"),
+    "arity-none": (lambda: pqtrig.check_at("lemma23", _PQ23, 0.5),
+                   "lemma23 takes the arguments (), got 1"),
+    "arity-probe": (lambda: pqtrig.check_at("f-monotone", _PQ23, 0.5, order=0.0),
+                    "f-monotone takes the arguments (x_lo, x_hi), got 1"),
+    "needs-order": (lambda: pqtrig.check_at("gm-sinh", _PQ23, 0.5, 0.7),
+                    "gm-sinh requires a Hölder order"),
+    "needs-order-probe": (lambda: pqtrig.check_at("fstar-monotone", _PQ23, 0.5, 0.7),
+                          "fstar-monotone requires a Hölder order"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CHECK_AT_CALLS)
+def test_a_bad_check_at_call_raises_the_same_error_on_both_backends(case):
+    call, message = BAD_CHECK_AT_CALLS[case]
+    for backend in (compiled, pure):
+        with _kernels(backend), pytest.raises(pqtrig.DomainError, match=re.escape(message)):
+            call()
+
+
 # where a non-real argument goes in each call
 NON_REAL_CALLS = {
     **{name: lambda fn, bad: fn(_PQ23, bad) for name in DOMAIN_TOP},
     "holder_mean": lambda fn, bad: fn(bad, 1.0, 2.0),
     "holder_mean-a": lambda fn, bad: fn(1.0, bad, 2.0),
-    "gm_general_sin_margin": lambda fn, bad: fn(_PQ23, bad, 0.5, 0.7),
+    "check_at-order": lambda fn, bad: fn("gm-sin", _PQ23, 0.5, 0.7, order=bad),
+    "check_at-x": lambda fn, bad: fn("lemma22", _PQ23, bad),
 }
 
+# where None is a value: no order given, and an infinite ExtendedValue
+NONE_TAKEN = {"check_at-order", "ExtendedValue"}
 
-@pytest.mark.parametrize("bad", NON_REALS)
-@pytest.mark.parametrize("case", NON_REAL_CALLS)
+
+@pytest.mark.parametrize("case,bad", [(case, bad) for case in NON_REAL_CALLS for bad in NON_REALS
+                                      if not (bad is None and case in NONE_TAKEN)])
 def test_a_non_real_argument_is_a_domain_error(case, bad):
     fn = getattr(pqtrig, case.partition("-")[0])
     for backend in (compiled, pure):
@@ -440,17 +478,12 @@ NON_REAL_SETTINGS = {
     "GridAxis-lo": (lambda bad: pqtrig.GridAxis("x", bad, 0.9, 3).values(), 0),
     "GridAxis-hi": (lambda bad: pqtrig.GridAxis("x", 0.1, bad, 3).values(), 1),
     "ExtendedValue": (lambda bad: pqtrig.ExtendedValue(bad), 2),
-    "tolerance-check": (lambda bad: pqtrig.lemma21_margin(_PQ23, 0.5, tolerance=bad), 0),
-    "tolerance-sweep": (lambda bad: pqtrig.run_sweep("lemma21", _sweep_axes(3), tolerance=bad),
-                        0),
     "x_max-sweep": (lambda bad: pqtrig.run_sweep("fstar-monotone", _sweep_axes(10), order=0.5,
                                                  x_max=bad), 5),
-    "x_max-probe": (lambda bad: pqtrig.Fstar_monotonicity_probe(_PQ23, 0.5, 10, x_max=bad), 5),
+    "x_max-f-monotone": (lambda bad: pqtrig.run_sweep("f-monotone", _sweep_axes(10), order=0.5,
+                                                      x_max=bad), 5),
 }
 
-
-# where None is a value: the default tolerance, and an infinite ExtendedValue
-NONE_TAKEN = {"tolerance-check", "tolerance-sweep", "ExtendedValue"}
 
 
 @pytest.mark.parametrize("case,bad", [(case, bad) for case in NON_REAL_SETTINGS for bad in NON_REALS

@@ -68,8 +68,6 @@ class TestEval:
      "error: arcsin_pq needs x in [0, 1], got nan\n"),
     (["verify", "--check", "gm-sin", "--order", "-1e-3", "--p", "2", "--q", "3", "--grid", "3"],
      0, ""),
-    (["verify", "--check", "lemma21", "--p", "2", "--q", "3", "--grid", "3", "--tol", "-1e-3"],
-     2, "error: tolerance must be a finite number >= 0, got -0.001\n"),
 ])
 def test_negative_numbers_are_values_as_separate_words(capsys, argv, code, err):
     # argparse took -inf and -1e-3 for options and exited 2 before any
@@ -163,16 +161,12 @@ PROBES = [name for name, check in CHECKS.items() if check.min_grid == 10]
 
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 @pytest.mark.parametrize("option,value,rule", [
-    ("--tol", "nan", "tolerance must be a finite number >= 0"),
-    ("--tol", "-1", "tolerance must be a finite number >= 0"),
-    ("--tol", "inf", "tolerance must be a finite number >= 0"),
     ("--x-max", "inf", "x_max must be finite and positive"),
     ("--x-max", "nan", "x_max must be finite and positive"),
     ("--x-max", "0", "x_max must be finite and positive"),
 ])
-def test_bad_tolerance_or_x_max_is_a_usage_error(capsys, command, option, value, rule):
-    # a nan or negative --tol used to list every point of a proven lemma as
-    # a counterexample, and --x-max inf to record one error per point
+def test_bad_x_max_is_a_usage_error(capsys, command, option, value, rule):
+    # --x-max inf used to record one error per point
     code, out, err = run(capsys, command, "--check", "lemma21", *WHERE[command], "--grid", "3",
                          f"{option}={value}")
     assert code == 2
@@ -375,16 +369,14 @@ def test_an_output_path_that_cannot_be_written_is_a_usage_error(capsys, tmp_path
 # every argv of this module's usage-error tests, and a few for the rules the
 # CLI keeps itself (--grid >= 2 and the lo:hi:n form of a range)
 USAGE_ARGVS = [
-    ["verify", "--check", "lemma21", "--p", "2", "--q", "3", "--grid", "3", "--tol", "-1e-3"],
     ["constants", "--p", "0.9", "--q", "2"],
     ["verify", "--check", "nope", "--p", "2", "--q", "2"],
     ["verify", "--check", "gm-sin", "--p", "2", "--q", "2"],
     *([command, "--check", check, "--order", "0", *WHERE[command], "--grid", grid]
       for command in WHERE for check in PROBES for grid in ("4", "9")),
     *([command, "--check", "lemma21", *WHERE[command], "--grid", "3", f"{option}={value}"]
-      for command in WHERE for option, value in (("--tol", "nan"), ("--tol", "-1"),
-                                                 ("--tol", "inf"), ("--x-max", "inf"),
-                                                 ("--x-max", "nan"), ("--x-max", "0"))),
+      for command in WHERE for option, value in (("--x-max", "inf"), ("--x-max", "nan"),
+                                                 ("--x-max", "0"))),
     ["constants", "--p", "nan", "--q", "2"],
     ["constants", "--p", "inf", "--q", "2"],
     ["constants", "--p", "2", "--q", "nan"],
@@ -411,6 +403,16 @@ USAGE_ARGVS = [
     ["verify", "--check", "thm11-sin", "--p", "2", "--q", "3", "--grid", "1"],
     ["verify", "--check", "lemma23", "--p", "2", "--q", "3", "--grid", "0"],
 ]
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_the_verdict_tolerance_is_no_option(capsys, command):
+    # each check's tolerance is its own rule; --tol is gone, and argparse
+    # refuses it as a usage error
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--check", "lemma21", *WHERE[command], "--grid", "3", "--tol", "0.1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 0.1" in capsys.readouterr().err
 
 
 class _NoKernels:
@@ -458,7 +460,7 @@ _PQ = st.one_of(
     st.floats(1.0, 10.0),
 )
 _FORMATS = st.sampled_from(["text", "csv", "json"])
-_CHECK_ARGS = {"--order": _NUMBERS, "--x-max": _NUMBERS, "--tol": _NUMBERS}
+_CHECK_ARGS = {"--order": _NUMBERS, "--x-max": _NUMBERS}
 
 
 def _opt(name, value):

@@ -1,4 +1,4 @@
-"""Tests for the inequality lab: margins, probes, search and sweep runner."""
+"""Tests for the inequality lab: point checks, probes, search and sweep runner."""
 
 import math
 from functools import partial
@@ -9,25 +9,16 @@ from pqtrig import (
     ComputationError,
     DomainError,
     F_fn,
-    F_monotonicity_probe,
     Fstar_fn,
-    Fstar_monotonicity_probe,
     G_fn,
     GridAxis,
     Gstar_fn,
     InequalityVerdict,
     PQParams,
     PQTrigError,
+    check_at,
     counterexample_search,
-    double_angle_margin,
-    gm_general_sin_margin,
-    gm_general_sinh_margin,
-    lemma21_margin,
-    lemma22_margin,
-    lemma23_check,
     run_sweep,
-    thm11_sin_margin,
-    thm11_sinh_margin,
 )
 
 from pqtrig.inequalities import CHECKS
@@ -38,7 +29,7 @@ from oracles import arcsinh_ref
 
 class TestLemma21:
     def test_classical_midpoint(self, classic):
-        v = lemma21_margin(classic, 0.5)
+        v = check_at("lemma21", classic, 0.5)
         # closed forms at p = q = 2
         assert v.lhs == pytest.approx(math.pi / 6.0, abs=1e-10)
         assert v.rhs == pytest.approx(0.5 * math.sqrt(0.75), abs=1e-12)
@@ -46,27 +37,27 @@ class TestLemma21:
         assert v.satisfied
 
     def test_both_sides_vanish_at_origin(self, classic):
-        v = lemma21_margin(classic, 1e-6)
+        v = check_at("lemma21", classic, 1e-6)
         assert 0.0 <= v.margin < 1e-6
         assert v.satisfied
 
     def test_strict_positivity_spot(self):
-        assert lemma21_margin(PQParams(1.5, 4.0), 0.9).margin > 0.0
+        assert check_at("lemma21", PQParams(1.5, 4.0), 0.9).margin > 0.0
 
     def test_grid_strictly_positive(self):
         for pq in pq_grid():
             for i in range(1, 50):
-                assert lemma21_margin(pq, 0.02 * i).margin > 1e-12
+                assert check_at("lemma21", pq, 0.02 * i).margin > 1e-12
 
     def test_domain(self, classic):
         for x in (0.0, 1.0, -0.5):
             with pytest.raises(DomainError):
-                lemma21_margin(classic, x)
+                check_at("lemma21", classic, x)
 
 
 class TestLemma22:
     def test_classical_at_one(self, classic):
-        v = lemma22_margin(classic, 1.0)
+        v = check_at("lemma22", classic, 1.0)
         assert v.lhs == pytest.approx(1.0 / math.log(1.0 + math.sqrt(2.0)), abs=1e-10)
         assert v.rhs == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
         assert v.margin > 0.0
@@ -75,47 +66,47 @@ class TestLemma22:
     def test_sign_change_point(self):
         # at x0 the bound's numerator vanishes
         pq = PQParams(2.0, 4.0)
-        v = lemma22_margin(pq, 1.0)  # x0 = (2/2)**(1/4) = 1
+        v = check_at("lemma22", pq, 1.0)  # x0 = (2/2)**(1/4) = 1
         assert v.rhs == pytest.approx(0.0, abs=1e-15)
         assert v.at["region"] == "at_x0"
         assert v.margin == pytest.approx(v.lhs, abs=1e-15)
 
     def test_above_sign_change_trivial(self):
         pq = PQParams(2.0, 4.0)
-        v = lemma22_margin(pq, 3.0)
+        v = check_at("lemma22", pq, 3.0)
         assert v.rhs < 0.0 < v.lhs
         assert v.at["region"] == "above_x0"
         assert v.satisfied
 
     def test_below_sign_change(self):
         pq = PQParams(2.0, 4.0)
-        v = lemma22_margin(pq, 0.5)
+        v = check_at("lemma22", pq, 0.5)
         assert v.at["region"] == "below_x0"
         assert v.margin > 0.0
 
     def test_grid_strictly_positive(self):
         for pq in pq_grid():
             for i in range(1, 101):
-                assert lemma22_margin(pq, 0.1 * i).margin > 1e-12
+                assert check_at("lemma22", pq, 0.1 * i).margin > 1e-12
 
     def test_domain(self, classic):
         with pytest.raises(DomainError):
-            lemma22_margin(classic, 0.0)
+            check_at("lemma22", classic, 0.0)
 
 
 class TestLemma23:
     def test_divergent_satisfied(self, classic):
-        v = lemma23_check(classic)
+        v = check_at("lemma23", classic)
         assert math.isinf(v.lhs) and v.satisfied
         assert math.isinf(v.at["m_star"])
 
     def test_finite_value(self):
-        v = lemma23_check(PQParams(2.0, 4.0))
+        v = check_at("lemma23", PQParams(2.0, 4.0))
         assert v.lhs == pytest.approx(1.854, abs=1e-3)
         assert v.margin > 0.0
 
     def test_close_exponents(self):
-        v = lemma23_check(PQParams(1.1, 1.2))
+        v = check_at("lemma23", PQParams(1.1, 1.2))
         assert v.lhs > 1.0 and v.satisfied
 
 
@@ -123,11 +114,11 @@ class TestTheorem11:
     def test_sin_equality_on_diagonal(self):
         for pq in (PQParams(2, 2), PQParams(1.5, 3), PQParams(4, 1.5)):
             r = 0.7 * (1.5 if pq.p == 2 else 1.0)
-            v = thm11_sin_margin(pq, r, r)
+            v = check_at("thm11-sin", pq, r, r)
             assert abs(v.margin) <= 1e-9
 
     def test_sin_classical_value(self, classic):
-        v = thm11_sin_margin(classic, 0.3, 1.2)
+        v = check_at("thm11-sin", classic, 0.3, 1.2)
         expected = math.sin(0.6) - math.sqrt(math.sin(0.3) * math.sin(1.2))
         assert v.margin == pytest.approx(expected, abs=1e-9)
         assert v.margin > 0.03
@@ -137,56 +128,77 @@ class TestTheorem11:
         from pqtrig import half_pi_pq
 
         hp = half_pi_pq(pq)
-        v = thm11_sin_margin(pq, 0.1, hp - 1e-3)
+        v = check_at("thm11-sin", pq, 0.1, hp - 1e-3)
         assert v.margin >= -1e-9
 
     def test_sinh_equality_on_diagonal(self):
         for pq in (PQParams(2, 2), PQParams(2, 4)):
-            v = thm11_sinh_margin(pq, 1.0, 1.0)
+            v = check_at("thm11-sinh", pq, 1.0, 1.0)
             assert abs(v.margin) <= 1e-9
 
     def test_sinh_classical_value(self, classic):
-        v = thm11_sinh_margin(classic, 0.5, 2.0)
+        v = check_at("thm11-sinh", classic, 0.5, 2.0)
         expected = math.sqrt(math.sinh(0.5) * math.sinh(2.0)) - math.sinh(1.0)
         assert v.margin == pytest.approx(expected, abs=1e-9)
         assert v.margin > 0.19
 
     def test_sinh_near_finite_top(self):
-        v = thm11_sinh_margin(PQParams(2.0, 4.0), 0.2, 1.8)
+        v = check_at("thm11-sinh", PQParams(2.0, 4.0), 0.2, 1.8)
         assert v.margin >= -1e-9
 
     def test_domain(self, classic):
         with pytest.raises(DomainError):
-            thm11_sin_margin(classic, 0.0, 1.0)
+            check_at("thm11-sin", classic, 0.0, 1.0)
         with pytest.raises(DomainError):
-            thm11_sinh_margin(PQParams(2, 4), 0.5, 1.9)
+            check_at("thm11-sinh", PQParams(2, 4), 0.5, 1.9)
 
 
 class TestGeneralizedMeans:
     def test_order_zero_reduces_to_theorem(self, classic):
-        v0 = gm_general_sin_margin(classic, 0.0, 0.3, 1.2)
-        vt = thm11_sin_margin(classic, 0.3, 1.2)
-        assert v0.margin == pytest.approx(vt.margin, abs=1e-14)
-        h0 = gm_general_sinh_margin(classic, 0.0, 0.5, 2.0)
-        ht = thm11_sinh_margin(classic, 0.5, 2.0)
-        assert h0.margin == pytest.approx(ht.margin, abs=1e-14)
+        # one geometric mean: the order-0 Hölder mean is thm11's, bit for bit
+        v0 = check_at("gm-sin", classic, 0.3, 1.2, order=0.0)
+        vt = check_at("thm11-sin", classic, 0.3, 1.2)
+        assert (v0.lhs, v0.rhs, v0.margin) == (vt.lhs, vt.rhs, vt.margin)
+        h0 = check_at("gm-sinh", classic, 0.5, 2.0, order=0.0)
+        ht = check_at("thm11-sinh", classic, 0.5, 2.0)
+        assert (h0.lhs, h0.rhs, h0.margin) == (ht.lhs, ht.rhs, ht.margin)
 
     def test_lower_order_weakens_sin_rhs(self, classic):
-        v_neg = gm_general_sin_margin(classic, -1.0, 0.3, 1.2)
-        v_zero = gm_general_sin_margin(classic, 0.0, 0.3, 1.2)
+        v_neg = check_at("gm-sin", classic, 0.3, 1.2, order=-1.0)
+        v_zero = check_at("gm-sin", classic, 0.3, 1.2, order=0.0)
         assert v_neg.margin >= v_zero.margin
 
     def test_margin_monotone_in_order(self, classic):
         margins = [
-            gm_general_sin_margin(classic, r, 0.4, 1.1).margin
+            check_at("gm-sin", classic, 0.4, 1.1, order=r).margin
             for r in (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)
         ]
         assert all(m2 <= m1 for m1, m2 in zip(margins, margins[1:]))
 
     def test_higher_order_strengthens_sinh_rhs(self, classic):
-        v2 = gm_general_sinh_margin(classic, 2.0, 0.5, 2.0)
-        v0 = gm_general_sinh_margin(classic, 0.0, 0.5, 2.0)
+        v2 = check_at("gm-sinh", classic, 0.5, 2.0, order=2.0)
+        v0 = check_at("gm-sinh", classic, 0.5, 2.0, order=0.0)
         assert v2.margin >= v0.margin
+
+    def test_sin_mean_inequality_holds_just_below_order_zero(self):
+        # holder_mean(-1e-12, 0.3, 0.9) was 0.5196562 for 0.5196152, so this
+        # sweep listed 6 counterexamples (worst margin -8.5e-7)
+        report = run_sweep("gm-sin", [GridAxis("p", 1.25, 5.0, 4), GridAxis("q", 1.25, 5.0, 4),
+                                      GridAxis("r", 0.01, 0.99, 12),
+                                      GridAxis("s", 0.01, 0.99, 12)], order=-1e-12)
+        assert report.all_satisfied and not report.errors
+        assert len(report.verdicts) == 2304
+
+    @pytest.mark.parametrize("mean", ["sin", "sinh"])
+    def test_order_zero_sweep_is_the_theorem_sweep(self, mean):
+        # gm-sin at order 0 and thm11-sin differed at 553 of 2,000 seeded
+        # points while each had its own geometric mean
+        axes = [GridAxis("p", 1.25, 5.0, 3), GridAxis("q", 1.25, 5.0, 3),
+                GridAxis("r", 0.01, 0.99, 9), GridAxis("s", 0.01, 0.99, 9)]
+        gm = run_sweep(f"gm-{mean}", axes, order=0.0)
+        thm = run_sweep(f"thm11-{mean}", axes)
+        assert [v[:5] for v in gm.verdicts] == [v[:5] for v in thm.verdicts]
+        assert len(gm.verdicts) == 729
 
     @pytest.mark.parametrize("order", [0.0, 1.0, 3.0])
     def test_sinh_mean_inequality_holds_for_nonnegative_orders(self, order):
@@ -211,7 +223,7 @@ class TestGeneralizedMeans:
 
         w = res.violating
         r, s = arcsin_pq(classic, w.x), arcsin_pq(classic, w.y)
-        v = gm_general_sin_margin(classic, 1.0, r, s)
+        v = check_at("gm-sin", classic, r, s, order=1.0)
         assert v.margin < 0.0
         assert not v.satisfied
 
@@ -252,35 +264,42 @@ class TestProofMachinery:
             Gstar_fn(classic, 0.0)
 
 
+def _probe(check, pq, order, grid_n, x_max=50.0):
+    """A one-cell probe sweep over fractions 0.01..0.99 of the check's scale."""
+    axes = [GridAxis("p", pq.p, pq.p, 1), GridAxis("q", pq.q, pq.q, 1),
+            GridAxis("x", 0.01, 0.99, grid_n)]
+    return run_sweep(check, axes, order=order, x_max=x_max)
+
+
 class TestMonotonicityProbes:
     @pytest.mark.parametrize("order", [-2.0, -0.5, 0.0])
     def test_F_increasing_for_nonpositive_order(self, classic, order):
-        report = F_monotonicity_probe(classic, order, 100)
+        report = _probe("f-monotone", classic, order, 100)
         assert report.all_satisfied
         assert report.worst_margin > 0.0
 
     def test_F_not_monotone_for_positive_order(self, classic):
-        report = F_monotonicity_probe(classic, 1.0, 100)
+        report = _probe("f-monotone", classic, 1.0, 100)
         assert not report.all_satisfied
         assert report.counterexamples
 
     @pytest.mark.parametrize("order", [0.0, 1.0, 3.0])
     def test_Fstar_decreasing_for_nonnegative_order(self, classic, order):
-        report = Fstar_monotonicity_probe(classic, order, 100, x_max=20.0)
+        report = _probe("fstar-monotone", classic, order, 100, x_max=20.0)
         assert report.all_satisfied
 
     def test_Fstar_not_decreasing_for_negative_order(self, classic):
-        report = Fstar_monotonicity_probe(classic, -1.0, 100, x_max=20.0)
+        report = _probe("fstar-monotone", classic, -1.0, 100, x_max=20.0)
         assert not report.all_satisfied
 
     @pytest.mark.parametrize("pq", [PQParams(1.25, 5.0), PQParams(5.0, 1.25), PQParams(3.0, 3.0)])
     def test_threshold_orders_beyond_classical_pair(self, pq):
-        assert F_monotonicity_probe(pq, 0.0, 60).all_satisfied
-        assert Fstar_monotonicity_probe(pq, 0.0, 60, x_max=20.0).all_satisfied
+        assert _probe("f-monotone", pq, 0.0, 60).all_satisfied
+        assert _probe("fstar-monotone", pq, 0.0, 60, x_max=20.0).all_satisfied
 
     def test_grid_validation(self, classic):
         with pytest.raises(DomainError):
-            F_monotonicity_probe(classic, 0.0, 5)
+            _probe("f-monotone", classic, 0.0, 5)
 
 
 class TestCounterexampleSearch:
@@ -312,14 +331,14 @@ class TestCounterexampleSearch:
 class TestDoubleAngleCheck:
     def test_identity_margin(self):
         pq = PQParams(4.0 / 3.0, 4.0)
-        v = double_angle_margin(pq, 0.4)
+        v = check_at("double-angle", pq, 0.4)
         assert v.satisfied
         assert abs(v.lhs - v.rhs) <= 1e-8
 
     def test_domain(self):
         pq = PQParams(4.0 / 3.0, 4.0)
         with pytest.raises(DomainError):
-            double_angle_margin(pq, 2.0)
+            check_at("double-angle", pq, 2.0)
 
 
 @pytest.mark.parametrize("lo,hi", [(0.01, 0.99), (0.05, 1.0), (1.25, 5.0), (-3.0, 7.1)])
@@ -407,7 +426,7 @@ class TestRunSweep:
     def test_bug_in_a_point_check_is_raised_not_recorded(self, monkeypatch, threads):
         from pqtrig import inequalities
 
-        def broken(pq, args, order, tol):
+        def broken(pq, args, order):
             raise ZeroDivisionError("bug in a point check")
 
         monkeypatch.setattr(inequalities.CHECKS["lemma21"], "cell", broken)
@@ -449,6 +468,14 @@ class TestRunSweep:
         assert run_sweep("gm-sin", axes + inner, order=0.5).order == 0.5
         with pytest.raises(DomainError):
             run_sweep("lemma23", axes, order=math.nan)
+        # check_at follows the same rules, and records an order in ``at``
+        # only where its check uses one
+        pq = PQParams(2.0, 3.0)
+        assert "order" not in check_at("thm11-sin", pq, 0.5, 0.7, order=0.5).at
+        assert "order" not in check_at("lemma23", pq, order=0.5).at
+        assert check_at("gm-sin", pq, 0.5, 0.7, order=0.5).at["order"] == 0.5
+        with pytest.raises(DomainError):
+            check_at("lemma23", pq, order=math.nan)
 
     def test_probe_sweep(self, classic):
         report = run_sweep(
@@ -544,16 +571,9 @@ SWEEPS = [
     ("fstar-monotone", 0.5, (("x", 0.01, 0.99, 12),)),
 ]
 
-SCALAR = {
-    "lemma21": lambda pq, at, order: lemma21_margin(pq, at["x"]),
-    "lemma22": lambda pq, at, order: lemma22_margin(pq, at["x"]),
-    "lemma23": lambda pq, at, order: lemma23_check(pq),
-    "thm11-sin": lambda pq, at, order: thm11_sin_margin(pq, at["r"], at["s"]),
-    "thm11-sinh": lambda pq, at, order: thm11_sinh_margin(pq, at["r"], at["s"]),
-    "gm-sin": lambda pq, at, order: gm_general_sin_margin(pq, order, at["r"], at["s"]),
-    "gm-sinh": lambda pq, at, order: gm_general_sinh_margin(pq, order, at["r"], at["s"]),
-    "double-angle": lambda pq, at, order: double_angle_margin(pq, at["x"]),
-}
+def _at_point(check, pq, at, order):
+    """``check_at`` at the point that a verdict's or an error's ``at`` names."""
+    return check_at(check, pq, *(at[name] for name in CHECKS[check].args), order=order)
 
 
 def _sweep_axes(check, inner):
@@ -564,20 +584,23 @@ def _sweep_axes(check, inner):
     return pq_axes + [GridAxis(*a) for a in inner]
 
 
-@pytest.mark.parametrize("check,order,inner", [s for s in SWEEPS if s[0] in SCALAR],
-                         ids=[s[0] for s in SWEEPS if s[0] in SCALAR])
-def test_block_verdicts_match_scalar_checks(check, order, inner):
+@pytest.mark.parametrize("check", CHECKS)
+def test_block_verdicts_match_scalar_checks(check):
     # a cell is solved as one block, but each root depends only on
-    # (p, q, y): every verdict is the scalar check's, bit for bit, and
-    # each recorded error is the one the scalar raises
+    # (p, q, y): every verdict is check_at's, bit for bit, and each
+    # recorded error is the one check_at raises.  The axes come from the
+    # registry, the top fraction 1.0 landing on an open domain's endpoint
+    entry = CHECKS[check]
+    order = 0.5 if entry.needs_order else None
+    inner = [(name, 0.05, 1.0, max(4, entry.min_grid)) for name in entry.axes]
     report = run_sweep(check, _sweep_axes(check, inner), order=order)
     assert report.verdicts
     for v in report.verdicts:
-        assert v == SCALAR[check](PQParams(v.at["p"], v.at["q"]), v.at, order)
+        assert v == _at_point(check, PQParams(v.at["p"], v.at["q"]), v.at, order)
     for e in report.errors:
-        with pytest.raises(DomainError) as err:
-            SCALAR[check](PQParams(e.at["p"], e.at["q"]), e.at, order)
-        assert e.message == f"DomainError: {err.value}"
+        with pytest.raises(PQTrigError) as err:
+            _at_point(check, PQParams(e.at["p"], e.at["q"]), e.at, order)
+        assert e.message == f"{type(err.value).__name__}: {err.value}"
 
 
 @pytest.mark.parametrize("check,order,inner", SWEEPS, ids=[s[0] for s in SWEEPS])
@@ -606,16 +629,18 @@ def test_sweep_errors_keep_their_row_major_index():
 
 
 def _probe_pair(check, pq, at, order):
-    """One probe verdict from F_fn or Fstar_fn, raising the error of the
-    first value it reads."""
+    """One probe verdict from F_fn or Fstar_fn and the default tolerance,
+    raising the error of the first value it reads."""
     fn, increasing = (F_fn, True) if check == "f-monotone" else (Fstar_fn, False)
     first, second = (at["x_hi"], at["x_lo"]) if increasing else (at["x_lo"], at["x_hi"])
     lhs = fn(pq, order, first)
     rhs = fn(pq, order, second)
-    return InequalityVerdict.make(lhs, rhs, lhs - rhs, {**at, "order": order})
+    tol = 1e-9 + 1e-9 * abs(rhs)
+    return InequalityVerdict(lhs, rhs, lhs - rhs, tol, lhs - rhs >= -tol, {**at, "order": order})
 
 
-POINT = {**SCALAR, "f-monotone": partial(_probe_pair, "f-monotone"),
+POINT = {**{check: partial(_at_point, check) for check in CHECKS},
+         "f-monotone": partial(_probe_pair, "f-monotone"),
          "fstar-monotone": partial(_probe_pair, "fstar-monotone")}
 
 # the top fraction 1.0 puts r or s on half_pi (sin), on m_star where it is
@@ -728,7 +753,7 @@ class TestOverflowStaysInTheErrorContract:
     def test_lemma22_far_out(self):
         # rhs = ((p - q) x**q + p) / (p (1 + x**q)**(1 - 1/p)), about
         # -x**(q/p) / 2 = -5e179 here
-        v = lemma22_margin(PQParams(2.0, 3.0), 1e120)
+        v = check_at("lemma22", PQParams(2.0, 3.0), 1e120)
         assert v.rhs == pytest.approx(-0.5 * 1e180, rel=1e-12)
         assert v.satisfied and v.lhs > 0.0
 
@@ -741,47 +766,25 @@ class TestOverflowStaysInTheErrorContract:
         # sqrt(r) sqrt(s) where r s overflows: the root of sinh_pq at 1e300
         # lies beyond the largest float for p > q
         with pytest.raises(ComputationError, match=r"y=9\.99.*e\+299\) bracket passed"):
-            thm11_sinh_margin(PQParams(3.0, 2.0), 1e300, 1e300)
-
-
-BAD_TOLERANCES = [math.nan, -1.0, math.inf]
+            check_at("thm11-sinh", PQParams(3.0, 2.0), 1e300, 1e300)
 
 
 def _no_solves(*args, **kwargs):
     raise AssertionError("a value was computed before the arguments were checked")
 
 
-@pytest.mark.parametrize("tolerance", BAD_TOLERANCES)
-def test_scalar_check_rejects_a_tolerance_that_is_not_finite_and_nonnegative(
-        tolerance, monkeypatch):
-    # nan used to make lemma21 report satisfied=False at a proven point
-    monkeypatch.setattr("pqtrig.inequalities.arcsin_pq", _no_solves)
-    with pytest.raises(DomainError, match="tolerance must be a finite number >= 0"):
-        lemma21_margin(PQParams(2.0, 3.0), 0.5, tolerance=tolerance)
-
-
-@pytest.mark.parametrize("tolerance", BAD_TOLERANCES)
-def test_sweep_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tolerance, monkeypatch):
-    # inf used to make a gm-sin order-1 sweep report all satisfied, hiding
-    # its counterexamples
-    monkeypatch.setattr("pqtrig.inequalities._roots", _no_solves)
-    with pytest.raises(DomainError, match="tolerance must be a finite number >= 0"):
-        run_sweep("gm-sin", _sweep_axes("gm-sin", SWEEPS[5][2]), order=1.0, tolerance=tolerance)
-
-
-def test_a_zero_tolerance_is_accepted():
-    assert lemma21_margin(PQParams(2.0, 3.0), 0.5, tolerance=0.0).satisfied
-
-
 @pytest.mark.parametrize("x_max", [math.inf, math.nan, 0.0, -1.0])
 def test_sweep_rejects_an_x_max_that_is_not_finite_and_positive(x_max, monkeypatch):
     # inf used to record one error per point
     monkeypatch.setattr("pqtrig.inequalities.arcsinh_pq", _no_solves)
+    monkeypatch.setattr("pqtrig.inequalities.arcsin_pq", _no_solves)
     with pytest.raises(DomainError, match="x_max must be finite and positive"):
         run_sweep("fstar-monotone", _sweep_axes("fstar-monotone", SWEEPS[9][2]), order=0.5,
                   x_max=x_max)
+    # checked for a check that does not use it, too
     with pytest.raises(DomainError, match="x_max must be finite and positive"):
-        Fstar_monotonicity_probe(PQParams(2.0, 3.0), 0.5, 10, x_max)
+        run_sweep("f-monotone", _sweep_axes("f-monotone", SWEEPS[8][2]), order=-0.5,
+                  x_max=x_max)
 
 
 _PQ23 = PQParams(2.0, 3.0)
@@ -791,12 +794,16 @@ TAKES_AN_ORDER = {
                                          order=order),
     "run_sweep-lemma21": lambda order: run_sweep("lemma21", _sweep_axes("lemma21", SWEEPS[0][2]),
                                                  order=order),
-    "F_monotonicity_probe": lambda order: F_monotonicity_probe(_PQ23, order, 10),
-    "Fstar_monotonicity_probe": lambda order: Fstar_monotonicity_probe(_PQ23, order, 10),
+    "run_sweep-f-monotone": lambda order: run_sweep(
+        "f-monotone", _sweep_axes("f-monotone", SWEEPS[8][2]), order=order),
+    "run_sweep-fstar-monotone": lambda order: run_sweep(
+        "fstar-monotone", _sweep_axes("fstar-monotone", SWEEPS[9][2]), order=order),
     "F_fn": lambda order: F_fn(_PQ23, order, 0.5),
     "Fstar_fn": lambda order: Fstar_fn(_PQ23, order, 0.5),
-    "gm_general_sin_margin": lambda order: gm_general_sin_margin(_PQ23, order, 0.5, 0.7),
-    "gm_general_sinh_margin": lambda order: gm_general_sinh_margin(_PQ23, order, 0.5, 0.7),
+    "check_at-gm-sin": lambda order: check_at("gm-sin", _PQ23, 0.5, 0.7, order=order),
+    "check_at-gm-sinh": lambda order: check_at("gm-sinh", _PQ23, 0.5, 0.7, order=order),
+    "check_at-f-monotone": lambda order: check_at("f-monotone", _PQ23, 0.5, 0.7, order=order),
+    "check_at-lemma21": lambda order: check_at("lemma21", _PQ23, 0.5, order=order),
     "counterexample_search": lambda order: counterexample_search(_PQ23, order, 100),
 }
 

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from pqtrig import DomainError, holder_mean
 from pqtrig.means import _holder_mean, _holder_means
 
+from oracles import holder_mean_ref
+
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
 moderate = st.floats(min_value=1e-2, max_value=1e2, allow_nan=False, allow_infinity=False)
 orders = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False, allow_infinity=False)
@@ -124,3 +126,57 @@ def test_the_column_mean_is_the_scalar_mean_bit_for_bit():
     for r in orders:
         column = _holder_means(r, a_col, b_col)
         assert [m.hex() for m in column] == [_holder_mean(r, a, b).hex() for a, b in pairs], r
+
+
+# every order's regime: the geometric mean, each decade of tiny orders
+# where the old formula cancelled, and both extremes
+REF_ORDERS = [0.0] + [sign * 10.0 ** -k for k in (300, 250, 200, 150, 100, 50, 30, 20, 16, 14,
+                                                    12, 10, 8, 6, 4) for sign in (1.0, -1.0)]
+REF_ORDERS += [0.5, -0.5, 1.0, -1.0, 30.0, -30.0]
+_HUGE = 1.7976931348623157e308
+
+
+def _ref_pairs(lo_exp, hi_exp, seed, extra):
+    rng = random.Random(seed)
+    return extra + [(10.0 ** rng.uniform(lo_exp, hi_exp), 10.0 ** rng.uniform(lo_exp, hi_exp))
+                    for _ in range(24)]
+
+
+@pytest.mark.parametrize("order", REF_ORDERS)
+def test_holder_mean_is_within_1e_14_of_the_decimal_reference_on_moderate_pairs(order):
+    # log1p(t) - ln 2 from t near 1 cancelled near order 0: 8e-5 relative
+    # at |r| = 1e-12, where holder_mean(1e-12, 0.3, 0.9) was 0.5196562
+    pairs = _ref_pairs(-10.0, 10.0, 23, [(0.3, 0.9), (1e-10, 1e10), (1e10, 1e-10),
+                                          (1.0, math.nextafter(1.0, 2.0)), (2.0, 3.0)])
+    for a, b in pairs:
+        ref = holder_mean_ref(order, a, b)
+        assert abs(holder_mean(order, a, b) - ref) <= 1e-14 * ref, (a, b)
+
+
+@pytest.mark.parametrize("order", REF_ORDERS)
+def test_holder_mean_is_within_1e_12_of_the_decimal_reference_on_any_pair(order):
+    # an overflow of exp raised OverflowError at extreme ratios; a result
+    # below the normal range is held to one step of the subnormal grid
+    tiny = 2.2250738585072014e-308
+    pairs = _ref_pairs(-323.3, 308.25, 24, [
+        (5e-324, _HUGE), (_HUGE, 5e-324), (tiny, _HUGE), (5e-324, 1.0), (1e-310, 1.0),
+        (5e-324, 1e-320), (math.nextafter(_HUGE, 0.0), _HUGE), (1e-300, 1e300)])
+    for a, b in pairs:
+        ref = holder_mean_ref(order, a, b)
+        assert abs(holder_mean(order, a, b) - ref) <= 1e-12 * ref + 5e-324, (a, b)
+
+
+@pytest.mark.parametrize("order", REF_ORDERS)
+def test_holder_mean_of_close_pairs_is_within_1e_15_of_the_decimal_reference(order):
+    # d = ln(other/m) from the ratio: ln(other) - ln(m) would carry the
+    # rounding of two logarithms of up to 23 into a d near 0
+    rng = random.Random(25)
+    for x in (10.0 ** rng.uniform(-10.0, 10.0) for _ in range(24)):
+        a, b = x, x * (1.0 + rng.uniform(-1e-3, 1e-3))
+        ref = holder_mean_ref(order, a, b)
+        assert abs(holder_mean(order, a, b) - ref) <= 1e-15 * ref, (a, b)
+
+
+def test_an_extreme_ratio_next_to_order_zero_is_a_float():
+    # raised OverflowError, no PQTrigError
+    assert holder_mean(-1e-12, 5e-324, _HUGE) == pytest.approx(2.98e-8, rel=1e-3)

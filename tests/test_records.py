@@ -62,7 +62,7 @@ FROZEN = [
     PQParams(2.0, 3.0),
     ExtendedValue(2.5),
     GridAxis("x", 0.1, 0.9, 5),
-    InequalityVerdict.make(1.0, 0.5, 0.5, {"p": 2.0, "q": 3.0}),
+    InequalityVerdict(1.0, 0.5, 0.5, 1.5e-9, True, {"p": 2.0, "q": 3.0}),
     SweepError(0, {"p": 2.0, "q": 3.0}, "DomainError: bad"),
     Witness(0.1, 0.2, 1.0, 1.1, 0.1),
     CounterexampleResult(None, None, 0),
@@ -83,7 +83,7 @@ def test_records_are_tuples_with_unchanged_reprs():
     assert pq == (2.0, 3.0) and tuple(pq) == (2.0, 3.0) and pq[1] == 3.0
     assert repr(pq) == "PQParams(p=2.0, q=3.0)"
     assert repr(ExtendedValue.infinite()) == "ExtendedValue(value=None)"
-    v = InequalityVerdict.make(1.0, 0.5, 0.5, {"p": 2.0}, tolerance=0.25)
+    v = InequalityVerdict(1.0, 0.5, 0.5, 0.25, True, {"p": 2.0})
     assert repr(v) == ("InequalityVerdict(lhs=1.0, rhs=0.5, margin=0.5, "
                        "tolerance=0.25, satisfied=True, at={'p': 2.0})")
     # a field named index shadows tuple.index
@@ -92,7 +92,7 @@ def test_records_are_tuples_with_unchanged_reprs():
 
 def test_each_sweep_report_gets_its_own_lists():
     a, b = SweepReport("lemma23", None, ()), SweepReport("lemma23", None, ())
-    a.verdicts.append(InequalityVerdict.make(2.0, 1.0, 1.0, {}))
+    a.verdicts.append(InequalityVerdict(2.0, 1.0, 1.0, 2e-9, True, {}))
     a.errors.append(SweepError(0, {}, "m"))
     assert b.verdicts == [] and b.errors == []
     a.order = 1.0  # reports stay mutable
