@@ -1,10 +1,11 @@
-"""Golden outputs of ``pqtrig sweep`` and ``pqtrig verify``.
+"""Golden outputs of ``pqtrig sweep``, ``pqtrig verify`` and ``pqtrig
+counterexample``.
 
 Each case is one CLI invocation whose output and exit status are stored
 under ``tests/golden/``: the CSV of every check over one grid (the two
 monotonicity probes at ``--grid 10``, ``double-angle`` at (4/3, 4) only),
-``gm-sin`` also at two positive orders, one JSON report and one text
-report.  A refactor of the lab or the CLI must leave all of them
+``gm-sin`` also at two positive orders, one JSON report, one text report,
+and one sharpness search at order 1 in text, CSV and JSON.  A refactor of the lab or the CLI must leave all of them
 byte-identical, on either kernel backend: each case runs on the compiled
 kernels (where they are built) and on the pure ones, by swapping the
 kernel module that ``functions`` and ``inverse`` call.
@@ -17,7 +18,8 @@ The CSV and text files round every number to 12 digits.  To see how far
 a change moves the numbers themselves, dump every case at full precision
 on the active backend (each verdict's lhs, rhs, margin, tolerance,
 satisfied and at, as ``repr`` floats, each error's message, and the exit
-status), once per tree, and compare the dumps:
+status; a search's witnesses as verdicts, without a tolerance, and its
+evaluation count), once per tree, and compare the dumps:
 
     PYTHONPATH=<parent>/src python tests/test_golden.py --full parent.json
     PYTHONPATH=src python tests/test_golden.py --full change.json
@@ -26,10 +28,10 @@ status), once per tree, and compare the dumps:
 ``--compare`` prints, per case, how many numbers moved, the worst move
 |a - b| / max(1, |a|), how many verdicts moved their ``at`` and the
 worst relative move |a - b| / |a| of an ``at`` value, and any change of
-exit status, ``satisfied``, errors or verdict count.  It exits 1 when
-any case changes its exit status, a ``satisfied``, its errors or its
-verdict count, or is missing from one dump, and 0 otherwise.  Set
-``PQTRIG_PURE_PYTHON=1`` to dump the pure backend.
+exit status, ``satisfied``, errors, verdict count or evaluation count.
+It exits 1 when any case changes its exit status, a ``satisfied``, its
+errors or its verdict count, or is missing from one dump, and 0
+otherwise.  Set ``PQTRIG_PURE_PYTHON=1`` to dump the pure backend.
 """
 
 import argparse
@@ -80,6 +82,10 @@ CASES["fstar-monotone-json"] = ("sweep", "--check", "fstar-monotone", "--order",
                                 "--x-max", "20", *_PROBE_GRID, "--format", "json")
 CASES["gm-sin-1-verify-text"] = ("verify", "--check", "gm-sin", "--order", "1",
                                  "--p", "2", "--q", "3", "--grid", "4")
+_SEARCH = ("counterexample", "--order", "1", "--p", "2", "--q", "3", "--budget", "400")
+CASES["counterexample-text"] = _SEARCH
+CASES["counterexample-csv"] = _SEARCH + ("--format", "csv")
+CASES["counterexample-json"] = _SEARCH + ("--format", "json")
 
 
 def _path(name: str, argv) -> str:
@@ -122,7 +128,9 @@ def _regenerate() -> None:
 
 def _full(argv) -> dict:
     """One case at full precision: its exit status, and its verdicts and
-    errors as the JSON report gives them."""
+    errors as the JSON report gives them; for a search, each witness found
+    as a verdict (satisfied where its margin is nonnegative, as the CSV
+    has it) and the evaluation count."""
     argv = list(argv)
     if "--format" in argv:
         argv[argv.index("--format") + 1] = "json"
@@ -130,7 +138,14 @@ def _full(argv) -> dict:
         argv += ["--format", "json"]
     code, out = _run(argv)
     report = json.loads(out)
-    return {"exit": code, "verdicts": report["verdicts"], "errors": report["errors"]}
+    if argv[0] != "counterexample":
+        return {"exit": code, "verdicts": report["verdicts"], "errors": report["errors"]}
+    witnesses = [w for w in (report["violating"], report["satisfying"]) if w is not None]
+    verdicts = [{"lhs": w["lhs"], "rhs": w["rhs"], "margin": w["margin"],
+                 "satisfied": w["margin"] >= 0.0, "at": {"x": w["x"], "y": w["y"]}}
+                for w in witnesses]
+    return {"exit": code, "verdicts": verdicts, "errors": [],
+            "evaluations": report["evaluations"]}
 
 
 def _number(v):
@@ -147,8 +162,9 @@ def _moved(x, y, scale):
 def _compare(a: dict, b: dict) -> tuple[list[str], bool]:
     """Per case, the count of moved numbers and the worst move, the count
     of moved ``at`` and their worst relative move, and every change of exit
-    status, ``satisfied``, errors or verdict count; and whether any case
-    changed one of those four (or is missing from one dump)."""
+    status, ``satisfied``, errors, verdict count or evaluation count; and
+    whether any case changed one of the first four (or is missing from one
+    dump)."""
     lines, changed = [], False
     for name in sorted(set(a) | set(b)):
         if name not in a or name not in b:
@@ -177,6 +193,8 @@ def _compare(a: dict, b: dict) -> tuple[list[str], bool]:
                     if x != y:
                         worst_at = max(worst_at, _moved(x, y, lambda v: abs(v) or 1.0))
             for key in ("lhs", "rhs", "margin", "tolerance"):
+                if key not in va:  # a search's witnesses carry no tolerance
+                    continue
                 x, y = _number(va[key]), _number(vb[key])
                 if x != y:
                     moved += 1
@@ -186,6 +204,8 @@ def _compare(a: dict, b: dict) -> tuple[list[str], bool]:
         changed = changed or bool(notes)
         if ats:
             notes.append(f"at changed at {ats} verdicts, worst {worst_at:.3g} relative")
+        if ca.get("evaluations") != cb.get("evaluations"):
+            notes.append(f"evaluations {ca.get('evaluations')} -> {cb.get('evaluations')}")
         lines.append(f"{name}: {moved} numbers moved, worst {worst:.3g}"
                      + "".join(f"; {n}" for n in notes))
     return lines, changed
