@@ -40,7 +40,6 @@ from .inequalities import (
     InequalityVerdict,
     SweepError,
     SweepReport,
-    Witness,
     check_at,
     counterexample_search,
     run_sweep,
@@ -68,7 +67,6 @@ __all__ = [
     "QuadratureResult",
     "SweepError",
     "SweepReport",
-    "Witness",
     "arccos_pq",
     "arcsin_pq",
     "arcsin_series_oracle",

@@ -98,14 +98,16 @@ def _emit(text: str, ns: argparse.Namespace) -> None:
             sys.stdout.write("\n")
 
 
-def _verdict_row(check: str, v) -> str:
+def _verdict_row(label: str, names, v) -> str:
+    """The CSV row of verdict ``v``, labelled ``label``, with its arguments
+    ``names`` (up to two) in arg1 and arg2."""
     at = v.at
-    arg1, arg2 = ([_fmt12(at[name]) for name in CHECKS[check].args] + ["", ""])[:2]
+    arg1, arg2 = ([_fmt12(at[name]) for name in names] + ["", ""])[:2]
     return ",".join(
         [
             _fmt12(at["p"]),
             _fmt12(at["q"]),
-            check,
+            label,
             arg1,
             arg2,
             _fmt12(v.lhs),
@@ -117,10 +119,8 @@ def _verdict_row(check: str, v) -> str:
 
 
 def _report_csv(report: SweepReport) -> str:
-    lines = [CSV_HEADER]
-    for v in report.verdicts:
-        lines.append(_verdict_row(report.check, v))
-    return "\n".join(lines)
+    check, args = report.check, CHECKS[report.check].args
+    return "\n".join([CSV_HEADER] + [_verdict_row(check, args, v) for v in report.verdicts])
 
 
 def _report_json(report: SweepReport) -> str:
@@ -237,18 +237,8 @@ def cmd_counterexample(ns: argparse.Namespace) -> int:
     result = _checked(counterexample_search, pq, ns.order, ns.budget)
     rows = [("violating", result.violating), ("satisfying", result.satisfying)]
     if ns.format == "csv":
-        lines = [CSV_HEADER]
-        for label, w in rows:
-            if w is None:
-                continue
-            lines.append(
-                ",".join(
-                    [_fmt12(ns.p), _fmt12(ns.q), f"counterexample-{label}",
-                     _fmt12(w.x), _fmt12(w.y), _fmt12(w.lhs), _fmt12(w.rhs),
-                     _fmt12(w.margin), "true" if w.margin >= 0 else "false"]
-                )
-            )
-        _emit("\n".join(lines), ns)
+        _emit("\n".join([CSV_HEADER] + [_verdict_row(f"counterexample-{label}", ("x", "y"), w)
+                                        for label, w in rows if w is not None]), ns)
     elif ns.format == "json":
         obj = {
             "p": ns.p, "q": ns.q, "order": ns.order,
@@ -256,7 +246,7 @@ def cmd_counterexample(ns: argparse.Namespace) -> int:
         }
         for label, w in rows:
             obj[label] = None if w is None else {
-                "x": w.x, "y": w.y, "lhs": w.lhs, "rhs": w.rhs, "margin": w.margin,
+                "x": w.at["x"], "y": w.at["y"], "lhs": w.lhs, "rhs": w.rhs, "margin": w.margin,
             }
         _emit(_json(obj), ns)
     else:
@@ -266,7 +256,7 @@ def cmd_counterexample(ns: argparse.Namespace) -> int:
                 lines.append(f"{label}: not found within budget")
             else:
                 lines.append(
-                    f"{label}: x={_fmt12(w.x)} y={_fmt12(w.y)} "
+                    f"{label}: x={_fmt12(w.at['x'])} y={_fmt12(w.at['y'])} "
                     f"lhs={_fmt12(w.lhs)} rhs={_fmt12(w.rhs)} margin={_fmt12(w.margin)}"
                 )
         _emit("\n".join(lines), ns)

@@ -51,6 +51,14 @@ class PQParams(Validated, _PQFields):
             raise DomainError(f"q must be a finite real exceeding 1, got {self.q!r}")
 
 
+def _pair(value, what: str) -> PQParams:
+    """``value``, or DomainError naming ``what`` where it is no PQParams (a
+    plain (p, q) tuple included), before anything reads its p or q."""
+    if isinstance(value, PQParams):
+        return value
+    raise DomainError(f"{what} must be a PQParams, got {value!r}")
+
+
 class _ExtendedFields(NamedTuple):
     value: Optional[float]  # None encodes positive infinity
 
@@ -114,6 +122,7 @@ def _m_star(p: float, q: float) -> float:
 
 def half_pi_pq(pq: PQParams) -> float:
     """The constant arcsin_pq(1) = B(1/q, 1 - 1/p) / q; always at least 1."""
+    pq = _pair(pq, "half_pi_pq's pq")
     return _half_pi(pq.p, pq.q)
 
 
@@ -124,6 +133,7 @@ def m_star_pq(pq: PQParams) -> ExtendedValue:
     the parameters, never by probing the integral numerically.  A finite
     value, the far form of arcsinh_pq at x = inf, is always at least 1.
     """
+    pq = _pair(pq, "m_star_pq's pq")
     if pq.p >= pq.q:
         return ExtendedValue.infinite()
     return ExtendedValue.finite(_m_star(pq.p, pq.q))
@@ -136,7 +146,7 @@ def arcsin_pq(pq: PQParams, x: float) -> float:
     docstring), so the series is never taken beyond z = 1/2.  Raises
     :class:`DomainError` for x outside [0, 1].
     """
-    x = real(x, "arcsin_pq's x")
+    pq, x = _pair(pq, "arcsin_pq's pq"), real(x, "arcsin_pq's x")
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"arcsin_pq needs x in [0, 1], got {x!r}")
     what = ("arcsin_pq", x)
@@ -154,7 +164,7 @@ def arccos_pq(pq: PQParams, x: float) -> float:
     branch, and the top form takes w = x**p as ln(1/w) = -p ln x, which
     holds where x**p is below the subnormal range.
     """
-    x = real(x, "arccos_pq's x")
+    pq, x = _pair(pq, "arccos_pq's pq"), real(x, "arccos_pq's x")
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"arccos_pq needs x in [0, 1], got {x!r}")
     what = ("arccos_pq", x)
@@ -174,7 +184,7 @@ def arcsinh_pq(pq: PQParams, x: float) -> float:
     ``_dequad_py``), so a huge x costs no accuracy on either side of
     p = q.  Where m_star_pq is finite the value never exceeds it.
     """
-    x = real(x, "arcsinh_pq's x")
+    pq, x = _pair(pq, "arcsinh_pq's pq"), real(x, "arcsinh_pq's x")
     if not (x >= 0.0 and math.isfinite(x)):
         raise DomainError(f"arcsinh_pq needs finite x >= 0, got {x!r}")
     p, q = pq.p, pq.q
@@ -200,6 +210,7 @@ def arcsin_series_oracle(pq: PQParams, x: float, n_terms: int) -> float:
     independent check of ``arcsin_pq`` there; the test suite checks both
     against a tanh-sinh reference.
     """
+    pq = _pair(pq, "arcsin_series_oracle's pq")
     if not (0.0 <= real(x, "series oracle's x") < 1.0):
         raise DomainError(f"series oracle needs x in [0, 1), got {x!r}")
     if count(n_terms, "n_terms") < 1:

@@ -31,8 +31,13 @@ The geometric-mean inequalities are sharp at order 0: gm-sin holds for
 every argument pair exactly when ord <= 0, gm-sinh exactly when
 ord >= 0; at order 0 they are thm11, bit for bit.  ``counterexample_search``
 exhibits the failure (and a satisfying instance) for gm-sin at a
-positive order.  For p < q the bound of lemma22 changes sign at
-x0 = (p/(q-p))**(1/q), and its verdicts record which side x is on.
+positive order in its arcsin form, arcsin_pq(H_ord(x, y)) <=
+sqrt(arcsin_pq(x) arcsin_pq(y)) at x = sin_pq(r), y = sin_pq(s), from
+forward values only: the one formula written outside a cell evaluator,
+kept while the benchmark checks witnesses by (x, y) and that margin.
+Searched in the check's own (r, s), it would need none.  For p < q the
+bound of lemma22 changes sign at x0 = (p/(q-p))**(1/q), and its
+verdicts record which side x is on.
 
 Every check is one entry of the ``CHECKS`` registry: its inner axis
 names, how their values become argument tuples (every combination, or
@@ -52,10 +57,10 @@ that reads a failed value and one whose formula fails each get an error
 instead of a verdict; the cell returns its verdicts in point order and
 its errors with their positions, so the sweep gives each error its
 row-major index.  No value is cached between calls.  Each check's
-formula is written once, in its cell evaluator, and ``check_at`` is a
-one-point cell.  A value depends only on (p, q) and its argument, so
-every verdict and error of a sweep equals ``check_at``'s at its point,
-bit for bit.
+formula is written once, in its cell evaluator (the search's arcsin
+form aside), and ``check_at`` is a one-point cell.  A value depends
+only on (p, q) and its argument, so every verdict and error of a sweep
+equals ``check_at``'s at its point, bit for bit.
 """
 
 import math
@@ -66,9 +71,9 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from ._records import Validated, count, holder_order, real
 from .errors import ComputationError, DomainError, PQTrigError
-from .functions import PQParams, arcsin_pq, arcsinh_pq, half_pi_pq, m_star_pq
+from .functions import PQParams, _pair, arcsin_pq, arcsinh_pq, half_pi_pq, m_star_pq
 from .inverse import _roots
-from .means import _gmeans, _holder_mean, _holder_means
+from .means import _gmeans, _holder_means
 
 DEFAULT_TOL_ABS = 1e-9
 DEFAULT_TOL_REL = 1e-9
@@ -366,7 +371,7 @@ def G_fn(pq: PQParams, x: float) -> float:
     Defined on (0, 1) with range (-1, inf): G tends to -1 at 0 and to
     +inf at 1.
     """
-    x = real(x, "G_fn's x")
+    pq, x = _pair(pq, "G_fn's pq"), real(x, "G_fn's x")
     if not (0.0 < x < 1.0):
         raise DomainError(f"G_fn needs x in (0, 1), got {x!r}")
     xq = math.pow(x, pq.q)
@@ -379,7 +384,7 @@ def Gstar_fn(pq: PQParams, x: float) -> float:
 
     Exceeds 1 for every x > 0 and tends to 1 at 0.
     """
-    x = real(x, "Gstar_fn's x")
+    pq, x = _pair(pq, "Gstar_fn's pq"), real(x, "Gstar_fn's x")
     if not (x > 0.0 and math.isfinite(x)):
         raise DomainError(f"Gstar_fn needs finite x > 0, got {x!r}")
     lx, sp = math.log(x), _softplus(pq.q * math.log(x))  # ln x and ln(1 + x**q)
@@ -389,7 +394,7 @@ def Gstar_fn(pq: PQParams, x: float) -> float:
 
 def F_fn(pq: PQParams, order: float, x: float) -> float:
     """F(x) = x**(1-order) / (arcsin_pq(x) (1-x**q)**(1/p)) on (0, 1)."""
-    return _F(pq, holder_order(order), real(x, "F_fn's x"))
+    return _F(_pair(pq, "F_fn's pq"), holder_order(order), real(x, "F_fn's x"))
 
 
 def _F(pq: PQParams, ordv: float, x: float) -> float:
@@ -404,7 +409,7 @@ def _F(pq: PQParams, ordv: float, x: float) -> float:
 
 def Fstar_fn(pq: PQParams, order: float, x: float) -> float:
     """F*(x) = x**(1-order) / (arcsinh_pq(x) (1+x**q)**(1/p)) on (0, inf)."""
-    return _Fstar(pq, holder_order(order), real(x, "Fstar_fn's x"))
+    return _Fstar(_pair(pq, "Fstar_fn's pq"), holder_order(order), real(x, "Fstar_fn's x"))
 
 
 def _Fstar(pq: PQParams, ordv: float, x: float) -> float:
@@ -435,32 +440,43 @@ def _probe_cell(fn, increasing, pq, pts, ordv) -> tuple[list, list]:
 # ---------------------------------------------------------------------------
 # counterexample search for the sharpness threshold
 
-class Witness(NamedTuple):
-    """One argument pair with the margin of the mean inequality there."""
-
-    x: float
-    y: float
-    lhs: float
-    rhs: float
-    margin: float
-
-
 class CounterexampleResult(NamedTuple):
     """Outcome of a sharpness search at a positive Hölder order.
 
-    The underlying claim is
-    sqrt(arcsin_pq(x) arcsin_pq(y)) >= arcsin_pq(H_ord(x, y)); a
-    violating witness has ``margin < 0`` there, a satisfying one
-    ``margin > 0``.  Either field is None when no witness of that sign
-    emerged within budget.
+    Each witness is the :class:`InequalityVerdict` of the claim
+    arcsin_pq(H_ord(x, y)) <= sqrt(arcsin_pq(x) arcsin_pq(y)) at
+    ``at`` = {p, q, order, x, y}, with lhs and rhs its two sides and margin
+    rhs - lhs.  The violating witness is not satisfied; the satisfying one
+    has a margin above its tolerance.  Either field is None when no witness
+    of that kind emerged; ``evaluations`` counts the points evaluated.
     """
 
-    violating: Optional[Witness]
-    satisfying: Optional[Witness]
+    violating: Optional[InequalityVerdict]
+    satisfying: Optional[InequalityVerdict]
     evaluations: int
 
 
-_WITNESS_FLOOR = 1e-11
+def _search_stage(pq, ordv, pts) -> list[InequalityVerdict]:
+    """The verdicts at the first point (x, y) of the least margin and at
+    the first of the greatest, from one column pass over ``pts`` as a cell
+    makes it: the means from one column, the values from one table over
+    their distinct arguments, then the columns of lhs, rhs and margin.  The
+    first point that reads a failed value raises its error."""
+    xs, ys = [x for x, _ in pts], [y for _, y in pts]
+    hs = _holder_means(ordv, xs, ys)
+    table = _table(partial(arcsin_pq, pq), hs + xs + ys)
+    errors: list = []
+    _solved(table, errors, range(len(pts)), (hs, xs, ys))
+    if errors:
+        raise errors[0][1]
+    lhs = [table[h] for h in hs]
+    rhs = [math.sqrt(table[x] * table[y]) for x, y in pts]
+    margin = [rh - lh for lh, rh in zip(lhs, rhs)]
+    # a stage keeps two of its points, so only those two become verdicts
+    ends = [min(range(len(pts)), key=margin.__getitem__),
+            max(range(len(pts)), key=margin.__getitem__)]
+    ats = [{"p": pq.p, "q": pq.q, "order": ordv, "x": pts[i][0], "y": pts[i][1]} for i in ends]
+    return _verdicts(*([col[i] for i in ends] for col in (lhs, rhs, margin)), ats)
 
 
 def counterexample_search(
@@ -468,73 +484,52 @@ def counterexample_search(
 ) -> CounterexampleResult:
     """Grid scan plus local refinement for both margin signs on (0, 1)**2.
 
-    The coarse grid has floor(sqrt(budget)) points per side; the most
-    negative and most positive cells are then refined by three rounds of
-    10x zoom.  Margins within 1e-11 of zero (the diagonal's equality
-    case) never qualify as witnesses.
+    ``budget`` sets the side of the coarse grid on [0.005, 0.995],
+    floor(sqrt(budget)) and at least 10, whose triangle x < y is scanned;
+    it does not bound the evaluations.  The first point of the least
+    margin, if that is negative, and the first of the greatest, if that is
+    positive, are each refined by three rounds of an 11x11 grid, a tenth
+    as wide each round, around the best point so far, which a round's
+    extreme replaces only with a strictly more extreme margin.  Each stage
+    is one column pass.  A refined point is a witness where its verdict is
+    decided outside its tolerance.
     """
+    pq = _pair(pq, "counterexample_search's pq")
     ordv = holder_order(order)
     if not (ordv > 0.0):
         raise DomainError("counterexample_search needs a positive order")
     if count(budget, "budget") < 100:
         raise DomainError("budget must be at least 100")
-    evals = 0
-    known: dict[float, float] = {}  # arcsin_pq values, for this search only
-
-    def arcsin(x: float) -> float:
-        value = known.get(x)
-        if value is None:
-            value = known[x] = arcsin_pq(pq, x)
-        return value
-
-    def margin_at(x: float, y: float) -> tuple[float, float, float]:
-        # claim: arcsin_pq(H_ord(x, y)) <= sqrt(arcsin_pq(x) arcsin_pq(y))
-        nonlocal evals
-        evals += 1
-        lhs = arcsin(_holder_mean(ordv, x, y))
-        rhs = math.sqrt(arcsin(x) * arcsin(y))
-        return lhs, rhs, rhs - lhs
-
     n = max(10, math.isqrt(budget))
-    xs = GridAxis("x", 0.005, 0.995, n).values()
-    best = {"neg": (0.0, None), "pos": (0.0, None)}
-    for i, x in enumerate(xs):
-        for y in xs[i + 1:]:
-            _, _, m = margin_at(x, y)
-            if m < best["neg"][0]:
-                best["neg"] = (m, (x, y))
-            if m > best["pos"][0]:
-                best["pos"] = (m, (x, y))
+    grid = GridAxis("x", 0.005, 0.995, n).values()
+    coarse = _search_stage(pq, ordv, [(x, y) for i, x in enumerate(grid) for y in grid[i + 1:]])
+    evals = n * (n - 1) // 2
 
-    def refine(seed, want_negative: bool) -> Optional[Witness]:
-        m0, pt = seed
-        if pt is None:
+    def witness(end: int, sign: float) -> Optional[InequalityVerdict]:
+        # ``end`` picks a stage's least (0) or greatest (1) margin, and
+        # ``sign`` orients it so that more extreme is larger
+        nonlocal evals
+        best = coarse[end]
+        if not sign * best.margin > 0.0:
             return None
-        span = (xs[-1] - xs[0]) / (n - 1)
-        cx, cy = pt
-        best_m, best_pt = m0, pt
+        span = (grid[-1] - grid[0]) / (n - 1)
         for _ in range(3):
-            for i in range(11):
-                for j in range(11):
-                    x = min(0.9995, max(5e-4, cx + span * (i - 5) / 5.0))
-                    y = min(0.9995, max(5e-4, cy + span * (j - 5) / 5.0))
-                    if abs(x - y) < 1e-12:
-                        continue
-                    _, _, m = margin_at(x, y)
-                    if (want_negative and m < best_m) or (not want_negative and m > best_m):
-                        best_m, best_pt = m, (x, y)
-            cx, cy = best_pt
+            cx, cy = best.at["x"], best.at["y"]
+            steps = [span * (i - 5) / 5.0 for i in range(11)]
+            row = [min(0.9995, max(5e-4, cx + d)) for d in steps]
+            col = [min(0.9995, max(5e-4, cy + d)) for d in steps]
+            # never empty: the centre (cx, cy) is a point, 1e-12 or more off the diagonal
+            pts = [(x, y) for x in row for y in col if abs(x - y) >= 1e-12]
+            evals += len(pts)
+            top = _search_stage(pq, ordv, pts)[end]
+            if sign * top.margin > sign * best.margin:
+                best = top
             span /= 10.0
-        if abs(best_m) <= _WITNESS_FLOOR:
-            return None
-        lhs, rhs, m = margin_at(*best_pt)
-        return Witness(best_pt[0], best_pt[1], lhs, rhs, m)
+        # violated (margin < -tolerance) or satisfied with margin > tolerance
+        return best if sign * best.margin > best.tolerance else None
 
-    return CounterexampleResult(
-        violating=refine(best["neg"], want_negative=True),
-        satisfying=refine(best["pos"], want_negative=False),
-        evaluations=evals,
-    )
+    violating, satisfying = witness(0, -1.0), witness(1, 1.0)
+    return CounterexampleResult(violating, satisfying, evals)
 
 
 # ---------------------------------------------------------------------------
@@ -625,11 +620,12 @@ def check_at(check: str, pq: PQParams, *args: float,
     """The verdict of the registered ``check`` at one point, whose ``args``
     (named by the check's ``args``: x, none for lemma23, (r, s) or
     (x_lo, x_hi)) are absolute.  As in :func:`run_sweep`, an unknown
-    check, the wrong number of arguments, a missing order where the check
-    needs one and a non-finite order raise :class:`DomainError` before
-    anything is computed; an order the check does not use is checked and
-    not recorded.  A point raises the error that a sweep records there."""
-    entry = _entry(check)
+    check, a pair that is no :class:`PQParams`, the wrong number of
+    arguments, a missing order where the check needs one and a non-finite
+    order raise :class:`DomainError` before anything is computed; an
+    order the check does not use is checked and not recorded.  A point
+    raises the error that a sweep records there."""
+    entry, pq = _entry(check), _pair(pq, "check_at's pq")
     if len(args) != len(entry.args):
         raise DomainError(f"{check} takes the arguments ({', '.join(entry.args)}), "
                           f"got {len(args)}")

@@ -36,7 +36,7 @@ from functools import lru_cache
 from ._backend import kernels
 from ._records import real
 from .errors import ComputationError, DomainError, PQTrigError
-from .functions import PQParams, _half_pi, _m_star
+from .functions import PQParams, _half_pi, _m_star, _pair
 
 _TOP_PAD = 1e-12  # how far the domain of sin_pq and cos_pq reaches above half_pi_pq
 _MAX_ITERS = 100  # forward values per solve; the most seen is 47, at p, q = 1 + 1e-12
@@ -162,7 +162,7 @@ def sin_pq(pq: PQParams, y: float) -> float:
     ``y`` must be a real in [0, half_pi_pq + 1e-12]; sin_pq(0) = 0, and
     sin_pq(y) = 1 exactly for every y >= half_pi_pq.
     """
-    return _one("sin", pq, real(y, "sin_pq's y"))
+    return _one("sin", _pair(pq, "sin_pq's pq"), real(y, "sin_pq's y"))
 
 
 def cos_pq(pq: PQParams, y: float) -> float:
@@ -181,7 +181,7 @@ def cos_pq(pq: PQParams, y: float) -> float:
     of y, fixes v only to about that bound over |arccos_pq'(v)|; no
     float forward value resolves v more finely.
     """
-    return _one("cos", pq, real(y, "cos_pq's y"))
+    return _one("cos", _pair(pq, "cos_pq's pq"), real(y, "cos_pq's y"))
 
 
 def sinh_pq(pq: PQParams, y: float) -> float:
@@ -196,4 +196,4 @@ def sinh_pq(pq: PQParams, y: float) -> float:
     :class:`ComputationError`; every finite root is within reach of the
     forward series.
     """
-    return _one("sinh", pq, real(y, "sinh_pq's y"))
+    return _one("sinh", _pair(pq, "sinh_pq's pq"), real(y, "sinh_pq's y"))

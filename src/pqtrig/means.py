@@ -29,25 +29,20 @@ def holder_mean(order: float, a: float, b: float) -> float:
     a, b = real(a, "holder_mean's a"), real(b, "holder_mean's b")
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"holder_mean needs positive arguments, got {a!r}, {b!r}")
-    return _holder_mean(r, a, b)
-
-
-def _holder_mean(r: float, a: float, b: float) -> float:
-    """:func:`holder_mean` without its checks, for callers that have made
-    them: ``r`` a finite float, ``a`` and ``b`` positive floats."""
     return _holder_means(r, (a,), (b,))[0]
 
 
 def _gmeans(a_col, b_col) -> list[float]:
-    """sqrt(a b) for each pair; as sqrt(a) sqrt(b) where a b overflows or
-    leaves the normal range."""
+    """sqrt(a b) for each pair: a itself where a == b, and sqrt(a) sqrt(b)
+    where a b overflows or leaves the normal range."""
     sqrt, inf = math.sqrt, math.inf
-    return [sqrt(ab) if _TINY <= (ab := a * b) < inf else sqrt(a) * sqrt(b)
+    return [a if a == b else sqrt(ab) if _TINY <= (ab := a * b) < inf else sqrt(a) * sqrt(b)
             for a, b in zip(a_col, b_col)]
 
 
 def _holder_means(r: float, a_col, b_col) -> list[float]:
-    """[_holder_mean(r, a, b) for a, b in zip(a_col, b_col)] in one loop:
+    """H_r(a, b) for each pair of the columns, in one loop, for a finite
+    float ``r`` and positive floats (the checks of :func:`holder_mean`):
     H_r = m exp(log1p(expm1(r d) / 2) / r), with m the larger argument for
     r > 0 and the smaller for r < 0 and d = ln(other/m), which does not
     cancel as r nears 0; the geometric mean where |r| d**2 / 8 is below

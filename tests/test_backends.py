@@ -390,6 +390,21 @@ def test_public_functions_keep_the_error_contract(p, q, name, data):
 
 _PQ23 = pqtrig.PQParams(2.0, 3.0)
 
+# a valid value of each argument kind, so only the pair is at fault
+_VALID = {"x": 0.5, "order": 1.0, "count": 100}
+
+
+@pytest.mark.parametrize("bad", [(2.0, 3.0), "x"], ids=["tuple", "string"])
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_a_pair_that_is_no_pqparams_is_a_domain_error(name, bad):
+    # each leaked an AttributeError ("'tuple' object has no attribute 'q'")
+    fn = _public_fn(name)
+    args = [_VALID[kind] for kind in SIGNATURES[name]]
+    message = f"{name.partition(' ')[0]}'s pq must be a PQParams, got {bad!r}"
+    for backend in (compiled, pure):
+        with _kernels(backend), pytest.raises(pqtrig.DomainError, match=re.escape(message)):
+            fn(bad, *args)
+
 
 def _sweep_axes(n):
     return [pqtrig.GridAxis("p", 2.0, 2.0, 1), pqtrig.GridAxis("q", 3.0, 3.0, 1),

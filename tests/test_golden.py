@@ -5,10 +5,11 @@ Each case is one CLI invocation whose output and exit status are stored
 under ``tests/golden/``: the CSV of every check over one grid (the two
 monotonicity probes at ``--grid 10``, ``double-angle`` at (4/3, 4) only),
 ``gm-sin`` also at two positive orders, one JSON report, one text report,
-and one sharpness search at order 1 in text, CSV and JSON.  A refactor of the lab or the CLI must leave all of them
-byte-identical, on either kernel backend: each case runs on the compiled
-kernels (where they are built) and on the pure ones, by swapping the
-kernel module that ``functions`` and ``inverse`` call.
+and one sharpness search at order 1 in text, CSV and JSON.  A refactor of
+the lab or the CLI must leave all of them byte-identical, on either
+kernel backend: each case runs on the compiled kernels (where they are
+built) and on the pure ones, by swapping the kernel module that
+``functions`` and ``inverse`` call.
 
 Regenerate the files from a trusted tree with
 

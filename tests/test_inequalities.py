@@ -18,6 +18,7 @@ from pqtrig import (
     PQTrigError,
     check_at,
     counterexample_search,
+    holder_mean,
     run_sweep,
 )
 
@@ -222,7 +223,7 @@ class TestGeneralizedMeans:
         from pqtrig import arcsin_pq
 
         w = res.violating
-        r, s = arcsin_pq(classic, w.x), arcsin_pq(classic, w.y)
+        r, s = arcsin_pq(classic, w.at["x"]), arcsin_pq(classic, w.at["y"])
         v = check_at("gm-sin", classic, r, s, order=1.0)
         assert v.margin < 0.0
         assert not v.satisfied
@@ -305,9 +306,27 @@ class TestMonotonicityProbes:
 class TestCounterexampleSearch:
     @pytest.mark.parametrize("order", [0.5, 1.0, 2.0])
     def test_finds_both_witnesses(self, classic, order):
+        # each witness is a verdict decided outside its tolerance
         res = counterexample_search(classic, order, budget=2500)
-        assert res.violating is not None and res.violating.margin < -1e-11
-        assert res.satisfying is not None and res.satisfying.margin > 1e-11
+        v, w = res.violating, res.satisfying
+        assert isinstance(v, InequalityVerdict) and not v.satisfied
+        assert isinstance(w, InequalityVerdict) and w.margin > w.tolerance
+
+    def test_a_witness_is_the_verdict_of_the_arcsin_form_at_its_point(self, classic):
+        # lhs = arcsin_pq(H(x, y)), rhs = sqrt(arcsin_pq(x) arcsin_pq(y)),
+        # margin = rhs - lhs, with the lab's tolerance rule
+        from pqtrig import arcsin_pq
+
+        res = counterexample_search(classic, 1.0, budget=400)
+        for w in (res.violating, res.satisfying):
+            assert list(w.at) == ["p", "q", "order", "x", "y"]
+            assert (w.at["p"], w.at["q"], w.at["order"]) == (2.0, 2.0, 1.0)
+            x, y = w.at["x"], w.at["y"]
+            assert w.lhs == arcsin_pq(classic, holder_mean(1.0, x, y))
+            assert w.rhs == math.sqrt(arcsin_pq(classic, x) * arcsin_pq(classic, y))
+            assert w.margin == w.rhs - w.lhs
+            assert w.tolerance == 1e-9 + 1e-9 * abs(w.rhs)
+            assert w.satisfied == (w.margin >= -w.tolerance)
 
     def test_tiny_positive_order(self, classic):
         res = counterexample_search(classic, 0.01, budget=2500)
@@ -317,7 +336,7 @@ class TestCounterexampleSearch:
     def test_witnesses_off_diagonal(self, classic):
         res = counterexample_search(classic, 1.0, budget=900)
         for w in (res.violating, res.satisfying):
-            assert abs(w.x - w.y) > 1e-9
+            assert abs(w.at["x"] - w.at["y"]) > 1e-9
 
     def test_rejects_nonpositive_order(self, classic):
         with pytest.raises(DomainError):
@@ -763,9 +782,10 @@ class TestOverflowStaysInTheErrorContract:
             Fstar_fn(PQParams(2.0, 3.0), -400.0, 10.0)
 
     def test_thm11_sinh_names_its_argument(self):
-        # sqrt(r) sqrt(s) where r s overflows: the root of sinh_pq at 1e300
+        # the lhs argument on the diagonal is r itself, where r s overflows
+        # (sqrt(r) sqrt(s) gave y=9.99...e+299): the root of sinh_pq at 1e300
         # lies beyond the largest float for p > q
-        with pytest.raises(ComputationError, match=r"y=9\.99.*e\+299\) bracket passed"):
+        with pytest.raises(ComputationError, match=r"y=1e\+300\) bracket passed"):
             check_at("thm11-sinh", PQParams(3.0, 2.0), 1e300, 1e300)
 
 

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pqtrig import DomainError, holder_mean
-from pqtrig.means import _holder_mean, _holder_means
+from pqtrig.means import _gmeans, _holder_means
 
 from oracles import holder_mean_ref
 
@@ -125,7 +125,16 @@ def test_the_column_mean_is_the_scalar_mean_bit_for_bit():
     a_col, b_col = [a for a, _ in pairs], [b for _, b in pairs]
     for r in orders:
         column = _holder_means(r, a_col, b_col)
-        assert [m.hex() for m in column] == [_holder_mean(r, a, b).hex() for a, b in pairs], r
+        assert [m.hex() for m in column] == [holder_mean(r, a, b).hex() for a, b in pairs], r
+
+
+def test_the_geometric_mean_of_equal_arguments_is_the_argument():
+    # a mean check's lhs argument on the diagonal is r itself; where r*r
+    # leaves the normal range, sqrt(r) sqrt(r) gave 9.999999999999999e+299
+    # for 1e300
+    col = [5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 0.3, 1.0, 1e200, 1e300,
+           1.7976931348623157e308]
+    assert _gmeans(col, col) == col
 
 
 # every order's regime: the geometric mean, each decade of tiny orders

@@ -16,7 +16,6 @@ from pqtrig import (
     QuadratureResult,
     SweepError,
     SweepReport,
-    Witness,
 )
 
 # record, valid fields, the field to spoil, a bad value for it, the message
@@ -64,7 +63,6 @@ FROZEN = [
     GridAxis("x", 0.1, 0.9, 5),
     InequalityVerdict(1.0, 0.5, 0.5, 1.5e-9, True, {"p": 2.0, "q": 3.0}),
     SweepError(0, {"p": 2.0, "q": 3.0}, "DomainError: bad"),
-    Witness(0.1, 0.2, 1.0, 1.1, 0.1),
     CounterexampleResult(None, None, 0),
     QuadratureResult(1.0, 1e-13, 100, True),
 ]
