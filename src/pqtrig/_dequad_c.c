@@ -6,16 +6,17 @@
  * terms and return the same term counts (see its docstring for the four
  * series and their truncation bounds: arcsin's bottom half, its top form
  * anchored at w = 1 - x**q = 1/2, arcsinh's Pfaff form and its far form).
- * Each kernel returns the tuple (value, bound, terms, converged), where
- * converged is the fixed rule bound <= 1e-13 max(1, |value|) of both
- * backends.  ``solve`` runs the inverse solves of a whole list of targets,
- * every forward value included, with the GIL released; it follows
+ * Like its twin it has two entries, each taking a mode, "sin", "top" or
+ * "sinh" (``mode_of``, ``forward_at``).  ``forward`` returns the tuple
+ * (value, bound, terms, converged), where converged is the fixed rule
+ * bound <= 1e-13 max(1, |value|) of both backends, and holds the GIL.
+ * ``solve`` runs the inverse solves of a whole list of targets, every
+ * forward value included, with the GIL released; it follows
  * ``_dequad_py.solve`` operation for operation, so both backends take the
  * same steps, and each target is solved from the cold start of a
  * one-target call.  Where the Python kernel caches the far and top forms'
- * constants per (p, q), this one computes them once per kernel or
- * ``solve`` call that needs them.  Build it as a plain extension
- * (``setup.py``) or by hand:
+ * constants per (p, q), this one computes them once per call that needs
+ * them.  Build it as a plain extension (``setup.py``) or by hand:
  *
  *     cc -O3 -fPIC -shared -I<python include dir> _dequad_c.c -o _dequad_c<EXT_SUFFIX> -lm
  */
@@ -42,7 +43,7 @@
 typedef struct {
     double value, bound;
     long terms;
-    int converged;
+    int converged; /* set by forward_at */
 } result;
 
 /* sum_{n>=0} (a)_n / n! z**n / (1 + q n), its remainder bound in *rest and
@@ -96,16 +97,10 @@ alternating(double b, double q, double e0, double w, double scale, double base, 
     }
 }
 
-static inline int
-converged(double value, double bound)
-{
-    return bound <= 1e-13 * (value > 1.0 ? value : 1.0);
-}
-
 static result
 arcsin_kernel(double p, double q, double x)
 {
-    result r = {0.0, 0.0, 0, 1};
+    result r = {0.0, 0.0, 0, 0};
     double rest, s;
 
     if (x == 0.0)
@@ -113,7 +108,6 @@ arcsin_kernel(double p, double q, double x)
     s = series(1.0 / p, q, exp(q * log(x)), &rest, &r.terms);
     r.value = x * s;
     r.bound = x * rest + ROUNDING * r.value;
-    r.converged = converged(r.value, r.bound);
     return r;
 }
 
@@ -141,11 +135,11 @@ top_setup(double p, double q, top_form *g)
 }
 
 /* arcsin_pq where 1 - x**q = w = e**-t, t >= ln 2, by the top form, whose
- * constants `g` sets up on first use; _dequad_py.arcsin_top */
+ * constants `g` sets up on first use; _dequad_py._arcsin_top */
 static result
 top_kernel(double p, double q, double t, top_form *g)
 {
-    result r = {0.0, 0.0, 0, 1};
+    result r = {0.0, 0.0, 0, 0};
     double v, y, mid, scale, base, s, next;
 
     if (!g->set)
@@ -158,7 +152,6 @@ top_kernel(double p, double q, double t, top_form *g)
     s = alternating(1.0 - 1.0 / q, -1.0, g->e, -exp(-t), scale, g->c + base, &next, &r.terms);
     r.value = g->c + (base - scale * s);
     r.bound = g->cb + (2.0 * scale * next + ROUNDING * r.value);
-    r.converged = converged(r.value, r.bound);
     return r;
 }
 
@@ -233,7 +226,7 @@ pow_e0(double e0, double e_lo, double x)
 static result
 arcsinh_kernel(double p, double q, double x, far_form *f)
 {
-    result r = {0.0, 0.0, 0, 1};
+    result r = {0.0, 0.0, 0, 0};
     double lx, xq, s, rest, pre, lr, y, x0e, xe0, mid, base, next;
 
     if (x == 0.0)
@@ -265,7 +258,6 @@ arcsinh_kernel(double p, double q, double x, far_form *f)
         r.value = base + xe0 * s;
         r.bound = f->cb + (xe0 * next + ROUNDING * r.value);
     }
-    r.converged = converged(r.value, r.bound);
     return r;
 }
 
@@ -285,61 +277,65 @@ result_tuple(result r)
     return out;
 }
 
-/* parse (p, q, x) positionally into d; -1 on error */
-static int
-kernel_args(const char *name, PyObject *const *args, Py_ssize_t nargs, double *d)
-{
-    Py_ssize_t i;
+/* ---- the two entries, forward and solve ---- */
 
-    if (nargs != 3) {
-        PyErr_Format(PyExc_TypeError, "%s() takes exactly 3 positional arguments (%zd given)",
-                     name, nargs);
+enum mode { SIN, SINH, TOP };
+enum status { SOLVED, BUDGET, UNCONVERGED, OVERFLOW };
+
+/* the mode that args[0] names, and p and q from args[1] and args[2], of
+ * `entry`, which takes `count` arguments; -1 with an exception set, a
+ * ValueError for an unknown mode as in _dequad_py._forward */
+static int
+mode_of(const char *entry, Py_ssize_t count, PyObject *const *args, Py_ssize_t nargs,
+        double *p, double *q)
+{
+    static const char *names[] = {"sin", "sinh", "top"};
+    int i;
+
+    if (nargs != count) {
+        PyErr_Format(PyExc_TypeError, "%s() takes exactly %zd positional arguments (%zd given)",
+                     entry, count, nargs);
         return -1;
     }
-    for (i = 0; i < 3; i++) {
-        d[i] = PyFloat_AsDouble(args[i]);
-        if (PyErr_Occurred())
-            return -1;
-    }
-    return 0;
+    for (i = 0; i < 3 && PyUnicode_Check(args[0]); i++)
+        if (PyUnicode_CompareWithASCIIString(args[0], names[i]) == 0) {
+            *p = PyFloat_AsDouble(args[1]);
+            if (*p == -1.0 && PyErr_Occurred())
+                return -1;
+            *q = PyFloat_AsDouble(args[2]);
+            return *q == -1.0 && PyErr_Occurred() ? -1 : i;
+        }
+    PyErr_Format(PyExc_ValueError, "unknown mode %R", args[0]);
+    return -1;
+}
+
+/* the forward value of `mode` at x (t for top), converged by the one rule
+ * of both backends; `f` and `g` hold the far and top forms' constants once
+ * a value needs them */
+static result
+forward_at(enum mode mode, double p, double q, double x, far_form *f, top_form *g)
+{
+    result r = mode == SIN ? arcsin_kernel(p, q, x)
+               : mode == TOP ? top_kernel(p, q, x, g) : arcsinh_kernel(p, q, x, f);
+
+    r.converged = r.bound <= 1e-13 * (r.value > 1.0 ? r.value : 1.0);
+    return r;
 }
 
 static PyObject *
-arcsin_series(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+forward(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    double d[3]; /* p, q, x */
-
-    if (kernel_args("arcsin_series", args, nargs, d) < 0)
-        return NULL;
-    return result_tuple(arcsin_kernel(d[0], d[1], d[2]));
-}
-
-static PyObject *
-arcsinh_series(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    double d[3];
+    double p, q, x;
     far_form f = {0.0, 0.0, 0.0, 0.0, 0};
-
-    if (kernel_args("arcsinh_series", args, nargs, d) < 0)
-        return NULL;
-    return result_tuple(arcsinh_kernel(d[0], d[1], d[2], &f));
-}
-
-static PyObject *
-arcsin_top(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    double d[3]; /* p, q, t */
     top_form g = {0.0, 0.0, 0.0, 0.0, 0};
+    int mode = mode_of("forward", 4, args, nargs, &p, &q);
 
-    if (kernel_args("arcsin_top", args, nargs, d) < 0)
+    if (mode < 0 || ((x = PyFloat_AsDouble(args[3])) == -1.0 && PyErr_Occurred()))
         return NULL;
-    return result_tuple(top_kernel(d[0], d[1], d[2], &g));
+    return result_tuple(forward_at((enum mode)mode, p, q, x, &f, &g));
 }
 
 /* ---- inverse solves: the twin of _dequad_py.solve ---- */
-
-enum solve_mode { SIN, SINH, TOP };
-enum status { SOLVED, BUDGET, UNCONVERGED, OVERFLOW };
 
 typedef struct {
     double root;
@@ -370,7 +366,7 @@ softplus(double a)
  * bottom where its start leaves its range) and sinh below it; `f` and `g`
  * hold the far and top forms' constants once a forward value needs them. */
 static solution
-solve_run(enum solve_mode mode, double p, double q, double y, double bottom, double top,
+solve_run(enum mode mode, double p, double q, double y, double bottom, double top,
           long max_iters, far_form *f, top_form *g)
 {
     solution out = {0.0, 0, 0, SOLVED};
@@ -397,8 +393,7 @@ solve_run(enum solve_mode mode, double p, double q, double y, double bottom, dou
     for (it = 1; it <= max_iters; it++) {
         out.iterations = it;
         out.root = s;
-        r = mode == SIN ? arcsin_kernel(p, q, s)
-            : mode == TOP ? top_kernel(p, q, s, g) : arcsinh_kernel(p, q, s, f);
+        r = forward_at(mode, p, q, s, f, g);
         out.terms += r.terms;
         if (!r.converged) {
             out.status = UNCONVERGED;
@@ -470,9 +465,8 @@ solve_run(enum solve_mode mode, double p, double q, double y, double bottom, dou
 static PyObject *
 solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    static const char *names[] = {"sin", "sinh", "top"};
     long max_iters;
-    int mode = -1;
+    int mode;
     Py_ssize_t i, count;
     PyObject *seq, *list = NULL, *item;
     double p, q, *ys = NULL, bottom, top;
@@ -480,23 +474,9 @@ solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     far_form f = {0.0, 0.0, 0.0, 0.0, 0};
     top_form g = {0.0, 0.0, 0.0, 0.0, 0};
 
-    if (nargs != 5) {
-        PyErr_Format(PyExc_TypeError, "solve() takes exactly 5 positional arguments (%zd given)",
-                     nargs);
-        return NULL;
-    }
-    for (i = 0; i < 3 && PyUnicode_Check(args[0]); i++)
-        if (PyUnicode_CompareWithASCIIString(args[0], names[i]) == 0)
-            mode = (int)i;
-    if (mode < 0) {
-        PyErr_Format(PyExc_ValueError, "unknown solve mode %R", args[0]);
-        return NULL;
-    }
-    /* positions 1 and 2 are floats, 3 the targets, 4 an integer */
-    p = PyFloat_AsDouble(args[1]);
-    q = PyFloat_AsDouble(args[2]);
-    max_iters = PyLong_AsLong(args[4]);
-    if (PyErr_Occurred())
+    /* after mode, p and q: the targets and an integer */
+    if ((mode = mode_of("solve", 5, args, nargs, &p, &q)) < 0
+        || ((max_iters = PyLong_AsLong(args[4])) == -1 && PyErr_Occurred()))
         return NULL;
     if ((seq = PySequence_Fast(args[3], "solve() targets must be a sequence")) == NULL)
         return NULL;
@@ -517,7 +497,7 @@ solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     bottom = mode == TOP ? LN2 : 0.0;
     top = mode == SIN ? exp(-LN2 / q) : INFINITY;
     for (i = 0; i < count; i++)
-        sols[i] = solve_run((enum solve_mode)mode, p, q, ys[i], bottom, top, max_iters, &f, &g);
+        sols[i] = solve_run((enum mode)mode, p, q, ys[i], bottom, top, max_iters, &f, &g);
     Py_END_ALLOW_THREADS
 
     if ((list = PyList_New(count)) == NULL)
@@ -546,18 +526,10 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"arcsin_series", (PyCFunction)(void (*)(void))arcsin_series, METH_FASTCALL,
-     "arcsin_series(p, q, x, /)\n--\n\n"
-     "Integral of (1 - t**q)**(-1/p) over [0, x], 0 <= x <= 1, as a series;\n"
-     "returns (value, bound, terms, converged)."},
-    {"arcsinh_series", (PyCFunction)(void (*)(void))arcsinh_series, METH_FASTCALL,
-     "arcsinh_series(p, q, x, /)\n--\n\n"
-     "Integral of (1 + t**q)**(-1/p) over [0, x], x >= 0, as a series;\n"
-     "returns (value, bound, terms, converged)."},
-    {"arcsin_top", (PyCFunction)(void (*)(void))arcsin_top, METH_FASTCALL,
-     "arcsin_top(p, q, t, /)\n--\n\n"
-     "Integral of (1 - u**q)**(-1/p) over [0, x], where 1 - x**q = e**-t and\n"
-     "t >= ln 2, by the top form; returns (value, bound, terms, converged)."},
+    {"forward", (PyCFunction)(void (*)(void))forward, METH_FASTCALL,
+     "forward(mode, p, q, x, /)\n--\n\n"
+     "The series value of a solve mode at x (t = ln(1/w) for \"top\"):\n"
+     "(value, bound, terms, converged).  See pqtrig._dequad_py.forward."},
     {"solve", (PyCFunction)(void (*)(void))solve, METH_FASTCALL,
      "solve(mode, p, q, ys, max_iters, /)\n"
      "--\n\n"

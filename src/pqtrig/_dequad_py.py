@@ -5,6 +5,12 @@ same interface lives in ``_dequad_c.c`` and is preferred at import time.
 Both sum the same series with the same arithmetic, so they return the
 same term counts, and both run :func:`solve` with the same steps.
 
+Each twin has two entries, ``forward(mode, p, q, x)``, a series value,
+and ``solve(mode, p, q, ys, max_iters)``, its inverse, beside ``BACKEND``
+and the four solve statuses.  ``mode`` names the series, ``"sin"``, the
+top form ``"top"`` or ``"sinh"`` (see below); ``_FORWARDS`` maps it to
+its kernel for both entries.
+
 Both defining integrals are Gauss hypergeometric functions (DLMF 15.4,
 15.8; Bhayo and Vuorinen, J. Approx. Theory 164, 2012):
 
@@ -76,6 +82,8 @@ import math
 from functools import lru_cache
 from math import exp, expm1, log, log1p
 
+__all__ = ["BACKEND", "forward", "solve", "SOLVED", "BUDGET", "UNCONVERGED", "OVERFLOW"]
+
 BACKEND = "python"
 
 _EPS = 2.220446049250313e-16
@@ -141,7 +149,7 @@ def _alternating(b, q, e0, w, scale, base):
         total += t
 
 
-def arcsin_series(p, q, x):
+def _arcsin_series(p, q, x):
     """Integral of (1 - t**q)**(-1/p) over [0, x], 0 <= x <= 1, as x F(1/p, 1/q; 1 + 1/q; x**q)."""
     if x == 0.0:
         return 0.0, 0.0, 0, True
@@ -164,7 +172,7 @@ def _top_form(p, q):
     return e, s, c_lo, (1.0 + pre) * rest + 2.0 * scale * nxt + _ROUNDING * (s + abs(c_lo))
 
 
-def arcsin_top(p, q, t):
+def _arcsin_top(p, q, t):
     """Integral of (1 - u**q)**(-1/p) over [0, x], where 1 - x**q = w = e**-t
     and t >= ln 2, by the top form; at t = inf (x = 1) it is half_pi_pq."""
     e, c, c_lo, bound = _top_form(p, q)
@@ -233,9 +241,9 @@ def _pow_e0(e0, e_lo, x):
     return exp(hi + j) * exp(r - j)
 
 
-def arcsinh_series(p, q, x):
+def _arcsinh_series(p, q, x):
     """Integral of (1 + t**q)**(-1/p) over [0, x], x >= 0, by the Pfaff form
-    where x**q <= 2 and by the far form beyond."""
+    where x**q <= (1 + sqrt(5))/2 and by the far form beyond."""
     if x == 0.0:
         return 0.0, 0.0, 0, True
     lx = log(x)
@@ -265,6 +273,23 @@ def arcsinh_series(p, q, x):
     return value, bound, n, bound <= _CERTIFIED * (value if value > 1.0 else 1.0)
 
 
+_FORWARDS = {"sin": _arcsin_series, "top": _arcsin_top, "sinh": _arcsinh_series}
+
+
+def _forward(mode):
+    """The kernel of ``mode``; ValueError for any other value."""
+    try:
+        return _FORWARDS[mode]
+    except (KeyError, TypeError):  # TypeError: an unhashable mode
+        raise ValueError(f"unknown mode {mode!r}") from None
+
+
+def forward(mode, p, q, x):
+    """The forward value of ``mode`` at x (t = ln(1/w) for ``"top"``):
+    ``(value, bound, terms, converged)``."""
+    return _forward(mode)(p, q, x)
+
+
 # solve() statuses, the same in both backends; ``inverse`` maps every
 # failure to ComputationError
 SOLVED, BUDGET, UNCONVERGED, OVERFLOW = 0, 1, 2, 3
@@ -288,11 +313,11 @@ def _exp(a):
 def solve(mode, p, q, ys, max_iters):
     """Solve F(s) = y for every target y of one inverse, by Newton steps inside a bracket.
 
-    ``mode`` names the forward: ``"sin"`` (F = arcsin_series on the
-    bottom half of the branch, s in [0, 2**(-1/q)], where s**q <= 1/2),
-    ``"top"`` (F = arcsin_top on the top half, s = t = ln(1/w) in
-    [ln 2, inf), where w = 1 - x**q <= 1/2) or ``"sinh"`` (F =
-    arcsinh_series on [0, inf)).  ``ys`` is a sequence of targets, in any
+    ``mode`` names the forward F, ``forward(mode, ...)``: ``"sin"`` (the
+    arcsin series on the bottom half of the branch, s in [0, 2**(-1/q)],
+    where s**q <= 1/2), ``"top"`` (the top form on the top half, s = t =
+    ln(1/w) in [ln 2, inf), where w = 1 - x**q <= 1/2) or ``"sinh"`` (the
+    arcsinh series on [0, inf)).  ``ys`` is a sequence of targets, in any
     order and with repeats.  Returns one ``(root, iterations, terms,
     status)`` per target, as :func:`_solve_one` describes; ``terms`` adds
     up the series terms of its forward values.
@@ -303,8 +328,7 @@ def solve(mode, p, q, ys, max_iters):
     the same steps; it solves a whole list with the GIL released and
     computes each form's constant once per call.
     """
-    if mode not in ("sin", "sinh", "top"):
-        raise ValueError(f"unknown solve mode {mode!r}")
+    _forward(mode)
     bottom = _LN2 if mode == "top" else 0.0
     top = exp(-_LN2 / q) if mode == "sin" else math.inf
     return [_solve_one(mode, p, q, y, bottom, top, max_iters) for y in ys]
@@ -339,24 +363,23 @@ def _solve_one(mode, p, q, y, bottom, top, max_iters):
     (a forward value was not certified; ``root`` is its argument) or
     OVERFLOW (the bracket passed the largest float).
     """
-    lo, hi = bottom, top
+    lo, hi, kernel = bottom, top, _FORWARDS[mode]
     if mode == "sinh":
-        s, forward = y, arcsinh_series
+        s = y
     elif mode == "top":
-        forward = arcsin_top
         e, c, c_lo, _bound = _top_form(p, q)
         # w**e = 2**-e - (y - C) e q, as t = ln(1/w)
         g = ((y - c) - c_lo) * e * q * exp(e * _LN2)
         s = _LN2 - log1p(-g) / e if 0.0 < g < 1.0 else bottom
     elif y >= top:
-        s, forward = top, arcsin_series
+        s = top
     else:
-        forward, z = arcsin_series, math.pow(y, q)  # < 1/2, so nothing below overflows
+        z = math.pow(y, q)  # < 1/2, so nothing below overflows
         v = 0.5 / p * (1.0 / p + 1.0) * z * z
         s = y - y * (z / (p * (q + 1.0)) + v / (2.0 * q + 1.0)) / (1.0 + z / p + v)
     terms = 0
     for it in range(1, max_iters + 1):
-        v, bound, n, ok = forward(p, q, s)
+        v, bound, n, ok = kernel(p, q, s)
         terms += n
         if not ok:
             return s, it, terms, UNCONVERGED

@@ -14,14 +14,14 @@ function.  At p = q = 2 these all reduce to the classical functions and
 constants.
 
 The integrals are Gauss hypergeometric functions, and each value is one
-call of a series kernel with a rigorous truncation bound (see
-``_dequad_py``), which certifies it by a fixed rule or the call raises
-:class:`ComputationError`.  The arcsin series is taken where x**q <= 1/2
-only; above, the top form expands the integral in w = 1 - x**q from an
+series ``kernels.forward(mode, ...)`` with a rigorous truncation bound
+(see ``_dequad_py``), which ``_run_kernel`` certifies by a fixed rule or
+raises :class:`ComputationError`.  Mode "sin" is taken where x**q <= 1/2
+only; above, mode "top" expands the integral in w = 1 - x**q from an
 anchor at w = 1/2, taking t = ln(1/w), which ``arccos_pq`` forms as
 -p ln x so that a w below the subnormal range is no obstacle.  The
 constants are the forms' values at the ends of the branches: half_pi_pq
-the top form's at w = 0, m_star_pq the arcsinh far form's at x = inf.
+"top"'s at w = 0, m_star_pq the far form of "sinh" at x = inf.
 """
 
 import math
@@ -93,13 +93,13 @@ class ExtendedValue(Validated, _ExtendedFields):
         return self.as_float()
 
 
-def _run_kernel(kernel, p, q, x, what):
-    """kernel(p, q, x)'s value; raises with that estimate if unconverged.
+def _run_kernel(mode, p, q, x, what):
+    """kernels.forward(mode, p, q, x)'s value; raises with it if unconverged.
 
     ``what`` is (function name, argument), which name the call in the
     error message.
     """
-    value, bound, _terms, converged = kernel(p, q, x)
+    value, bound, _terms, converged = kernels.forward(mode, p, q, x)
     if not converged:
         name, arg = what
         raise ComputationError(
@@ -112,12 +112,12 @@ def _run_kernel(kernel, p, q, x, what):
 
 @lru_cache(maxsize=4096)
 def _half_pi(p: float, q: float) -> float:
-    return _run_kernel(kernels.arcsin_top, p, q, math.inf, ("arcsin_pq", 1.0))
+    return _run_kernel("top", p, q, math.inf, ("arcsin_pq", 1.0))
 
 
 @lru_cache(maxsize=4096)
 def _m_star(p: float, q: float) -> float:
-    return _run_kernel(kernels.arcsinh_series, p, q, math.inf, ("arcsinh_pq", math.inf))
+    return _run_kernel("sinh", p, q, math.inf, ("arcsinh_pq", math.inf))
 
 
 def half_pi_pq(pq: PQParams) -> float:
@@ -153,8 +153,8 @@ def arcsin_pq(pq: PQParams, x: float) -> float:
     if math.pow(x, pq.q) >= 0.5:
         # t = ln(1/w), w = 1 - x**q formed without cancellation
         t = -math.log(-math.expm1(pq.q * math.log(x))) if x < 1.0 else math.inf
-        return _run_kernel(kernels.arcsin_top, pq.p, pq.q, t, what)
-    return _run_kernel(kernels.arcsin_series, pq.p, pq.q, x, what)
+        return _run_kernel("top", pq.p, pq.q, t, what)
+    return _run_kernel("sin", pq.p, pq.q, x, what)
 
 
 def arccos_pq(pq: PQParams, x: float) -> float:
@@ -170,10 +170,10 @@ def arccos_pq(pq: PQParams, x: float) -> float:
     what = ("arccos_pq", x)
     if math.pow(x, pq.p) <= 0.5:
         t = -pq.p * math.log(x) if x > 0.0 else math.inf
-        return _run_kernel(kernels.arcsin_top, pq.p, pq.q, t, what)
+        return _run_kernel("top", pq.p, pq.q, t, what)
     # (1 - x**p)**(1/q) without cancellation for x near 1
     w = math.pow(-math.expm1(pq.p * math.log(x)), 1.0 / pq.q)
-    return _run_kernel(kernels.arcsin_series, pq.p, pq.q, w, what)
+    return _run_kernel("sin", pq.p, pq.q, w, what)
 
 
 def arcsinh_pq(pq: PQParams, x: float) -> float:
@@ -188,7 +188,7 @@ def arcsinh_pq(pq: PQParams, x: float) -> float:
     if not (x >= 0.0 and math.isfinite(x)):
         raise DomainError(f"arcsinh_pq needs finite x >= 0, got {x!r}")
     p, q = pq.p, pq.q
-    value = _run_kernel(kernels.arcsinh_series, p, q, x, ("arcsinh_pq", x))
+    value = _run_kernel("sinh", p, q, x, ("arcsinh_pq", x))
     # far out the series comes within ulps of m_star, and its rounding may
     # put it above the value at x = inf, which the integral never reaches
     return min(value, _m_star(p, q)) if p < q else value

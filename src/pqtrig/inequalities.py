@@ -421,15 +421,16 @@ def _Fstar(pq: PQParams, ordv: float, x: float) -> float:
     return _exp(ln_f, "Fstar_fn", x)
 
 
-def _probe_cell(fn, increasing, pq, pts, ordv) -> tuple[list, list]:
+def _probe_cell(check, fn, increasing, pq, pts, ordv) -> tuple[list, list]:
     """f-monotone (``fn`` F, increasing) or fstar-monotone (F*, decreasing)
-    at consecutive grid values (x_lo, x_hi); each x is evaluated once, and
-    a failure there is recorded for the pairs that use it."""
+    at pairs x_lo < x_hi; each x is evaluated once, and a failure there is
+    recorded for the pairs that use it."""
+    pts, pos, errors = _domain(
+        pts, [lo < hi for lo, hi in pts],
+        lambda lo, hi: DomainError(f"{check} needs x_lo < x_hi, got {lo!r}, {hi!r}"))
     table = _table(partial(fn, pq, ordv), [x for pt in pts for x in pt])
     los, his = [lo for lo, _ in pts], [hi for _, hi in pts]
-    errors: list = []
-    pos, (left, right) = _solved(table, errors, range(len(pts)),
-                                 (his, los) if increasing else (los, his))
+    pos, (left, right) = _solved(table, errors, pos, (his, los) if increasing else (los, his))
     lhs, rhs = [table[x] for x in left], [table[x] for x in right]
     los, his = (right, left) if increasing else (left, right)
     ats = [{"p": pq.p, "q": pq.q, "x_lo": lo, "x_hi": hi, "order": ordv}
@@ -484,22 +485,26 @@ def counterexample_search(
 ) -> CounterexampleResult:
     """Grid scan plus local refinement for both margin signs on (0, 1)**2.
 
-    ``budget`` sets the side of the coarse grid on [0.005, 0.995],
-    floor(sqrt(budget)) and at least 10, whose triangle x < y is scanned;
-    it does not bound the evaluations.  The first point of the least
-    margin, if that is negative, and the first of the greatest, if that is
-    positive, are each refined by three rounds of an 11x11 grid, a tenth
-    as wide each round, around the best point so far, which a round's
-    extreme replaces only with a strictly more extreme margin.  Each stage
-    is one column pass.  A refined point is a witness where its verdict is
-    decided outside its tolerance.
+    ``budget``, an integer from 100 to 250000 (the cap bounds the coarse
+    stage's memory, about 25 MB there), sets the side of the coarse grid
+    on [0.005, 0.995], floor(sqrt(budget)) and at least 10, whose
+    triangle x < y is scanned; it does not bound the evaluations.  The
+    first point of the least margin, if that is negative, and the first
+    of the greatest, if that is positive, are each refined by three
+    rounds of an 11x11 grid, a tenth as wide each round, around the best
+    point so far, which a round's extreme replaces only with a strictly
+    more extreme margin.  Each stage is one column pass.  A refined point
+    is a witness where its verdict is decided outside its tolerance.
     """
     pq = _pair(pq, "counterexample_search's pq")
     ordv = holder_order(order)
     if not (ordv > 0.0):
         raise DomainError("counterexample_search needs a positive order")
-    if count(budget, "budget") < 100:
+    budget = count(budget, "budget")
+    if budget < 100:
         raise DomainError("budget must be at least 100")
+    if budget > 250000:  # the coarse stage holds budget/2 points, 200 bytes each
+        raise DomainError("budget must be at most 250000")
     n = max(10, math.isqrt(budget))
     grid = GridAxis("x", 0.005, 0.995, n).values()
     coarse = _search_stage(pq, ordv, [(x, y) for i, x in enumerate(grid) for y in grid[i + 1:]])
@@ -589,8 +594,8 @@ CHECKS: dict[str, _Check] = {
     "thm11-sin": _Check(("r", "s"), partial(_mean_cell, "thm11-sin"),
                         lambda pq, x_max: half_pi_pq(pq)),
     "thm11-sinh": _Check(("r", "s"), partial(_mean_cell, "thm11-sinh"), _sinh_scale),
-    "f-monotone": _Check(("x",), partial(_probe_cell, _F, True), **_PAIRS),
-    "fstar-monotone": _Check(("x",), partial(_probe_cell, _Fstar, False),
+    "f-monotone": _Check(("x",), partial(_probe_cell, "f-monotone", _F, True), **_PAIRS),
+    "fstar-monotone": _Check(("x",), partial(_probe_cell, "fstar-monotone", _Fstar, False),
                              lambda pq, x_max: x_max, **_PAIRS),
 }
 

@@ -6,17 +6,19 @@ for free) inside a maintained bracket; a step leaving the bracket falls
 back to bisection.  Every forward value F(s) is one series kernel call,
 which returns it with a rigorous bound, and the solve stops once the
 residual |F(s) - y| is within that bound, with no tolerance of its own.
-The solve itself is ``kernels.solve`` (see ``_dequad_py.solve`` for the
-start and the step variables); it takes a list of targets and runs in C
-with the GIL released when the compiled backend is active.  Every target
-is solved from the same cold start, so a root depends only on (p, q, y),
-never on the other targets of its call.  :func:`_roots`
-checks domains, chooses the formulation of each target, makes one
-``kernels.solve`` call per formulation and maps the solver's failures to
-:class:`ComputationError`, returning one table of the distinct targets;
-sin_pq, cos_pq and sinh_pq are its one-target calls, and the lab's
-sweeps call it once per function for all the targets of a (p, q) cell,
-so a sweep's values equal the scalar calls'.
+The solve is ``kernels.solve(mode, ...)``, the inverse of
+``kernels.forward(mode, ...)`` in mode "sin", "top" or "sinh" (see
+``_dequad_py.solve`` for the start and the step variables), over a list
+of targets, in C with the GIL released on the compiled backend.  The
+half-branch value is certified by ``functions._run_kernel`` like every
+forward value.  Every target is solved from the same cold start, so a
+root depends only on (p, q, y), never on the other targets of its call.
+:func:`_roots` checks domains, chooses the formulation of each target,
+makes one ``kernels.solve`` call per formulation and maps the solver's
+failures to :class:`ComputationError`, returning one table of the
+distinct targets; sin_pq, cos_pq and sinh_pq are its one-target calls,
+and the lab's sweeps call it once per function for all the targets of a
+(p, q) cell, so a sweep's values equal the scalar calls'.
 
 sin_pq and cos_pq are one solve each: for s in [0, 2**(-1/q)], where
 s**q <= 1/2, below the half-branch value arcsin_pq(2**(-1/q)), starting
@@ -36,7 +38,7 @@ from functools import lru_cache
 from ._backend import kernels
 from ._records import real
 from .errors import ComputationError, DomainError, PQTrigError
-from .functions import PQParams, _half_pi, _m_star, _pair
+from .functions import PQParams, _half_pi, _m_star, _pair, _run_kernel
 
 _TOP_PAD = 1e-12  # how far the domain of sin_pq and cos_pq reaches above half_pi_pq
 _MAX_ITERS = 100  # forward values per solve; the most seen is 47, at p, q = 1 + 1e-12
@@ -78,7 +80,7 @@ def _failure(fn, pq, y, value, iters, status) -> ComputationError:
 def _half_branch(p: float, q: float) -> float:
     """arcsin_pq(2**(-1/q)), the value at the top of the bottom half of the
     branch, where sin's solve bracket ends: the top form at w = 1/2."""
-    return kernels.arcsin_top(p, q, math.log(2.0))[0]
+    return _run_kernel("top", p, q, math.log(2.0), ("arcsin_pq", math.pow(0.5, 1.0 / q)))
 
 
 def _roots(fn, pq: PQParams, ys) -> dict:

@@ -47,17 +47,51 @@ def _public(module):
 
 
 def test_backends_export_the_same_names():
-    # a mode added to or deleted from one twin only fails here
-    assert _public(compiled) == _public(pure) == {
-        "BACKEND", "arcsin_series", "arcsin_top", "arcsinh_series", "solve",
-        "SOLVED", "BUDGET", "UNCONVERGED", "OVERFLOW",
+    # an entry added to or deleted from one twin only fails here
+    assert _public(compiled) == _public(pure) == set(pure.__all__) == {
+        "BACKEND", "forward", "solve", "SOLVED", "BUDGET", "UNCONVERGED", "OVERFLOW",
     }
+    assert len(pure.__all__) == len(set(pure.__all__))
+
+
+# each entry with a valid value for every argument after the mode
+ENTRIES = {"forward": (2.0, 3.0, 0.5), "solve": (2.0, 3.0, [0.5], 100)}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("mode", ["cos", "", "SIN", " sin", "sin\0", b"sin", None, 1, ["sin"]])
+def test_an_unknown_mode_is_the_same_value_error(entry, mode):
+    # both twins parse the mode of both entries by one rule
+    message = f"unknown mode {mode!r}"
+    for backend in (compiled, pure):
+        with pytest.raises(ValueError) as exc:
+            getattr(backend, entry)(mode, *ENTRIES[entry])
+        assert str(exc.value) == message, backend
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_a_wrong_argument_count_is_a_type_error(entry):
+    args = ("sin",) + ENTRIES[entry]
+    for backend in (compiled, pure):
+        for n in (0, 1, len(args) - 1, len(args) + 1):
+            with pytest.raises(TypeError):
+                getattr(backend, entry)(*(args + args)[:n])
+
+
+@pytest.mark.parametrize("mode", ["sin", "top", "sinh"])
+def test_solve_inverts_forward_in_each_mode(mode):
+    # the two entries map a mode to the same series: a root of solve is
+    # certified by forward in the same mode, on both twins
+    p, q, x = 2.0, 3.0, (1.5 if mode == "top" else 0.5)
+    for backend in (compiled, pure):
+        y = backend.forward(mode, p, q, x)[0]
+        ((root, _iters, _terms, status),) = backend.solve(mode, p, q, [y], 100)
+        assert status == backend.SOLVED and root == pytest.approx(x, rel=1e-14), backend
+    assert compiled.forward(mode, p, q, x) == pure.forward(mode, p, q, x)
 
 
 @pytest.mark.parametrize("name,params", [
-    ("arcsin_series", ["p", "q", "x"]),
-    ("arcsin_top", ["p", "q", "t"]),
-    ("arcsinh_series", ["p", "q", "x"]),
+    ("forward", ["mode", "p", "q", "x"]),
     ("solve", ["mode", "p", "q", "ys", "max_iters"]),
 ])
 def test_twins_take_the_same_parameters(name, params):
@@ -116,13 +150,13 @@ def _agree(vc, vp):
 def test_arcsin_kernels_agree(p, q, x):
     # beyond x**q = 1/2, where the callers never take it, the series still
     # agrees, converged or stopped at its term cap
-    _agree(compiled.arcsin_series(p, q, x), pure.arcsin_series(p, q, x))
+    _agree(compiled.forward("sin", p, q, x), pure.forward("sin", p, q, x))
 
 
 @pytest.mark.parametrize("p,q", PAIRS)
 @pytest.mark.parametrize("x", [0.0, 5e-324, 0.5, 1.0, 10.0, 1e4])
 def test_arcsinh_kernels_agree(p, q, x):
-    vc, vp = compiled.arcsinh_series(p, q, x), pure.arcsinh_series(p, q, x)
+    vc, vp = compiled.forward("sinh", p, q, x), pure.forward("sinh", p, q, x)
     _agree(vc, vp)
     assert vc[3]
 
@@ -133,7 +167,7 @@ def test_mstar_kernels_agree(p, q):
     # m_star minus the tail, an incomplete-Beta series in 1/(1 + x**q)
     ms = functions._m_star(p, q)
     for x in (2.0, 1e3, 1e90, 1e300):
-        vc, vp = compiled.arcsinh_series(p, q, x), pure.arcsinh_series(p, q, x)
+        vc, vp = compiled.forward("sinh", p, q, x), pure.forward("sinh", p, q, x)
         _agree(vc, vp)
         assert vc[0] == pytest.approx(ms - beta_tail(p, q, x), rel=2e-15)
 
@@ -144,7 +178,7 @@ def test_arcsin_kernels_reach_the_singular_end(p, q):
     # at x = 1 it stops unconverged at its term cap on both backends.  The
     # top half of the branch is the top form, which arcsin_pq takes on
     # either backend up to the singular end
-    vc, vp = compiled.arcsin_series(p, q, 1.0), pure.arcsin_series(p, q, 1.0)
+    vc, vp = compiled.forward("sin", p, q, 1.0), pure.forward("sin", p, q, 1.0)
     assert vc[2:] == vp[2:] and vc[3] is False
     pq = pqtrig.PQParams(p, q)
     hp = beta_half_pi(p, q)
@@ -159,11 +193,11 @@ def test_evaluation_counts_match():
     # the same stopping rules sum the same terms: at the top of the bottom
     # half of the branch, and for arcsinh on both sides of the form switch
     for p, q in PAIRS:
-        calls = [("arcsin_series", math.pow(0.5, 1.0 / q))]
-        calls += [("arcsinh_series", math.pow(xq, 1.0 / q)) for xq in (0.5, 1.6, 1.7, 1e3)]
-        for kernel, x in calls:
-            vc, vp = getattr(compiled, kernel)(p, q, x), getattr(pure, kernel)(p, q, x)
-            assert vc[2] == vp[2] > 0, (kernel, p, q, x)
+        calls = [("sin", math.pow(0.5, 1.0 / q))]
+        calls += [("sinh", math.pow(xq, 1.0 / q)) for xq in (0.5, 1.6, 1.7, 1e3)]
+        for mode, x in calls:
+            vc, vp = compiled.forward(mode, p, q, x), pure.forward(mode, p, q, x)
+            assert vc[2] == vp[2] > 0, (mode, p, q, x)
 
 
 def _same(a, b, tol):
@@ -183,17 +217,16 @@ def test_kernels_agree_everywhere(p, q, data):
     x = data.draw(st.floats(0.0, 1.0), label="arcsin x")
     y = data.draw(st.one_of(st.floats(0.0, 1e4), st.floats(0.0, 1.7976931348623157e308)),
                   label="arcsinh x")
-    # the top half of the branch is arcsin_top at t = ln(1/w), w = 1 - x**q
+    # the top half of the branch is mode "top" at t = ln(1/w), w = 1 - x**q
     # in [0, 1/2]: draw w as x/2
     w = 0.5 * x
-    calls = [("arcsin_series", (p, q, x)), ("arcsinh_series", (p, q, y)),
-             ("arcsin_top", (p, q, -math.log(w) if w > 0.0 else math.inf))]
-    for kernel, args in calls:
-        vc = getattr(compiled, kernel)(*args)
-        vp = getattr(pure, kernel)(*args)
-        assert vc[2:] == vp[2:], (kernel, args, vc, vp)
+    calls = [("sin", p, q, x), ("sinh", p, q, y),
+             ("top", p, q, -math.log(w) if w > 0.0 else math.inf)]
+    for args in calls:
+        vc, vp = compiled.forward(*args), pure.forward(*args)
+        assert vc[2:] == vp[2:], (args, vc, vp)
         assert _same(vc[0], vp[0], 0.0) or vc[0] == pytest.approx(vp[0], rel=1e-15), (
-            kernel, args, vc, vp)
+            args, vc, vp)
 
 
 @contextlib.contextmanager
@@ -436,7 +469,7 @@ def test_a_bad_count_raises_the_same_error_on_both_backends(case):
 
 
 # check_at's rules, which are run_sweep's: a registered check, its number
-# of arguments, and an order where it needs one
+# of arguments, an order where it needs one, and a probe's x_lo < x_hi
 BAD_CHECK_AT_CALLS = {
     "unknown-check": (lambda: pqtrig.check_at("nope", _PQ23, 0.5),
                       "unknown check 'nope'; expected one of double-angle, gm-sin, "),
@@ -450,6 +483,13 @@ BAD_CHECK_AT_CALLS = {
                     "gm-sinh requires a Hölder order"),
     "needs-order-probe": (lambda: pqtrig.check_at("fstar-monotone", _PQ23, 0.5, 0.7),
                           "fstar-monotone requires a Hölder order"),
+    # a reversed pair was a verdict with the margin's sign flipped, and an
+    # equal pair "satisfied" with margin 0
+    "reversed-probe": (lambda: pqtrig.check_at("f-monotone", pqtrig.PQParams(2, 3), 0.6, 0.4,
+                                               order=0.5),
+                       "f-monotone needs x_lo < x_hi, got 0.6, 0.4"),
+    "equal-probe": (lambda: pqtrig.check_at("fstar-monotone", _PQ23, 0.5, 0.5, order=0.5),
+                    "fstar-monotone needs x_lo < x_hi, got 0.5, 0.5"),
 }
 
 
@@ -535,15 +575,14 @@ def _certified(mode, p, q, root, y):
     """Whether root's residual is within the bound that the forward kernel
     returns with its value there, or floats a few ulps either side of it
     straddle y (the nearest representable root)."""
-    forward = {"sin": compiled.arcsin_series, "top": compiled.arcsin_top,
-               "sinh": compiled.arcsinh_series}[mode]
-    value, bound, _terms, _converged = forward(p, q, root)
+    value, bound, _terms, _converged = compiled.forward(mode, p, q, root)
     if abs(value - y) <= bound:
         return True
     below, above = root, root
     for _ in range(4):
         below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
-    return forward(p, q, below)[0] <= y <= forward(p, q, above)[0]
+    return (compiled.forward(mode, p, q, below)[0] <= y
+            <= compiled.forward(mode, p, q, above)[0])
 
 
 def _alone(mode, p, q, ys):
@@ -618,8 +657,8 @@ TOP_PS = [1.0 + 2.0 ** -52, 1.5, 2.0, 1e10, 1e300, 1.7976931348623157e308]
 
 @pytest.mark.parametrize("seed", range(4))
 def test_top_form_twins_agree(seed):
-    # the same tuple from arcsin_top, and from a top solve over targets
-    # across the top half of the branch, on both backends
+    # the same tuple from mode "top"'s forward, and from a top solve over
+    # targets across the top half of the branch, on both backends
     rng = random.Random(seed)
     for _ in range(100):
         p = rng.choice(TOP_PS) if rng.random() < 0.3 else 1.0 + 10.0 ** rng.uniform(-15.6, 2.0)
@@ -627,10 +666,11 @@ def test_top_form_twins_agree(seed):
         q = min(q, 1.7976931348623157e308)
         w = rng.choice(TOP_WS) if rng.random() < 0.5 else 0.5 * rng.random() ** 20
         t = -math.log(w) if w > 0.0 else math.inf
-        vc = compiled.arcsin_top(p, q, t)
-        assert repr(vc) == repr(pure.arcsin_top(p, q, t)), (p, q, w)
+        vc = compiled.forward("top", p, q, t)
+        assert repr(vc) == repr(pure.forward("top", p, q, t)), (p, q, w)
         assert vc[3], (p, q, w, vc)
-        split, hp = pure.arcsin_top(p, q, math.log(2.0))[0], pure.arcsin_top(p, q, math.inf)[0]
+        split = pure.forward("top", p, q, math.log(2.0))[0]
+        hp = pure.forward("top", p, q, math.inf)[0]
         ys = [split + rng.random() * (hp - split) for _ in range(3)] + [vc[0]]
         args = ("top", p, q, ys, 100)
         assert repr(compiled.solve(*args)) == repr(pure.solve(*args)), (p, q, ys)
@@ -652,8 +692,8 @@ def test_series_at_ratio_one_reports_an_infinite_bound():
     # backend raised as ZeroDivisionError out of cos_pq
     q = 1.0599853493818049e299
     x = math.exp(-math.log(2.0) / q)
-    assert compiled.arcsin_series(q, q, x) == pure.arcsin_series(q, q, x)
-    assert pure.arcsin_series(q, q, x)[1:] == (math.inf, 2, False)
+    assert compiled.forward("sin", q, q, x) == pure.forward("sin", q, q, x)
+    assert pure.forward("sin", q, q, x)[1:] == (math.inf, 2, False)
 
 
 def test_far_form_power_neither_overflows_nor_underflows():
@@ -662,8 +702,8 @@ def test_far_form_power_neither_overflows_nor_underflows():
     # OverflowError and the compiled one returned nan.  With p = 1 + 2**-52
     # the integral is (pi/q) / sin(pi/q) to within 1e-15
     p, q, x = 1.0 + 2.0 ** -52, 3790.0, 6.633333333333334
-    value, _bound, _terms, converged = compiled.arcsinh_series(p, q, x)
-    assert compiled.arcsinh_series(p, q, x) == pure.arcsinh_series(p, q, x)
+    value, _bound, _terms, converged = compiled.forward("sinh", p, q, x)
+    assert compiled.forward("sinh", p, q, x) == pure.forward("sinh", p, q, x)
     assert converged
     assert value == pytest.approx(math.pi / q / math.sin(math.pi / q), rel=1e-14)
 
@@ -682,7 +722,7 @@ def test_far_form_at_huge_exponents(p, q, x):
     # returned nan unconverged.  The integrand (1 + t**q)**(-1/p) is 1 within
     # a relative 1/p for p >> q, and for q >> p it is 1 up to t = 1 and
     # about 0 beyond; at p = q it is 1/t beyond t = 1
-    vc, vp = compiled.arcsinh_series(p, q, x), pure.arcsinh_series(p, q, x)
+    vc, vp = compiled.forward("sinh", p, q, x), pure.forward("sinh", p, q, x)
     assert vc == vp and vc[3], (vc, vp)
     pq = pqtrig.PQParams(p, q)
     assert _outcome(compiled, pqtrig.arcsinh_pq, pq, x) == _outcome(pure, pqtrig.arcsinh_pq, pq, x)

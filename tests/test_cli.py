@@ -396,6 +396,7 @@ USAGE_ARGVS = [
     ["sweep", "--check", "lemma21", "--p-range", "5:1.25:3", "--q-range", "2:3:2"],
     ["counterexample", "--order", "-1", "--p", "2", "--q", "2"],
     ["counterexample", "--order", "1", "--p", "2", "--q", "2", "--budget", "99"],
+    ["counterexample", "--order", "1", "--p", "2", "--q", "2", "--budget", "250001"],
     ["eval", "--fn", "arcsin", "--p", "0.5", "--q", "2", "--x", "0.5"],
     ["sweep", "--check", "thm11-sinh", "--p-range", "0.5:2:2", "--q-range", "2:3:2"],
     ["sweep", "--check", "thm11-sinh", "--p-range", "1.5:2", "--q-range", "2:3:2"],

@@ -343,8 +343,11 @@ class TestCounterexampleSearch:
             counterexample_search(classic, 0.0)
 
     def test_rejects_small_budget(self, classic):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^budget must be at least 100$"):
             counterexample_search(classic, 1.0, budget=99)
+        # the coarse stage's columns grow with the budget: 25 MB at the cap
+        with pytest.raises(DomainError, match="^budget must be at most 250000$"):
+            counterexample_search(classic, 1.0, budget=250001)
 
 
 class TestDoubleAngleCheck:
@@ -529,6 +532,24 @@ class TestRunSweep:
         assert [(v.at["x_lo"], v.at["x_hi"]) for v in report.verdicts] == pairs * 2
         assert report.grid[2] == x
         assert report.all_satisfied and not report.errors
+
+    @pytest.mark.parametrize("check,x_max", [("f-monotone", 1.0), ("fstar-monotone", 50.0)])
+    def test_probe_sweep_records_an_error_at_each_equal_pair(self, check, x_max):
+        # 10 values within 4 ulps of 0.5 come in equal pairs; each such pair
+        # was a "satisfied" verdict with margin 0
+        x = GridAxis("x", 0.5, 0.5 + 4.5e-16, 10)
+        xs = [f * x_max for f in x.values()]
+        pairs = list(zip(xs, xs[1:]))
+        report = run_sweep(check, [GridAxis("p", 2.0, 2.0, 1), GridAxis("q", 3.0, 3.0, 1), x],
+                           order=0.5, x_max=x_max)
+        equal = [i for i, (lo, hi) in enumerate(pairs) if lo == hi]
+        assert equal == [0, 2, 4, 6, 8]
+        assert [e.index for e in report.errors] == equal
+        assert [e.message for e in report.errors] == [
+            f"DomainError: {check} needs x_lo < x_hi, got {lo!r}, {hi!r}"
+            for lo, hi in pairs if lo == hi]
+        assert [(v.at["x_lo"], v.at["x_hi"]) for v in report.verdicts] == [
+            (lo, hi) for lo, hi in pairs if lo < hi]
 
     def test_probe_records_a_failure_at_one_x_for_the_pairs_that_use_it(self, monkeypatch):
         from pqtrig import ComputationError, inequalities

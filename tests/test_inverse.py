@@ -225,7 +225,7 @@ class TestSinh:
         p, q = 2.0, 1.0599853493818049e299
         ((root, iters, _terms, status),) = kernels.solve("sin", p, q, [1.5], 100)
         assert (root, iters, status) == (1.0, 1, kernels.UNCONVERGED)
-        assert kernels.arcsin_series(p, q, root)[3] is False
+        assert kernels.forward("sin", p, q, root)[3] is False
         table = {}
         inverse._solve(table, "sin", PQParams(p, q), [1.5], "sin")
         assert isinstance(table[1.5], ComputationError) and table[1.5].partial == 1.0
