@@ -7,9 +7,9 @@ same term counts, and both run :func:`solve` with the same steps.
 
 Each twin has two entries, ``forward(mode, p, q, x)``, a series value,
 and ``solve(mode, p, q, ys, max_iters)``, its inverse, beside ``BACKEND``
-and the four solve statuses.  ``mode`` names the series, ``"sin"``, the
-top form ``"top"`` or ``"sinh"`` (see below); ``_FORWARDS`` maps it to
-its kernel for both entries.
+and the four solve statuses.  ``mode`` names the series: ``"sin"``,
+``"top"`` (the top form) or ``"sinh"`` (see below); ``_FORWARDS`` maps
+it to its kernel for both entries.
 
 Both defining integrals are Gauss hypergeometric functions (DLMF 15.4,
 15.8; Bhayo and Vuorinen, J. Approx. Theory 164, 2012):

@@ -503,7 +503,7 @@ def counterexample_search(
     budget = count(budget, "budget")
     if budget < 100:
         raise DomainError("budget must be at least 100")
-    if budget > 250000:  # the coarse stage holds budget/2 points, 200 bytes each
+    if budget > 250000:
         raise DomainError("budget must be at most 250000")
     n = max(10, math.isqrt(budget))
     grid = GridAxis("x", 0.005, 0.995, n).values()
