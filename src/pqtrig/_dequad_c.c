@@ -6,17 +6,24 @@
  * terms and return the same term counts (see its docstring for the four
  * series and their truncation bounds: arcsin's bottom half, its top form
  * anchored at w = 1 - x**q = 1/2, arcsinh's Pfaff form and its far form).
- * Like its twin it has two entries, each taking a mode, "sin", "top" or
- * "sinh" (``mode_of``, ``forward_at``).  ``forward`` returns the tuple
- * (value, bound, terms, converged), where converged is the fixed rule
- * bound <= 1e-13 max(1, |value|) of both backends, and holds the GIL.
- * ``solve`` runs the inverse solves of a whole list of targets, every
- * forward value included, with the GIL released; it follows
- * ``_dequad_py.solve`` operation for operation, so both backends take the
- * same steps, and each target is solved from the cold start of a
- * one-target call.  Where the Python kernel caches the far and top forms'
- * constants per (p, q), this one computes them once per call that needs
- * them.  Build it as a plain extension (``setup.py``) or by hand:
+ * Like its twin it has three entries.  ``forward(mode, ...)``, with mode
+ * "sin", "top" or "sinh" (``forward_at``), returns the tuple (value,
+ * bound, terms, converged), where converged is the fixed rule bound <=
+ * 1e-13 max(1, |value|) of both backends, and holds the GIL.
+ * ``solve(fn, ...)`` is the inverse of one function, "sin", "cos",
+ * "sincos" or "sinh", over a column of targets, with the GIL released:
+ * each target's domain test, endpoint or route to a mode (``target``),
+ * its solve (``solve_run``) and the map from its root to its value
+ * (``mapped``).  Each distinct target, by its bits, is solved once in a
+ * hash table of positions, from the cold start of a one-target call, and
+ * the column of values comes back with one record per failed position.
+ * It follows ``_dequad_py.solve`` operation for operation, so both
+ * backends take the same steps.  ``means`` is the Hölder mean column
+ * (``holder``), operation for operation as ``_dequad_py.means``.  Where
+ * the Python kernel caches the far and top forms' constants per (p, q),
+ * this one computes them once per call that needs them.  Both twins
+ * parse their names by one rule (``name_of``).
+ * Build it as a plain extension (``setup.py``) or by hand:
  *
  *     cc -O3 -fPIC -shared -I<python include dir> _dequad_c.c -o _dequad_c<EXT_SUFFIX> -lm
  */
@@ -24,6 +31,8 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <stdint.h>
+#include <string.h>
 
 #define EPS 2.220446049250313e-16
 #define HALF_EPS (0.5 * EPS)
@@ -277,19 +286,22 @@ result_tuple(result r)
     return out;
 }
 
-/* ---- the two entries, forward and solve ---- */
+/* ---- the three entries: forward, solve and means ---- */
 
 enum mode { SIN, SINH, TOP };
-enum status { SOLVED, BUDGET, UNCONVERGED, OVERFLOW };
+enum function { F_SIN, F_COS, F_SINCOS, F_SINH };
+enum status { SOLVED, BUDGET, UNCONVERGED, OVERFLOW, DOMAIN };
 
-/* the mode that args[0] names, and p and q from args[1] and args[2], of
- * `entry`, which takes `count` arguments; -1 with an exception set, a
- * ValueError for an unknown mode as in _dequad_py._forward */
+static const char *const mode_names[] = {"sin", "sinh", "top", NULL};
+static const char *const function_names[] = {"sin", "cos", "sincos", "sinh", NULL};
+
+/* the index in `names` of args[0], a `kind` of name, and p and q from
+ * args[1] and args[2], of `entry`, which takes `count` arguments; -1 with
+ * an exception set, a ValueError for an unknown name as in _dequad_py */
 static int
-mode_of(const char *entry, Py_ssize_t count, PyObject *const *args, Py_ssize_t nargs,
-        double *p, double *q)
+name_of(const char *entry, Py_ssize_t count, const char *const *names, const char *kind,
+        PyObject *const *args, Py_ssize_t nargs, double *p, double *q)
 {
-    static const char *names[] = {"sin", "sinh", "top"};
     int i;
 
     if (nargs != count) {
@@ -297,7 +309,7 @@ mode_of(const char *entry, Py_ssize_t count, PyObject *const *args, Py_ssize_t n
                      entry, count, nargs);
         return -1;
     }
-    for (i = 0; i < 3 && PyUnicode_Check(args[0]); i++)
+    for (i = 0; names[i] != NULL && PyUnicode_Check(args[0]); i++)
         if (PyUnicode_CompareWithASCIIString(args[0], names[i]) == 0) {
             *p = PyFloat_AsDouble(args[1]);
             if (*p == -1.0 && PyErr_Occurred())
@@ -305,7 +317,7 @@ mode_of(const char *entry, Py_ssize_t count, PyObject *const *args, Py_ssize_t n
             *q = PyFloat_AsDouble(args[2]);
             return *q == -1.0 && PyErr_Occurred() ? -1 : i;
         }
-    PyErr_Format(PyExc_ValueError, "unknown mode %R", args[0]);
+    PyErr_Format(PyExc_ValueError, "unknown %s %R", kind, args[0]);
     return -1;
 }
 
@@ -328,7 +340,7 @@ forward(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     double p, q, x;
     far_form f = {0.0, 0.0, 0.0, 0.0, 0};
     top_form g = {0.0, 0.0, 0.0, 0.0, 0};
-    int mode = mode_of("forward", 4, args, nargs, &p, &q);
+    int mode = name_of("forward", 4, mode_names, "mode", args, nargs, &p, &q);
 
     if (mode < 0 || ((x = PyFloat_AsDouble(args[3])) == -1.0 && PyErr_Occurred()))
         return NULL;
@@ -361,10 +373,11 @@ softplus(double a)
     return log1p(exp(a));
 }
 
-/* one target of solve(), _dequad_py._solve_one, without the GIL: the bracket
- * opens at [bottom, top], sin and top start at or above the root (top at
- * bottom where its start leaves its range) and sinh below it; `f` and `g`
- * hold the far and top forms' constants once a forward value needs them. */
+/* the solve of one target in `mode`, _dequad_py._solve_one, without the
+ * GIL: the bracket opens at [bottom, top], sin and top start at or above
+ * the root (top at bottom where its start leaves its range) and sinh below
+ * it; `f` and `g` hold the far and top forms' constants once a forward
+ * value needs them. */
 static solution
 solve_run(enum mode mode, double p, double q, double y, double bottom, double top,
           long max_iters, far_form *f, top_form *g)
@@ -462,28 +475,121 @@ solve_run(enum mode mode, double p, double q, double y, double bottom, double to
     return out;
 }
 
+#define TOP_PAD 1e-12 /* how far the domain of sin_pq and cos_pq reaches above half_pi_pq */
+
+/* one target's value (sin, or cos for F_COS; sincos's pair) and its
+ * failure record */
+typedef struct {
+    double sin, cos;
+    long iterations;
+    enum status status;
+} outcome;
+
+/* fn_pq from a root in `mode`, in sin (sinh's value too) unless fn is
+ * cos, and in cos where fn is cos or sincos; _dequad_py._mapped */
+static void
+mapped(enum function fn, double p, double q, enum mode mode, double root, outcome *o)
+{
+    if (mode == TOP) {
+        if (fn != F_COS)
+            o->sin = exp(log1p(-exp(-root)) / q);
+        if (fn != F_SIN)
+            o->cos = exp(-root / p);
+    }
+    else {
+        o->sin = root;
+        if (fn == F_COS || fn == F_SINCOS)
+            o->cos = exp(log1p(-pow(root, q)) / p);
+    }
+}
+
+/* one target of solve(), _dequad_py._target, without the GIL: the domain
+ * test, the endpoints, the mode and the solve; `sin_top` is 2**(-1/q) */
+static outcome
+target(enum function fn, double p, double q, double y, double top, double split, double sin_top,
+       long max_iters, far_form *f, top_form *g)
+{
+    outcome o = {NAN, NAN, 0, DOMAIN};
+    enum mode mode;
+    solution s;
+
+    if (!(fn == F_SINH ? 0.0 <= y && y < top : 0.0 <= y && y <= top + TOP_PAD))
+        return o;
+    if (y == 0.0 || y >= top) { /* (a sinh y is below its top here) */
+        o.sin = y == 0.0 ? 0.0 : 1.0;
+        o.cos = 1.0 - o.sin;
+        o.status = SOLVED;
+        return o;
+    }
+    mode = fn == F_SINH ? SINH : y < split ? SIN : TOP;
+    s = solve_run(mode, p, q, y, mode == TOP ? LN2 : 0.0, mode == SIN ? sin_top : INFINITY,
+                  max_iters, f, g);
+    mapped(fn, p, q, mode, s.root, &o);
+    o.iterations = s.iterations;
+    o.status = s.status;
+    return o;
+}
+
+/* the slot of `table` (size a power of 2, -1 where empty) that holds the
+ * first position of ys whose target has y's bits, or the empty slot
+ * where it goes */
+static Py_ssize_t
+slot_of(const Py_ssize_t *table, Py_ssize_t size, const double *ys, double y)
+{
+    uint64_t bits, other, h;
+    Py_ssize_t slot;
+
+    memcpy(&bits, &y, sizeof bits);
+    h = (bits ^ (bits >> 29)) * 0x9E3779B97F4A7C15ULL;
+    slot = (Py_ssize_t)((h ^ (h >> 32)) & (uint64_t)(size - 1));
+    for (;; slot = (slot + 1) & (size - 1)) {
+        if (table[slot] < 0)
+            return slot;
+        memcpy(&other, &ys[table[slot]], sizeof other);
+        if (other == bits)
+            return slot;
+    }
+}
+
+static PyObject *
+float_pair(double a, double b)
+{
+    PyObject *x = PyFloat_FromDouble(a), *y = PyFloat_FromDouble(b), *out = NULL;
+
+    if (x != NULL && y != NULL)
+        out = PyTuple_Pack(2, x, y);
+    Py_XDECREF(x);
+    Py_XDECREF(y);
+    return out;
+}
+
 static PyObject *
 solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     long max_iters;
-    int mode;
-    Py_ssize_t i, count;
-    PyObject *seq, *list = NULL, *item;
-    double p, q, *ys = NULL, bottom, top;
-    solution *sols = NULL;
+    int fn;
+    Py_ssize_t i, count, size, slot, *table = NULL;
+    PyObject *seq, *values = NULL, *failures = NULL, *item, *out = NULL;
+    double p, q, top, split, sin_top, value, *ys = NULL;
+    outcome *outs = NULL;
     far_form f = {0.0, 0.0, 0.0, 0.0, 0};
     top_form g = {0.0, 0.0, 0.0, 0.0, 0};
 
-    /* after mode, p and q: the targets and an integer */
-    if ((mode = mode_of("solve", 5, args, nargs, &p, &q)) < 0
-        || ((max_iters = PyLong_AsLong(args[4])) == -1 && PyErr_Occurred()))
+    /* after fn, p and q: the targets, top, split and an integer */
+    if ((fn = name_of("solve", 7, function_names, "function", args, nargs, &p, &q)) < 0
+        || ((top = PyFloat_AsDouble(args[4])) == -1.0 && PyErr_Occurred())
+        || ((split = PyFloat_AsDouble(args[5])) == -1.0 && PyErr_Occurred())
+        || ((max_iters = PyLong_AsLong(args[6])) == -1 && PyErr_Occurred()))
         return NULL;
     if ((seq = PySequence_Fast(args[3], "solve() targets must be a sequence")) == NULL)
         return NULL;
     count = PySequence_Fast_GET_SIZE(seq);
+    for (size = 2; size < 2 * count; size *= 2)
+        ;
     ys = PyMem_RawMalloc((count ? count : 1) * sizeof(double));
-    sols = PyMem_RawMalloc((count ? count : 1) * sizeof(solution));
-    if (ys == NULL || sols == NULL) {
+    outs = PyMem_RawMalloc((count ? count : 1) * sizeof(outcome));
+    table = PyMem_RawMalloc(size * sizeof(Py_ssize_t));
+    if (ys == NULL || outs == NULL || table == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -493,50 +599,155 @@ solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             goto done;
     }
 
+    /* each distinct target (by its bits) is solved once, at its first
+     * position, and the later ones copy its outcome */
     Py_BEGIN_ALLOW_THREADS
-    bottom = mode == TOP ? LN2 : 0.0;
-    top = mode == SIN ? exp(-LN2 / q) : INFINITY;
-    for (i = 0; i < count; i++)
-        sols[i] = solve_run((enum mode)mode, p, q, ys[i], bottom, top, max_iters, &f, &g);
-    Py_END_ALLOW_THREADS
-
-    if ((list = PyList_New(count)) == NULL)
-        goto done;
+    sin_top = exp(-LN2 / q);
+    for (i = 0; i < size; i++)
+        table[i] = -1;
     for (i = 0; i < count; i++) {
-        if ((item = PyTuple_New(4)) == NULL) {
-            Py_CLEAR(list);
-            goto done;
-        }
-        PyList_SET_ITEM(list, i, item);
-        PyTuple_SET_ITEM(item, 0, PyFloat_FromDouble(sols[i].root));
-        PyTuple_SET_ITEM(item, 1, PyLong_FromLong(sols[i].iterations));
-        PyTuple_SET_ITEM(item, 2, PyLong_FromLong(sols[i].terms));
-        PyTuple_SET_ITEM(item, 3, PyLong_FromLong((long)sols[i].status));
-        if (!PyTuple_GET_ITEM(item, 0) || !PyTuple_GET_ITEM(item, 1) || !PyTuple_GET_ITEM(item, 2)
-            || !PyTuple_GET_ITEM(item, 3)) {
-            Py_CLEAR(list);
-            goto done;
+        slot = slot_of(table, size, ys, ys[i]);
+        if (table[slot] >= 0)
+            outs[i] = outs[table[slot]];
+        else {
+            table[slot] = i;
+            outs[i] = target((enum function)fn, p, q, ys[i], top, split, sin_top, max_iters, &f,
+                             &g);
         }
     }
+    Py_END_ALLOW_THREADS
+
+    if ((values = PyList_New(count)) == NULL || (failures = PyList_New(0)) == NULL)
+        goto done;
+    for (i = 0; i < count; i++) {
+        value = fn == F_COS ? outs[i].cos : outs[i].sin;
+        item = fn == F_SINCOS ? float_pair(outs[i].sin, outs[i].cos) : PyFloat_FromDouble(value);
+        if (item == NULL)
+            goto done;
+        PyList_SET_ITEM(values, i, item);
+        if (outs[i].status != SOLVED) {
+            item = Py_BuildValue("(nild)", i, (int)outs[i].status, outs[i].iterations, value);
+            if (item == NULL || PyList_Append(failures, item) < 0) {
+                Py_XDECREF(item);
+                goto done;
+            }
+            Py_DECREF(item);
+        }
+    }
+    out = PyTuple_Pack(2, values, failures);
 done:
+    Py_XDECREF(values);
+    Py_XDECREF(failures);
     PyMem_RawFree(ys);
-    PyMem_RawFree(sols);
+    PyMem_RawFree(outs);
+    PyMem_RawFree(table);
     Py_DECREF(seq);
-    return list;
+    return out;
+}
+
+/* ---- Hölder means: the twin of _dequad_py.means ---- */
+
+#define TINY 2.2250738585072014e-308 /* the least normal float */
+#define GEOMETRIC 0x1p-50 /* below |r| d**2 of this, the geometric mean is H_r */
+
+/* H_r(a, b), operation for operation as in _dequad_py.means */
+static double
+holder(double r, double a, double b)
+{
+    double lo, hi, m, other, ratio, d, e, mean, ab, fm, fy, half;
+    int em, ey, geometric = r == 0.0;
+
+    if (a < b) {
+        lo = a;
+        hi = b;
+    }
+    else if (b < a) {
+        lo = b;
+        hi = a;
+    }
+    else
+        return a;
+    if (!geometric) {
+        /* m dominates the power sum, so r d <= 0 and expm1(r d) is in (-1, 0] */
+        m = r > 0.0 ? hi : lo;
+        other = r > 0.0 ? lo : hi;
+        ratio = other / m;
+        d = TINY <= ratio && ratio < INFINITY ? log(ratio) : log(other) - log(m);
+        geometric = fabs(r) * d * d < GEOMETRIC;
+    }
+    if (geometric) {
+        ab = a * b;
+        mean = TINY <= ab && ab < INFINITY ? sqrt(ab) : sqrt(a) * sqrt(b);
+    }
+    else {
+        e = log1p(0.5 * expm1(r * d)) / r; /* ln(H_r / m) */
+        if (-708.0 < e && e < 709.0)
+            mean = m * exp(e);
+        else { /* scale m, apply exp(e/2) twice */
+            fm = frexp(m, &em);
+            half = exp(0.5 * e);
+            fy = frexp(fm * half, &ey);
+            mean = ldexp(fy * half, em + ey);
+        }
+    }
+    return mean < lo ? lo : mean > hi ? hi : mean;
+}
+
+static PyObject *
+means(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    double r, a, b;
+    Py_ssize_t i, count;
+    PyObject *as, *bs = NULL, *out = NULL, *item;
+
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "means() takes exactly 3 positional arguments (%zd given)",
+                     nargs);
+        return NULL;
+    }
+    if (((r = PyFloat_AsDouble(args[0])) == -1.0 && PyErr_Occurred())
+        || (as = PySequence_Fast(args[1], "means() columns must be sequences")) == NULL)
+        return NULL;
+    if ((bs = PySequence_Fast(args[2], "means() columns must be sequences")) == NULL)
+        goto done;
+    /* as zip(a, b) */
+    count = PySequence_Fast_GET_SIZE(as) < PySequence_Fast_GET_SIZE(bs)
+                ? PySequence_Fast_GET_SIZE(as) : PySequence_Fast_GET_SIZE(bs);
+    if ((out = PyList_New(count)) == NULL)
+        goto done;
+    for (i = 0; i < count; i++) {
+        if (((a = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(as, i))) == -1.0 && PyErr_Occurred())
+            || ((b = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(bs, i))) == -1.0
+                && PyErr_Occurred())
+            || (item = PyFloat_FromDouble(holder(r, a, b))) == NULL) {
+            Py_CLEAR(out);
+            goto done;
+        }
+        PyList_SET_ITEM(out, i, item);
+    }
+done:
+    Py_DECREF(as);
+    Py_XDECREF(bs);
+    return out;
 }
 
 static PyMethodDef methods[] = {
     {"forward", (PyCFunction)(void (*)(void))forward, METH_FASTCALL,
      "forward(mode, p, q, x, /)\n--\n\n"
-     "The series value of a solve mode at x (t = ln(1/w) for \"top\"):\n"
+     "The series value of a mode at x (t = ln(1/w) for \"top\"):\n"
      "(value, bound, terms, converged).  See pqtrig._dequad_py.forward."},
     {"solve", (PyCFunction)(void (*)(void))solve, METH_FASTCALL,
-     "solve(mode, p, q, ys, max_iters, /)\n"
+     "solve(fn, p, q, ys, top, split, max_iters, /)\n"
      "--\n\n"
-     "Bracketed Newton solves of one inverse at the targets ys, in any\n"
-     "order, each from the cold start of a one-target call; returns one\n"
-     "(root, iterations, terms, status) per target.  See\n"
+     "fn_pq (\"sin\", \"cos\", \"sincos\" or \"sinh\") at every target of ys,\n"
+     "each distinct target solved once from the cold start, with the GIL\n"
+     "released: (values, failures), the values aligned with ys and one\n"
+     "(index, status, iterations, estimate) per failed position.  See\n"
      "pqtrig._dequad_py.solve."},
+    {"means", (PyCFunction)(void (*)(void))means, METH_FASTCALL,
+     "means(order, a, b, /)\n--\n\n"
+     "The Hölder mean of order `order` (0: geometric) of each pair of the\n"
+     "columns a and b.  See pqtrig._dequad_py.means."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -555,7 +766,8 @@ PyInit__dequad_c(void)
                       || PyModule_AddIntConstant(m, "SOLVED", SOLVED) < 0
                       || PyModule_AddIntConstant(m, "BUDGET", BUDGET) < 0
                       || PyModule_AddIntConstant(m, "UNCONVERGED", UNCONVERGED) < 0
-                      || PyModule_AddIntConstant(m, "OVERFLOW", OVERFLOW) < 0))
+                      || PyModule_AddIntConstant(m, "OVERFLOW", OVERFLOW) < 0
+                      || PyModule_AddIntConstant(m, "DOMAIN", DOMAIN) < 0))
         Py_CLEAR(m);
     return m;
 }

@@ -5,11 +5,11 @@ same interface lives in ``_dequad_c.c`` and is preferred at import time.
 Both sum the same series with the same arithmetic, so they return the
 same term counts, and both run :func:`solve` with the same steps.
 
-Each twin has two entries, ``forward(mode, p, q, x)``, a series value,
-and ``solve(mode, p, q, ys, max_iters)``, its inverse, beside ``BACKEND``
-and the four solve statuses.  ``mode`` names the series: ``"sin"``,
-``"top"`` (the top form) or ``"sinh"`` (see below); ``_FORWARDS`` maps
-it to its kernel for both entries.
+Each twin has three entries beside ``BACKEND`` and the five solve
+statuses: ``forward(mode, p, q, x)``, one series value, where ``mode`` is
+``"sin"``, ``"top"`` (the top form) or ``"sinh"`` (see below) and
+``_FORWARDS`` maps it to its kernel; :func:`solve`, the inverse of one
+function over a column of targets; and :func:`means`, a column of means.
 
 Both defining integrals are Gauss hypergeometric functions (DLMF 15.4,
 15.8; Bhayo and Vuorinen, J. Approx. Theory 164, 2012):
@@ -82,7 +82,8 @@ import math
 from functools import lru_cache
 from math import exp, expm1, log, log1p
 
-__all__ = ["BACKEND", "forward", "solve", "SOLVED", "BUDGET", "UNCONVERGED", "OVERFLOW"]
+__all__ = ["BACKEND", "forward", "solve", "means", "SOLVED", "BUDGET", "UNCONVERGED", "OVERFLOW",
+           "DOMAIN"]
 
 BACKEND = "python"
 
@@ -276,23 +277,22 @@ def _arcsinh_series(p, q, x):
 _FORWARDS = {"sin": _arcsin_series, "top": _arcsin_top, "sinh": _arcsinh_series}
 
 
-def _forward(mode):
-    """The kernel of ``mode``; ValueError for any other value."""
-    try:
-        return _FORWARDS[mode]
-    except (KeyError, TypeError):  # TypeError: an unhashable mode
-        raise ValueError(f"unknown mode {mode!r}") from None
-
-
 def forward(mode, p, q, x):
     """The forward value of ``mode`` at x (t = ln(1/w) for ``"top"``):
     ``(value, bound, terms, converged)``."""
-    return _forward(mode)(p, q, x)
+    try:
+        kernel = _FORWARDS[mode]
+    except (KeyError, TypeError):  # TypeError: an unhashable mode
+        raise ValueError(f"unknown mode {mode!r}") from None
+    return kernel(p, q, x)
 
 
-# solve() statuses, the same in both backends; ``inverse`` maps every
-# failure to ComputationError
-SOLVED, BUDGET, UNCONVERGED, OVERFLOW = 0, 1, 2, 3
+# solve() statuses, the same in both backends; ``inverse`` maps DOMAIN to
+# DomainError and every other failure to ComputationError
+SOLVED, BUDGET, UNCONVERGED, OVERFLOW, DOMAIN = 0, 1, 2, 3, 4
+
+_FUNCTIONS = ("sin", "cos", "sincos", "sinh")
+_TOP_PAD = 1e-12  # how far the domain of sin_pq and cos_pq reaches above half_pi_pq
 
 
 def _softplus(a: float) -> float:
@@ -310,49 +310,95 @@ def _exp(a):
         return math.inf
 
 
-def solve(mode, p, q, ys, max_iters):
-    """Solve F(s) = y for every target y of one inverse, by Newton steps inside a bracket.
+def solve(fn, p, q, ys, top, split, max_iters):
+    """fn_pq at every target y of ``ys``, in any order and with repeats:
+    ``(values, failures)``.
+
+    ``fn`` is "sin", "cos", "sinh" or "sincos", the (sin_pq, cos_pq) pair
+    of one root.  A trigonometric y must be in [0, ``top`` + 1e-12], top
+    = half_pi_pq, and is an endpoint at 0 and from top up; below the
+    half-branch value ``split`` it is solved in mode "sin", from it up in
+    mode "top" (not by the split's root 2**(-1/q), which rounds to 1.0
+    where q > ~1.25e16).  A sinh y must be in [0, ``top``), top =
+    m_star_pq or inf, and is solved in mode "sinh" unless it is 0.  Each
+    distinct target is solved once by :func:`_solve_one`, from the cold
+    start, and its root mapped by :func:`_mapped`.
+
+    ``values`` is aligned with ``ys``.  ``failures`` holds ``(index,
+    status, iterations, estimate)`` per failed position, ascending; the
+    status is DOMAIN (0 iterations, estimate nan) or the solve's, and the
+    estimate is the failed position's value (its sin for "sincos").  The
+    compiled twin, ``_dequad_c.solve``, takes the same steps with the GIL
+    released, and computes each form's constant once per call.
+    """
+    if fn not in _FUNCTIONS:
+        raise ValueError(f"unknown function {fn!r}")
+    solved, values, failures = {}, [], []
+    for i, y in enumerate(ys):
+        res = solved.get(y)
+        if res is None:
+            res = solved[y] = _target(fn, p, q, y, top, split, max_iters)
+        value, iters, status = res
+        values.append(value)
+        if status:
+            failures.append((i, status, iters, value[0] if fn == "sincos" else value))
+    return values, failures
+
+
+def _target(fn, p, q, y, top, split, max_iters):
+    """(value, iterations, status) of one target of :func:`solve`."""
+    if not (0.0 <= y < top if fn == "sinh" else 0.0 <= y <= top + _TOP_PAD):
+        return _pick(fn, math.nan, math.nan), 0, DOMAIN
+    if y == 0.0 or y >= top:  # (a sinh y is below its top here)
+        sin = 0.0 if y == 0.0 else 1.0
+        return _pick(fn, sin, 1.0 - sin), 0, SOLVED
+    mode = "sinh" if fn == "sinh" else "sin" if y < split else "top"
+    root, iters, _terms, status = _solve_one(mode, p, q, y, max_iters)
+    return _mapped(fn, p, q, mode, root), iters, status
+
+
+def _pick(fn, sin, cos):
+    # sinh's value is in ``sin``
+    return cos if fn == "cos" else (sin, cos) if fn == "sincos" else sin
+
+
+def _mapped(fn, p, q, mode, root):
+    """fn_pq from a root in ``mode``: s itself in modes "sin" and "sinh",
+    or t = ln(1/w) in mode "top", where 1 - s**q = w, mapped without
+    cancellation as sin = exp(log1p(-w)/q) and cos = e**(-t/p)."""
+    if mode == "top":
+        sin = exp(log1p(-exp(-root)) / q) if fn != "cos" else None
+        cos = exp(-root / p) if fn != "sin" else None
+    else:
+        sin, cos = root, exp(log1p(-math.pow(root, q)) / p) if fn in ("cos", "sincos") else None
+    return _pick(fn, sin, cos)
+
+
+def _solve_one(mode, p, q, y, max_iters):
+    """Solve F(s) = y for one target by Newton steps inside a bracket.
 
     ``mode`` names the forward F, ``forward(mode, ...)``: ``"sin"`` (the
     arcsin series on the bottom half of the branch, s in [0, 2**(-1/q)],
     where s**q <= 1/2), ``"top"`` (the top form on the top half, s = t =
     ln(1/w) in [ln 2, inf), where w = 1 - x**q <= 1/2) or ``"sinh"`` (the
-    arcsinh series on [0, inf)).  ``ys`` is a sequence of targets, in any
-    order and with repeats.  Returns one ``(root, iterations, terms,
-    status)`` per target, as :func:`_solve_one` describes; ``terms`` adds
-    up the series terms of its forward values.
+    arcsinh series on [0, inf)).
 
-    Every target is solved from the same cold start, so its result
-    depends only on (mode, p, q, y, max_iters) and equals that of a
-    one-target call.  The compiled twin, ``_dequad_c.solve``, takes
-    the same steps; it solves a whole list with the GIL released and
-    computes each form's constant once per call.
-    """
-    _forward(mode)
-    bottom = _LN2 if mode == "top" else 0.0
-    top = exp(-_LN2 / q) if mode == "sin" else math.inf
-    return [_solve_one(mode, p, q, y, bottom, top, max_iters) for y in ys]
-
-
-def _solve_one(mode, p, q, y, bottom, top, max_iters):
-    """One target of :func:`solve`.
-
-    The bracket opens at [``bottom``, ``top``].  sin steps in s from at
-    or above its root: ``top`` = 2**(-1/q) where y >= top, else one
-    Newton step from y on the series' first terms g = s + s**(q + 1) /
-    (p (q + 1)) + c2 s**(2q + 1) / (2q + 1), c2 = (1/p)(1/p + 1)/2.  As
-    g <= F is convex with g(y) >= y, that step is at or above the root,
-    and F is convex on [0, top], so no Newton step passes below it.  top
-    starts from the top form without its tail, at or above the root (at
-    ``bottom``, below it, where that start leaves its range), and steps
-    in w**e = e**(-e t), where F is concave and nearly linear, so Newton
-    approaches the root from above.  sinh starts at s = y, below the root
-    since its integrand is at most 1, and steps in s up to s = 1 and in
-    s**(1 - q/p) (ln s where p = q) above, where F approaches its
-    power-law tail.  A step that leaves the bracket is replaced: with no
-    upper bound yet, s is squared above 2 and doubled below; with one,
-    the bracket is bisected geometrically where sinh's s >= 1, and
-    arithmetically otherwise.
+    The bracket opens at [``bottom``, ``top``], those ranges.  sin steps
+    in s from at or above its root: ``top`` = 2**(-1/q) where y >= top,
+    else one Newton step from y on the series' first terms g = s +
+    s**(q + 1) / (p (q + 1)) + c2 s**(2q + 1) / (2q + 1), c2 = (1/p)(1/p
+    + 1)/2.  As g <= F is convex with g(y) >= y, that step is at or
+    above the root, and F is convex on [0, top], so no Newton step
+    passes below it.  top starts from the top form without its tail, at
+    or above the root (at ``bottom``, below it, where that start leaves
+    its range), and steps in w**e = e**(-e t), where F is concave and
+    nearly linear, so Newton approaches the root from above.  sinh
+    starts at s = y, below the root since its integrand is at most 1,
+    and steps in s up to s = 1 and in s**(1 - q/p) (ln s where p = q)
+    above, where F approaches its power-law tail.  A step that leaves
+    the bracket is replaced: with no upper bound yet, s is squared above
+    2 and doubled below; with one, the bracket is bisected geometrically
+    where sinh's s >= 1, and arithmetically otherwise.
 
     The solve stops once |F(s) - y| is within the bound that the kernel
     returned with F(s), below which the residual is rounding noise, or
@@ -361,8 +407,11 @@ def _solve_one(mode, p, q, y, bottom, top, max_iters):
     terms, status)``: ``status`` is SOLVED, BUDGET (``max_iters`` forward
     calls did not suffice; ``root`` is the bracket midpoint), UNCONVERGED
     (a forward value was not certified; ``root`` is its argument) or
-    OVERFLOW (the bracket passed the largest float).
+    OVERFLOW (the bracket passed the largest float); ``terms`` adds up
+    the series terms of its forward values.
     """
+    bottom = _LN2 if mode == "top" else 0.0
+    top = exp(-_LN2 / q) if mode == "sin" else math.inf
     lo, hi, kernel = bottom, top, _FORWARDS[mode]
     if mode == "sinh":
         s = y
@@ -427,3 +476,57 @@ def _solve_one(mode, p, q, y, bottom, top, max_iters):
             return lo, it, terms, OVERFLOW
         s = s_new
     return (0.5 * (lo + hi) if hi < math.inf else lo), max_iters, terms, BUDGET
+
+
+_TINY = 2.2250738585072014e-308  # the least normal float
+# H_r differs from the geometric mean by about |r| d**2 / 8 relative, with
+# d = ln(max/min): below half an ulp the geometric mean is H_r
+_GEOMETRIC = 2.0 ** -50
+
+
+def means(order, a, b):
+    """The Hölder mean H_r(x, y) of each pair of the columns ``a``, ``b``, for
+    a finite float r = ``order`` and positive floats (``means.holder_mean``
+    checks them): sqrt(x y), or sqrt(x) sqrt(y) where x y leaves the
+    normal range, at r = 0 and where |r| d**2 / 8 is below half an ulp;
+    else m exp(log1p(expm1(r d) / 2) / r), with m the larger argument for
+    r > 0 and the smaller for r < 0 and d = ln(other/m), which does not
+    cancel as r nears 0.  Each mean is clamped to [min, max] of its pair.
+    ``_dequad_c.means`` takes the same steps."""
+    log, exp, expm1, log1p, sqrt = math.log, math.exp, math.expm1, math.log1p, math.sqrt
+    r, up, inf = order, order > 0.0, math.inf
+    out = []
+    for x, y in zip(a, b):
+        if x < y:
+            lo, hi = x, y
+        elif y < x:
+            lo, hi = y, x
+        else:
+            out.append(x)
+            continue
+        geometric = r == 0.0
+        if not geometric:
+            # m dominates the power sum, so r d <= 0 and expm1(r d) is in (-1, 0]
+            if up:
+                m, other = hi, lo
+            else:
+                m, other = lo, hi
+            # one rounding in a normal ratio, where two logarithms would
+            # carry theirs into a d near 0
+            ratio = other / m
+            d = log(ratio) if _TINY <= ratio < inf else log(other) - log(m)
+            geometric = abs(r) * d * d < _GEOMETRIC
+        if geometric:
+            mean = sqrt(xy) if _TINY <= (xy := x * y) < inf else sqrt(x) * sqrt(y)
+        else:
+            e = log1p(0.5 * expm1(r * d)) / r  # ln(H_r / m)
+            if -708.0 < e < 709.0:
+                mean = m * exp(e)
+            else:  # exp(e) leaves the normal range: scale m, apply exp(e/2) twice
+                fm, em = math.frexp(m)
+                half = exp(0.5 * e)
+                fy, ey = math.frexp(fm * half)
+                mean = math.ldexp(fy * half, em + ey)
+        # rounding can step past an argument that is a few ulps from the other
+        out.append(lo if mean < lo else hi if mean > hi else mean)
+    return out

@@ -49,9 +49,10 @@ checks' axes from it.
 
 A sweep's unit of work is one (p, q) cell, which its check's cell
 evaluator computes in columns, in one pass: one domain test over the
-cell's points; one table of values over their distinct arguments, from
-one ``inverse._roots`` block per inverse function or one forward call
-per argument; then the columns of lhs, rhs, margin, tolerance and
+cell's points; one column of values over the arguments of all its
+reads, each read a slice, from one ``inverse._roots`` call or one
+forward call per distinct argument, and its means from the kernels'
+``means``; then the columns of lhs, rhs, margin, tolerance and
 satisfied, and one verdict per row.  A point outside the domain, one
 that reads a failed value and one whose formula fails each get an error
 instead of a verdict; the cell returns its verdicts in point order and
@@ -65,15 +66,15 @@ equals ``check_at``'s at its point, bit for bit.
 
 import math
 from functools import partial
-from itertools import repeat
+from itertools import product
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Optional, Sequence
 
+from ._backend import kernels
 from ._records import Validated, count, holder_order, real
 from .errors import ComputationError, DomainError, PQTrigError
 from .functions import PQParams, _pair, arcsin_pq, arcsinh_pq, half_pi_pq, m_star_pq
 from .inverse import _roots
-from .means import _gmeans, _holder_means
 
 DEFAULT_TOL_ABS = 1e-9
 DEFAULT_TOL_REL = 1e-9
@@ -207,8 +208,8 @@ class SweepReport:
 # cell evaluators: one check on one (p, q) cell at a list of argument tuples
 #
 # Each is one pass over the cell in columns: a domain test over the points,
-# one table of values over their distinct arguments (one ``_roots`` call
-# per inverse function), then the columns of lhs, rhs and margin.  Each
+# one column of values aligned with the arguments it reads (one ``_roots``
+# call per inverse function), then the columns of lhs, rhs and margin.  Each
 # returns its verdicts, in point order, and its errors as (position,
 # PQTrigError) pairs: a point out of the domain, or one that reads a
 # failed value or whose formula fails, has an error and no verdict.
@@ -224,34 +225,37 @@ def _domain(pts, inside, error) -> tuple[list, Sequence[int], list]:
     return [pts[i] for i in pos], pos, errors
 
 
-def _table(fn, xs) -> dict:
-    """{x: fn(x) or the PQTrigError it raises} over the distinct ``xs``."""
-    table = dict.fromkeys(xs)
+def _table(fn, xs) -> tuple[list, list]:
+    """(fn(x) or the PQTrigError it raises, for each x of ``xs``; the
+    positions of the errors, ascending), calling fn once per distinct x."""
+    table, failed = dict.fromkeys(xs), False
     for x in table:
         try:
             table[x] = fn(x)
         except PQTrigError as exc:  # recorded, not fatal; anything else is a bug
             table[x] = exc
-    return table
+            failed = True
+    values = list(map(table.__getitem__, xs))
+    return values, [i for i, v in enumerate(values) if isinstance(v, PQTrigError)] if failed else []
 
 
-def _solved(table, errors, pos, keys) -> tuple[Sequence[int], tuple]:
-    """(pos, keys) without the points that read a failed entry of ``table``.
+def _solved(values, failed, errors, pos, cols) -> tuple[list, list, tuple]:
+    """(pos, values, cols) without the points that read a failed value.
 
-    ``keys`` holds, in the order a point reads them, the columns of its
-    table keys; a dropped point is added to ``errors`` at its position
-    with the error of the first failed entry it reads.
+    ``values`` is a cell's columns of one value per point, concatenated in
+    the order a point reads them, and ``failed`` its failed positions,
+    ascending.  A dropped point is added to ``errors`` at its position
+    with the error of the first failed value it reads; ``cols`` are the
+    points' other columns.  A cell calls this only where a value failed.
     """
-    if not any(map(isinstance, table.values(), repeat(PQTrigError))):
-        return pos, keys
-    kept = []
-    for k, row in enumerate(zip(*keys)):
-        failed = [table[y] for y in row if isinstance(table[y], PQTrigError)]
-        if failed:
-            errors.append((pos[k], failed[0]))
-        else:
-            kept.append(k)
-    return [pos[k] for k in kept], tuple([col[k] for k in kept] for col in keys)
+    n = len(pos)
+    first = {}
+    for f in failed:
+        first.setdefault(f % n, values[f])
+    errors.extend((pos[i], first[i]) for i in sorted(first))
+    kept = [i for i in range(n) if i not in first]
+    values = [values[j + i] for j in range(0, len(values), n) for i in kept]
+    return [pos[i] for i in kept], values, tuple([col[i] for i in kept] for col in cols)
 
 
 def _lemma21_cell(pq, pts, ordv) -> tuple[list, list]:
@@ -259,13 +263,13 @@ def _lemma21_cell(pq, pts, ordv) -> tuple[list, list]:
     pts, pos, errors = _domain(pts, [0.0 < x < 1.0 for (x,) in pts],
                                lambda x: DomainError(f"lemma21 needs x in (0, 1), got {x!r}"))
     xs = [x for (x,) in pts]
-    table = _table(partial(arcsin_pq, pq), xs)
-    pos, (xs,) = _solved(table, errors, pos, (xs,))
+    lhs, failed = _table(partial(arcsin_pq, pq), xs)
+    if failed:
+        pos, lhs, (xs,) = _solved(lhs, failed, errors, pos, (xs,))
     rhs = []
     for x in xs:
         xq = math.pow(x, q)
         rhs.append(p * x * math.pow(1.0 - xq, 1.0 - 1.0 / p) / ((q - p) * xq + p))
-    lhs = [table[x] for x in xs]
     ats = [{"p": p, "q": q, "x": x} for x in xs]
     return _verdicts(lhs, rhs, [lh - rh for lh, rh in zip(lhs, rhs)], ats), errors
 
@@ -276,10 +280,11 @@ def _lemma22_cell(pq, pts, ordv) -> tuple[list, list]:
     pts, pos, errors = _domain(pts, [x > 0.0 and math.isfinite(x) for (x,) in pts],
                                lambda x: DomainError(f"lemma22 needs finite x > 0, got {x!r}"))
     xs = [x for (x,) in pts]
-    table = _table(partial(arcsinh_pq, pq), xs)
-    pos, (xs,) = _solved(table, errors, pos, (xs,))
+    values, failed = _table(partial(arcsinh_pq, pq), xs)
+    if failed:
+        pos, values, (xs,) = _solved(values, failed, errors, pos, (xs,))
     lhs, rhs, ats = [], [], []
-    for i, x in zip(pos, xs):
+    for i, x, value in zip(pos, xs, values):
         t = q * math.log(x)  # ln x**q
         if t <= 0.0:
             xq = math.exp(t)
@@ -296,7 +301,7 @@ def _lemma22_cell(pq, pts, ordv) -> tuple[list, list]:
         if x0 is not None:
             at["x0"] = x0
             at["region"] = "below_x0" if x < x0 else ("above_x0" if x > x0 else "at_x0")
-        lhs.append(x / table[x])
+        lhs.append(x / value)
         rhs.append(rh)
         ats.append(at)
     return _verdicts(lhs, rhs, [lh - rh for lh, rh in zip(lhs, rhs)], ats), errors
@@ -326,12 +331,14 @@ def _mean_cell(check, pq, pts, ordv) -> tuple[list, list]:
         pts, [0.0 < r < hi and 0.0 < s < hi for r, s in pts],
         lambda r, s: DomainError(f"{check} needs r, s in (0, {hi:.12g}), got {r!r}, {s!r}"))
     rs, ss = [r for r, _ in pts], [s for _, s in pts]
-    gs = _gmeans(rs, ss)
-    table = _roots(fn, pq, gs + rs + ss)
-    pos, (gs, rs, ss) = _solved(table, errors, pos, (gs, rs, ss))
-    lhs, a, b = (list(map(table.__getitem__, col)) for col in (gs, rs, ss))
+    # lhs, a and b read the function at sqrt(r s), r and s: one column of three
+    values, failed = _roots(fn, pq, kernels.means(0.0, rs, ss) + rs + ss)
+    if failed:
+        pos, values, (rs, ss) = _solved(values, failed, errors, pos, (rs, ss))
+    n = len(rs)
+    lhs, a, b = values[:n], values[n:2 * n], values[2 * n:]
     # roots of r, s > 0 are positive; thm11 is the mean of order 0
-    rhs = _holder_means(0.0 if ordv is None else ordv, a, b)
+    rhs = kernels.means(0.0 if ordv is None else ordv, a, b)
     if ordv is None:
         ats = [{"p": p, "q": q, "r": r, "s": s} for r, s in zip(rs, ss)]
     else:
@@ -349,14 +356,15 @@ def _double_angle_cell(pq, pts, ordv) -> tuple[list, list]:
         pts, [0.0 < x < half for (x,) in pts],
         lambda x: DomainError(f"double-angle needs x in (0, {half:.12g}), got {x!r}"))
     xs = [x for (x,) in pts]
-    twice = [2.0 * x for x in xs]
-    # sin_pq at x and 2x and cos_pq at x, from one block of shared roots
-    table = _roots("sincos", pq, twice + xs)
-    pos, (twice, xs) = _solved(table, errors, pos, (twice, xs))
-    lhs = [table[y][0] for y in twice]
+    # sin_pq at 2x, and sin_pq and cos_pq at x from one shared root
+    values, failed = _roots("sincos", pq, [2.0 * x for x in xs] + xs)
+    if failed:
+        pos, values, (xs,) = _solved(values, failed, errors, pos, (xs,))
+    n = len(xs)
+    lhs = [sc[0] for sc in values[:n]]
     rhs = [2.0 * sx * math.pow(cx, 1.0 / 3.0)
            / math.sqrt(1.0 + 4.0 * sx**4 * math.pow(cx, 4.0 / 3.0))
-           for sx, cx in map(table.__getitem__, xs)]
+           for sx, cx in values[n:]]
     ats = [{"p": pq.p, "q": pq.q, "x": x} for x in xs]
     margin = [-abs(lh - rh) for lh, rh in zip(lhs, rhs)]
     return _verdicts(lhs, rhs, margin, ats, DOUBLE_ANGLE_TOL), errors
@@ -428,10 +436,13 @@ def _probe_cell(check, fn, increasing, pq, pts, ordv) -> tuple[list, list]:
     pts, pos, errors = _domain(
         pts, [lo < hi for lo, hi in pts],
         lambda lo, hi: DomainError(f"{check} needs x_lo < x_hi, got {lo!r}, {hi!r}"))
-    table = _table(partial(fn, pq, ordv), [x for pt in pts for x in pt])
     los, his = [lo for lo, _ in pts], [hi for _, hi in pts]
-    pos, (left, right) = _solved(table, errors, pos, (his, los) if increasing else (los, his))
-    lhs, rhs = [table[x] for x in left], [table[x] for x in right]
+    left, right = (his, los) if increasing else (los, his)
+    values, failed = _table(partial(fn, pq, ordv), left + right)
+    if failed:
+        pos, values, (left, right) = _solved(values, failed, errors, pos, (left, right))
+    n = len(left)
+    lhs, rhs = values[:n], values[n:]
     los, his = (right, left) if increasing else (left, right)
     ats = [{"p": pq.p, "q": pq.q, "x_lo": lo, "x_hi": hi, "order": ordv}
            for lo, hi in zip(los, his)]
@@ -460,18 +471,18 @@ class CounterexampleResult(NamedTuple):
 def _search_stage(pq, ordv, pts) -> list[InequalityVerdict]:
     """The verdicts at the first point (x, y) of the least margin and at
     the first of the greatest, from one column pass over ``pts`` as a cell
-    makes it: the means from one column, the values from one table over
-    their distinct arguments, then the columns of lhs, rhs and margin.  The
-    first point that reads a failed value raises its error."""
+    makes it: the means from one column, the values from one column over
+    the arguments of all its reads, then the columns of lhs, rhs and
+    margin.  The first point that reads a failed value raises its error."""
     xs, ys = [x for x, _ in pts], [y for _, y in pts]
-    hs = _holder_means(ordv, xs, ys)
-    table = _table(partial(arcsin_pq, pq), hs + xs + ys)
-    errors: list = []
-    _solved(table, errors, range(len(pts)), (hs, xs, ys))
-    if errors:
+    values, failed = _table(partial(arcsin_pq, pq), kernels.means(ordv, xs, ys) + xs + ys)
+    n = len(pts)
+    if failed:
+        errors: list = []
+        _solved(values, failed, errors, range(n), ())
         raise errors[0][1]
-    lhs = [table[h] for h in hs]
-    rhs = [math.sqrt(table[x] * table[y]) for x, y in pts]
+    lhs = values[:n]
+    rhs = [math.sqrt(a * b) for a, b in zip(values[n:2 * n], values[2 * n:])]
     margin = [rh - lh for lh, rh in zip(lhs, rhs)]
     # a stage keeps two of its points, so only those two become verdicts
     ends = [min(range(len(pts)), key=margin.__getitem__),
@@ -547,18 +558,9 @@ def _sinh_scale(pq: PQParams, x_max: float) -> float:
     return SINH_ARG_CAP
 
 
-def _product(values: list[list[float]]) -> list[tuple[float, ...]]:
-    """Every combination of the inner axes' values, the last axis fastest."""
-    pts: list[tuple[float, ...]] = [()]
-    for vals in values:
-        pts = [c + (v,) for c in pts for v in vals]
-    return pts
-
-
-def _consecutive(values: list[list[float]]) -> list[tuple[float, ...]]:
+def _consecutive(xs: list[float]):
     """Each pair (lo, hi) of neighbouring values of the one inner axis."""
-    (xs,) = values
-    return list(zip(xs, xs[1:]))
+    return zip(xs, xs[1:])
 
 
 class _Check:
@@ -570,12 +572,14 @@ class _Check:
 
     __slots__ = ("axes", "cell", "scale", "points", "args", "needs_order", "min_grid")
 
-    def __init__(self, axes, cell, scale=lambda pq, x_max: 1.0, points=_product, args=(),
+    def __init__(self, axes, cell, scale=lambda pq, x_max: 1.0, points=product, args=(),
                  needs_order=False, min_grid=1):
         self.axes = axes  # the inner axis names, after p and q
         self.cell = cell  # (pq, argument tuples, order) -> (verdicts, errors)
         self.scale = scale  # (pq, x_max) -> the factor of the inner axes' fractions
-        self.points = points  # the inner axes' values -> argument tuples
+        # (each inner axis's values) -> the argument tuples; itertools.product
+        # gives every combination, the last axis fastest
+        self.points = points
         self.args = args or axes  # the names of an argument tuple's entries
         self.needs_order = needs_order
         self.min_grid = min_grid  # the fewest values on each inner axis
@@ -658,18 +662,19 @@ def run_sweep(
     ``order`` must be a finite float, and the report records it only for
     a check that needs one; an inner axis needs at least the check's
     fewest grid values (10 for a probe).  Each argument is checked before
-    anything is computed, and a bad one raises :class:`DomainError`.  The
-    unit of work is one (p, q) cell, computed in columns: its inverse
-    values come from one batched solve per function over the cell's
-    distinct targets, and it returns its verdicts, each the verdict of
-    :func:`check_at` at its point, and its errors with their positions
-    in the cell.
+    anything is computed, and a bad one raises :class:`DomainError`;
+    ``threads`` must be an integer.  The unit of work is one (p, q) cell,
+    computed in columns: its inverse values come from one kernel solve
+    over all the targets of the cell, and it returns its verdicts, each
+    the verdict of :func:`check_at` at its point, and its errors with
+    their positions in the cell.
     Verdicts are reported in row-major grid order, and each error
     (:class:`SweepError`, a :class:`PQTrigError` at one point, recorded
     rather than raised) with its row-major index; any other exception
     propagates.  With ``threads > 1`` the cells are computed
     concurrently, one task each, and merged back in order.
     """
+    threads = count(threads, "threads")
     axes = tuple(axes)
     if not axes:
         raise DomainError("axes must be nonempty")
@@ -694,11 +699,11 @@ def run_sweep(
 
     def cell(pq):
         scale = entry.scale(pq, x_max)
-        pts = entry.points([[f * scale for f in fg] for fg in frac_grids])
+        pts = list(entry.points(*[[f * scale for f in fg] for fg in frac_grids]))
         return pts, entry.cell(pq, pts, ordv)
 
     cells = [PQParams(p, q) for p in axes[0].values() for q in axes[1].values()]
-    if threads and threads > 1:
+    if threads > 1:
         # imported here, so only a threaded sweep pays for loading the pool
         from concurrent.futures import ThreadPoolExecutor
 

@@ -6,19 +6,18 @@ for free) inside a maintained bracket; a step leaving the bracket falls
 back to bisection.  Every forward value F(s) is one series kernel call,
 which returns it with a rigorous bound, and the solve stops once the
 residual |F(s) - y| is within that bound, with no tolerance of its own.
-The solve is ``kernels.solve(mode, ...)``, the inverse of
-``kernels.forward(mode, ...)`` in mode "sin", "top" or "sinh" (see
-``_dequad_py.solve`` for the start and the step variables), over a list
-of targets, in C with the GIL released on the compiled backend.  The
-half-branch value is certified by ``functions._run_kernel`` like every
-forward value.  Every target is solved from the same cold start, so a
-root depends only on (p, q, y), never on the other targets of its call.
-:func:`_roots` checks domains, chooses the formulation of each target,
-makes one ``kernels.solve`` call per formulation and maps the solver's
-failures to :class:`ComputationError`, returning one table of the
-distinct targets; sin_pq, cos_pq and sinh_pq are its one-target calls,
-and the lab's sweeps call it once per function for all the targets of a
-(p, q) cell, so a sweep's values equal the scalar calls'.
+The solve is ``kernels.solve(fn, ...)``, the inverse of one function
+over a column of targets, in C with the GIL released on the compiled
+backend: the domain test, the endpoints, the route of every other
+target to the inverse of ``kernels.forward(mode, ...)`` (see
+``_dequad_py.solve``) and the map from its root to its value.  It routes
+by the cached half_pi_pq, half-branch value and m_star_pq, each
+certified by ``functions._run_kernel`` like every forward value.  Every
+distinct target is solved once, from the same cold start, so a root
+depends only on (p, q, y).  :func:`_roots` is one ``kernels.solve``
+call; sin_pq, cos_pq and sinh_pq are its one-target calls, and the lab's
+sweeps call it once per (p, q) cell, so a sweep's values equal the
+scalar calls'.
 
 sin_pq and cos_pq are one solve each: for s in [0, 2**(-1/q)], where
 s**q <= 1/2, below the half-branch value arcsin_pq(2**(-1/q)), starting
@@ -40,7 +39,6 @@ from ._records import real
 from .errors import ComputationError, DomainError, PQTrigError
 from .functions import PQParams, _half_pi, _m_star, _pair, _run_kernel
 
-_TOP_PAD = 1e-12  # how far the domain of sin_pq and cos_pq reaches above half_pi_pq
 _MAX_ITERS = 100  # forward values per solve; the most seen is 47, at p, q = 1 + 1e-12
 
 
@@ -52,28 +50,18 @@ _FAILURES = {
 }
 
 
-def _mapped(fn, pq, roots, mode) -> list:
-    """fn_pq from each root of a trigonometric solve: s itself in mode
-    "sin", or t = ln(1/w) in mode "top", where 1 - s**q = w."""
-    p, q = pq.p, pq.q
-    exp, log1p = math.exp, math.log1p
-    if mode == "top":
-        sin = [exp(log1p(-exp(-t)) / q) for t in roots] if fn != "cos" else None
-        cos = [exp(-t / p) for t in roots] if fn != "sin" else None
-    else:
-        sin = roots
-        cos = [exp(log1p(-math.pow(s, q)) / p) for s in roots] if fn != "sin" else None
-    return sin if fn == "sin" else cos if fn == "cos" else list(zip(sin, cos))
-
-
-def _failure(fn, pq, y, value, iters, status) -> ComputationError:
-    partial = value[0] if isinstance(value, tuple) else value
-    return ComputationError(
-        f"{'sin' if fn == 'sincos' else fn}_pq(p={pq.p}, q={pq.q}, y={y!r}) "
-        + _FAILURES[status].format(iters=iters)
-        + f" (last estimate {partial!r})",
-        partial=partial,
-    )
+def _failure(fn, pq, y, top, status, iters, estimate) -> PQTrigError:
+    """The error of the target y of a solve of ``fn`` whose domain ends at ``top``."""
+    p, q, name = pq.p, pq.q, "sin" if fn == "sincos" else fn
+    if status != kernels.DOMAIN:
+        return ComputationError(f"{name}_pq(p={p}, q={q}, y={y!r}) " + _FAILURES[status].format(
+            iters=iters) + f" (last estimate {estimate!r})", partial=estimate)
+    if fn != "sinh":
+        return DomainError(f"{name}_pq needs y in [0, {top:.12g}] (half_pi for p={p}, q={q}), "
+                           f"got {y!r}")
+    if not (y >= 0.0):
+        return DomainError(f"sinh_pq needs y >= 0, got {y!r}")
+    return DomainError(f"sinh_pq needs y below m_star = {top:.12g} for p={p}, q={q}, got {y!r}")
 
 
 @lru_cache(maxsize=4096)
@@ -83,77 +71,29 @@ def _half_branch(p: float, q: float) -> float:
     return _run_kernel("top", p, q, math.log(2.0), ("arcsin_pq", math.pow(0.5, 1.0 / q)))
 
 
-def _roots(fn, pq: PQParams, ys) -> dict:
-    """{y: fn_pq(pq, y) or the PQTrigError it raises} over the distinct
-    targets in ``ys``.
+def _roots(fn, pq: PQParams, ys) -> tuple[list, list]:
+    """(fn_pq(pq, y) or the PQTrigError it raises, for each y of ``ys``;
+    the positions of the errors, ascending), from one ``kernels.solve`` call.
 
-    ``fn`` is "sin", "cos" or "sinh", or "sincos" for (sin_pq, cos_pq)
-    pairs that share one root (a failure then carries the sin_pq
-    message).  ``ys`` may hold repeats, in any order.  Each formulation
-    is one ``kernels.solve`` call over its targets: sin's below the
-    half-branch value arcsin_pq(2**(-1/q)), top's from it up.  Each value
-    or error is exactly that of a single call at its y: the solves start
-    cold, and the domain checks, endpoint values, routing, root mappings
-    and messages are those of a single call.
+    ``fn`` is "sin", "cos", "sinh" or "sincos", the (sin_pq, cos_pq) pair
+    of one root, whose failure carries the sin_pq message.  Each value or
+    error is exactly that of a single call at its y, and an error is
+    built only at a failed position.
     """
     p, q = pq.p, pq.q
-    table = dict.fromkeys(ys)
-    bottom, top_half = [], []  # the targets to solve, in the bottom and the top half of a branch
     if fn == "sinh":
-        top = _m_star(p, q) if p < q else math.inf  # m_star_pq
-        for y in table:
-            if not (y >= 0.0):
-                table[y] = DomainError(f"sinh_pq needs y >= 0, got {y!r}")
-            elif y >= top:
-                table[y] = DomainError(
-                    f"sinh_pq needs y below m_star = {top:.12g} for p={p}, q={q}, got {y!r}"
-                )
-            elif y == 0.0:
-                table[y] = 0.0
-            else:
-                bottom.append(y)
-        _solve(table, fn, pq, bottom, "sinh")
-        return table
-
-    hp = _half_pi(p, q)  # half_pi_pq
-    split, reach = _half_branch(p, q), hp + _TOP_PAD
-    for y in table:
-        if not (0.0 <= y <= reach):
-            table[y] = DomainError(
-                f"{'sin' if fn == 'sincos' else fn}_pq needs y in [0, {hp:.12g}] "
-                f"(half_pi for p={p}, q={q}), got {y!r}"
-            )
-        elif y == 0.0 or y >= hp:
-            sin = 0.0 if y == 0.0 else 1.0
-            table[y] = sin if fn == "sin" else 1.0 - sin if fn == "cos" else (sin, 1.0 - sin)
-        elif y < split:  # not the split: its root 2**(-1/q) rounds to 1.0 where q > ~1.25e16
-            bottom.append(y)
-        else:
-            top_half.append(y)
-    _solve(table, fn, pq, bottom, "sin")
-    _solve(table, fn, pq, top_half, "top")
-    return table
-
-
-def _solve(table, fn, pq, ys, mode):
-    """One kernels.solve call in ``mode`` over the distinct targets ``ys``;
-    stores each value or error in ``table``."""
-    if not ys:
-        return
-    results = kernels.solve(mode, pq.p, pq.q, ys, _MAX_ITERS)
-    values = [res[0] for res in results]
-    if not (fn == "sinh" or (fn == "sin" and mode == "sin")):  # where the root is not the value
-        values = _mapped(fn, pq, values, mode)
-    table.update(zip(ys, values))
-    if any(res[3] for res in results):
-        for y, value, (_root, iters, _terms, status) in zip(ys, values, results):
-            if status:
-                table[y] = _failure(fn, pq, y, value, iters, status)
+        top, split = (_m_star(p, q) if p < q else math.inf), math.inf
+    else:
+        top, split = _half_pi(p, q), _half_branch(p, q)
+    values, failures = kernels.solve(fn, p, q, ys, top, split, _MAX_ITERS)
+    for i, status, iters, estimate in failures:
+        values[i] = _failure(fn, pq, ys[i], top, status, iters, estimate)
+    return values, [rec[0] for rec in failures]
 
 
 def _one(fn, pq, y):
-    value = _roots(fn, pq, (y,))[y]
-    if isinstance(value, PQTrigError):
+    (value,), failed = _roots(fn, pq, (y,))
+    if failed:
         raise value
     return value
 

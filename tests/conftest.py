@@ -101,13 +101,14 @@ def _kernel_backends():
 
 @pytest.fixture(params=["c", "python"])
 def backend(request, monkeypatch):
-    """Runs the test with ``functions`` and ``inverse`` on each kernel
-    backend in turn; the compiled one is skipped where it was not built."""
-    from pqtrig import functions, inverse
+    """Runs the test with the modules that call the kernels (``functions``,
+    ``inverse``, ``means`` and ``inequalities``) on each kernel backend in
+    turn; the compiled one is skipped where it was not built."""
+    from pqtrig import functions, inequalities, inverse, means
 
     found = {k.BACKEND: k for k in _kernel_backends()}
     if request.param not in found:
         pytest.skip("compiled kernel extension not built")
-    monkeypatch.setattr(functions, "kernels", found[request.param])
-    monkeypatch.setattr(inverse, "kernels", found[request.param])
+    for module in (functions, inverse, means, inequalities):
+        monkeypatch.setattr(module, "kernels", found[request.param])
     return found[request.param]

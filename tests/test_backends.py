@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pqtrig
-from pqtrig import backend_name, functions, inverse
+from pqtrig import backend_name, functions, inequalities, inverse, means
 from pqtrig.inequalities import CHECKS
 from pqtrig import _dequad_py as pure
 from pqtrig.errors import PQTrigError
@@ -33,7 +33,7 @@ def test_backend_identifiers():
     assert pure.BACKEND == "python"
     assert compiled.BACKEND == "c"
     assert backend_name() in ("c", "python")
-    for status in ("SOLVED", "BUDGET", "UNCONVERGED", "OVERFLOW"):
+    for status in ("SOLVED", "BUDGET", "UNCONVERGED", "OVERFLOW", "DOMAIN"):
         assert getattr(compiled, status) == getattr(pure, status)
 
 
@@ -49,50 +49,69 @@ def _public(module):
 def test_backends_export_the_same_names():
     # an entry added to or deleted from one twin only fails here
     assert _public(compiled) == _public(pure) == set(pure.__all__) == {
-        "BACKEND", "forward", "solve", "SOLVED", "BUDGET", "UNCONVERGED", "OVERFLOW",
+        "BACKEND", "forward", "solve", "means", "SOLVED", "BUDGET", "UNCONVERGED", "OVERFLOW",
+        "DOMAIN",
     }
     assert len(pure.__all__) == len(set(pure.__all__))
 
 
-# each entry with a valid value for every argument after the mode
-ENTRIES = {"forward": (2.0, 3.0, 0.5), "solve": (2.0, 3.0, [0.5], 100)}
+# each named entry with a valid value for every argument after the name;
+# what it names, and a name that only the other entry takes
+ENTRIES = {"forward": (2.0, 3.0, 0.5), "solve": (2.0, 3.0, [0.5], 2.0, 1.0, 100)}
+NAMES = {"forward": ("mode", "cos"), "solve": ("function", "top")}
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
-@pytest.mark.parametrize("mode", ["cos", "", "SIN", " sin", "sin\0", b"sin", None, 1, ["sin"]])
+@pytest.mark.parametrize("mode", ["other", "", "SIN", " sin", "sin\0", b"sin", None, 1, ["sin"]])
 def test_an_unknown_mode_is_the_same_value_error(entry, mode):
-    # both twins parse the mode of both entries by one rule
-    message = f"unknown mode {mode!r}"
+    # both twins parse the name of both entries by one rule
+    kind, other = NAMES[entry]
+    mode = other if mode == "other" else mode
+    message = f"unknown {kind} {mode!r}"
     for backend in (compiled, pure):
         with pytest.raises(ValueError) as exc:
             getattr(backend, entry)(mode, *ENTRIES[entry])
         assert str(exc.value) == message, backend
 
 
-@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("entry", list(ENTRIES) + ["means"])
 def test_a_wrong_argument_count_is_a_type_error(entry):
-    args = ("sin",) + ENTRIES[entry]
+    args = (0.5, [1.0], [2.0]) if entry == "means" else ("sin",) + ENTRIES[entry]
     for backend in (compiled, pure):
         for n in (0, 1, len(args) - 1, len(args) + 1):
             with pytest.raises(TypeError):
                 getattr(backend, entry)(*(args + args)[:n])
 
 
+def _column(backend, fn, p, q, ys, max_iters=100):
+    """``backend.solve`` of ``fn`` over ``ys``, with the constants that
+    ``inverse._roots`` routes by."""
+    if fn == "sinh":
+        top, split = (functions._m_star(p, q) if p < q else math.inf), math.inf
+    else:
+        top, split = functions._half_pi(p, q), inverse._half_branch(p, q)
+    return backend.solve(fn, p, q, ys, top, split, max_iters)
+
+
 @pytest.mark.parametrize("mode", ["sin", "top", "sinh"])
 def test_solve_inverts_forward_in_each_mode(mode):
-    # the two entries map a mode to the same series: a root of solve is
-    # certified by forward in the same mode, on both twins
+    # the two entries map a mode to the same series: solve routes a value
+    # of forward in a mode to the inverse of that mode's series, whose root
+    # is x (its sin_pq for the top form's t = x), on both twins
     p, q, x = 2.0, 3.0, (1.5 if mode == "top" else 0.5)
+    fn = "sinh" if mode == "sinh" else "sin"
+    value = math.exp(math.log1p(-math.exp(-x)) / q) if mode == "top" else x
     for backend in (compiled, pure):
         y = backend.forward(mode, p, q, x)[0]
-        ((root, _iters, _terms, status),) = backend.solve(mode, p, q, [y], 100)
-        assert status == backend.SOLVED and root == pytest.approx(x, rel=1e-14), backend
+        (root,), failures = _column(backend, fn, p, q, [y])
+        assert failures == [] and root == pytest.approx(value, rel=1e-14), backend
     assert compiled.forward(mode, p, q, x) == pure.forward(mode, p, q, x)
 
 
 @pytest.mark.parametrize("name,params", [
     ("forward", ["mode", "p", "q", "x"]),
-    ("solve", ["mode", "p", "q", "ys", "max_iters"]),
+    ("solve", ["fn", "p", "q", "ys", "top", "split", "max_iters"]),
+    ("means", ["order", "a", "b"]),
 ])
 def test_twins_take_the_same_parameters(name, params):
     # a parameter added to or deleted from one twin only fails here
@@ -232,12 +251,15 @@ def test_kernels_agree_everywhere(p, q, data):
 @contextlib.contextmanager
 def _kernels(backend):
     """The library on ``backend``'s kernels, for the body of the block."""
-    saved = functions.kernels, inverse.kernels
-    functions.kernels = inverse.kernels = backend
+    users = (functions, inverse, means, inequalities)
+    saved = [module.kernels for module in users]
+    for module in users:
+        module.kernels = backend
     try:
         yield
     finally:
-        functions.kernels, inverse.kernels = saved
+        for module, kernels in zip(users, saved):
+            module.kernels = kernels
 
 
 def _outcome(backend, fn, *args):
@@ -274,14 +296,19 @@ def test_solvers_agree_everywhere(p, q, mode, data):
     else:
         assert rc == pytest.approx(rp, abs=1e-13)
     if 0.0 < y < top:
-        # the same steps, in the mode that inverse routes y to: iteration
-        # and term counts and status
-        if mode != "sinh":
-            mode = "sin" if y < inverse._half_branch(p, q) else "top"
-        args = (mode, p, q, [y], 100)
-        (sc,), (sp,) = compiled.solve(*args), pure.solve(*args)
-        assert sc[1:] == sp[1:], (sc, sp)
-        assert sc[0] == pytest.approx(sp[0], abs=1e-13)
+        # the same steps, in the mode that solve routes y to: iteration
+        # counts, status and value
+        assert repr(_steps(compiled, mode, p, q, y)) == repr(_steps(pure, mode, p, q, y))
+
+
+def _steps(backend, fn, p, q, y):
+    """(the forward values that the solve of y takes, its column): the
+    fewest ``max_iters`` with which it ends on another status than BUDGET."""
+    for max_iters in range(1, 101):
+        column = _column(backend, fn, p, q, [y], max_iters)
+        if not column[1] or column[1][0][1] != backend.BUDGET:
+            return max_iters, column
+    return None, column
 
 
 # the top of each public function's argument domain; its bottom is 0
@@ -456,6 +483,11 @@ BAD_COUNT_CALLS = {
                               "budget must be an integer, got 100.5"),
     "arcsin_series_oracle": (lambda: pqtrig.arcsin_series_oracle(_PQ23, 0.5, 2.5),
                              "n_terms must be an integer, got 2.5"),
+    # a str leaked a TypeError, and 2.5 ran as two threads
+    "run_sweep-threads-str": (lambda: pqtrig.run_sweep("lemma21", _sweep_axes(2), threads="2"),
+                              "threads must be an integer, got '2'"),
+    "run_sweep-threads-float": (lambda: pqtrig.run_sweep("lemma21", _sweep_axes(2), threads=2.5),
+                                "threads must be an integer, got 2.5"),
 }
 
 
@@ -564,10 +596,11 @@ def test_sin_solves_next_to_the_split_take_newton_steps():
         p, q = 1.0 + 10.0 ** rng.uniform(-12.0, 2.0), 1.0 + 10.0 ** rng.uniform(-12.0, 2.0)
         split = inverse._half_branch(p, q)
         ys = [math.nextafter(split, 0.0), split - 1e-13]
-        sols = compiled.solve("sin", p, q, ys, 100)
-        assert sols == pure.solve("sin", p, q, ys, 100), (p, q)
-        for y, (root, iters, _terms, status) in zip(ys, sols):
-            assert status == compiled.SOLVED and iters <= 3, (p, q, y, iters)
+        # with a budget of 3 forward values, no failure means every solve took 3 or fewer
+        sols = _column(compiled, "sin", p, q, ys, 3)
+        assert sols == _column(pure, "sin", p, q, ys, 3), (p, q)
+        assert sols[1] == [], (p, q, sols)
+        for y, root in zip(ys, sols[0]):
             assert _certified("sin", p, q, root, y), (p, q, y)
 
 
@@ -585,9 +618,23 @@ def _certified(mode, p, q, root, y):
             <= compiled.forward(mode, p, q, above)[0])
 
 
-def _alone(mode, p, q, ys):
-    """Each target's one-target solve, which is its cold start."""
-    return [compiled.solve(mode, p, q, [y], 100)[0] for y in ys]
+def _alone(backend, fn, p, q, ys, max_iters=100):
+    """The column of each target's one-target solve, which is its cold start."""
+    values, failures = [], []
+    for i, y in enumerate(ys):
+        (value,), fails = _column(backend, fn, p, q, [y], max_iters)
+        values.append(value)
+        failures += [(i,) + rec[1:] for rec in fails]
+    return values, failures
+
+
+def _certifies(fn, p, q, y, value):
+    """Whether ``value`` is fn_pq of the root of y's solve, in the mode that
+    solve routes y to, and that root is certified (``_certified``)."""
+    mode = "sinh" if fn == "sinh" else "sin" if y < inverse._half_branch(p, q) else "top"
+    root, _iters, _terms, status = pure._solve_one(mode, p, q, y, 100)
+    mapped = pure._mapped(fn, p, q, mode, root)
+    return status == pure.SOLVED and value == mapped and _certified(mode, p, q, root, y)
 
 
 @settings(max_examples=120, deadline=None)
@@ -611,14 +658,15 @@ def test_batched_solves_agree_and_certify_every_root(p, q, mode, fracs):
     ys = [bottom + f * span for f in fracs if bottom < bottom + f * span < top]
     if not ys:
         return
-    args = (mode, p, q, ys, 100)
-    batch = compiled.solve(*args)
-    assert batch == pure.solve(*args)
+    fn = "sinh" if mode == "sinh" else "sin"
+    batch = _column(compiled, fn, p, q, ys)
+    assert repr(batch) == repr(_column(pure, fn, p, q, ys))
     # every target is a cold solve, exactly as on its own
-    assert batch == _alone(mode, p, q, ys)
-    for y, (root, _iters, _terms, status) in zip(ys, batch):
-        if status == compiled.SOLVED:
-            assert _certified(mode, p, q, root, y), (y, root)
+    assert repr(batch) == repr(_alone(compiled, fn, p, q, ys))
+    failed = {rec[0] for rec in batch[1]}
+    for i, (y, value) in enumerate(zip(ys, batch[0])):
+        if i not in failed:
+            assert _certifies(fn, p, q, y, value), (y, value)
 
 
 def _dense_blocks():
@@ -640,13 +688,13 @@ def test_dense_blocks_continue_the_forward(mode, p, q, bottom, span):
     # 64 ascending targets in one call: both backends give every target its
     # one-target tuple, and every root certifies
     ys = [bottom + span * (i + 1) / 65.0 for i in range(64)]
-    args = (mode, p, q, ys, 100)
-    block = compiled.solve(*args)
-    assert block == pure.solve(*args)
-    assert block == _alone(mode, p, q, ys)
-    for y, (root, _iters, _terms, status) in zip(ys, block):
-        assert status == compiled.SOLVED
-        assert _certified(mode, p, q, root, y), (y, root)
+    fn = "sinh" if mode == "sinh" else "sin"
+    block = _column(compiled, fn, p, q, ys)
+    assert block == _column(pure, fn, p, q, ys)
+    assert block == _alone(compiled, fn, p, q, ys)
+    assert block[1] == []
+    for y, value in zip(ys, block[0]):
+        assert _certifies(fn, p, q, y, value), (y, value)
 
 
 # the top form's extremes: w at 0, at and below the least subnormal, and
@@ -657,8 +705,8 @@ TOP_PS = [1.0 + 2.0 ** -52, 1.5, 2.0, 1e10, 1e300, 1.7976931348623157e308]
 
 @pytest.mark.parametrize("seed", range(4))
 def test_top_form_twins_agree(seed):
-    # the same tuple from mode "top"'s forward, and from a top solve over
-    # targets across the top half of the branch, on both backends
+    # the same tuple from mode "top"'s forward, and the same column from a
+    # solve over targets across the top half of the branch, on both backends
     rng = random.Random(seed)
     for _ in range(100):
         p = rng.choice(TOP_PS) if rng.random() < 0.3 else 1.0 + 10.0 ** rng.uniform(-15.6, 2.0)
@@ -672,18 +720,20 @@ def test_top_form_twins_agree(seed):
         split = pure.forward("top", p, q, math.log(2.0))[0]
         hp = pure.forward("top", p, q, math.inf)[0]
         ys = [split + rng.random() * (hp - split) for _ in range(3)] + [vc[0]]
-        args = ("top", p, q, ys, 100)
+        args = ("sincos", p, q, ys, hp, split, 100)
         assert repr(compiled.solve(*args)) == repr(pure.solve(*args)), (p, q, ys)
 
 
 @pytest.mark.parametrize("backend", [compiled, pure], ids=["c", "python"])
 @pytest.mark.parametrize("ys", [[0.5, 0.25], [0.25, 0.25], [0.1, 0.3, 0.2],
-                                [0.3, 0.1, 0.3, 0.6, 0.1]])
+                                [0.3, 0.1, 0.3, 0.6, 0.1], [1.2, 0.3, 1.2, 1.7, 0.3]])
 def test_unsorted_targets_solve_as_alone(backend, ys):
-    # descending targets and repeats: each gets exactly its one-target tuple
-    for mode in ("sin", "top", "sinh"):
-        block = backend.solve(mode, 2.0, 3.0, ys, 100)
-        assert block == [backend.solve(mode, 2.0, 3.0, [y], 100)[0] for y in ys]
+    # descending targets and repeats, in both halves of the branch and
+    # beyond half_pi_pq = 1.4 (a nan in a failed position): each gets
+    # exactly its one-target value
+    for fn in ("sin", "cos", "sincos", "sinh"):
+        block = _column(backend, fn, 2.0, 3.0, ys)
+        assert repr(block) == repr(_alone(backend, fn, 2.0, 3.0, ys))
 
 
 def test_series_at_ratio_one_reports_an_infinite_bound():
@@ -739,14 +789,16 @@ def test_huge_exponent_solves_fail_alike():
     y = 3.93599686377914e299
     for backend in (compiled, pure):
         assert _outcome(backend, pqtrig.sinh_pq, pq, y) is pqtrig.ComputationError
-    args = ("sin", 2.0, 1.0599853493818049e299, [1.5], 100)
+    # (a top and a split that route y = 1.5 to mode "sin")
+    args = ("sin", 2.0, 1.0599853493818049e299, [1.5], 2.0, math.inf, 100)
     assert compiled.solve(*args) == pure.solve(*args)
-    assert compiled.solve(*args)[0][3] == pure.UNCONVERGED
+    assert compiled.solve(*args)[1][0][1] == pure.UNCONVERGED
 
 
 @pytest.mark.parametrize("backend", [compiled, pure], ids=["c", "python"])
 def test_empty_target_list(backend):
-    assert backend.solve("sinh", 2.0, 3.0, [], 100) == []
+    assert backend.solve("sinh", 2.0, 3.0, [], math.inf, math.inf, 100) == ([], [])
+    assert backend.means(0.0, [], []) == []
 
 
 def test_pure_cli_reports_unconverged_constant():
@@ -770,3 +822,76 @@ def test_pure_cli_reports_unconverged_constant():
     assert "Traceback" not in proc.stderr
     proc = run("arcsinh", "1e200")
     assert proc.returncode == 0 and proc.stderr == ""
+
+
+# the orders of every regime of the mean: geometric, near 0, moderate and
+# extreme, on both sides
+MEAN_ORDERS = [0.0, 1.0, -1.0, 0.5, -0.3, 1e-9, -1e-12, 7.0, -50.0, 300.0]
+
+
+def test_means_twins_agree_bit_for_bit():
+    # 200,000 seeded pairs: log-uniform out to e**-700 and e**700, pairs
+    # within 1e-9 of each other at any scale, moderate pairs and equal ones
+    rng = random.Random(27)
+    a, b = [], []
+    for k in range(200000):
+        x = math.exp(rng.uniform(-700.0, 700.0))
+        y = (math.exp(rng.uniform(-700.0, 700.0)), x * (1.0 + rng.uniform(-1e-9, 1e-9)),
+             rng.uniform(1e-3, 3.0), x)[k % 4]
+        a.append(rng.uniform(1e-3, 3.0) if k % 4 == 2 else x)
+        b.append(y)
+    for order in MEAN_ORDERS:
+        assert compiled.means(order, a, b) == pure.means(order, a, b), order
+
+
+def _column_targets(fn, p, q):
+    """Targets at every edge of a column, each twice and in both orders:
+    ±0, nan, negative and out-of-domain values, the endpoints, y within
+    the pad above half_pi_pq, the half-branch value and its neighbour,
+    and targets inside each half of the branch."""
+    pq = pqtrig.PQParams(p, q)
+    if fn == "sinh":
+        top = pqtrig.m_star_pq(pq).as_float()
+        inside = [1e-300, 0.5, min(top, 50.0) * 0.7, 1e200, math.nextafter(top, 0.0),
+                  top - 6.4e-11]
+    else:
+        top, split = pqtrig.half_pi_pq(pq), inverse._half_branch(p, q)
+        inside = [5e-324, 0.3 * split, math.nextafter(split, 0.0), split, 0.5 * (split + top),
+                  top - 1e-13, top + 0.5e-12, top + 1e-12, top + 2e-12, math.nextafter(top, 0.0)]
+    ys = [0.0, -0.0, math.nan, -1.0, -5e-324, top, math.inf, 2.0 * top] + inside
+    return ys + ys[::-1]
+
+
+# p and q where solves fail: next to 1, where they take up to 47 forward
+# values, and at q/p next to 1, where sinh's root passes the largest float
+COLUMN_PQS = [(2.0, 3.0), (3.0, 2.0), (1.0 + 1e-12, 1.0 + 1e-12), (1.000001, 1.0001),
+              (2.0198897016765383, 2.0227308151081775), (2.0, 2.004)]
+
+
+@pytest.mark.parametrize("p,q", COLUMN_PQS)
+@pytest.mark.parametrize("fn", ["sin", "cos", "sincos", "sinh"])
+def test_a_column_solve_is_the_one_target_call_at_every_position(fn, p, q):
+    # on both twins, at budgets that fail some solves: the same values and
+    # failure records, and in inverse the same value or error as a
+    # one-target call at each position
+    ys = _column_targets(fn, p, q)
+    statuses = set()
+    for max_iters in (100, 2):
+        column = _column(compiled, fn, p, q, ys, max_iters)
+        assert repr(column) == repr(_column(pure, fn, p, q, ys, max_iters))
+        assert repr(column) == repr(_alone(compiled, fn, p, q, ys, max_iters))
+        assert [rec[0] for rec in column[1]] == sorted({rec[0] for rec in column[1]})
+        statuses |= {rec[1] for rec in column[1]}
+    expected = {compiled.DOMAIN, compiled.BUDGET}
+    if fn == "sinh" and 1.0 < q / p < 1.01:
+        expected.add(compiled.OVERFLOW)
+    assert expected <= statuses
+    pq = pqtrig.PQParams(p, q)
+    for backend in (compiled, pure):
+        with _kernels(backend):
+            values, failed = inverse._roots(fn, pq, ys)
+            assert failed == [i for i, v in enumerate(values) if isinstance(v, PQTrigError)]
+            for y, value in zip(ys, values):
+                (alone,), _ = inverse._roots(fn, pq, [y])
+                assert repr(value) == repr(alone), (backend, y)
+

@@ -435,11 +435,11 @@ def test_a_usage_error_is_found_before_any_computation(capsys, monkeypatch, argv
     # the CLI reads every DomainError of PQParams, GridAxis, run_sweep and
     # counterexample_search as a usage error, which holds only while they
     # raise it before the first kernel call
-    from pqtrig import functions, inverse
+    from pqtrig import functions, inequalities, inverse, means
 
     kernels = _NoKernels()
-    monkeypatch.setattr(functions, "kernels", kernels)
-    monkeypatch.setattr(inverse, "kernels", kernels)
+    for module in (functions, inverse, means, inequalities):
+        monkeypatch.setattr(module, "kernels", kernels)
     for cached in (functions._half_pi, functions._m_star, inverse._half_branch):
         cached.cache_clear()  # a cached constant would hide its kernel call
     assert run(capsys, *argv)[:2] == (2, "")

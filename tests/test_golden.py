@@ -9,7 +9,7 @@ and one sharpness search at order 1 in text, CSV and JSON.  A refactor of
 the lab or the CLI must leave all of them byte-identical, on either
 kernel backend: each case runs on the compiled kernels (where they are
 built) and on the pure ones, by swapping the kernel module that
-``functions`` and ``inverse`` call.
+``functions``, ``inverse``, ``means`` and ``inequalities`` call.
 
 Regenerate the files from a trusted tree with
 
@@ -45,7 +45,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from pqtrig import _dequad_py, functions, inverse
+from pqtrig import _dequad_py, functions, inequalities, inverse, means
 from pqtrig.cli import main
 
 try:
@@ -111,8 +111,8 @@ def test_output_matches_golden_file(name, monkeypatch):
     argv = CASES[name]
     status, _, body = _golden(name, argv).partition("\n")
     for kernels in BACKENDS:
-        monkeypatch.setattr(functions, "kernels", kernels)
-        monkeypatch.setattr(inverse, "kernels", kernels)
+        for module in (functions, inverse, means, inequalities):
+            monkeypatch.setattr(module, "kernels", kernels)
         code, out = _run(argv)
         assert f"exit {code}" == status, kernels.BACKEND
         assert out == body, kernels.BACKEND

@@ -714,7 +714,7 @@ def _scalar_report(check, axes, order):
         for q in axes[1].values():
             pq = PQParams(p, q)
             scale = entry.scale(pq, _X_MAX)
-            for pt in entry.points([[f * scale for f in ax.values()] for ax in axes[2:]]):
+            for pt in entry.points(*[[f * scale for f in ax.values()] for ax in axes[2:]]):
                 at = {"p": p, "q": q, **dict(zip(entry.args, pt))}
                 try:
                     verdicts.append(POINT[check](pq, at, order))
@@ -748,12 +748,14 @@ def test_a_failed_root_is_the_error_of_each_point_that_reads_it(
     roots = inequalities._roots
 
     def failing(fn, pq, ys):
-        table = roots(fn, pq, ys)
-        for f in (0.5, 0.75, 1.0):
-            bad = f * CHECKS[check].scale(pq, _X_MAX)
-            if bad in table:
-                table[bad] = ComputationError(f"no root at fraction {f}")
-        return table
+        values, failed = roots(fn, pq, ys)
+        scale = CHECKS[check].scale(pq, _X_MAX)
+        bad = {f * scale: f for f in (0.5, 0.75, 1.0)}
+        for i, y in enumerate(ys):
+            if y in bad:
+                values[i] = ComputationError(f"no root at fraction {bad[y]}")
+                failed.append(i)
+        return values, sorted(set(failed))
 
     monkeypatch.setattr(inequalities, "_roots", failing)
     inner = (("x", 0.125, 1.0, 8),) if check == "double-angle" else _RS

@@ -22,7 +22,7 @@ from pqtrig import (
     sinh_pq,
 )
 
-from pqtrig import inverse
+from pqtrig import _dequad_py, inverse
 from pqtrig._backend import kernels
 from pqtrig.inverse import _roots
 
@@ -75,9 +75,10 @@ class TestSin:
         # ComputationError with that estimate
         pq = PQParams(1.467633684721445, 1.723962961368573)
         y = 5.71395605204422
-        ((root, iters, _terms, status),) = backend.solve("sinh", pq.p, pq.q, [y], 3)
-        assert (iters, status) == (3, backend.BUDGET)
-        assert backend.solve("sinh", pq.p, pq.q, [y], 100)[0][3] == backend.SOLVED
+        args = ("sinh", pq.p, pq.q, [y], m_star_pq(pq).as_float(), math.inf)
+        (root,), ((i, status, iters, estimate),) = backend.solve(*args, 3)
+        assert (i, iters, status, estimate) == (0, 3, backend.BUDGET, root)
+        assert backend.solve(*args, 100)[1] == []
         monkeypatch.setattr(inverse, "_MAX_ITERS", 3)
         with pytest.raises(ComputationError, match="within 3 iterations") as err:
             sinh_pq(pq, y)
@@ -139,16 +140,17 @@ class TestCos:
         # the subnormal nearest e**(-t/p), never 0, within its budget
         pq = PQParams(1.007526403616098, 3.9487676838225623)
         y = 34.679658140146735
-        ((t, _iters, _terms, status),) = inverse.kernels.solve("top", pq.p, pq.q, [y], 100)
-        assert status == inverse.kernels.SOLVED
+        # the root t of the top solve, which both twins take step for step
+        t, _iters, _terms, status = _dequad_py._solve_one("top", pq.p, pq.q, y, 100)
+        assert status == _dequad_py.SOLVED
         assert t == pytest.approx(745.506, abs=1e-3)
+        assert _roots("cos", pq, [y]) == ([_dequad_py._mapped("cos", pq.p, pq.q, "top", t)], [])
         assert cos_pq(pq, y) == pytest.approx(4.461e-322, rel=0.01)
         # here v = 4.4e-327 is below the subnormal range and rounds to 0,
         # while s = 1 - 1.4e-326/q rounds to 1
         pq = PQParams(1.002, 1.3)
-        ((_t, _iters, _terms, status),) = inverse.kernels.solve("top", pq.p, pq.q, [300.0], 100)
-        assert status == inverse.kernels.SOLVED
-        assert _roots("sincos", pq, [300.0]) == {300.0: (1.0, 0.0)}
+        assert _dequad_py._solve_one("top", pq.p, pq.q, 300.0, 100)[3] == _dequad_py.SOLVED
+        assert _roots("sincos", pq, [300.0]) == ([(1.0, 0.0)], [])
         assert (sin_pq(pq, 300.0), cos_pq(pq, 300.0)) == (1.0, 0.0)
 
     @pytest.mark.parametrize("p,q,root", [(1000.0, 2.0, 0.973395), (50.0, 50.0, 0.61602),
@@ -222,14 +224,15 @@ class TestSinh:
         # instead, which must not use that value: at q = 1.06e299 sin's cold
         # start for a y above the bracket top 2**(-1/q) is that top, which
         # rounds to 1, where the series stops at z = 1 with an infinite bound
+        # (with a top and a split that route y = 1.5 to mode "sin")
         p, q = 2.0, 1.0599853493818049e299
-        ((root, iters, _terms, status),) = kernels.solve("sin", p, q, [1.5], 100)
-        assert (root, iters, status) == (1.0, 1, kernels.UNCONVERGED)
+        (root,), ((_i, status, iters, estimate),) = kernels.solve("sin", p, q, [1.5], 2.0,
+                                                                   math.inf, 100)
+        assert (root, iters, status, estimate) == (1.0, 1, kernels.UNCONVERGED, 1.0)
         assert kernels.forward("sin", p, q, root)[3] is False
-        table = {}
-        inverse._solve(table, "sin", PQParams(p, q), [1.5], "sin")
-        assert isinstance(table[1.5], ComputationError) and table[1.5].partial == 1.0
-        assert "stopped on an unconverged forward series after 1 iterations" in str(table[1.5])
+        err = inverse._failure("sin", PQParams(p, q), 1.5, 2.0, status, iters, estimate)
+        assert isinstance(err, ComputationError) and err.partial == 1.0
+        assert "stopped on an unconverged forward series after 1 iterations" in str(err)
 
     def test_root_beyond_the_largest_float_fails_fast(self):
         # q/p near 1 and y next to m_star put the root near e**21000; the
@@ -308,7 +311,7 @@ def test_the_half_branch_value_goes_to_the_top_solve(backend, p, q):
     pq = PQParams(p, q)
     assert inverse._half_branch(p, q) == 1.0 < half_pi_pq(pq)
     s, c = sin_pq(pq, 1.0), cos_pq(pq, 1.0)
-    assert 0.0 < c < 1.0 and _roots("sincos", pq, [1.0]) == {1.0: (s, c)}
+    assert 0.0 < c < 1.0 and _roots("sincos", pq, [1.0]) == ([(s, c)], [])
     assert arcsin_pq(pq, s) == pytest.approx(1.0, abs=5e-14)
     assert arccos_pq(pq, c) == pytest.approx(1.0, abs=5e-14)
 
@@ -368,9 +371,8 @@ def test_one_target_roots_is_the_scalar_call(p, q, fn, data):
         st.just(math.nan),
     ), label="y")
     scalar = {"sin": sin_pq, "cos": cos_pq, "sinh": sinh_pq}[fn]
-    table = _roots(fn, pq, [y])
-    assert list(table) == [y]
-    got = table[y]
+    (got,), failed = _roots(fn, pq, [y])
+    assert failed == ([0] if isinstance(got, PQTrigError) else [])
     got = (type(got), str(got)) if isinstance(got, PQTrigError) else got
     assert repr(got) == repr(_outcome(scalar, pq, y))
 
@@ -379,16 +381,18 @@ def test_one_target_roots_is_the_scalar_call(p, q, fn, data):
                          ids=lambda pq: f"p{pq.p}-q{pq.q}")
 def test_block_roots_share_and_certify(pq):
     # one block over both halves of the branch, with repeats, endpoints and
-    # out-of-domain targets: the table holds each distinct target once, and
-    # each entry is what the scalar call gives or raises, to within the
-    # solve tolerance; sin and cos share one root
+    # out-of-domain targets: the column holds a value or error per target,
+    # the error exactly at each failed position, and each entry is what the
+    # scalar call gives or raises, to within the solve tolerance; sin and
+    # cos share one root
     hp = half_pi_pq(pq)
     ys = [f * hp for f in frac_grid(25)] + [0.0, hp, 0.3 * hp, -1.0, 2.0 * hp]
-    both = _roots("sincos", pq, ys)
-    sin_block, cos_block = _roots("sin", pq, ys), _roots("cos", pq, ys)
-    assert list(both) == list(sin_block) == list(cos_block) == list(dict.fromkeys(ys))
-    for y in ys:
-        pair, s, c = both[y], sin_block[y], cos_block[y]
+    (both, failed), (sin_block, _), (cos_block, _) = (_roots(fn, pq, ys)
+                                                       for fn in ("sincos", "sin", "cos"))
+    assert len(both) == len(sin_block) == len(cos_block) == len(ys)
+    errors = [i for i, v in enumerate(both) if isinstance(v, PQTrigError)]
+    assert failed == errors == [i for i, v in enumerate(sin_block) if isinstance(v, PQTrigError)]
+    for y, pair, s, c in zip(ys, both, sin_block, cos_block):
         if isinstance(pair, PQTrigError):
             assert (type(pair), str(pair)) == _outcome(sin_pq, pq, y)
             assert (type(c), str(c)) == _outcome(cos_pq, pq, y)
