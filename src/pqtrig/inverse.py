@@ -54,8 +54,9 @@ def _failure(fn, pq, y, top, status, iters, estimate) -> PQTrigError:
     """The error of the target y of a solve of ``fn`` whose domain ends at ``top``."""
     p, q, name = pq.p, pq.q, "sin" if fn == "sincos" else fn
     if status != kernels.DOMAIN:
-        return ComputationError(f"{name}_pq(p={p}, q={q}, y={y!r}) " + _FAILURES[status].format(
-            iters=iters) + f" (last estimate {estimate!r})", partial=estimate)
+        reason = _FAILURES[status].format(iters=iters)
+        return ComputationError(f"{name}_pq(p={p}, q={q}, y={y!r}) {reason} "
+                                f"(last estimate {estimate!r})", partial=estimate)
     if fn != "sinh":
         return DomainError(f"{name}_pq needs y in [0, {top:.12g}] (half_pi for p={p}, q={q}), "
                            f"got {y!r}")
